@@ -103,6 +103,50 @@ def precision_matrix(net: Network, params: Union[CarParams, HeteroCarParams, flo
     return (D - params.rho * net.adjacency).tocsr()
 
 
+class _AffineGram:
+    """Grams of the kernel family R(rho) = D - rho W against fixed Z and u.
+
+    DZ, WZ, Z'DZ, Z'WZ and, given u, Z'Du, Z'Wu, u'Du, u'Wu are formed
+    once; every Gram is then affine in rho, so a whole rho grid costs one
+    batched (k, q, q) solve instead of a sparse rebuild per rho.
+    """
+
+    def __init__(self, net: Network, Z: np.ndarray, u: Optional[np.ndarray] = None):
+        d = net.degrees.astype(np.float64)
+        W = net.adjacency
+        self.DZ = Z * d[:, None]
+        self.WZ = W @ Z
+        self.ZDZ = Z.T @ self.DZ
+        self.ZWZ = Z.T @ self.WZ
+        if u is not None:
+            self.ZDu = self.DZ.T @ u
+            self.ZWu = self.WZ.T @ u
+            self.uDu = float(u @ (d * u))
+            self.uWu = float(u @ (W @ u))
+
+    def ZRZ(self, rho):
+        """Z'R(rho)Z; a (k, q, q) stack for an array of k values."""
+        return self.ZDZ - np.multiply.outer(rho, self.ZWZ)
+
+    def solve(self, rho) -> tuple:
+        """(gamma, schur) at each rho, with gamma = (Z'RZ)^{-1} Z'Ru and
+        schur = u'Ru - (Z'Ru)' gamma; both nan where Z'RZ is singular."""
+        rho = np.asarray(rho, dtype=np.float64)
+        b = self.ZDu - np.multiply.outer(rho, self.ZWu)
+        gamma = _solve_stack(self.ZRZ(rho), b)
+        return gamma, self.uDu - rho * self.uWu - np.einsum("...i,...i->...", b, gamma)
+
+
+def _solve_stack(M: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """M^{-1} b over a stack; nan in the place of each singular matrix."""
+    try:
+        return np.linalg.solve(M, b[..., None])[..., 0]
+    except np.linalg.LinAlgError:
+        if M.ndim == 2:
+            return np.full(b.shape, np.nan)
+        return np.stack([_solve_stack(Mi, bi) for Mi, bi in zip(M, b)])
+
+
 @dataclass(frozen=True, eq=False)
 class PrecisionFactor:
     """Cholesky factorization R = L L' of a precision kernel.
@@ -132,14 +176,19 @@ class PrecisionFactor:
         return math.sqrt(sigma2) * v
 
 
-def factor_precision(net: Network, params: Union[CarParams, HeteroCarParams, float]) -> PrecisionFactor:
-    """Factor the precision kernel for the given correlation parameters."""
+def _check_degrees(net: Network, what: str) -> None:
+    """Every kernel in the family is singular once a node has degree zero."""
     iso = net.isolated_nodes
     if iso.size:
         raise NotPositiveDefiniteError(
-            f"precision kernel is singular: isolated nodes {iso[:5].tolist()}"
+            f"{what}: isolated nodes {iso[:5].tolist()}"
             f"{'...' if iso.size > 5 else ''} have zero degree"
         )
+
+
+def factor_precision(net: Network, params: Union[CarParams, HeteroCarParams, float]) -> PrecisionFactor:
+    """Factor the precision kernel for the given correlation parameters."""
+    _check_degrees(net, "precision kernel is singular")
     R = precision_matrix(net, params).toarray()
     try:
         L = linalg.cholesky(R, lower=True)
@@ -218,13 +267,18 @@ class FitResult:
         )
 
 
-def _design_matrix(cov: CovariateMatrix, xv: np.ndarray) -> np.ndarray:
+def _regression_gram(net: Network, cov: CovariateMatrix, x, y) -> _AffineGram:
+    """Grams of the checked design matrix X = [x F] and outcomes y."""
+    xv = as_sign_vector(x)
+    y = np.asarray(y, dtype=np.float64).ravel()
+    if y.size != net.n or cov.n != net.n or xv.size != net.n:
+        raise DataError("network, covariates, design and outcomes must agree on n")
     X = np.column_stack([xv, cov.values])
     if np.linalg.matrix_rank(X) < X.shape[1]:
         raise RankError(
             "design matrix [x F] is rank deficient; the assignment lies in the covariate span"
         )
-    return X
+    return _AffineGram(net, X, y)
 
 
 def fit_gls(net: Network, cov: CovariateMatrix, x, y: np.ndarray, rho: float) -> FitResult:
@@ -232,38 +286,33 @@ def fit_gls(net: Network, cov: CovariateMatrix, x, y: np.ndarray, rho: float) ->
 
     Estimates (theta, beta) jointly; sigma2 by the ML divisor n.
     """
-    xv = as_sign_vector(x)
-    y = np.asarray(y, dtype=np.float64).ravel()
-    if y.size != net.n or cov.n != net.n or xv.size != net.n:
-        raise DataError("network, covariates, design and outcomes must agree on n")
-    X = _design_matrix(cov, xv)
-    factor = factor_precision(net, rho)
-    R = precision_matrix(net, rho)
-    RX = R @ X
-    M = X.T @ RX
-    b = RX.T @ y
+    gram = _regression_gram(net, cov, x, y)
+    return _gls_result(gram, float(rho), factor_precision(net, rho).logdet(), "gls")
+
+
+def _gls_result(gram: _AffineGram, rho: float, logdet: float, method: str) -> FitResult:
+    """GLS estimates at one rho from the Grams of [x F] and y; sigma2 by the divisor n."""
+    n = gram.DZ.shape[0]
     try:
-        cM, lowM = linalg.cho_factor(M)
+        cM = linalg.cho_factor(gram.ZRZ(rho))
     except linalg.LinAlgError:
         raise RankError("X' R X is numerically singular") from None
-    gamma = linalg.cho_solve((cM, lowM), b)
-    resid = y - X @ gamma
-    n = net.n
-    sigma2 = float(resid @ (R @ resid)) / n
+    gamma, rss = gram.solve(rho)
+    sigma2 = float(rss) / n
     if sigma2 <= 0.0:
-        sigma2 = np.finfo(float).tiny
-    Minv_00 = float(linalg.cho_solve((cM, lowM), np.eye(X.shape[1])[:, 0])[0])
-    loglik = -0.5 * n * math.log(2.0 * math.pi) + 0.5 * factor.logdet() - 0.5 * n * math.log(
+        sigma2 = float(np.finfo(float).tiny)
+    var_theta = sigma2 * float(linalg.cho_solve(cM, np.eye(gamma.size)[:, 0])[0])
+    loglik = -0.5 * n * math.log(2.0 * math.pi) + 0.5 * logdet - 0.5 * n * math.log(
         sigma2
     ) - 0.5 * n
     return FitResult(
         theta_hat=float(gamma[0]),
         beta_hat=gamma[1:].copy(),
-        rho_hat=float(rho),
+        rho_hat=rho,
         sigma2_hat=sigma2,
-        var_theta=sigma2 * Minv_00,
+        var_theta=var_theta,
         loglik=loglik,
-        method="gls",
+        method=method,
     )
 
 
@@ -279,19 +328,18 @@ class NetworkSpectrum:
     eigenvalues: np.ndarray
     logdet_degrees: float
 
-    def logdet(self, rho: float) -> float:
-        vals = 1.0 - rho * self.eigenvalues
+    def logdet(self, rho):
+        """log|D - rho W| at one rho, or at each entry of an array of rho."""
+        rho = np.asarray(rho, dtype=np.float64)
+        vals = 1.0 - np.multiply.outer(rho, self.eigenvalues)
         if np.any(vals <= 0.0):
             raise NotPositiveDefiniteError(f"kernel loses positive definiteness at rho={rho}")
-        return self.logdet_degrees + float(np.sum(np.log(vals)))
+        out = self.logdet_degrees + np.sum(np.log(vals), axis=-1)
+        return float(out) if out.ndim == 0 else out
 
 
 def network_spectrum(net: Network) -> NetworkSpectrum:
-    iso = net.isolated_nodes
-    if iso.size:
-        raise NotPositiveDefiniteError(
-            f"spectrum undefined: isolated nodes {iso[:5].tolist()} have zero degree"
-        )
+    _check_degrees(net, "spectrum undefined")
     d = net.degrees.astype(np.float64)
     inv_sqrt = 1.0 / np.sqrt(d)
     S = net.adjacency.toarray() * inv_sqrt[:, None] * inv_sqrt[None, :]
@@ -300,6 +348,21 @@ def network_spectrum(net: Network) -> NetworkSpectrum:
 
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+
+
+def _profile_loglik(gram: _AffineGram, spectrum: NetworkSpectrum, rhos) -> np.ndarray:
+    """0.5 log|R| - 0.5 n log(sigma2_hat) at each rho, from the Grams of [x F] and y.
+
+    A singular X'RX and a residual variance that cancels to zero (y in the
+    span of [x F]) both score -inf: such points are unusable.
+    """
+    rhos = np.asarray(rhos, dtype=np.float64)
+    n = gram.DZ.shape[0]
+    sigma2 = gram.solve(rhos)[1] / n
+    out = np.full(rhos.shape, -np.inf)
+    ok = sigma2 > 0.0  # False at nan, the mark of a singular X'RX
+    out[ok] = 0.5 * spectrum.logdet(rhos[ok]) - 0.5 * n * np.log(sigma2[ok])
+    return out
 
 
 def fit_profile_ml(
@@ -322,44 +385,18 @@ def fit_profile_ml(
         spectrum: optional precomputed network_spectrum(net), reused across
             fits on the same network.
     """
-    xv = as_sign_vector(x)
-    y = np.asarray(y, dtype=np.float64).ravel()
-    if y.size != net.n or cov.n != net.n or xv.size != net.n:
-        raise DataError("network, covariates, design and outcomes must agree on n")
     if not 0.0 < rho_max < 1.0:
         raise DataError(f"rho_max must lie in (0, 1), got {rho_max}")
-    X = _design_matrix(cov, xv)
+    gram = _regression_gram(net, cov, x, y)
     if spectrum is None:
         spectrum = network_spectrum(net)
-    n = net.n
-    D = net.degrees.astype(np.float64)
-    W = net.adjacency
-    DX = X * D[:, None]
-    WX = W @ X
-    G_D = X.T @ DX
-    G_W = X.T @ WX
-    h_D = DX.T @ y
-    h_W = WX.T @ y
-    q_D = float(y @ (D * y))
-    q_W = float(y @ (W @ y))
 
     def score(rho: float) -> float:
-        M = G_D - rho * G_W
-        b = h_D - rho * h_W
-        try:
-            gamma = np.linalg.solve(M, b)
-        except np.linalg.LinAlgError:
-            return -np.inf
-        sigma2 = (q_D - rho * q_W - b @ gamma) / n
-        if sigma2 <= 0.0:
-            # Residual variance can only cancel to zero when y sits in the
-            # span of [x F]; treat such points as unusable.
-            return -np.inf
-        return 0.5 * spectrum.logdet(rho) - 0.5 * n * math.log(sigma2)
+        return float(_profile_loglik(gram, spectrum, [rho])[0])
 
     grid = np.arange(0.0, rho_max + 1e-12, grid_step)
     grid[-1] = min(grid[-1], rho_max)
-    scores = np.array([score(r) for r in grid])
+    scores = _profile_loglik(gram, spectrum, grid)
     k = int(np.argmax(scores))
     best_rho, best_score = float(grid[k]), float(scores[k])
 
@@ -382,26 +419,4 @@ def fit_profile_ml(
             if s > best_score:
                 best_rho, best_score = float(r), float(s)
 
-    rho_hat = best_rho
-    M = G_D - rho_hat * G_W
-    bvec = h_D - rho_hat * h_W
-    gamma = np.linalg.solve(M, bvec)
-    sigma2 = float(q_D - rho_hat * q_W - bvec @ gamma) / n
-    if sigma2 <= 0.0:
-        sigma2 = float(np.finfo(float).tiny)
-    var_theta = sigma2 * float(np.linalg.solve(M, np.eye(M.shape[0])[:, 0])[0])
-    loglik = (
-        -0.5 * n * math.log(2.0 * math.pi)
-        + 0.5 * spectrum.logdet(rho_hat)
-        - 0.5 * n * math.log(sigma2)
-        - 0.5 * n
-    )
-    return FitResult(
-        theta_hat=float(gamma[0]),
-        beta_hat=gamma[1:].copy(),
-        rho_hat=rho_hat,
-        sigma2_hat=sigma2,
-        var_theta=var_theta,
-        loglik=loglik,
-        method="profile_ml",
-    )
+    return _gls_result(gram, best_rho, spectrum.logdet(best_rho), "profile_ml")

@@ -23,9 +23,7 @@ import numpy as np
 from .criterion import (
     CriterionEvaluator,
     concavity_probe,
-    evaluate,
     k_matrix,
-    pip,
     quadform_correlation,
     robustness_scatter,
     surrogate_gap_diagnostics,
@@ -44,6 +42,7 @@ from .errors import (
 )
 from .experiments import (
     DEFAULT_SEED,
+    _format_cell,
     bundled_study_path,
     derive_seed,
     load_study_spec,
@@ -61,7 +60,7 @@ from .optimizer import hybrid_problem, random_iid_design, solve
 
 _DATA_ERRORS = (GraphFormatError, DataError, StudySpecError, RankError,
                 DegenerateDesignError)
-_NUMERICAL_ERRORS = (NotPositiveDefiniteError, EigenSolverError)
+_NUMERICAL_ERRORS = (NotPositiveDefiniteError, EigenSolverError, np.linalg.LinAlgError)
 
 
 class _UsageError(Exception):
@@ -90,24 +89,12 @@ def _emit(columns, rows, args) -> None:
         writer = csv.writer(buf)
         writer.writerow(columns)
         for row in rows:
-            writer.writerow([_cell(row.get(c)) for c in columns])
+            writer.writerow([_format_cell(row.get(c)) for c in columns])
         text = buf.getvalue()
     if args.output:
         Path(args.output).write_text(text)
     else:
         sys.stdout.write(text)
-
-
-def _cell(v) -> str:
-    if v is None:
-        return ""
-    if isinstance(v, bool):
-        return "true" if v else "false"
-    if isinstance(v, float):
-        return repr(float(v))
-    if isinstance(v, (list, tuple)):
-        return "|".join(str(item) for item in v)
-    return str(v)
 
 
 def _load_pair(args):
@@ -163,13 +150,14 @@ def cmd_evaluate(args) -> int:
         )
     rows = []
     for rho_t in args.rho_t:
-        br = evaluate(net, cov, design.x, rho_t)
+        ev = CriterionEvaluator(net, cov, rho_t)
+        br = ev.breakdown(design.x)
         rows.append({
             "rho_t": rho_t,
             "precision": br.precision,
             "network_term": br.network_term,
             "imbalance_term": br.imbalance_term,
-            "pip": pip(net, cov, design.x, rho_t),
+            "pip": ev.pip(design.x),
         })
     _emit(EVALUATE_COLUMNS, rows, args)
     return 0

@@ -21,20 +21,19 @@ k_matrix for diagnostics and tests.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 from scipy import linalg, sparse
 from scipy.sparse.linalg import ArpackNoConvergence, eigsh
 from scipy.special import ndtri
 
-from .car import precision_matrix
+from .car import _AffineGram, _check_degrees, precision_matrix
 from .designs import as_sign_vector
 from .errors import (
     DataError,
     DegenerateDesignError,
     EigenSolverError,
-    NotPositiveDefiniteError,
     RankError,
 )
 from .graph import CovariateMatrix, Network
@@ -75,15 +74,7 @@ class CriterionBreakdown:
     sigma2: float = 1.0
 
     def to_dict(self) -> dict:
-        return {
-            "precision": self.precision,
-            "network_term": self.network_term,
-            "imbalance_term": self.imbalance_term,
-            "total_degree": self.total_degree,
-            "variance": self.variance,
-            "rho": self.rho,
-            "sigma2": self.sigma2,
-        }
+        return asdict(self)
 
 
 class CriterionEvaluator:
@@ -101,21 +92,16 @@ class CriterionEvaluator:
             raise DataError(f"rho must lie in [0, 1), got {rho}")
         if cov.n != net.n:
             raise DataError(f"covariate rows ({cov.n}) do not match node count ({net.n})")
-        iso = net.isolated_nodes
-        if iso.size:
-            raise NotPositiveDefiniteError(
-                f"criterion undefined: isolated nodes {iso[:5].tolist()} have zero degree"
-            )
+        _check_degrees(net, "criterion undefined")
         self.net = net
         self.cov = cov
         self.rho = float(rho)
         self.W = net.adjacency
         self.m = float(net.m)
-        R = precision_matrix(net, rho)
-        self.B = R @ cov.values
-        A = cov.values.T @ self.B
+        gram = _AffineGram(net, cov.values)
+        self.B = gram.DZ - self.rho * gram.WZ
         try:
-            self._La = linalg.cholesky(A, lower=True)
+            self._La = linalg.cholesky(gram.ZRZ(self.rho), lower=True)
         except linalg.LinAlgError:
             raise RankError("F' R F is not positive definite; check covariate rank") from None
         self.H = linalg.solve_triangular(self._La, self.B.T, lower=True)
@@ -161,6 +147,47 @@ class CriterionEvaluator:
         e_t2 = h_frob + c * (float(h_ones @ h_ones) - h_frob)
         return e_t1, e_t2
 
+    def expected_breakdown(self) -> CriterionBreakdown:
+        """Expected decomposition over uniformly random balanced designs."""
+        e_t1, e_t2 = self.expected_terms()
+        t = self.m - e_t1 - e_t2
+        return CriterionBreakdown(
+            precision=t,
+            network_term=e_t1,
+            imbalance_term=e_t2,
+            total_degree=self.m,
+            variance=1.0 / t if t > 0 else math.inf,
+            rho=self.rho,
+        )
+
+    def pip(self, x0) -> float:
+        """Percentage increase in precision of x0; see the module-level pip."""
+        t0 = self.precision(x0)
+        if t0 < 1e-10 * max(1.0, self.m):
+            raise DegenerateDesignError(
+                f"design precision {t0:.3e} is degenerate; PIP undefined"
+            )
+        return 1.0 - self.expected_breakdown().precision / t0
+
+
+def _precision_curve(net: Network, cov: CovariateMatrix, x, rhos) -> tuple:
+    """T(x, rho) = x' K(rho) x at each rho, through the rho-affine Grams.
+
+    Returns (gram, coef, t): the Grams of (F, x), the kernel-weighted
+    covariate coefficients (F'RF)^{-1} F'Rx and the precisions.
+    """
+    if cov.n != net.n:
+        raise DataError(f"covariate rows ({cov.n}) do not match node count ({net.n})")
+    _check_degrees(net, "criterion undefined")
+    xv = as_sign_vector(x)
+    if xv.size != net.n:
+        raise DataError(f"design length {xv.size} does not match n={net.n}")
+    gram = _AffineGram(net, cov.values, xv)
+    coef, t = gram.solve(rhos)
+    if np.any(np.isnan(t)):
+        raise RankError("F' R F is not positive definite; check covariate rank")
+    return gram, coef, t
+
 
 def evaluate(net: Network, cov: CovariateMatrix, x, rho: float, sigma2: float = 1.0) -> CriterionBreakdown:
     """One-shot criterion breakdown; build a CriterionEvaluator for sweeps."""
@@ -201,24 +228,12 @@ def expected_precision(net: Network, cov: CovariateMatrix, rho: float) -> float:
 
     Computed from the factored forms; the dense K and C never appear.
     """
-    ev = CriterionEvaluator(net, cov, rho)
-    e_t1, e_t2 = ev.expected_terms()
-    return ev.m - e_t1 - e_t2
+    return expected_breakdown(net, cov, rho).precision
 
 
 def expected_breakdown(net: Network, cov: CovariateMatrix, rho: float) -> CriterionBreakdown:
     """Expected decomposition under uniform balanced designs (same identity)."""
-    ev = CriterionEvaluator(net, cov, rho)
-    e_t1, e_t2 = ev.expected_terms()
-    t = ev.m - e_t1 - e_t2
-    return CriterionBreakdown(
-        precision=t,
-        network_term=e_t1,
-        imbalance_term=e_t2,
-        total_degree=ev.m,
-        variance=1.0 / t if t > 0 else math.inf,
-        rho=rho,
-    )
+    return CriterionEvaluator(net, cov, rho).expected_breakdown()
 
 
 def pip(net: Network, cov: CovariateMatrix, x0, rho_t: float) -> float:
@@ -227,14 +242,7 @@ def pip(net: Network, cov: CovariateMatrix, x0, rho_t: float) -> float:
     1 - E[x' K x] / (x0' K x0), both sides at the true correlation rho_t.
     Raises DegenerateDesignError when x0 carries (numerically) no precision.
     """
-    ev = CriterionEvaluator(net, cov, rho_t)
-    t0 = ev.breakdown(x0).precision
-    if t0 < 1e-10 * max(1.0, ev.m):
-        raise DegenerateDesignError(
-            f"design precision {t0:.3e} is degenerate; PIP undefined"
-        )
-    e_t1, e_t2 = ev.expected_terms()
-    return 1.0 - (ev.m - e_t1 - e_t2) / t0
+    return CriterionEvaluator(net, cov, rho_t).pip(x0)
 
 
 def _as_dense_symmetric(mat, name: str) -> np.ndarray:
@@ -361,9 +369,10 @@ class GapDiagnostics:
     """How much the fixed-rho surrogate criterion overstates the prior mean.
 
     gap_estimate: T(x, rho0) minus the mean of T(x, rho) over the prior
-        draws.  second_derivative_term is the leading-order expansion of
-        that gap and is always nonnegative; bound_a and bound_b are closed
-        upper bounds (bound_b at the stored alpha).
+        draws; t_at_rho0 is T(x, rho0) itself.  second_derivative_term is
+        the leading-order expansion of that gap and is always nonnegative;
+        bound_a and bound_b are closed upper bounds (bound_b at the stored
+        alpha).
     """
 
     gap_estimate: float
@@ -373,6 +382,7 @@ class GapDiagnostics:
     alpha: float
     rho0: float
     var_rho: float
+    t_at_rho0: float = math.nan
     _prefactor: float = 0.0
     _total_degree: float = 0.0
 
@@ -409,21 +419,13 @@ def surrogate_gap_diagnostics(
         raise DataError("prior samples must lie in [0, 1)")
     if not 0.0 < alpha < 1.0:
         raise DataError(f"alpha must lie in (0, 1), got {alpha}")
-    xv = as_sign_vector(x)
     ev0 = CriterionEvaluator(net, cov, rho0)
-    t_at_rho0 = ev0.breakdown(xv).precision
-    t_mean = float(
-        np.mean([CriterionEvaluator(net, cov, r).breakdown(xv).precision for r in samples])
-    )
+    gram, coef, t = _precision_curve(net, cov, x, np.concatenate(([rho0], samples)))
     var_rho = float(np.var(samples))
 
-    # Residual of x after kernel-weighted projection onto the covariates.
-    F = cov.values
-    Rx = precision_matrix(net, rho0) @ xv
-    coef = linalg.cho_solve((ev0._La, True), F.T @ Rx)
-    s = xv - F @ coef
-    Ws = net.adjacency @ s
-    u = F.T @ Ws
+    # F' W s for the residual s = x - F coef of the kernel-weighted
+    # projection at rho0, straight from the Grams.
+    u = gram.ZWu - gram.ZWZ @ coef[0]
     half = linalg.solve_triangular(ev0._La, u, lower=True)
     second = float(half @ half) * var_rho
 
@@ -433,13 +435,14 @@ def surrogate_gap_diagnostics(
     bound_a = min(net.n * lam_max, (1.0 + rho0) * m) * pref
     bound_b = (m + ndtri(1.0 - alpha) * math.sqrt(m)) * pref
     return GapDiagnostics(
-        gap_estimate=t_at_rho0 - t_mean,
+        gap_estimate=float(t[0] - np.mean(t[1:])),
         second_derivative_term=second,
         bound_a=bound_a,
         bound_b=bound_b,
         alpha=alpha,
         rho0=rho0,
         var_rho=var_rho,
+        t_at_rho0=float(t[0]),
         _prefactor=pref,
         _total_degree=m,
     )
@@ -462,6 +465,5 @@ def concavity_probe(net: Network, cov: CovariateMatrix, x, rho_grid) -> np.ndarr
         raise DataError("rho grid must be strictly increasing and uniform")
     if steps[0] > 0.01 + 1e-12:
         raise DataError(f"grid step must be at most 0.01, got {steps[0]}")
-    xv = as_sign_vector(x)
-    t = np.array([CriterionEvaluator(net, cov, r).breakdown(xv).precision for r in grid])
+    t = _precision_curve(net, cov, x, grid)[2]
     return t[2:] - 2.0 * t[1:-1] + t[:-2]

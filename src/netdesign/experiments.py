@@ -16,6 +16,7 @@ from.  An explicit key in the spec file always wins over either scale.
 from __future__ import annotations
 
 import csv
+import functools
 import json
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -32,7 +33,7 @@ from .car import (
     network_spectrum,
     sample_noise,
 )
-from .criterion import evaluate, expected_breakdown, pip, surrogate_gap_diagnostics
+from .criterion import CriterionEvaluator, surrogate_gap_diagnostics
 from .errors import NetdesignError, StudySpecError
 from .graph import (
     CovariateMatrix,
@@ -375,6 +376,8 @@ def _format_cell(v) -> str:
     if isinstance(v, float):
         # numpy scalars subclass float but repr as np.float64(...)
         return repr(float(v))
+    if isinstance(v, (list, tuple)):
+        return "|".join(str(item) for item in v)
     return str(v)
 
 
@@ -398,16 +401,21 @@ def _meta(spec: StudySpec, columns, rows) -> dict:
     }
 
 
-def _run_cells(fn, cells, threads: int):
+def _tabulate(spec: StudySpec, columns, cell, cells, threads: int) -> StudyResult:
+    """Rows of `cell` over `cells`, in cell order, on a thread pool when
+    threads > 1."""
     if threads and threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            chunks = list(pool.map(fn, cells))
+            chunks = list(pool.map(cell, cells))
     else:
-        chunks = [fn(c) for c in cells]
-    rows = []
-    for chunk in chunks:
-        rows.extend(chunk)
-    return rows
+        chunks = [cell(c) for c in cells]
+    rows = [row for chunk in chunks for row in chunk]
+    return StudyResult(spec.kind, columns, rows, _meta(spec, columns, rows))
+
+
+def _status_rows(base: dict, rho_ts, status: str) -> list:
+    """One row per evaluation correlation that carries only a status."""
+    return [{**base, "rho_t": rho_t, "status": status} for rho_t in rho_ts]
 
 
 def run_study(spec: StudySpec, threads: int = 1) -> StudyResult:
@@ -441,6 +449,9 @@ def run_alpha_sweep(spec: StudySpec, threads: int = 1) -> StudyResult:
     def cell(rep: int):
         dataset_seed = derive_seed(spec.seed, 0, rep)
         net, cov = synth_dataset(P["n"], P["p"], P["density"], dataset_seed)
+        # One evaluator per rho_t, shared by the designs of every alpha; a
+        # failed build is not cached, so it fails again for each of them.
+        evaluator = functools.cache(lambda rho_t: CriterionEvaluator(net, cov, rho_t))
         out = []
         for ai, alpha in enumerate(P["alphas"]):
             solver_seed = derive_seed(spec.seed, 1, rep, ai)
@@ -455,16 +466,10 @@ def run_alpha_sweep(spec: StudySpec, threads: int = 1) -> StudyResult:
                     prob, method=P["method"], seed=solver_seed, restarts=P["restarts"]
                 )
             except NetdesignError as e:
-                out.extend(
-                    {**base, "rho_t": rho_t, "status": type(e).__name__}
-                    for rho_t in P["rho_ts"]
-                )
+                out.extend(_status_rows(base, P["rho_ts"], type(e).__name__))
                 continue
             if not report.feasible:
-                out.extend(
-                    {**base, "rho_t": rho_t, "status": "infeasible"}
-                    for rho_t in P["rho_ts"]
-                )
+                out.extend(_status_rows(base, P["rho_ts"], "infeasible"))
                 continue
             x = report.design.x
             solved = {
@@ -478,18 +483,18 @@ def run_alpha_sweep(spec: StudySpec, threads: int = 1) -> StudyResult:
             }
             for rho_t in P["rho_ts"]:
                 try:
-                    br = evaluate(net, cov, x, rho_t)
+                    ev = evaluator(rho_t)
+                    br = ev.breakdown(x)
                     out.append({
-                        **solved, "rho_t": rho_t, "pip": pip(net, cov, x, rho_t),
+                        **solved, "rho_t": rho_t, "pip": ev.pip(x),
                         "precision": br.precision, "network_term": br.network_term,
                         "imbalance_term": br.imbalance_term, "status": "ok",
                     })
                 except NetdesignError as e:
-                    out.append({**solved, "rho_t": rho_t, "status": type(e).__name__})
+                    out.extend(_status_rows(solved, (rho_t,), type(e).__name__))
         return out
 
-    rows = _run_cells(cell, range(P["replicates"]), threads)
-    return StudyResult(spec.kind, ALPHA_SWEEP_COLUMNS, rows, _meta(spec, ALPHA_SWEEP_COLUMNS, rows))
+    return _tabulate(spec, ALPHA_SWEEP_COLUMNS, cell, range(P["replicates"]), threads)
 
 
 # ---------------------------------------------------------------------------
@@ -527,10 +532,7 @@ def run_rho_robustness(spec: StudySpec, threads: int = 1) -> StudyResult:
             if not local.feasible:
                 raise NetdesignError("reference solve infeasible")
         except NetdesignError as e:
-            return [
-                {**base, "rho_t": rho_t, "status": type(e).__name__}
-                for rho_t in P["rho_ts"]
-            ]
+            return _status_rows(base, P["rho_ts"], type(e).__name__)
         for rho_t in P["rho_ts"]:
             try:
                 prob_t = hybrid_problem(net, cov, rho_t, P["alpha"])
@@ -538,23 +540,21 @@ def run_rho_robustness(spec: StudySpec, threads: int = 1) -> StudyResult:
                     prob_t, method=P["method"], seed=solver_seed, restarts=P["restarts"]
                 )
                 if not true.feasible:
-                    out.append({**base, "rho_t": rho_t, "status": "infeasible"})
+                    out.extend(_status_rows(base, (rho_t,), "infeasible"))
                     continue
-                pip_local = pip(net, cov, local.design.x, rho_t)
-                pip_true = pip(net, cov, true.design.x, rho_t)
+                ev = CriterionEvaluator(net, cov, rho_t)
+                pip_local = ev.pip(local.design.x)
+                pip_true = ev.pip(true.design.x)
                 out.append({
                     **base, "rho_t": rho_t, "pip_local": pip_local,
                     "pip_true": pip_true, "pip_difference": pip_true - pip_local,
                     "status": "ok",
                 })
             except NetdesignError as e:
-                out.append({**base, "rho_t": rho_t, "status": type(e).__name__})
+                out.extend(_status_rows(base, (rho_t,), type(e).__name__))
         return out
 
-    rows = _run_cells(cell, range(P["replicates"]), threads)
-    return StudyResult(
-        spec.kind, RHO_ROBUSTNESS_COLUMNS, rows, _meta(spec, RHO_ROBUSTNESS_COLUMNS, rows)
-    )
+    return _tabulate(spec, RHO_ROBUSTNESS_COLUMNS, cell, range(P["replicates"]), threads)
 
 
 # ---------------------------------------------------------------------------
@@ -585,6 +585,7 @@ def run_network_comparison(spec: StudySpec, threads: int = 1) -> StudyResult:
         n = n_grid[ni]
         dataset_seed = derive_seed(spec.seed, 0, rep, ni)
         net, cov = synth_dataset(n, P["p"], P["density"], dataset_seed)
+        evaluator = functools.cache(lambda rho_t: CriterionEvaluator(net, cov, rho_t))
         out = []
         for kindname, ki in (("network", 0), ("no_network", 1)):
             solver_seed = derive_seed(spec.seed, 1, rep, ni, ki)
@@ -606,24 +607,19 @@ def run_network_comparison(spec: StudySpec, threads: int = 1) -> StudyResult:
                         restarts=P["restarts"],
                     )
             except NetdesignError as e:
-                out.extend(
-                    {**base, "rho_t": rho_t, "status": type(e).__name__}
-                    for rho_t in P["rho_ts"]
-                )
+                out.extend(_status_rows(base, P["rho_ts"], type(e).__name__))
                 continue
             if not report.feasible:
-                out.extend(
-                    {**base, "rho_t": rho_t, "status": "infeasible"}
-                    for rho_t in P["rho_ts"]
-                )
+                out.extend(_status_rows(base, P["rho_ts"], "infeasible"))
                 continue
             x = report.design.x
             for rho_t in P["rho_ts"]:
                 try:
-                    br = evaluate(net, cov, x, rho_t)
-                    exp = expected_breakdown(net, cov, rho_t)
+                    ev = evaluator(rho_t)
+                    br = ev.breakdown(x)
+                    exp = ev.expected_breakdown()
                     out.append({
-                        **base, "rho_t": rho_t, "pip": pip(net, cov, x, rho_t),
+                        **base, "rho_t": rho_t, "pip": ev.pip(x),
                         "precision": br.precision,
                         "network_term": br.network_term,
                         "imbalance_term": br.imbalance_term,
@@ -635,16 +631,10 @@ def run_network_comparison(spec: StudySpec, threads: int = 1) -> StudyResult:
                         "status": "ok",
                     })
                 except NetdesignError as e:
-                    out.append({**base, "rho_t": rho_t, "status": type(e).__name__})
+                    out.extend(_status_rows(base, (rho_t,), type(e).__name__))
         return out
 
-    rows = _run_cells(cell, cells, threads)
-    return StudyResult(
-        spec.kind,
-        NETWORK_COMPARISON_COLUMNS,
-        rows,
-        _meta(spec, NETWORK_COMPARISON_COLUMNS, rows),
-    )
+    return _tabulate(spec, NETWORK_COMPARISON_COLUMNS, cell, cells, threads)
 
 
 # ---------------------------------------------------------------------------
@@ -784,13 +774,7 @@ def run_pseudo_experiment(spec: StudySpec, threads: int = 1) -> StudyResult:
             out.append(row)
         return out
 
-    rows = _run_cells(cell, range(P["replicates"]), threads)
-    return StudyResult(
-        spec.kind,
-        PSEUDO_EXPERIMENT_COLUMNS,
-        rows,
-        _meta(spec, PSEUDO_EXPERIMENT_COLUMNS, rows),
-    )
+    return _tabulate(spec, PSEUDO_EXPERIMENT_COLUMNS, cell, range(P["replicates"]), threads)
 
 
 # ---------------------------------------------------------------------------
@@ -835,9 +819,8 @@ def run_gap_histogram(spec: StudySpec, threads: int = 1) -> StudyResult:
             diag = surrogate_gap_diagnostics(
                 net, cov, x, rho0, rhos, alpha=P["alpha_bound"]
             )
-            t0 = evaluate(net, cov, x, rho0).precision
             return [{
-                **base, "t_at_rho0": float(t0), "gap": float(diag.gap_estimate),
+                **base, "t_at_rho0": diag.t_at_rho0, "gap": float(diag.gap_estimate),
                 "second_derivative_term": float(diag.second_derivative_term),
                 "rho_mean": rho0, "rho_var": float(diag.var_rho),
                 "bound_a": float(diag.bound_a), "bound_b": float(diag.bound_b),
@@ -846,7 +829,4 @@ def run_gap_histogram(spec: StudySpec, threads: int = 1) -> StudyResult:
         except NetdesignError as e:
             return [{**base, "status": type(e).__name__}]
 
-    rows = _run_cells(cell, range(P["designs"]), threads)
-    return StudyResult(
-        spec.kind, GAP_HISTOGRAM_COLUMNS, rows, _meta(spec, GAP_HISTOGRAM_COLUMNS, rows)
-    )
+    return _tabulate(spec, GAP_HISTOGRAM_COLUMNS, cell, range(P["designs"]), threads)

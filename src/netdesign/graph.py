@@ -253,9 +253,9 @@ def load_covariates(path, keep_first: int | None = None, header: bool = False) -
     """Read raw covariates from CSV (no intercept column in the file).
 
     Comma-separated, one row per node, no header unless header=True skips
-    one line.  Columns beyond keep_first are discarded, then constant
-    columns are dropped with a warning naming their indices, then the
-    intercept is prepended and full rank checked.
+    one line; nan and inf are rejected.  Columns beyond keep_first are
+    discarded, then constant columns are dropped with a warning naming
+    their indices, then the intercept is prepended and full rank checked.
     """
     rows = []
     ncol = None
@@ -274,11 +274,14 @@ def load_covariates(path, keep_first: int | None = None, header: bool = False) -
                     f"{path}:{lineno}: expected {ncol} fields, got {len(parts)}"
                 )
             try:
-                rows.append([float(v) for v in parts])
+                values = [float(v) for v in parts]
             except ValueError:
                 raise GraphFormatError(
                     f"{path}:{lineno}: non-numeric covariate value"
                 ) from None
+            if not np.all(np.isfinite(values)):
+                raise GraphFormatError(f"{path}:{lineno}: non-finite covariate value")
+            rows.append(values)
     if not rows:
         raise GraphFormatError(f"{path}: no covariate rows found")
     z = np.asarray(rows, dtype=np.float64)

@@ -5,11 +5,13 @@ The hybrid problem minimizes the kernel-weighted covariate imbalance
     x' R F (F' R F)^{-1} F' R x,      R = D - rho0 W,
 
 over +/-1 assignments subject to arm balance (|sum x| <= 1) and a
-connection cap x' W x <= q, where q = sqrt(m) * z_alpha pins the standard
-normal lower tail: under iid assignment x'Wx / sqrt(m) is asymptotically
-standard normal, so the cap demands a cross-arm edge surplus that random
-designs only reach with probability about alpha.  The covariate-only
-variant drops the cap and weights imbalance by (F'F)^{-1} instead.
+connection cap x' W x <= q, where q = sqrt(m) * z_alpha for the standard
+normal lower-tail quantile z_alpha.  Under iid assignment x'Wx has
+variance 2m (each edge contributes 4), so it is x'Wx / sqrt(2m) that is
+asymptotically standard normal, and random designs meet the cap with
+probability about Phi(z_alpha / sqrt(2)), more than alpha.  The
+covariate-only variant drops the cap and weights imbalance by (F'F)^{-1}
+instead.
 
 All solvers work off the factored form H = La^{-1} B' (objective
 ||H x||^2) cached on the problem; no n-by-n dense kernel is formed.  A
@@ -69,6 +71,8 @@ def _cap_value(m: float, alpha: float) -> float:
 def quantile_cap(net: Network, alpha: float) -> float:
     """Connection cap q = sqrt(m) * z_alpha (lower-tail standard normal quantile).
 
+    Under iid signs x'Wx has variance 2m, not m, so a random design meets
+    the cap with probability about Phi(z_alpha / sqrt(2)), not alpha.
     Small alpha gives a strongly negative cap, forcing many cross-arm
     edges.
     """

@@ -6,6 +6,7 @@ for numerical values is always a direct library call on the same files.
 
 import csv
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -145,6 +146,25 @@ class TestDesign:
     def test_missing_file_is_data_error(self, tmp_path):
         _, covs = make_dataset(tmp_path)
         assert run("design", tmp_path / "nope.txt", covs) == 2
+
+    @pytest.mark.parametrize("bad", ["nan", "inf"])
+    def test_non_finite_covariate_is_data_error(self, tmp_path, capsys, bad):
+        edges, covs = make_dataset(tmp_path)
+        lines = Path(covs).read_text().splitlines()
+        lines[6] = ",".join([bad] + lines[6].split(",")[1:])
+        Path(covs).write_text("\n".join(lines) + "\n")
+        assert run("design", edges, covs) == 2
+        assert f"{covs}:7: non-finite covariate value" in capsys.readouterr().err
+
+    def test_linalg_failure_is_numerical(self, tmp_path, monkeypatch, capsys):
+        edges, covs = make_dataset(tmp_path)
+
+        def fail(*args, **kwargs):
+            raise np.linalg.LinAlgError("SVD did not converge")
+
+        monkeypatch.setattr("netdesign.cli.hybrid_problem", fail)
+        assert run("design", edges, covs) == 4
+        assert "numerical failure: SVD did not converge" in capsys.readouterr().err
 
 
 class TestEvaluate:

@@ -6,6 +6,7 @@ import pytest
 from netdesign.car import CarParams, fit_gls, sample_outcomes
 from netdesign.criterion import (
     CriterionEvaluator,
+    _precision_curve,
     balanced_moment_c,
     concavity_probe,
     evaluate,
@@ -101,8 +102,15 @@ class TestEvaluate:
         R = dense_kernel(net, rho)
         F = cov.values
         W = net.adjacency.toarray()
+        grid = np.arange(0.0, 0.991, 0.03)
+        K_grid = [dense_k_oracle(net, cov, r) for r in grid]
         for _ in range(10):
             x = rng.integers(0, 2, size=30) * 2.0 - 1.0
+            # Grid route: the rho-affine Gram kernel behind the gap and
+            # concavity diagnostics, one batched solve over the grid.
+            curve = _precision_curve(net, cov, x, grid)[2]
+            for t, Kr in zip(curve, K_grid):
+                assert t == pytest.approx(x @ Kr @ x, rel=1e-10)
             br = evaluate(net, cov, x, rho)
             assert abs(br.precision - x @ K @ x) <= 1e-8 * max(1.0, net.m)
             assert abs(br.network_term - rho * x @ W @ x) <= 1e-10 * max(1.0, net.m)
