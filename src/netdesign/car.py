@@ -47,6 +47,7 @@ __all__ = [
 ]
 
 RHO_MAX_DEFAULT = 0.99
+_DENSE_LIMIT = 15_000  # one n-by-n float64 matrix at this n takes 1.8 GB
 
 
 @dataclass(frozen=True)
@@ -186,8 +187,17 @@ def _check_degrees(net: Network, what: str) -> None:
         )
 
 
+def _check_dense(n: int, what: str) -> None:
+    """Refuse an n-by-n dense path above _DENSE_LIMIT nodes before it allocates."""
+    if n > _DENSE_LIMIT:
+        raise DataError(
+            f"{what}: n={n} exceeds the limit of {_DENSE_LIMIT} nodes for dense n-by-n work"
+        )
+
+
 def factor_precision(net: Network, params: Union[CarParams, HeteroCarParams, float]) -> PrecisionFactor:
     """Factor the precision kernel for the given correlation parameters."""
+    _check_dense(net.n, "factor_precision")
     _check_degrees(net, "precision kernel is singular")
     R = precision_matrix(net, params).toarray()
     try:
@@ -339,6 +349,7 @@ class NetworkSpectrum:
 
 
 def network_spectrum(net: Network) -> NetworkSpectrum:
+    _check_dense(net.n, "network_spectrum")
     _check_degrees(net, "spectrum undefined")
     d = net.degrees.astype(np.float64)
     inv_sqrt = 1.0 / np.sqrt(d)

@@ -304,6 +304,9 @@ def main(argv=None) -> int:
     except InfeasibleError as e:
         print(f"infeasible: {e}", file=sys.stderr)
         return 3
+    except UnicodeDecodeError as e:
+        print(f"error: input is not UTF-8 text: {e}", file=sys.stderr)
+        return 2
     except _DATA_ERRORS as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

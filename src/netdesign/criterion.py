@@ -28,7 +28,7 @@ from scipy import linalg, sparse
 from scipy.sparse.linalg import ArpackNoConvergence, eigsh
 from scipy.special import ndtri
 
-from .car import _AffineGram, _check_degrees, precision_matrix
+from .car import _AffineGram, _check_degrees, _check_dense, precision_matrix
 from .designs import as_sign_vector
 from .errors import (
     DataError,
@@ -200,6 +200,7 @@ def k_matrix(net: Network, cov: CovariateMatrix, rho: float) -> np.ndarray:
     Symmetric by construction (the correction is assembled as H' H).
     Intended for diagnostics and small-n work; quadratic memory.
     """
+    _check_dense(net.n, "k_matrix")
     ev = CriterionEvaluator(net, cov, rho)
     R = precision_matrix(net, rho).toarray()
     return R - ev.H.T @ ev.H

@@ -165,10 +165,13 @@ class SolveReport:
 
     objective and constraint_value are recomputed by a fresh evaluation
     pass on the returned design.  optimal is True when an exact search
-    completed, False when it was truncated by the time budget, None for
-    heuristics.  relaxations_applied lists the ladder levels tried after
-    the requested alpha; alpha is the level in force for the reported
-    design.  wall_time stays in memory only, keeping serialized output
+    completed, False when the time budget cut it short, None for
+    heuristics.  iterations is summed over every ladder level tried:
+    designs scanned or tree nodes visited (exact), repair and descent
+    swaps (local), accepted moves plus those swaps (annealing).
+    relaxations_applied lists the ladder levels tried after the requested
+    alpha; alpha is the level in force for the reported design.
+    wall_time stays in memory only, keeping serialized output
     byte-reproducible.
     """
 
@@ -243,45 +246,6 @@ def _feas_cap(cap: float) -> float:
     return cap + _FEAS_TOL
 
 
-def _report(
-    problem: HybridProblem,
-    x: Optional[np.ndarray],
-    *,
-    feasible: bool,
-    optimal: Optional[bool],
-    method: str,
-    iterations: int,
-    restarts: int,
-    seed: Optional[int],
-    alpha_used: Optional[float],
-    relaxations: tuple,
-    started: float,
-) -> SolveReport:
-    if x is None:
-        obj, cval, design = math.inf, None, None
-    else:
-        design = Design(_canonical(np.asarray(x, dtype=np.float64)))
-        obj = problem.objective(design.x)
-        cval = problem.constraint_value(design.x)
-    return SolveReport(
-        design=design,
-        objective=obj,
-        constraint_value=cval,
-        feasible=feasible,
-        optimal=optimal,
-        method=method,
-        iterations=iterations,
-        restarts=restarts,
-        seed=seed,
-        alpha=alpha_used,
-        alpha_requested=problem.alpha,
-        relaxations_applied=relaxations,
-        rho0=problem.rho0,
-        n=problem.n,
-        wall_time=time.perf_counter() - started,
-    )
-
-
 def _ladder_schedule(problem: HybridProblem, relax: bool):
     """(alpha, cap) pairs to try: the requested level, then the ladder above it."""
     if problem.W is None:
@@ -292,6 +256,54 @@ def _ladder_schedule(problem: HybridProblem, relax: bool):
             if a > (problem.alpha or 0.0) + 1e-15:
                 levels.append((a, _cap_value(problem.m, a)))
     return levels
+
+
+def _ladder(problem: HybridProblem, relax: bool, time_budget, attempt, **report_fields):
+    """Run attempt(level, cap, deadline) up the alpha ladder; report the first design.
+
+    attempt returns (x or None, iterations, optimal).  The climb stops at
+    the first design, after an exact search that was cut short
+    (optimal False), or once the deadline has passed; an exact search
+    stopped with levels left untried is reported as not optimal.
+    iterations is the sum over every level tried.
+    """
+    started = time.perf_counter()
+    deadline = None if time_budget is None else started + time_budget
+    relaxations, total = [], 0
+    x, alpha_used, optimal = None, None, None
+    for level, (alpha, cap) in enumerate(_ladder_schedule(problem, relax)):
+        if level > 0:
+            if optimal is False or (deadline is not None and time.perf_counter() > deadline):
+                if optimal:  # a completed level proves nothing about untried ones
+                    optimal = False
+                break
+            relaxations.append(alpha)
+        x, iterations, optimal = attempt(level, cap, deadline)
+        total += iterations
+        if x is not None:
+            alpha_used = alpha
+            break
+    if x is None:
+        obj, cval, design = math.inf, None, None
+    else:
+        design = Design(_canonical(np.asarray(x, dtype=np.float64)))
+        obj = problem.objective(design.x)
+        cval = problem.constraint_value(design.x)
+    return SolveReport(
+        design=design,
+        objective=obj,
+        constraint_value=cval,
+        feasible=x is not None,
+        optimal=optimal,
+        iterations=total,
+        alpha=alpha_used,
+        alpha_requested=problem.alpha,
+        relaxations_applied=tuple(relaxations),
+        rho0=problem.rho0,
+        n=problem.n,
+        wall_time=time.perf_counter() - started,
+        **report_fields,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -433,90 +445,118 @@ def solve_exact(
     """
     if problem.n > 30:
         raise DataError(f"exact search is limited to n <= 30, got n={problem.n}")
-    started = time.perf_counter()
-    deadline = None if time_budget is None else started + time_budget
-    relaxations = []
-    for alpha, cap in _ladder_schedule(problem, relax):
-        if alpha is not None and problem.alpha is not None and alpha != problem.alpha:
-            relaxations.append(alpha)
+
+    def attempt(level, cap, deadline):
         if problem.n <= 16:
-            best_x, nodes = _enumerate_exact(problem, cap)
-            truncated = False
-        else:
-            best_x, nodes, truncated = _bnb_exact(problem, cap, deadline)
-        if best_x is not None:
-            return _report(
-                problem,
-                best_x,
-                feasible=True,
-                optimal=not truncated,
-                method="exact",
-                iterations=nodes,
-                restarts=0,
-                seed=None,
-                alpha_used=alpha,
-                relaxations=tuple(relaxations),
-                started=started,
-            )
-        if truncated:
-            break
-    return _report(
-        problem,
-        None,
-        feasible=False,
-        optimal=not truncated if problem.W is not None else True,
-        method="exact",
-        iterations=0,
-        restarts=0,
-        seed=None,
-        alpha_used=None,
-        relaxations=tuple(relaxations),
-        started=started,
-    )
+            x, nodes = _enumerate_exact(problem, cap)
+            return x, nodes, True
+        x, nodes, truncated = _bnb_exact(problem, cap, deadline)
+        return x, nodes, not truncated
+
+    return _ladder(problem, relax, time_budget, attempt, method="exact", restarts=0, seed=None)
+
+
+# ---------------------------------------------------------------------------
+# Swap moves: one engine for repair, descent and annealing.
+
+
+def _cut_delta(s_i, s_j, w_ij):
+    """Change in x'Wx when i leaves the plus arm and j the minus arm; s = x * Wx."""
+    return -4.0 * (s_i + s_j + 2.0 * w_ij)
+
+
+class _SwapState:
+    """A balanced design x with v = Hx, obj = ||v||^2, wx = Wx and c = x'Wx.
+
+    apply() moves the products along with each swap and recomputes them
+    from scratch every `resync` swaps, so rounding drift stays bounded.
+    best() scans every plus x minus pair in blocks of 64 plus rows.
+    """
+
+    def __init__(self, problem: HybridProblem, x: np.ndarray, resync: int):
+        self.H, self.psi, self.W = problem.H, problem.psi, problem.W
+        self.x, self.resync, self.swaps = x, resync, 0
+        self.sync()
+
+    def sync(self) -> None:
+        self.v = self.H @ self.x
+        self.obj = float(self.v @ self.v)
+        if self.W is not None:
+            self.wx = self.W @ self.x
+            self.c = float(self.x @ self.wx)
+
+    def apply(self, i: int, j: int, d_obj: float, dc: float) -> None:
+        """Swap plus node i with minus node j, given their objective and cut deltas."""
+        x, W = self.x, self.W
+        x[i], x[j] = -1.0, 1.0
+        self.v += -2.0 * self.H[:, i] + 2.0 * self.H[:, j]
+        self.obj += d_obj
+        if W is not None:
+            for node, step in ((i, -2.0), (j, 2.0)):
+                lo, hi = W.indptr[node], W.indptr[node + 1]
+                self.wx[W.indices[lo:hi]] += step * W.data[lo:hi]
+            self.c += dc
+        self.swaps += 1
+        if self.swaps % self.resync == 0:
+            self.sync()
+
+    def obj_delta(self, i: int, j: int) -> float:
+        dv = -2.0 * self.H[:, i] + 2.0 * self.H[:, j]
+        return 2.0 * float(self.v @ dv) + float(dv @ dv)
+
+    def cut_delta(self, i: int, j: int) -> float:
+        W = self.W
+        lo, hi = W.indptr[i], W.indptr[i + 1]
+        cols = W.indices[lo:hi]
+        pos = np.searchsorted(cols, j)
+        w_ij = float(W.data[lo + pos]) if pos < cols.size and cols[pos] == j else 0.0
+        return _cut_delta(self.x[i] * self.wx[i], self.x[j] * self.wx[j], w_ij)
+
+    def obj_block(self, P: np.ndarray, minus: np.ndarray) -> np.ndarray:
+        """Objective deltas of the swaps P x minus (valid inside best())."""
+        a, psi = self.a, self.psi
+        G = self.H[:, P].T @ self.H[:, minus]
+        return -4.0 * (a[P][:, None] - a[minus][None, :]) + 4.0 * (
+            psi[P][:, None] - 2.0 * G + psi[minus][None, :]
+        )
+
+    def cut_block(self, P: np.ndarray, minus: np.ndarray) -> np.ndarray:
+        """Cut deltas of the swaps P x minus (valid inside best())."""
+        s = self.s
+        return _cut_delta(s[P][:, None], s[minus][None, :], self.W[P][:, minus].toarray())
+
+    def best(self, score, floor: float):
+        """(value, (i, j)) of the lowest score(P, minus) below floor, or (floor, None)."""
+        plus = np.flatnonzero(self.x > 0)
+        minus = np.flatnonzero(self.x < 0)
+        self.a = self.v @ self.H
+        if self.W is not None:
+            self.s = self.x * self.wx
+        best_val, pair = floor, None
+        for lo in range(0, plus.size, 64):
+            P = plus[lo : lo + 64]
+            block = score(P, minus)
+            k = int(np.argmin(block))
+            val = float(block.flat[k])
+            if val < best_val:
+                best_val, pair = val, (int(P[k // minus.size]), int(minus[k % minus.size]))
+        return best_val, pair
 
 
 # ---------------------------------------------------------------------------
 # Local search: balanced-pair swaps, best improvement, multistart.
 
 
-def _row_update(W, wx: np.ndarray, node: int, delta: float) -> None:
-    lo, hi = W.indptr[node], W.indptr[node + 1]
-    wx[W.indices[lo:hi]] += delta * W.data[lo:hi]
-
-
 def _repair(problem: HybridProblem, cap: float, x: np.ndarray):
     """Greedy swaps that lower x'Wx until it meets the cap; balance preserved."""
-    W = problem.W
-    wx = W @ x
-    c = float(x @ wx)
+    st = _SwapState(problem, x, resync=64)
     capv = _feas_cap(cap)
-    iters = 0
-    while c > capv:
-        plus = np.flatnonzero(x > 0)
-        minus = np.flatnonzero(x < 0)
-        s = x * wx
-        best_dc, best_pair = -1e-12, None
-        for lo in range(0, plus.size, 64):
-            P = plus[lo : lo + 64]
-            wblk = W[P][:, minus].toarray()
-            dc = -4.0 * (s[P][:, None] + s[minus][None, :] + 2.0 * wblk)
-            k = int(np.argmin(dc))
-            val = float(dc.flat[k])
-            if val < best_dc:
-                best_dc = val
-                best_pair = (int(P[k // minus.size]), int(minus[k % minus.size]))
-        if best_pair is None:
-            return False, x, iters
-        i, j = best_pair
-        x[i], x[j] = -1.0, 1.0
-        _row_update(W, wx, i, -2.0)
-        _row_update(W, wx, j, 2.0)
-        c += best_dc
-        iters += 1
-        if iters % 64 == 0:
-            wx = W @ x
-            c = float(x @ wx)
-    return True, x, iters
+    while st.c > capv:
+        dc, pair = st.best(st.cut_block, -1e-12)
+        if pair is None:
+            return False, x, st.swaps
+        st.apply(*pair, st.obj_delta(*pair), dc)
+    return True, x, st.swaps
 
 
 def _descend(
@@ -526,61 +566,22 @@ def _descend(
     deadline: Optional[float] = None,
 ):
     """Best-improvement swap descent on the objective, feasibility preserved."""
-    H, psi, W = problem.H, problem.psi, problem.W
-    v = H @ x
-    obj = float(v @ v)
-    if W is not None:
-        wx = W @ x
-        c = float(x @ wx)
-        capv = _feas_cap(cap)
-    iters = 0
-    while True:
-        if deadline is not None and time.perf_counter() > deadline:
+    st = _SwapState(problem, x, resync=64)
+    network = problem.W is not None
+    capv = _feas_cap(cap) if network else None
+
+    def score(P, minus):
+        delta = st.obj_block(P, minus)
+        if network:
+            delta = np.where(st.c + st.cut_block(P, minus) <= capv, delta, np.inf)
+        return delta
+
+    while deadline is None or time.perf_counter() <= deadline:
+        d_obj, pair = st.best(score, -1e-10 * max(1.0, st.obj))
+        if pair is None:
             break
-        plus = np.flatnonzero(x > 0)
-        minus = np.flatnonzero(x < 0)
-        if plus.size == 0 or minus.size == 0:
-            break
-        a = v @ H
-        if W is not None:
-            s = x * wx
-        tol_imp = 1e-10 * max(1.0, obj)
-        best_delta, best_pair, best_dc = -tol_imp, None, 0.0
-        for lo in range(0, plus.size, 64):
-            P = plus[lo : lo + 64]
-            G = H[:, P].T @ H[:, minus]
-            delta = -4.0 * (a[P][:, None] - a[minus][None, :]) + 4.0 * (
-                psi[P][:, None] - 2.0 * G + psi[minus][None, :]
-            )
-            if W is not None:
-                wblk = W[P][:, minus].toarray()
-                dc = -4.0 * (s[P][:, None] + s[minus][None, :] + 2.0 * wblk)
-                delta = np.where(c + dc <= capv, delta, np.inf)
-            k = int(np.argmin(delta))
-            val = float(delta.flat[k])
-            if val < best_delta:
-                best_delta = val
-                best_pair = (int(P[k // minus.size]), int(minus[k % minus.size]))
-                if W is not None:
-                    best_dc = float(dc.flat[k])
-        if best_pair is None:
-            break
-        i, j = best_pair
-        x[i], x[j] = -1.0, 1.0
-        v += -2.0 * H[:, i] + 2.0 * H[:, j]
-        obj += best_delta
-        if W is not None:
-            _row_update(W, wx, i, -2.0)
-            _row_update(W, wx, j, 2.0)
-            c += best_dc
-        iters += 1
-        if iters % 64 == 0:
-            v = H @ x
-            obj = float(v @ v)
-            if W is not None:
-                wx = W @ x
-                c = float(x @ wx)
-    return x, float(problem.objective(x)), iters
+        st.apply(*pair, d_obj, st.cut_delta(*pair) if network else 0.0)
+    return x, float(problem.objective(x)), st.swaps
 
 
 def _local_core(
@@ -628,46 +629,16 @@ def solve_local(
     """
     if restarts < 1:
         raise DataError(f"need at least 1 restart, got {restarts}")
-    started = time.perf_counter()
-    deadline = None if time_budget is None else started + time_budget
-    relaxations = []
-    total_iters = 0
-    for level, (alpha, cap) in enumerate(_ladder_schedule(problem, relax)):
-        if level > 0:
-            relaxations.append(alpha)
+
+    def attempt(level, cap, deadline):
         level_seed = seed if level == 0 else np.random.default_rng((seed, level)).integers(
             0, 2**63 - 1
         )
-        best_x, _, iters = _local_core(problem, cap, restarts, int(level_seed), deadline)
-        total_iters += iters
-        if best_x is not None:
-            return _report(
-                problem,
-                best_x,
-                feasible=True,
-                optimal=None,
-                method="local",
-                iterations=total_iters,
-                restarts=restarts,
-                seed=seed,
-                alpha_used=alpha,
-                relaxations=tuple(relaxations),
-                started=started,
-            )
-        if deadline is not None and time.perf_counter() > deadline:
-            break
-    return _report(
-        problem,
-        None,
-        feasible=False,
-        optimal=None,
-        method="local",
-        iterations=total_iters,
-        restarts=restarts,
-        seed=seed,
-        alpha_used=None,
-        relaxations=tuple(relaxations),
-        started=started,
+        x, _, iters = _local_core(problem, cap, restarts, int(level_seed), deadline)
+        return x, iters, None
+
+    return _ladder(
+        problem, relax, time_budget, attempt, method="local", restarts=restarts, seed=seed
     )
 
 
@@ -701,25 +672,21 @@ def _anneal_core(
     deadline: Optional[float],
 ):
     n = problem.n
-    H, psi, W = problem.H, problem.psi, problem.W
+    network = problem.W is not None
     x = random_balanced_design(n, rng).x.copy()
-    v = H @ x
-    obj = float(v @ v)
-    if W is not None:
-        wx = W @ x
-        c = float(x @ wx)
+    st = _SwapState(problem, x, resync=1024)
+    if network:
         capv = _feas_cap(cap)
     mu = schedule.penalty0
     moves = schedule.moves_per_temp or max(4 * n, 64)
-    accepted = 0
     # Track the best feasible point along the whole trajectory; the final
     # state of a cooled chain is often worse than its best excursion.
     best_x, best_obj = None, math.inf
-    if W is None or c <= capv:
-        best_x, best_obj = x.copy(), obj
+    if not network or st.c <= capv:
+        best_x, best_obj = x.copy(), st.obj
 
     def viol(cval: float) -> float:
-        return max(0.0, cval - cap) if W is not None else 0.0
+        return max(0.0, cval - cap) if network else 0.0
 
     def propose():
         while True:
@@ -734,11 +701,7 @@ def _anneal_core(
 
     if schedule.t0 is None:
         # Calibrate from the magnitude of a few sampled move deltas.
-        probe = []
-        for _ in range(32):
-            i, j = propose()
-            dv = -2.0 * H[:, i] + 2.0 * H[:, j]
-            probe.append(abs(2.0 * float(v @ dv) + float(dv @ dv)))
+        probe = [abs(st.obj_delta(*propose())) for _ in range(32)]
         t0 = max(1e-9, 2.0 * float(np.mean(probe)))
     else:
         t0 = schedule.t0
@@ -749,41 +712,20 @@ def _anneal_core(
             break
         for _ in range(moves):
             i, j = propose()
-            dv = -2.0 * H[:, i] + 2.0 * H[:, j]
-            d_obj = 2.0 * float(v @ dv) + float(dv @ dv)
-            if W is not None:
-                w_ij = 0.0
-                lo, hi = W.indptr[i], W.indptr[i + 1]
-                cols = W.indices[lo:hi]
-                pos = np.searchsorted(cols, j)
-                if pos < cols.size and cols[pos] == j:
-                    w_ij = float(W.data[lo:hi][pos])
-                dc = -4.0 * (x[i] * wx[i] + x[j] * wx[j] + 2.0 * w_ij)
-                d_pen = mu * (viol(c + dc) ** 2 - viol(c) ** 2)
+            d_obj = st.obj_delta(i, j)
+            if network:
+                dc = st.cut_delta(i, j)
+                d_pen = mu * (viol(st.c + dc) ** 2 - viol(st.c) ** 2)
             else:
-                dc = 0.0
-                d_pen = 0.0
+                dc = d_pen = 0.0
             d_total = d_obj + d_pen
             if d_total <= 0.0 or (t > 0.0 and rng.random() < math.exp(-d_total / t)):
-                x[i], x[j] = -1.0, 1.0
-                v += dv
-                obj += d_obj
-                if W is not None:
-                    _row_update(W, wx, i, -2.0)
-                    _row_update(W, wx, j, 2.0)
-                    c += dc
-                accepted += 1
-                if accepted % 1024 == 0:
-                    v = H @ x
-                    obj = float(v @ v)
-                    if W is not None:
-                        wx = W @ x
-                        c = float(x @ wx)
-                if (W is None or c <= capv) and obj < best_obj - 1e-12:
-                    best_x, best_obj = x.copy(), obj
-        if W is not None and c > capv:
+                st.apply(i, j, d_obj, dc)
+                if (not network or st.c <= capv) and st.obj < best_obj - 1e-12:
+                    best_x, best_obj = x.copy(), st.obj
+        if network and st.c > capv:
             mu *= schedule.penalty_growth
-    return (best_x if best_x is not None else x), accepted
+    return (best_x if best_x is not None else x), st.swaps
 
 
 def solve_annealing(
@@ -801,48 +743,20 @@ def solve_annealing(
     feasible finals are reported feasible.
     """
     schedule = schedule or AnnealingSchedule()
-    started = time.perf_counter()
-    deadline = None if time_budget is None else started + time_budget
-    relaxations = []
-    total_iters = 0
-    for level, (alpha, cap) in enumerate(_ladder_schedule(problem, relax)):
-        if level > 0:
-            relaxations.append(alpha)
+
+    def attempt(level, cap, deadline):
         rng = np.random.default_rng(seed if level == 0 else (seed, level))
-        x, accepted = _anneal_core(problem, cap, schedule, rng, deadline)
-        total_iters += accepted
+        x, iters = _anneal_core(problem, cap, schedule, rng, deadline)
         if problem.W is not None and not problem.is_feasible(x, cap):
             ok, x, rep_iters = _repair(problem, cap, x)
-            total_iters += rep_iters
+            iters += rep_iters
             if not ok:
-                continue
-        x, _, iters = _descend(problem, cap, x, deadline)
-        total_iters += iters
-        return _report(
-            problem,
-            x,
-            feasible=True,
-            optimal=None,
-            method="annealing",
-            iterations=total_iters,
-            restarts=1,
-            seed=seed,
-            alpha_used=alpha,
-            relaxations=tuple(relaxations),
-            started=started,
-        )
-    return _report(
-        problem,
-        None,
-        feasible=False,
-        optimal=None,
-        method="annealing",
-        iterations=total_iters,
-        restarts=1,
-        seed=seed,
-        alpha_used=None,
-        relaxations=tuple(relaxations),
-        started=started,
+                return None, iters, None
+        x, _, desc_iters = _descend(problem, cap, x, deadline)
+        return x, iters + desc_iters, None
+
+    return _ladder(
+        problem, relax, time_budget, attempt, method="annealing", restarts=1, seed=seed
     )
 
 

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from netdesign import car
 from netdesign.car import (
     CarParams,
     _AffineGram,
@@ -14,6 +15,7 @@ from netdesign.car import (
     sample_noise,
     sample_outcomes,
 )
+from netdesign.criterion import k_matrix
 from netdesign.errors import DataError, NotPositiveDefiniteError, RankError
 from netdesign.graph import CovariateMatrix, Network, generate_bernoulli_network, generate_pm1_covariates
 
@@ -291,3 +293,23 @@ class TestProfileML:
         cov = CovariateMatrix.from_raw(z)
         with pytest.raises(RankError):
             fit_profile_ml(net, cov, z, np.ones(20), spectrum=None)
+
+
+class TestDenseSizeGuard:
+    # The limit is lowered for the test, so a guard that fails to fire costs
+    # a small allocation, not 1.8 GB; a path graph of limit+1 nodes trips it.
+    @pytest.mark.parametrize("what", ["factor_precision", "network_spectrum", "k_matrix"])
+    def test_refuses_above_limit(self, monkeypatch, what):
+        monkeypatch.setattr(car, "_DENSE_LIMIT", 64)
+        n = 65
+        net = Network.from_edges(n, [(i, i + 1) for i in range(n - 1)])
+        cov = CovariateMatrix.from_raw(np.empty((n, 0)))
+        calls = {
+            "factor_precision": lambda: factor_precision(net, 0.5),
+            "network_spectrum": lambda: network_spectrum(net),
+            "k_matrix": lambda: k_matrix(net, cov, 0.5),
+        }
+        with pytest.raises(DataError, match=rf"{what}: n={n} exceeds the limit of 64"):
+            calls[what]()
+        monkeypatch.setattr(car, "_DENSE_LIMIT", n)
+        calls[what]()  # at the limit the dense path runs

@@ -156,6 +156,23 @@ class TestDesign:
         assert run("design", edges, covs) == 2
         assert f"{covs}:7: non-finite covariate value" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("kind", ["edges", "covariates", "design", "study"])
+    def test_non_utf8_input_is_data_error(self, tmp_path, capsys, kind):
+        edges, covs = make_dataset(tmp_path)
+        dfile = tmp_path / "x.design"
+        run("design", edges, covs, "--design-out", dfile, "--output", tmp_path / "d.csv")
+        spec = tmp_path / "s.yaml"
+        spec.write_text("kind: rho_robustness\nn: 20\nreplicates: 1\n")
+        bad = Path({"edges": edges, "covariates": covs, "design": dfile, "study": spec}[kind])
+        bad.write_bytes(b"# \xff\n" + bad.read_bytes())
+        out = tmp_path / "out.csv"
+        if kind == "study":
+            code = run("study", spec, "--output", out)
+        else:
+            code = run("evaluate", edges, covs, dfile, "--output", out)
+        assert code == 2
+        assert "not UTF-8 text" in capsys.readouterr().err
+
     def test_linalg_failure_is_numerical(self, tmp_path, monkeypatch, capsys):
         edges, covs = make_dataset(tmp_path)
 

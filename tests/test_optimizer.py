@@ -12,6 +12,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from scipy import stats
 
 from netdesign.designs import Design
@@ -27,6 +29,7 @@ from netdesign.graph import (
 from netdesign.optimizer import (
     RELAXATION_LADDER,
     AnnealingSchedule,
+    _SwapState,
     hybrid_problem,
     no_network_problem,
     quantile_cap,
@@ -260,6 +263,17 @@ class TestExactSmall:
         )
         assert x[0] > 0  # canonical representative
 
+    def test_spent_budget_proves_nothing_above_level_zero(self):
+        # Level 0 completes and is infeasible; with the budget spent the
+        # ladder stops, so the report claims neither a design nor optimality.
+        net = Network.from_edges(3, [(0, 1), (1, 2), (0, 2)])
+        cov = CovariateMatrix.from_raw(np.array([1.0, -1.0, 1.0]))
+        prob = hybrid_problem(net, cov, rho0=0.3, alpha=0.001)
+        report = solve_exact(prob, time_budget=1e-9)
+        assert not report.feasible
+        assert report.relaxations_applied == ()
+        assert report.optimal is False
+
     def test_size_guard(self):
         net = repair_isolated(
             generate_bernoulli_network(31, 0.2, seed=0), "connect", seed=0
@@ -298,6 +312,18 @@ class TestBranchAndBound:
         assert relaxed.alpha == 0.5
         assert relaxed.relaxations_applied == (0.005, 0.01, 0.05, 0.1, 0.5)
         assert relaxed.constraint_value == pytest.approx(-18.0)
+
+    def test_iterations_sum_over_ladder_levels(self):
+        # The instance of test_complete_graph_ladder: the strict solve
+        # visits nodes before proving infeasibility, and the relaxed solve
+        # counts those of every level it climbed through.
+        n = 18
+        net = Network.from_edges(n, list(itertools.combinations(range(n), 2)))
+        cov = generate_pm1_covariates(n, 1, seed=2)
+        prob = hybrid_problem(net, cov, rho0=0.5, alpha=0.001)
+        strict = solve_exact(prob, relax=False)
+        relaxed = solve_exact(prob, relax=True)
+        assert relaxed.iterations > strict.iterations > 0
 
     def test_time_budget_marks_not_optimal(self):
         net = repair_isolated(
@@ -423,6 +449,77 @@ class TestAnnealing:
         a = solve_annealing(prob, seed=6)
         b = solve_annealing(prob, seed=6)
         assert a.to_record() == b.to_record()
+
+    def test_spent_budget_stops_the_ladder(self):
+        # K18 meets no cap below alpha = 0.5; a spent budget must stop at
+        # the requested level instead of repairing up the whole ladder.
+        n = 18
+        net = Network.from_edges(n, list(itertools.combinations(range(n), 2)))
+        cov = generate_pm1_covariates(n, 1, seed=2)
+        prob = hybrid_problem(net, cov, rho0=0.5, alpha=0.001)
+        report = solve_annealing(prob, seed=0, time_budget=1e-9)
+        assert report.relaxations_applied == ()
+        assert not report.feasible and report.design is None
+
+
+class TestSwapDeltas:
+    @given(
+        n=st.integers(4, 14),
+        density=st.floats(0.1, 0.8),
+        p=st.integers(1, 3),
+        rho0=st.floats(0.0, 0.9),
+        seed=st.integers(0, 2**31 - 1),
+    )
+    def test_deltas_match_dense_recomputation(self, n, density, p, rho0, seed):
+        net = repair_isolated(
+            generate_bernoulli_network(n, density, seed=seed), "connect", seed=seed
+        ).network
+        cov = generate_pm1_covariates(n, p, seed=seed + 1)
+        prob = hybrid_problem(net, cov, rho0, 0.5)
+        M = dense_objective_matrix(net, cov, rho0)
+        W = net.adjacency.toarray()
+        x = random_balanced_design(n, seed + 2).x.copy()
+        state = _SwapState(prob, x, resync=64)
+        pairs = []
+
+        def score(P, minus):
+            d_obj, d_cut = state.obj_block(P, minus), state.cut_block(P, minus)
+            for a, i in enumerate(P):
+                for b, j in enumerate(minus):
+                    y = x.copy()
+                    y[i], y[j] = -1.0, 1.0
+                    dense_obj = y @ M @ y - x @ M @ x
+                    dense_cut = y @ W @ y - x @ W @ x
+                    assert d_obj[a, b] == pytest.approx(dense_obj, abs=1e-9)
+                    assert d_cut[a, b] == pytest.approx(dense_cut, abs=1e-9)
+                    assert state.obj_delta(i, j) == pytest.approx(dense_obj, abs=1e-9)
+                    assert state.cut_delta(i, j) == pytest.approx(dense_cut, abs=1e-9)
+                    pairs.append((i, j))
+            return d_obj
+
+        _, (i, j) = state.best(score, math.inf)
+        assert len(pairs) == int((x > 0).sum() * (x < 0).sum())
+        # The maintained products follow the swap.
+        state.apply(i, j, state.obj_delta(i, j), state.cut_delta(i, j))
+        assert x[i] == -1.0 and x[j] == 1.0
+        assert state.obj == pytest.approx(x @ M @ x, abs=1e-9)
+        assert state.c == pytest.approx(x @ W @ x, abs=1e-9)
+        assert np.allclose(state.wx, W @ x, atol=1e-12)
+
+    def test_best_decodes_pairs_across_blocks(self):
+        n = 300  # 150 plus rows: three 64-row blocks
+        x = random_balanced_design(n, 0).x.copy()
+        state = _SwapState(no_network_problem(generate_pm1_covariates(n, 1, seed=0)), x, 64)
+        plus, minus = np.flatnonzero(x > 0), np.flatnonzero(x < 0)
+        target = (int(plus[130]), int(minus[17]))
+
+        def score(P, minus):
+            block = np.zeros((P.size, minus.size))
+            block[np.ix_(P == target[0], minus == target[1])] = -1.0
+            return block
+
+        assert state.best(score, -0.5) == (-1.0, target)
+        assert state.best(score, -1.0) == (-1.0, None)
 
 
 class TestNoNetwork:
