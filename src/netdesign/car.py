@@ -358,9 +358,6 @@ def network_spectrum(net: Network) -> NetworkSpectrum:
     return NetworkSpectrum(eigenvalues=lam, logdet_degrees=float(np.sum(np.log(d))))
 
 
-_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
-
-
 def _profile_loglik(gram: _AffineGram, spectrum: NetworkSpectrum, rhos) -> np.ndarray:
     """0.5 log|R| - 0.5 n log(sigma2_hat) at each rho, from the Grams of [x F] and y.
 
@@ -388,9 +385,12 @@ def fit_profile_ml(
 ) -> FitResult:
     """Maximize the profile likelihood over rho in [0, rho_max].
 
-    A grid scan with the given step locates the maximizer's neighborhood;
-    golden-section refinement narrows it to width tol.  The returned rho
-    never scores below any grid point.
+    A grid scan with the given step locates the maximizer's neighborhood.
+    Each refinement pass then scores 21 points at a tenth of the previous
+    step across [best - step, best + step], clipped to [0, rho_max], until
+    the step is at most tol.  Every pass is one batched kernel call, and
+    the returned rho is the best point of all passes, so it never scores
+    below any grid point.
 
     Args:
         spectrum: optional precomputed network_spectrum(net), reused across
@@ -402,32 +402,17 @@ def fit_profile_ml(
     if spectrum is None:
         spectrum = network_spectrum(net)
 
-    def score(rho: float) -> float:
-        return float(_profile_loglik(gram, spectrum, [rho])[0])
-
-    grid = np.arange(0.0, rho_max + 1e-12, grid_step)
-    grid[-1] = min(grid[-1], rho_max)
-    scores = _profile_loglik(gram, spectrum, grid)
-    k = int(np.argmax(scores))
-    best_rho, best_score = float(grid[k]), float(scores[k])
-
-    lo = max(0.0, grid[k] - grid_step)
-    hi = min(rho_max, grid[k] + grid_step)
-    a, b_ = lo, hi
-    c = b_ - _GOLDEN * (b_ - a)
-    d_ = a + _GOLDEN * (b_ - a)
-    fc, fd = score(c), score(d_)
-    while b_ - a > tol:
-        if fc >= fd:
-            b_, d_, fd = d_, c, fc
-            c = b_ - _GOLDEN * (b_ - a)
-            fc = score(c)
-        else:
-            a, c, fc = c, d_, fd
-            d_ = a + _GOLDEN * (b_ - a)
-            fd = score(d_)
-        for r, s in ((c, fc), (d_, fd)):
-            if s > best_score:
-                best_rho, best_score = float(r), float(s)
+    rhos = np.arange(0.0, rho_max + 1e-12, grid_step)
+    rhos[-1] = min(rhos[-1], rho_max)
+    best_rho, best_score, step = 0.0, -np.inf, grid_step
+    while True:
+        scores = _profile_loglik(gram, spectrum, rhos)
+        k = int(np.argmax(scores))
+        if scores[k] > best_score:
+            best_rho, best_score = float(rhos[k]), float(scores[k])
+        if step <= tol:
+            break
+        step /= 10.0
+        rhos = np.clip(best_rho + step * np.arange(-10, 11), 0.0, rho_max)
 
     return _gls_result(gram, best_rho, spectrum.logdet(best_rho), "profile_ml")

@@ -31,14 +31,10 @@ from .criterion import (
 from .designs import Design
 from .errors import (
     DataError,
-    DegenerateDesignError,
     EigenSolverError,
-    GraphFormatError,
     InfeasibleError,
     NetdesignError,
     NotPositiveDefiniteError,
-    RankError,
-    StudySpecError,
 )
 from .experiments import (
     DEFAULT_SEED,
@@ -53,13 +49,12 @@ from .graph import (
     generate_pm1_covariates,
     load_covariates,
     load_edge_list,
+    read_text,
     write_covariates,
     write_edge_list,
 )
-from .optimizer import hybrid_problem, random_iid_design, solve
+from .optimizer import SOLVER_METHODS, hybrid_problem, random_iid_design, solve
 
-_DATA_ERRORS = (GraphFormatError, DataError, StudySpecError, RankError,
-                DegenerateDesignError)
 _NUMERICAL_ERRORS = (NotPositiveDefiniteError, EigenSolverError, np.linalg.LinAlgError)
 
 
@@ -143,7 +138,7 @@ EVALUATE_COLUMNS = ("rho_t", "precision", "network_term", "imbalance_term", "pip
 
 def cmd_evaluate(args) -> int:
     net, cov = _load_pair(args)
-    design = Design.from_lines(Path(args.design).read_text())
+    design = Design.from_lines(read_text(args.design))
     if design.n != net.n:
         raise DataError(
             f"design length ({design.n}) does not match network nodes ({net.n})"
@@ -255,7 +250,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha", type=float, default=0.001,
                    help="cap quantile level (default 0.001)")
     p.add_argument("--method", default="auto",
-                   choices=("auto", "exact", "local", "annealing"))
+                   choices=SOLVER_METHODS)
     p.add_argument("--restarts", type=int, default=None)
     p.add_argument("--no-relax", action="store_true",
                    help="fail instead of walking the cap relaxation ladder")
@@ -304,12 +299,6 @@ def main(argv=None) -> int:
     except InfeasibleError as e:
         print(f"infeasible: {e}", file=sys.stderr)
         return 3
-    except UnicodeDecodeError as e:
-        print(f"error: input is not UTF-8 text: {e}", file=sys.stderr)
-        return 2
-    except _DATA_ERRORS as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
     except _NUMERICAL_ERRORS as e:
         print(f"numerical failure: {e}", file=sys.stderr)
         return 4

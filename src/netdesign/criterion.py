@@ -20,6 +20,7 @@ k_matrix for diagnostics and tests.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import asdict, dataclass
 
@@ -100,11 +101,7 @@ class CriterionEvaluator:
         self.m = float(net.m)
         gram = _AffineGram(net, cov.values)
         self.B = gram.DZ - self.rho * gram.WZ
-        try:
-            self._La = linalg.cholesky(gram.ZRZ(self.rho), lower=True)
-        except linalg.LinAlgError:
-            raise RankError("F' R F is not positive definite; check covariate rank") from None
-        self.H = linalg.solve_triangular(self._La, self.B.T, lower=True)
+        self.H = linalg.solve_triangular(_cholesky_frf(gram.ZRZ(self.rho)), self.B.T, lower=True)
 
     def network_term(self, x) -> float:
         xv = as_sign_vector(x)
@@ -168,6 +165,14 @@ class CriterionEvaluator:
                 f"design precision {t0:.3e} is degenerate; PIP undefined"
             )
         return 1.0 - self.expected_breakdown().precision / t0
+
+
+def _cholesky_frf(FRF: np.ndarray) -> np.ndarray:
+    """Lower Cholesky factor of F'RF; RankError when it is not positive definite."""
+    try:
+        return linalg.cholesky(FRF, lower=True)
+    except linalg.LinAlgError:
+        raise RankError("F' R F is not positive definite; check covariate rank") from None
 
 
 def _precision_curve(net: Network, cov: CovariateMatrix, x, rhos) -> tuple:
@@ -337,32 +342,35 @@ def _eig_extremes(net: Network, rho0: float) -> tuple:
     size where ARPACK is usable.
     """
     R = precision_matrix(net, rho0).tocsc()
-    W = net.adjacency
-    n = net.n
-    if n < 20:
+    if net.n < 20:
         vals = np.linalg.eigvalsh(R.toarray())
-        wvals = np.linalg.eigvalsh(W.toarray())
-        return float(vals[-1]), float(vals[0]), float(np.max(np.abs(wvals)))
+        return float(vals[-1]), float(vals[0]), _adjacency_radius(net)
+    lam_max = _lanczos_extreme(R, which="LA")
+    # Shift-invert around zero converges fast on the smallest eigenvalue of
+    # a positive definite operator.
+    lam_min = _lanczos_extreme(R, sigma=0.0, which="LM")
+    return lam_max, lam_min, _adjacency_radius(net)
+
+
+@functools.lru_cache(maxsize=1)
+def _adjacency_radius(net: Network) -> float:
+    """max |lam(W)|.  It does not depend on rho, so a gap study that scores
+    every design on one network computes it once."""
+    if net.n < 20:
+        return float(np.max(np.abs(np.linalg.eigvalsh(net.adjacency.toarray()))))
+    return abs(_lanczos_extreme(net.adjacency, which="LM"))
+
+
+def _lanczos_extreme(A, **kwargs) -> float:
+    """One extreme eigenvalue of a sparse symmetric operator, to 1e-6 relative."""
     # Fixed start vector: ARPACK otherwise seeds from global numpy state,
     # which would make repeated runs differ in the last few bits.  Drawn
     # from a frozen generator so it is generic for structured graphs too.
-    v0 = np.random.default_rng(0).standard_normal(n)
+    v0 = np.random.default_rng(0).standard_normal(A.shape[0])
     try:
-        lam_max = float(
-            eigsh(R, k=1, which="LA", tol=1e-6, v0=v0, return_eigenvectors=False)[0]
-        )
-        # Shift-invert around zero converges fast on the smallest
-        # eigenvalue of a positive definite operator.
-        lam_min = float(
-            eigsh(R, k=1, sigma=0.0, which="LM", tol=1e-6, v0=v0,
-                  return_eigenvectors=False)[0]
-        )
-        lam_w = float(
-            eigsh(W, k=1, which="LM", tol=1e-6, v0=v0, return_eigenvectors=False)[0]
-        )
+        return float(eigsh(A, k=1, tol=1e-6, v0=v0, return_eigenvectors=False, **kwargs)[0])
     except ArpackNoConvergence as exc:
         raise EigenSolverError(f"eigenvalue iteration did not converge: {exc}") from None
-    return lam_max, lam_min, abs(lam_w)
 
 
 @dataclass(frozen=True, eq=False)
@@ -420,14 +428,15 @@ def surrogate_gap_diagnostics(
         raise DataError("prior samples must lie in [0, 1)")
     if not 0.0 < alpha < 1.0:
         raise DataError(f"alpha must lie in (0, 1), got {alpha}")
-    ev0 = CriterionEvaluator(net, cov, rho0)
+    if not 0.0 <= rho0 < 1.0:
+        raise DataError(f"rho0 must lie in [0, 1), got {rho0}")
     gram, coef, t = _precision_curve(net, cov, x, np.concatenate(([rho0], samples)))
     var_rho = float(np.var(samples))
 
     # F' W s for the residual s = x - F coef of the kernel-weighted
     # projection at rho0, straight from the Grams.
     u = gram.ZWu - gram.ZWZ @ coef[0]
-    half = linalg.solve_triangular(ev0._La, u, lower=True)
+    half = linalg.solve_triangular(_cholesky_frf(gram.ZRZ(float(rho0))), u, lower=True)
     second = float(half @ half) * var_rho
 
     lam_max, lam_min, lam_w = _eig_extremes(net, rho0)

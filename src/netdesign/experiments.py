@@ -18,6 +18,7 @@ from __future__ import annotations
 import csv
 import functools
 import json
+import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from importlib import metadata, resources
@@ -41,10 +42,12 @@ from .graph import (
     generate_pm1_covariates,
     load_covariates,
     load_edge_list,
+    read_text,
     repair_isolated,
     subsample_network,
 )
 from .optimizer import (
+    SOLVER_METHODS,
     hybrid_problem,
     random_balanced_design,
     random_iid_design,
@@ -181,7 +184,7 @@ class StudySpec:
 
 
 def study_defaults(kind: str, full: bool = False) -> dict:
-    if kind not in _DESK:
+    if not isinstance(kind, str) or kind not in _DESK:
         raise StudySpecError(
             f"unknown study kind {kind!r}; expected one of {', '.join(STUDY_KINDS)}"
         )
@@ -191,69 +194,69 @@ def study_defaults(kind: str, full: bool = False) -> dict:
     return params
 
 
-def _check_number(params, key, lo=None, hi=None, integer=False):
-    v = params[key]
-    if v is None:
-        return
-    if isinstance(v, bool) or not isinstance(v, (int, float)):
-        raise StudySpecError(f"key '{key}' must be a number, got {v!r}")
-    if integer and int(v) != v:
-        raise StudySpecError(f"key '{key}' must be an integer, got {v!r}")
-    if lo is not None and v < lo:
-        raise StudySpecError(f"key '{key}' must be >= {lo}, got {v!r}")
-    if hi is not None and v > hi:
-        raise StudySpecError(f"key '{key}' must be <= {hi}, got {v!r}")
+# The interval each numeric key must lie in; for the list keys (alphas,
+# rho_ts, n_grid) it holds for every entry.
+_COUNTS = ("seed", "n", "p", "n_base", "subsample", "designs", "keep_first")
+_POSITIVE_COUNTS = ("replicates", "restarts", "draws", "rho_draws")
+_INTEGER_KEYS = {*_COUNTS, *_POSITIVE_COUNTS, "n_grid"}
+_GRID_KEYS = ("alphas", "rho_ts", "n_grid")
+_FLOAT_MAX = sys.float_info.max
+_RANGES = {
+    **dict.fromkeys(_COUNTS, "[0, inf)"),
+    **dict.fromkeys(_POSITIVE_COUNTS, "[1, inf)"),
+    "n_grid": "[4, inf)", "density": "[0, 1]", "rho_lo": "[0, 1]", "rho_hi": "[0, 1]",
+    "rho0": "[0, 1)", "rho_ts": "[0, 1)", "alpha": "(0, 1)", "alphas": "(0, 1)",
+    "alpha_bound": "(0, 1)", "theta": "(-inf, inf)", "sigma2": "(0, inf)",
+    "covariate_sd": "(0, inf)",
+}
 
 
-def _check_grid(params, key, lo=None, hi=None):
+def _in_range(v, interval: str) -> bool:
+    lo, hi = (float(end) for end in interval[1:-1].split(","))
+    above = lo <= v if interval[0] == "[" else lo < v
+    return above and (v <= hi if interval[-1] == "]" else v < hi)
+
+
+def _check_number(key, v, what=None) -> None:
+    """Raise unless v is a finite number that key's rule accepts."""
+    what = what or f"key '{key}'"
+    # The last test is false for nan, inf and ints beyond the float range.
+    if isinstance(v, bool) or not isinstance(v, (int, float)) or not abs(v) <= _FLOAT_MAX:
+        raise StudySpecError(f"{what} must be a finite number, got {v!r}")
+    if key in _INTEGER_KEYS and int(v) != v:
+        raise StudySpecError(f"{what} must be an integer, got {v!r}")
+    if not _in_range(v, _RANGES[key]):
+        raise StudySpecError(f"{what} must lie in {_RANGES[key]}, got {v!r}")
+
+
+def _check_grid(params, key) -> None:
     v = params[key]
     if not isinstance(v, (list, tuple)) or len(v) == 0:
         raise StudySpecError(f"key '{key}' must be a non-empty list, got {v!r}")
     for item in v:
-        if isinstance(item, bool) or not isinstance(item, (int, float)):
-            raise StudySpecError(f"key '{key}' contains a non-number: {item!r}")
-        if lo is not None and item < lo:
-            raise StudySpecError(f"key '{key}' entries must be >= {lo}, got {item!r}")
-        if hi is not None and item > hi:
-            raise StudySpecError(f"key '{key}' entries must be <= {hi}, got {item!r}")
-    params[key] = tuple(float(item) for item in v)
+        _check_number(key, item, f"key '{key}' entry")
+    cast = int if key in _INTEGER_KEYS else float
+    params[key] = tuple(cast(item) for item in v)
 
 
 def _validate_params(kind: str, params: dict) -> None:
-    if "replicates" in params:
-        _check_number(params, "replicates", lo=1, integer=True)
-    if "density" in params:
-        _check_number(params, "density", lo=0.0, hi=1.0)
-    if "rho0" in params:
-        _check_number(params, "rho0", lo=0.0)
-        if params["rho0"] >= 1.0:
-            raise StudySpecError(f"key 'rho0' must be < 1, got {params['rho0']!r}")
-    for key in ("n", "p", "n_base", "subsample", "draws", "restarts", "designs",
-                "rho_draws", "keep_first"):
-        if key in params:
-            _check_number(params, key, lo=0, integer=True)
-    if "alpha" in params:
-        _check_number(params, "alpha", lo=0.0, hi=1.0)
-    if "alpha_bound" in params:
-        _check_number(params, "alpha_bound", lo=0.0, hi=1.0)
-    if "rho_ts" in params:
-        _check_grid(params, "rho_ts", lo=0.0)
-        if max(params["rho_ts"]) >= 1.0:
-            raise StudySpecError("key 'rho_ts' entries must be < 1")
-    if "alphas" in params:
-        _check_grid(params, "alphas", lo=0.0, hi=1.0)
-    if "n_grid" in params:
-        _check_grid(params, "n_grid", lo=4)
-        params["n_grid"] = tuple(int(v) for v in params["n_grid"])
+    for key in params:
+        if key in _GRID_KEYS:
+            _check_grid(params, key)
+        elif key in _RANGES and not (key == "keep_first" and params[key] is None):
+            _check_number(key, params[key])
+    method = params.get("method", "auto")
+    if method not in SOLVER_METHODS:
+        raise StudySpecError(f"key 'method' must be one of {SOLVER_METHODS}, got {method!r}")
     if kind == "pseudo_experiment":
-        has_edges = params.get("edges_path") is not None
-        has_cov = params.get("covariates_path") is not None
-        if has_edges != has_cov:
-            raise StudySpecError(
-                "keys 'edges_path' and 'covariates_path' must be given together"
-            )
-        _check_number(params, "rho_lo", lo=0.0, hi=1.0)
-        _check_number(params, "rho_hi", lo=0.0, hi=1.0)
+        for key in ("edges_path", "covariates_path"):
+            if params[key] is not None and not isinstance(params[key], str):
+                raise StudySpecError(f"key '{key}' must be a path string, got {params[key]!r}")
+        if (params["edges_path"] is None) != (params["covariates_path"] is None):
+            raise StudySpecError("keys 'edges_path' and 'covariates_path' must be given together")
+        header = params["covariates_header"]
+        if not isinstance(header, bool):
+            raise StudySpecError(f"key 'covariates_header' must be true or false, got {header!r}")
         if params["rho_lo"] >= params["rho_hi"]:
             raise StudySpecError("key 'rho_lo' must be below 'rho_hi'")
 
@@ -265,7 +268,9 @@ def study_spec_from_dict(raw: dict, full: bool = False) -> StudySpec:
     if "kind" not in raw:
         raise StudySpecError("missing required key 'kind'")
     kind = raw["kind"]
-    full = bool(raw.get("full", full))
+    full = raw.get("full", full)
+    if not isinstance(full, bool):
+        raise StudySpecError(f"key 'full' must be true or false, got {full!r}")
     params = study_defaults(kind, full)
     reserved = {"kind", "name", "seed", "output", "full"}
     for key, value in raw.items():
@@ -276,7 +281,7 @@ def study_spec_from_dict(raw: dict, full: bool = False) -> StudySpec:
         params[key] = tuple(value) if isinstance(value, list) else value
     _validate_params(kind, params)
     seed = raw.get("seed", DEFAULT_SEED)
-    _check_number({"seed": seed}, "seed", lo=0, integer=True)
+    _check_number("seed", seed)
     name = raw.get("name", kind)
     if not isinstance(name, str):
         raise StudySpecError(f"key 'name' must be a string, got {name!r}")
@@ -292,7 +297,7 @@ def load_study_spec(path, full: bool = False) -> StudySpec:
     """Read a YAML study spec from disk."""
     path = Path(path)
     try:
-        text = path.read_text()
+        text = read_text(path)
     except OSError as e:
         raise StudySpecError(f"cannot read study spec {path}: {e}") from None
     try:

@@ -194,6 +194,19 @@ def generate_pm1_covariates(n: int, p: int, seed: int) -> CovariateMatrix:
     raise RankError(f"could not draw full-rank +/-1 covariates with n={n}, p={p}")
 
 
+def read_text(path) -> str:
+    """A whole input file as UTF-8 text with universal newlines, else DataError."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as e:
+        raise DataError(
+            f"{path}: not UTF-8 text (byte {data[e.start]:#04x} at offset {e.start})"
+        ) from None
+    return text.replace("\r\n", "\n").replace("\r", "\n")
+
+
 def load_edge_list(path, index_base: int = 0) -> Network:
     """Read a whitespace-separated edge list.
 
@@ -209,33 +222,30 @@ def load_edge_list(path, index_base: int = 0) -> Network:
         raise DataError(f"index_base must be 0 or 1, got {index_base}")
     pairs = []
     max_id = -1
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split()
-            if len(parts) != 2:
-                raise GraphFormatError(
-                    f"{path}:{lineno}: expected two node ids, got {len(parts)} fields"
-                )
-            try:
-                a, b = int(parts[0]), int(parts[1])
-            except ValueError:
-                raise GraphFormatError(
-                    f"{path}:{lineno}: non-integer node id in {parts!r}"
-                ) from None
-            a -= index_base
-            b -= index_base
-            if a < 0 or b < 0:
-                raise GraphFormatError(
-                    f"{path}:{lineno}: node id below {index_base} "
-                    f"(file declared {index_base}-based)"
-                )
-            if a == b:
-                raise GraphFormatError(f"{path}:{lineno}: self loop at node {a + index_base}")
-            pairs.append((a, b))
-            max_id = max(max_id, a, b)
+    for lineno, raw in enumerate(read_text(path).split("\n"), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        parts = line.split()
+        if len(parts) != 2:
+            raise GraphFormatError(
+                f"{path}:{lineno}: expected two node ids, got {len(parts)} fields"
+            )
+        try:
+            a, b = int(parts[0]), int(parts[1])
+        except ValueError:
+            raise GraphFormatError(f"{path}:{lineno}: non-integer node id in {parts!r}") from None
+        a -= index_base
+        b -= index_base
+        if a < 0 or b < 0:
+            raise GraphFormatError(
+                f"{path}:{lineno}: node id below {index_base} "
+                f"(file declared {index_base}-based)"
+            )
+        if a == b:
+            raise GraphFormatError(f"{path}:{lineno}: self loop at node {a + index_base}")
+        pairs.append((a, b))
+        max_id = max(max_id, a, b)
     if max_id < 0:
         raise GraphFormatError(f"{path}: no edges found")
     return Network.from_edges(max_id + 1, pairs)
@@ -259,29 +269,24 @@ def load_covariates(path, keep_first: int | None = None, header: bool = False) -
     """
     rows = []
     ncol = None
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            if header and lineno == 1:
-                continue
-            line = raw.strip()
-            if not line:
-                continue
-            parts = line.split(",")
-            if ncol is None:
-                ncol = len(parts)
-            elif len(parts) != ncol:
-                raise GraphFormatError(
-                    f"{path}:{lineno}: expected {ncol} fields, got {len(parts)}"
-                )
-            try:
-                values = [float(v) for v in parts]
-            except ValueError:
-                raise GraphFormatError(
-                    f"{path}:{lineno}: non-numeric covariate value"
-                ) from None
-            if not np.all(np.isfinite(values)):
-                raise GraphFormatError(f"{path}:{lineno}: non-finite covariate value")
-            rows.append(values)
+    for lineno, raw in enumerate(read_text(path).split("\n"), start=1):
+        if header and lineno == 1:
+            continue
+        line = raw.strip()
+        if not line:
+            continue
+        parts = line.split(",")
+        if ncol is None:
+            ncol = len(parts)
+        elif len(parts) != ncol:
+            raise GraphFormatError(f"{path}:{lineno}: expected {ncol} fields, got {len(parts)}")
+        try:
+            values = [float(v) for v in parts]
+        except ValueError:
+            raise GraphFormatError(f"{path}:{lineno}: non-numeric covariate value") from None
+        if not np.all(np.isfinite(values)):
+            raise GraphFormatError(f"{path}:{lineno}: non-finite covariate value")
+        rows.append(values)
     if not rows:
         raise GraphFormatError(f"{path}: no covariate rows found")
     z = np.asarray(rows, dtype=np.float64)

@@ -39,6 +39,7 @@ from .graph import CovariateMatrix, Network
 
 __all__ = [
     "RELAXATION_LADDER",
+    "SOLVER_METHODS",
     "quantile_cap",
     "HybridProblem",
     "hybrid_problem",
@@ -55,6 +56,7 @@ __all__ = [
 ]
 
 RELAXATION_LADDER = (0.001, 0.005, 0.01, 0.05, 0.1, 0.5)
+SOLVER_METHODS = ("auto", "exact", "local", "annealing")
 
 _FEAS_TOL = 1e-9
 _TIE_REL = 1e-10
@@ -787,7 +789,7 @@ def solve(
         return solve_annealing(
             problem, schedule=schedule, seed=seed, time_budget=time_budget, relax=relax
         )
-    raise DataError(f"unknown method {method!r}; use auto, exact, local or annealing")
+    raise DataError(f"unknown method {method!r}; use one of {', '.join(SOLVER_METHODS)}")
 
 
 def solve_no_network(cov: CovariateMatrix, method: str = "auto", **kwargs) -> SolveReport:

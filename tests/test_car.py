@@ -287,6 +287,55 @@ class TestProfileML:
         scores = [self.loglik_oracle(net, cov, x, y, r) for r in fine]
         assert abs(fine[int(np.argmax(scores))] - res.rho_hat) <= 2e-4
 
+    @pytest.mark.parametrize("rho_true, seed, at", [(0.0, 40, 0), (0.995, 49, -1)])
+    def test_boundary_maximizer(self, rho_true, seed, at):
+        # Outcomes drawn at rho 0, or just above rho_max, put the grid
+        # maximizer on an end of [0, rho_max], where the refinement passes
+        # are clipped.  A 14 x 14 torus keeps rho well identified.
+        k = 14
+        net = Network.from_edges(k * k, [
+            (i * k + j, nb) for i in range(k) for j in range(k)
+            for nb in (i * k + (j + 1) % k, ((i + 1) % k) * k + j)
+        ])
+        cov = generate_pm1_covariates(net.n, 2, seed=seed)
+        x = np.where(np.arange(net.n) % 2 == 0, 1.0, -1.0)
+        y = sample_outcomes(net, cov, x, CarParams(rho=rho_true), seed=seed + 1)
+        res = fit_profile_ml(net, cov, x, y, rho_max=0.99)
+        grid = np.linspace(0.0, 0.99, 100)
+        oracle = np.array([self.loglik_oracle(net, cov, x, y, r) for r in grid])
+        assert int(np.argmax(oracle)) == np.arange(grid.size)[at]
+        assert 0.0 <= res.rho_hat <= 0.99
+        at_hat = self.loglik_oracle(net, cov, x, y, res.rho_hat)
+        assert np.all(at_hat >= oracle - 1e-10 * np.maximum(1.0, np.abs(oracle)))
+
+    @pytest.mark.parametrize("tol", [0.01, 0.05])
+    def test_tolerance_at_grid_step_returns_a_grid_point(self, tol):
+        net = connected_net(40, 0.15, 26)
+        cov = generate_pm1_covariates(40, 1, seed=26)
+        x = np.where(np.arange(40) % 2 == 0, 1.0, -1.0)
+        y = sample_outcomes(net, cov, x, CarParams(rho=0.55), seed=27)
+        res = fit_profile_ml(net, cov, x, y, grid_step=0.01, tol=tol)
+        grid = np.arange(0.0, 0.99 + 1e-12, 0.01)
+        grid[-1] = min(grid[-1], 0.99)
+        assert res.rho_hat in grid.tolist()
+
+    def test_refinement_is_batched(self, monkeypatch):
+        # One grid call plus three passes of 21 points each at the defaults.
+        sizes = []
+        batched = car._profile_loglik
+
+        def spy(gram, spectrum, rhos):
+            sizes.append(np.size(rhos))
+            return batched(gram, spectrum, rhos)
+
+        monkeypatch.setattr(car, "_profile_loglik", spy)
+        net = connected_net(40, 0.15, 26)
+        cov = generate_pm1_covariates(40, 1, seed=26)
+        x = np.where(np.arange(40) % 2 == 0, 1.0, -1.0)
+        y = sample_outcomes(net, cov, x, CarParams(rho=0.55), seed=27)
+        fit_profile_ml(net, cov, x, y)
+        assert sizes == [100, 21, 21, 21]
+
     def test_rank_deficient_rejected(self):
         net = connected_net(20, 0.2, 28)
         z = np.where(np.arange(20) % 2 == 0, 1.0, -1.0)

@@ -171,7 +171,8 @@ class TestDesign:
         else:
             code = run("evaluate", edges, covs, dfile, "--output", out)
         assert code == 2
-        assert "not UTF-8 text" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert f"{bad}: not UTF-8 text" in err
 
     def test_linalg_failure_is_numerical(self, tmp_path, monkeypatch, capsys):
         edges, covs = make_dataset(tmp_path)

@@ -351,6 +351,13 @@ class TestGapDiagnostics:
         with pytest.raises(DataError):
             surrogate_gap_diagnostics(net, cov, x, 0.5, [0.5, 1.0])
 
+    @pytest.mark.parametrize("rho0", [1.0, -0.1, float("nan")])
+    def test_rho0_outside_unit_interval_rejected(self, rho0):
+        net = connected_net(10, 0.3, 34)
+        cov = generate_pm1_covariates(10, 1, seed=34)
+        with pytest.raises(DataError, match=r"must lie in \[0, 1\)"):
+            surrogate_gap_diagnostics(net, cov, alternating(10), rho0, [0.5, 0.6])
+
     def test_eigenvalue_extremes_match_dense(self):
         from netdesign.criterion import _eig_extremes
 

@@ -8,15 +8,18 @@ seeds through the public API to prove the audit trail works.
 """
 
 import json
+import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, strategies as st
 
 from netdesign.criterion import evaluate, pip
 from netdesign.errors import StudySpecError
 from netdesign.experiments import (
     DEFAULT_SEED,
     STUDY_KINDS,
+    StudySpec,
     bundled_study_path,
     derive_seed,
     list_bundled_studies,
@@ -37,6 +40,31 @@ from netdesign.optimizer import hybrid_problem, solve
 
 def tiny(kind, **overrides):
     return study_spec_from_dict({"kind": kind, **overrides})
+
+
+_SPEC_SCALARS = st.one_of(
+    st.floats(), st.integers(), st.booleans(), st.text(max_size=4), st.none()
+)
+
+
+@pytest.mark.parametrize("kind, key", [
+    (kind, key) for kind in STUDY_KINDS
+    for key in (*study_defaults(kind), "seed", "name", "output", "full")
+])
+@given(value=st.one_of(_SPEC_SCALARS, st.lists(_SPEC_SCALARS, max_size=3)))
+@example(value=math.nan)
+@example(value=-math.inf)
+def test_any_spec_value_loads_or_names_its_key(kind, key, value):
+    # Spec values are checked at load time: a bad one is a StudySpecError
+    # that names its key, never a stray exception, and a good one is kept.
+    try:
+        spec = study_spec_from_dict({"kind": kind, key: value})
+    except StudySpecError as e:
+        assert f"'{key}'" in str(e)
+        return
+    assert isinstance(spec, StudySpec)
+    if key in spec.params and not isinstance(value, list):
+        assert spec.params[key] == value
 
 
 class TestSpecLoading:
@@ -86,6 +114,17 @@ class TestSpecLoading:
             study_spec_from_dict({"kind": "alpha_sweep", "rho_ts": [0.5, "x"]})
         with pytest.raises(StudySpecError, match="'alphas'"):
             study_spec_from_dict({"kind": "alpha_sweep", "alphas": [0.1, 1.5]})
+        for kind, key, bad in [
+            ("alpha_sweep", "n", math.nan), ("alpha_sweep", "replicates", math.inf),
+            ("size_sweep", "n_grid", [math.inf]), ("gap_histogram", "covariate_sd", -1),
+            ("alpha_sweep", "method", "bogus"), ("alpha_sweep", "restarts", 0),
+            ("pseudo_experiment", "draws", 0), ("gap_histogram", "rho_draws", 0),
+            ("rho_robustness", "alpha", 0), ("alpha_sweep", "alphas", [0.1, 1]),
+            ("gap_histogram", "alpha_bound", 1), ("pseudo_experiment", "edges_path", 0),
+            ("pseudo_experiment", "covariates_header", "yes"),
+        ]:
+            with pytest.raises(StudySpecError, match=f"'{key}'"):
+                study_spec_from_dict({"kind": kind, key: bad})
 
     def test_paths_must_come_together(self):
         with pytest.raises(StudySpecError, match="covariates_path"):
