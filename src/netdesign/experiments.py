@@ -196,8 +196,8 @@ def study_defaults(kind: str, full: bool = False) -> dict:
 
 # The interval each numeric key must lie in; for the list keys (alphas,
 # rho_ts, n_grid) it holds for every entry.
-_COUNTS = ("seed", "n", "p", "n_base", "subsample", "designs", "keep_first")
-_POSITIVE_COUNTS = ("replicates", "restarts", "draws", "rho_draws")
+_COUNTS = ("seed", "n", "p", "n_base", "designs", "keep_first")
+_POSITIVE_COUNTS = ("replicates", "restarts", "draws", "rho_draws", "subsample")
 _INTEGER_KEYS = {*_COUNTS, *_POSITIVE_COUNTS, "n_grid"}
 _GRID_KEYS = ("alphas", "rho_ts", "n_grid")
 _FLOAT_MAX = sys.float_info.max
@@ -245,6 +245,24 @@ def _validate_params(kind: str, params: dict) -> None:
             _check_grid(params, key)
         elif key in _RANGES and not (key == "keep_first" and params[key] is None):
             _check_number(key, params[key])
+    # Sizes across keys: p covariates plus the intercept need more than p
+    # nodes, and a subsample cannot exceed the base network it is drawn
+    # from.  The size of a base network read from edges_path is not known
+    # until the study runs.
+    generated = params.get("edges_path") is None
+    for key in ("n", "n_grid", "n_base"):
+        if "p" in params and key in params and (key != "n_base" or generated):
+            grid = key in _GRID_KEYS
+            if params["p"] >= (min(params[key]) if grid else params[key]):
+                what = f"every '{key}' entry" if grid else f"'{key}'"
+                raise StudySpecError(
+                    f"key 'p' ({params['p']}) must be below {what}, got {params[key]!r}"
+                )
+    if "subsample" in params and generated and params["subsample"] > params["n_base"]:
+        raise StudySpecError(
+            f"key 'subsample' ({params['subsample']}) must not exceed 'n_base' "
+            f"({params['n_base']})"
+        )
     method = params.get("method", "auto")
     if method not in SOLVER_METHODS:
         raise StudySpecError(f"key 'method' must be one of {SOLVER_METHODS}, got {method!r}")
@@ -589,8 +607,9 @@ def run_network_comparison(spec: StudySpec, threads: int = 1) -> StudyResult:
         rep, ni = args
         n = n_grid[ni]
         dataset_seed = derive_seed(spec.seed, 0, rep, ni)
-        net, cov = synth_dataset(n, P["p"], P["density"], dataset_seed)
-        evaluator = functools.cache(lambda rho_t: CriterionEvaluator(net, cov, rho_t))
+        # A failed draw is not cached, so it fails again for the second kind.
+        dataset = functools.cache(lambda: synth_dataset(n, P["p"], P["density"], dataset_seed))
+        evaluator = functools.cache(lambda rho_t: CriterionEvaluator(*dataset(), rho_t))
         out = []
         for kindname, ki in (("network", 0), ("no_network", 1)):
             solver_seed = derive_seed(spec.seed, 1, rep, ni, ki)
@@ -600,6 +619,7 @@ def run_network_comparison(spec: StudySpec, threads: int = 1) -> StudyResult:
                 "dataset_seed": dataset_seed, "solver_seed": solver_seed,
             }
             try:
+                net, cov = dataset()
                 if kindname == "network":
                     prob = hybrid_problem(net, cov, P["rho0"], P["alpha"])
                     report = solve(

@@ -17,8 +17,13 @@ All solvers work off the factored form H = La^{-1} B' (objective
 ||H x||^2) cached on the problem; no n-by-n dense kernel is formed.  A
 swap move exchanges one node from each arm, so balance is invariant; its
 objective delta costs O(p) and its constraint delta O(1) given the
-maintained vectors.  Reported objectives are recomputed by a fresh pass
-over the returned design, never copied from solver bookkeeping.
+maintained vectors.  Repair and descent take the best swap over all
+plus x minus pairs exactly, and above n of about 256 without scoring them
+all: a lower bound on each plus row's best delta (one matrix product per
+step for the objective, O(n) for the cut) orders the rows, and rows are
+scored only until the next bound exceeds the best delta found.  Reported objectives
+are recomputed by a fresh pass over the returned design, never copied
+from solver bookkeeping.
 """
 
 from __future__ import annotations
@@ -467,12 +472,20 @@ def _cut_delta(s_i, s_j, w_ij):
     return -4.0 * (s_i + s_j + 2.0 * w_ij)
 
 
+# Pair scores per block: keeps best() and the row bounds at O(n) memory
+# whatever the arm sizes.  Up to one block of pairs (n up to about 256),
+# scoring them all took less time than the row bounds save.
+_BLOCK_ENTRIES = 1 << 14
+
+
 class _SwapState:
     """A balanced design x with v = Hx, obj = ||v||^2, wx = Wx and c = x'Wx.
 
     apply() moves the products along with each swap and recomputes them
     from scratch every `resync` swaps, so rounding drift stays bounded.
-    best() scans every plus x minus pair in blocks of 64 plus rows.
+    best() finds the lowest-scoring plus x minus pair exactly; given a
+    lower bound on each plus row's scores, it scores only the rows whose
+    bound does not exceed the best value found so far.
     """
 
     def __init__(self, problem: HybridProblem, x: np.ndarray, resync: int):
@@ -487,11 +500,20 @@ class _SwapState:
             self.wx = self.W @ self.x
             self.c = float(self.x @ self.wx)
 
-    def apply(self, i: int, j: int, d_obj: float, dc: float) -> None:
-        """Swap plus node i with minus node j, given their objective and cut deltas."""
+    def column_step(self, i: int, j: int) -> np.ndarray:
+        """Change in v = Hx when plus node i and minus node j swap."""
+        return -2.0 * self.H[:, i] + 2.0 * self.H[:, j]
+
+    def apply(
+        self, i: int, j: int, d_obj: float, dc: float, dv: Optional[np.ndarray] = None
+    ) -> None:
+        """Swap plus node i with minus node j, given their objective and cut deltas.
+
+        dv, if given, is column_step(i, j) as the caller already computed it.
+        """
         x, W = self.x, self.W
         x[i], x[j] = -1.0, 1.0
-        self.v += -2.0 * self.H[:, i] + 2.0 * self.H[:, j]
+        self.v += self.column_step(i, j) if dv is None else dv
         self.obj += d_obj
         if W is not None:
             for node, step in ((i, -2.0), (j, 2.0)):
@@ -502,8 +524,8 @@ class _SwapState:
         if self.swaps % self.resync == 0:
             self.sync()
 
-    def obj_delta(self, i: int, j: int) -> float:
-        dv = -2.0 * self.H[:, i] + 2.0 * self.H[:, j]
+    def obj_delta(self, i: int, j: int, dv: Optional[np.ndarray] = None) -> float:
+        dv = self.column_step(i, j) if dv is None else dv
         return 2.0 * float(self.v @ dv) + float(dv @ dv)
 
     def cut_delta(self, i: int, j: int) -> float:
@@ -522,26 +544,95 @@ class _SwapState:
             psi[P][:, None] - 2.0 * G + psi[minus][None, :]
         )
 
-    def cut_block(self, P: np.ndarray, minus: np.ndarray) -> np.ndarray:
-        """Cut deltas of the swaps P x minus (valid inside best())."""
-        s = self.s
-        return _cut_delta(s[P][:, None], s[minus][None, :], self.W[P][:, minus].toarray())
+    def obj_row_bounds(self, plus: np.ndarray, minus: np.ndarray) -> np.ndarray:
+        """Lower bounds on the obj_block values of each plus row (valid inside best()).
 
-    def best(self, score, floor: float):
-        """(value, (i, j)) of the lowest score(P, minus) below floor, or (floor, None)."""
+        Row i's minimum is 4(psi_i - a_i) + min_j [4(psi_j + a_j) - 8 h_i.h_j],
+        one matrix product per block of rows.  The slack covers the
+        rounding of this sum and of obj_block's: both together stay below
+        (20k + 88) u (max psi + max |a|) for k rows of H and unit
+        roundoff u, and the slack is more than five times that.
+        """
+        H, a, psi = self.H, self.a, self.psi
+        left = np.ones((plus.size, H.shape[0] + 1))
+        left[:, :-1] = H[:, plus].T
+        right = np.vstack([-8.0 * H[:, minus], 4.0 * (psi[minus] + a[minus])])
+        rows = max(1, _BLOCK_ENTRIES // minus.size)
+        buf = np.empty((min(rows, plus.size), minus.size))
+        low = np.empty(plus.size)
+        for lo in range(0, plus.size, rows):
+            block = buf[: min(rows, plus.size - lo)]
+            np.matmul(left[lo : lo + rows], right, out=block)
+            block.min(axis=1, out=low[lo : lo + rows])
+        slack = 64.0 * (H.shape[0] + 4) * np.finfo(float).eps * (
+            float(psi.max()) + float(np.abs(a).max())
+        )
+        return low + 4.0 * (psi[plus] - a[plus]) - slack
+
+    def cut_block(self, P: np.ndarray, minus: np.ndarray) -> np.ndarray:
+        """Cut deltas of the swaps P x minus (valid inside best()).
+
+        The weights come straight from W's CSR arrays (sorted, without
+        duplicates, as Network.adjacency builds them).
+        """
+        W, s = self.W, self.s
+        start, count = W.indptr[P], W.indptr[P + 1] - W.indptr[P]
+        nz = np.arange(count.sum()) + np.repeat(start - np.cumsum(count) + count, count)
+        col = self.minus_pos[W.indices[nz]]
+        keep = col >= 0
+        w = np.zeros((P.size, minus.size))
+        w[np.repeat(np.arange(P.size), count)[keep], col[keep]] = W.data[nz[keep]]
+        return _cut_delta(s[P][:, None], s[minus][None, :], w)
+
+    def cut_row_bounds(self, plus: np.ndarray, minus: np.ndarray) -> np.ndarray:
+        """Lower bounds on the cut_block values of each plus row (valid inside best()).
+
+        _cut_delta does not increase as s_j or w_ij grow, under rounding
+        too, so the largest s on the minus arm and the largest weight
+        bound every row exactly.
+        """
+        heaviest = float(self.W.data.max(initial=0.0))
+        return _cut_delta(self.s[plus], float(self.s[minus].max()), heaviest)
+
+    def best(self, score, floor: float, bound=None):
+        """(value, (i, j)) of the lowest score(P, minus) below floor, or (floor, None).
+
+        Ties go to the first pair in (plus, minus) order.  bound(plus,
+        minus), if given, returns a lower bound on the scores of each plus
+        row.  Unless one block holds every pair, rows are then visited in
+        ascending bound order, in blocks that double from two rows, and
+        the search stops at the first row whose bound exceeds the best
+        value found, which leaves the result unchanged.
+        """
         plus = np.flatnonzero(self.x > 0)
         minus = np.flatnonzero(self.x < 0)
         self.a = self.v @ self.H
         if self.W is not None:
             self.s = self.x * self.wx
+            self.minus_pos = np.full(self.x.size, -1)
+            self.minus_pos[minus] = np.arange(minus.size)
+        rows = max(2, _BLOCK_ENTRIES // minus.size)
+        if bound is None or rows >= plus.size:  # one block holds every pair
+            low, size = np.full(plus.size, -np.inf), rows
+        else:
+            low, size = bound(plus, minus), 2
+        order = np.argsort(low, kind="stable")
+        low = low[order]
         best_val, pair = floor, None
-        for lo in range(0, plus.size, 64):
-            P = plus[lo : lo + 64]
+        lo = 0
+        while lo < plus.size and low[lo] <= best_val:
+            hi = lo + max(2, int(np.searchsorted(low[lo : lo + size], best_val, side="right")))
+            # numpy scores a lone row by a matrix-vector product, whose
+            # rounding differs from the matrix product's: leave none over.
+            hi = plus.size if hi >= plus.size - 1 else hi
+            P = plus[np.sort(order[lo:hi])]
             block = score(P, minus)
             k = int(np.argmin(block))
             val = float(block.flat[k])
-            if val < best_val:
-                best_val, pair = val, (int(P[k // minus.size]), int(minus[k % minus.size]))
+            cand = (int(P[k // minus.size]), int(minus[k % minus.size]))
+            if val < best_val or (val == best_val and pair is not None and cand < pair):
+                best_val, pair = val, cand
+            lo, size = hi, min(2 * size, rows)
         return best_val, pair
 
 
@@ -554,7 +645,7 @@ def _repair(problem: HybridProblem, cap: float, x: np.ndarray):
     st = _SwapState(problem, x, resync=64)
     capv = _feas_cap(cap)
     while st.c > capv:
-        dc, pair = st.best(st.cut_block, -1e-12)
+        dc, pair = st.best(st.cut_block, -1e-12, st.cut_row_bounds)
         if pair is None:
             return False, x, st.swaps
         st.apply(*pair, st.obj_delta(*pair), dc)
@@ -579,7 +670,7 @@ def _descend(
         return delta
 
     while deadline is None or time.perf_counter() <= deadline:
-        d_obj, pair = st.best(score, -1e-10 * max(1.0, st.obj))
+        d_obj, pair = st.best(score, -1e-10 * max(1.0, st.obj), st.obj_row_bounds)
         if pair is None:
             break
         st.apply(*pair, d_obj, st.cut_delta(*pair) if network else 0.0)
@@ -714,7 +805,8 @@ def _anneal_core(
             break
         for _ in range(moves):
             i, j = propose()
-            d_obj = st.obj_delta(i, j)
+            dv = st.column_step(i, j)
+            d_obj = st.obj_delta(i, j, dv)
             if network:
                 dc = st.cut_delta(i, j)
                 d_pen = mu * (viol(st.c + dc) ** 2 - viol(st.c) ** 2)
@@ -722,7 +814,7 @@ def _anneal_core(
                 dc = d_pen = 0.0
             d_total = d_obj + d_pen
             if d_total <= 0.0 or (t > 0.0 and rng.random() < math.exp(-d_total / t)):
-                st.apply(i, j, d_obj, dc)
+                st.apply(i, j, d_obj, dc, dv)
                 if (not network or st.c <= capv) and st.obj < best_obj - 1e-12:
                     best_x, best_obj = x.copy(), st.obj
         if network and st.c > capv:
@@ -771,11 +863,16 @@ def solve(
     time_budget: Optional[float] = None,
     relax: bool = True,
 ) -> SolveReport:
-    """Dispatch: exact to n = 16, local search to n = 2000, annealing above."""
+    """Dispatch: exact to n = 16, local search to n = 5000, annealing above.
+
+    Local search beat annealing in both time and objective at every size
+    measured, up to n = 5000 (perfbench graphs, mean degree 10, p = 10);
+    larger sizes were not measured.
+    """
     if method == "auto":
         if problem.n <= 16:
             method = "exact"
-        elif problem.n <= 2000:
+        elif problem.n <= 5000:
             method = "local"
         else:
             method = "annealing"

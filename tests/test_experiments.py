@@ -15,7 +15,8 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from netdesign.criterion import evaluate, pip
-from netdesign.errors import StudySpecError
+from netdesign import experiments
+from netdesign.errors import RankError, StudySpecError
 from netdesign.experiments import (
     DEFAULT_SEED,
     STUDY_KINDS,
@@ -125,6 +126,27 @@ class TestSpecLoading:
         ]:
             with pytest.raises(StudySpecError, match=f"'{key}'"):
                 study_spec_from_dict({"kind": kind, key: bad})
+
+    def test_sizes_checked_across_keys(self):
+        for raw, key in [
+            ({"kind": "pseudo_experiment", "subsample": 5000}, "subsample"),
+            ({"kind": "pseudo_experiment", "subsample": 0}, "subsample"),
+            ({"kind": "pseudo_experiment", "n_base": 100}, "n_base"),
+            ({"kind": "pseudo_experiment", "p": 400}, "n_base"),
+            ({"kind": "size_sweep", "p": 60, "n_grid": [50]}, "n_grid"),
+            ({"kind": "size_sweep", "n_grid": [100, 10]}, "n_grid"),
+            ({"kind": "alpha_sweep", "p": 50}, "n"),
+            ({"kind": "network_vs_no_network", "n": 10}, "n"),
+        ]:
+            with pytest.raises(StudySpecError, match=f"'{key}'"):
+                study_spec_from_dict(raw)
+        assert study_spec_from_dict({"kind": "alpha_sweep", "p": 49}).params["p"] == 49
+        # The size of a network read from a file is not known at load time.
+        spec = study_spec_from_dict({
+            "kind": "pseudo_experiment", "edges_path": "e.txt", "covariates_path": "z.csv",
+            "subsample": 5000,
+        })
+        assert spec.params["subsample"] == 5000
 
     def test_paths_must_come_together(self):
         with pytest.raises(StudySpecError, match="covariates_path"):
@@ -345,6 +367,26 @@ class TestSizeSweep:
         assert len(res.rows) == 2 * 2 * 2 * 1
         assert {r["n"] for r in res.rows} == {20, 30}
         assert all(r["status"] == "ok" for r in res.rows)
+
+
+    def test_failed_dataset_fails_its_cell_only(self, monkeypatch):
+        real = experiments.synth_dataset
+
+        def synth(n, p, density, seed):
+            if n == 30:
+                raise RankError("could not draw full-rank +/-1 covariates")
+            return real(n, p, density, seed)
+
+        monkeypatch.setattr(experiments, "synth_dataset", synth)
+        spec = tiny(
+            "size_sweep", n_grid=[20, 30], p=3, density=0.1, replicates=1,
+            rho_ts=[0.5], restarts=4, seed=12,
+        )
+        res = run_study(spec)
+        assert sorted((r["n"], r["method_kind"], r["status"]) for r in res.rows) == [
+            (20, "network", "ok"), (20, "no_network", "ok"),
+            (30, "network", "RankError"), (30, "no_network", "RankError"),
+        ]
 
 
 class TestPseudoExperiment:

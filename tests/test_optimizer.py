@@ -7,15 +7,17 @@ tie-break rule is reproduced independently.  The inverse normal CDF is
 cross-checked by bisection on math.erf.
 """
 
+import dataclasses
 import itertools
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy import stats
+from scipy import sparse, stats
 
+from netdesign import optimizer
 from netdesign.designs import Design
 from netdesign.errors import DataError
 from netdesign.graph import (
@@ -522,6 +524,173 @@ class TestSwapDeltas:
         assert state.best(score, -1.0) == (-1.0, None)
 
 
+def scan_every_pair(state, score, floor):
+    """Lowest score below floor, first in (plus, minus) order, pair by pair.
+
+    Call it right after state.best(), which sets up the products score reads.
+    """
+    plus, minus = np.flatnonzero(state.x > 0), np.flatnonzero(state.x < 0)
+    block = score(plus, minus)
+    best_val, pair = floor, None
+    for a, i in enumerate(plus):
+        for b, j in enumerate(minus):
+            if block[a, b] < best_val:
+                best_val, pair = float(block[a, b]), (int(i), int(j))
+    return best_val, pair
+
+
+def pruning_instance(n, density, p, rho0, alpha, weighted, seed):
+    net = repair_isolated(
+        generate_bernoulli_network(n, density, seed=seed), "connect", seed=seed
+    ).network
+    prob = hybrid_problem(net, generate_pm1_covariates(n, p, seed=seed + 1), rho0, alpha)
+    if weighted:
+        # Small integer weights keep cut ties common.
+        W = sparse.triu(net.adjacency, k=1).tocoo()
+        w = np.random.default_rng(seed).integers(1, 4, size=W.nnz).astype(float)
+        W = sparse.csr_array((np.r_[w, w], (np.r_[W.row, W.col], np.r_[W.col, W.row])),
+                             shape=(n, n))
+        prob = dataclasses.replace(prob, W=W)
+    return prob
+
+
+class TestPrunedSearch:
+    """best() with row bounds returns what a scan of every pair returns.
+
+    best() prunes only when one block cannot hold every pair (n above about
+    256), so most tests shrink the block to prune at sizes an oracle scans
+    quickly.
+    """
+
+    @settings(max_examples=60)
+    @given(
+        n=st.integers(6, 120),
+        density=st.floats(0.02, 0.5),
+        p=st.integers(1, 4),
+        rho0=st.floats(0.0, 0.9),
+        alpha=st.sampled_from([0.001, 0.05, 0.5]),
+        weighted=st.booleans(),
+        block=st.sampled_from([1, 64, 512, optimizer._BLOCK_ENTRIES]),
+        seed=st.integers(0, 2**31 - 1),
+    )
+    def test_matches_scan_of_every_pair(
+        self, n, density, p, rho0, alpha, weighted, block, seed
+    ):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(optimizer, "_BLOCK_ENTRIES", block)
+            self.check_against_scan(n, density, p, rho0, alpha, weighted, seed)
+
+    @staticmethod
+    def check_against_scan(n, density, p, rho0, alpha, weighted, seed):
+        prob = pruning_instance(n, density, p, rho0, alpha, weighted, seed)
+        x = random_balanced_design(n, seed + 2).x.copy()
+        state = _SwapState(prob, x, resync=64)
+        capv = prob.cap + 1e-9
+
+        def capped(P, minus):
+            delta = state.obj_block(P, minus)
+            return np.where(state.c + state.cut_block(P, minus) <= capv, delta, np.inf)
+
+        def late_rows_first(per_row):
+            # Exact minima (per row, or over all rows), lowered by one on the
+            # later half of the rows: those are visited first, so an earlier
+            # row that ties the best score has a bound equal to it.  Integer
+            # cut deltas make such ties common.
+            def bound(plus, minus):
+                block = state.cut_block(plus, minus)
+                late = np.arange(plus.size) >= plus.size // 2
+                return (block.min(axis=1) if per_row else block.min()) - late
+            return bound
+
+        cases = [
+            (capped, state.obj_row_bounds),
+            (state.obj_block, state.obj_row_bounds),
+            (state.cut_block, None),
+            (state.cut_block, state.cut_row_bounds),
+            (state.cut_block, late_rows_first(True)),
+            (state.cut_block, late_rows_first(False)),
+        ]
+        for score, bound in cases:
+            for floor in (math.inf, 0.0, -1e-10 * max(1.0, state.obj)):
+                rows = []
+
+                def counted(P, minus, score=score):
+                    rows.append(P.size)
+                    return score(P, minus)
+
+                got = state.best(counted, floor, bound)
+                assert got == scan_every_pair(state, score, floor)
+                # numpy would score a lone row by a matrix-vector product,
+                # which rounds differently from the scan's matrix product.
+                assert min(rows, default=2) >= 2
+
+    def test_bounds_are_below_every_delta(self):
+        rng = np.random.default_rng(7)
+        for _ in range(20):
+            n = int(rng.integers(6, 120))
+            prob = pruning_instance(n, 0.1, 3, 0.5, 0.5, False, int(rng.integers(2**31)))
+            x = random_balanced_design(n, rng).x.copy()
+            state = _SwapState(prob, x, resync=64)
+            state.best(state.obj_block, math.inf)
+            plus, minus = np.flatnonzero(x > 0), np.flatnonzero(x < 0)
+            low = state.obj_row_bounds(plus, minus)
+            rows = state.obj_block(plus, minus).min(axis=1)
+            assert np.all(low <= rows)
+            assert np.allclose(low, rows, rtol=0.0, atol=1e-9)
+
+    @pytest.mark.parametrize("bound", [None, lambda plus, minus: np.full(plus.size, -1.0)])
+    def test_decodes_pairs_across_blocks(self, bound):
+        n = 800  # 400 x 400 pairs: several blocks either way
+        x = random_balanced_design(n, 0).x.copy()
+        state = _SwapState(no_network_problem(generate_pm1_covariates(n, 1, seed=0)), x, 64)
+        plus, minus = np.flatnonzero(x > 0), np.flatnonzero(x < 0)
+        targets = [(int(plus[330]), int(minus[17])), (int(plus[331]), int(minus[3]))]
+
+        def score(P, minus):
+            block = np.zeros((P.size, minus.size))
+            for i, j in targets:
+                block[np.ix_(P == i, minus == j)] = -1.0
+            return block
+
+        assert state.best(score, -0.5, bound) == (-1.0, targets[0])
+        assert state.best(score, -1.0, bound) == (-1.0, None)
+
+    def test_local_search_matches_full_scan(self, monkeypatch):
+        # 24 small instances pruned in blocks of 64 pair scores, and 6 above
+        # n = 256 pruned with the default block.
+        rng = np.random.default_rng(2026)
+        cases = [
+            (
+                pruning_instance(
+                    int(rng.integers(*sizes)), float(rng.uniform(0.03, 0.3)),
+                    int(rng.integers(1, 5)), float(rng.uniform(0.0, 0.9)),
+                    float(rng.choice([0.001, 0.05, 0.5])), False, int(rng.integers(2**31)),
+                ),
+                int(rng.integers(2**31)),
+                block,
+            )
+            for sizes, block, count in [
+                ((17, 121), 64, 24), ((260, 400), optimizer._BLOCK_ENTRIES, 6),
+            ]
+            for _ in range(count)
+        ]
+
+        def solve_all():
+            records = []
+            for prob, seed, block in cases:
+                with pytest.MonkeyPatch.context() as mp:
+                    mp.setattr(optimizer, "_BLOCK_ENTRIES", block)
+                    records.append(solve_local(prob, restarts=4, seed=seed).to_record())
+            return records
+
+        pruned = solve_all()
+        scan = _SwapState.best
+        monkeypatch.setattr(
+            _SwapState, "best", lambda self, score, floor, bound=None: scan(self, score, floor)
+        )
+        assert pruned == solve_all()
+
+
 class TestNoNetwork:
     def test_intercept_only_balanced_zero(self):
         cov = CovariateMatrix.from_raw(np.empty((8, 0)))
@@ -595,11 +764,11 @@ class TestDispatch:
         prob2 = hybrid_problem(net2, cov2, 0.5, 0.2)
         assert solve(prob2, restarts=4).method == "local"
 
-    def test_auto_annealing_above_2000(self):
+    def test_auto_annealing_above_5000(self):
         net = repair_isolated(
-            generate_bernoulli_network(2001, 0.002, seed=53), "connect", seed=0
+            generate_bernoulli_network(5001, 0.002, seed=53), "connect", seed=0
         ).network
-        cov = generate_pm1_covariates(2001, 1, seed=54)
+        cov = generate_pm1_covariates(5001, 1, seed=54)
         prob = hybrid_problem(net, cov, 0.5, 0.2)
         schedule = AnnealingSchedule(n_temps=3, moves_per_temp=50)
         report = solve(prob, schedule=schedule, seed=0)
