@@ -12,7 +12,7 @@ from netdesign import bundled_study_path, load_study_spec, run_study
 spec = load_study_spec(bundled_study_path("alpha_sweep_small"))
 print(f"study: {spec.kind} ({spec.name}), seed {spec.seed}")
 
-result = run_study(spec, threads=4)
+result = run_study(spec)
 if len(sys.argv) > 1:
     result.write(sys.argv[1])
     print(f"wrote {len(result.rows)} rows to {sys.argv[1]}")

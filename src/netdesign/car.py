@@ -207,15 +207,9 @@ def factor_precision(net: Network, params: Union[CarParams, HeteroCarParams, flo
     return PrecisionFactor(lower=L)
 
 
-def _rng(seed) -> np.random.Generator:
-    if isinstance(seed, np.random.Generator):
-        return seed
-    return np.random.default_rng(seed)
-
-
 def sample_noise(factor: PrecisionFactor, sigma2: float, seed) -> np.ndarray:
     """One correlated disturbance draw from a prebuilt factor."""
-    return factor.sample(_rng(seed), sigma2)
+    return factor.sample(np.random.default_rng(seed), sigma2)
 
 
 def sample_outcomes(
@@ -247,7 +241,7 @@ def sample_outcomes(
         raise DataError(f"beta must have length p+1={cov.p + 1}, got {beta.size}")
     if factor is None:
         factor = factor_precision(net, params)
-    delta = factor.sample(_rng(seed), params.sigma2)
+    delta = factor.sample(np.random.default_rng(seed), params.sigma2)
     return params.theta * xv + cov.values @ beta + delta
 
 

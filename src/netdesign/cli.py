@@ -201,7 +201,7 @@ def cmd_study(args) -> int:
     if not path.exists():
         path = bundled_study_path(args.spec)
     spec = load_study_spec(path, full=args.full)
-    result = run_study(spec, threads=args.threads)
+    result = run_study(spec)
     out = Path(args.output) if args.output else Path(f"{spec.name}.csv")
     if args.format == "json":
         out = out.with_suffix(".json") if out.suffix == ".csv" else out
@@ -218,7 +218,8 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--seed", type=int, default=DEFAULT_SEED,
                         help=f"master seed (default {DEFAULT_SEED})")
     common.add_argument("--threads", type=int, default=1,
-                        help="worker threads for studies")
+                        help="accepted and ignored: study cells hold the interpreter "
+                             "lock, so they run on one thread")
     common.add_argument("--output", help="write result here instead of stdout")
     common.add_argument("--format", choices=("csv", "json"), default="csv",
                         help="result serialization (csv is canonical)")

@@ -19,7 +19,6 @@ import csv
 import functools
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from importlib import metadata, resources
 from pathlib import Path
@@ -424,15 +423,9 @@ def _meta(spec: StudySpec, columns, rows) -> dict:
     }
 
 
-def _tabulate(spec: StudySpec, columns, cell, cells, threads: int) -> StudyResult:
-    """Rows of `cell` over `cells`, in cell order, on a thread pool when
-    threads > 1."""
-    if threads and threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            chunks = list(pool.map(cell, cells))
-    else:
-        chunks = [cell(c) for c in cells]
-    rows = [row for chunk in chunks for row in chunk]
+def _tabulate(spec: StudySpec, columns, cell, cells) -> StudyResult:
+    """Rows of `cell` over `cells`, in cell order."""
+    rows = [row for c in cells for row in cell(c)]
     return StudyResult(spec.kind, columns, rows, _meta(spec, columns, rows))
 
 
@@ -442,6 +435,13 @@ def _status_rows(base: dict, rho_ts, status: str) -> list:
 
 
 def run_study(spec: StudySpec, threads: int = 1) -> StudyResult:
+    """Run the study `spec` describes, one cell after another.
+
+    `threads` is accepted and ignored.  Study cells are Python loops
+    around small numpy calls that hold the interpreter lock, so a thread
+    pool made every bundled study slower for the same rows.  The
+    parameter stays so that existing callers keep working.
+    """
     runner = {
         "alpha_sweep": run_alpha_sweep,
         "rho_robustness": run_rho_robustness,
@@ -450,7 +450,7 @@ def run_study(spec: StudySpec, threads: int = 1) -> StudyResult:
         "pseudo_experiment": run_pseudo_experiment,
         "gap_histogram": run_gap_histogram,
     }[spec.kind]
-    return runner(spec, threads=threads)
+    return runner(spec)
 
 
 # ---------------------------------------------------------------------------
@@ -464,7 +464,7 @@ ALPHA_SWEEP_COLUMNS = (
 )
 
 
-def run_alpha_sweep(spec: StudySpec, threads: int = 1) -> StudyResult:
+def run_alpha_sweep(spec: StudySpec) -> StudyResult:
     """Design at rho0 under each cap level; record criterion and precision
     improvement at every evaluation correlation."""
     P = spec.params
@@ -517,7 +517,7 @@ def run_alpha_sweep(spec: StudySpec, threads: int = 1) -> StudyResult:
                     out.extend(_status_rows(solved, (rho_t,), type(e).__name__))
         return out
 
-    return _tabulate(spec, ALPHA_SWEEP_COLUMNS, cell, range(P["replicates"]), threads)
+    return _tabulate(spec, ALPHA_SWEEP_COLUMNS, cell, range(P["replicates"]))
 
 
 # ---------------------------------------------------------------------------
@@ -530,7 +530,7 @@ RHO_ROBUSTNESS_COLUMNS = (
 )
 
 
-def run_rho_robustness(spec: StudySpec, threads: int = 1) -> StudyResult:
+def run_rho_robustness(spec: StudySpec) -> StudyResult:
     """Compare the design solved at rho0 with one solved at each true
     correlation, both scored at the true correlation.  The same solver
     seed is reused across the grid so the rho_t == rho0 cell is an exact
@@ -577,7 +577,7 @@ def run_rho_robustness(spec: StudySpec, threads: int = 1) -> StudyResult:
                 out.extend(_status_rows(base, (rho_t,), type(e).__name__))
         return out
 
-    return _tabulate(spec, RHO_ROBUSTNESS_COLUMNS, cell, range(P["replicates"]), threads)
+    return _tabulate(spec, RHO_ROBUSTNESS_COLUMNS, cell, range(P["replicates"]))
 
 
 # ---------------------------------------------------------------------------
@@ -592,7 +592,7 @@ NETWORK_COMPARISON_COLUMNS = (
 )
 
 
-def run_network_comparison(spec: StudySpec, threads: int = 1) -> StudyResult:
+def run_network_comparison(spec: StudySpec) -> StudyResult:
     """Hybrid design versus the covariate-only design on shared datasets.
 
     Improvements are measured against the exact random-balanced-design
@@ -659,7 +659,7 @@ def run_network_comparison(spec: StudySpec, threads: int = 1) -> StudyResult:
                     out.extend(_status_rows(base, (rho_t,), type(e).__name__))
         return out
 
-    return _tabulate(spec, NETWORK_COMPARISON_COLUMNS, cell, cells, threads)
+    return _tabulate(spec, NETWORK_COMPARISON_COLUMNS, cell, cells)
 
 
 # ---------------------------------------------------------------------------
@@ -684,7 +684,7 @@ def _mse_percentile(opt_mse: float, random_mses) -> float:
     return (below + 0.5 * ties) / len(random_mses)
 
 
-def run_pseudo_experiment(spec: StudySpec, threads: int = 1) -> StudyResult:
+def run_pseudo_experiment(spec: StudySpec) -> StudyResult:
     """Outcome-level comparison on subsampled networks.
 
     Per replicate: subsample the base network, drop isolated nodes, solve
@@ -799,7 +799,7 @@ def run_pseudo_experiment(spec: StudySpec, threads: int = 1) -> StudyResult:
             out.append(row)
         return out
 
-    return _tabulate(spec, PSEUDO_EXPERIMENT_COLUMNS, cell, range(P["replicates"]), threads)
+    return _tabulate(spec, PSEUDO_EXPERIMENT_COLUMNS, cell, range(P["replicates"]))
 
 
 # ---------------------------------------------------------------------------
@@ -812,7 +812,7 @@ GAP_HISTOGRAM_COLUMNS = (
 )
 
 
-def run_gap_histogram(spec: StudySpec, threads: int = 1) -> StudyResult:
+def run_gap_histogram(spec: StudySpec) -> StudyResult:
     """Sample completely randomized designs on one dense network and record
     the surrogate criterion, the prior-averaging gap, and its bounds.
 
@@ -854,4 +854,4 @@ def run_gap_histogram(spec: StudySpec, threads: int = 1) -> StudyResult:
         except NetdesignError as e:
             return [{**base, "status": type(e).__name__}]
 
-    return _tabulate(spec, GAP_HISTOGRAM_COLUMNS, cell, range(P["designs"]), threads)
+    return _tabulate(spec, GAP_HISTOGRAM_COLUMNS, cell, range(P["designs"]))

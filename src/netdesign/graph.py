@@ -67,11 +67,7 @@ class Network:
 
     @cached_property
     def degrees(self) -> np.ndarray:
-        deg = np.zeros(self.n, dtype=np.int64)
-        for a, b in self.edges:
-            deg[a] += 1
-            deg[b] += 1
-        return deg
+        return np.bincount(np.asarray(self.edges, dtype=np.int64).ravel(), minlength=self.n)
 
     @property
     def m(self) -> int:

@@ -228,7 +228,7 @@ def random_balanced_design(n: int, seed) -> Design:
     """
     if n < 2:
         raise DataError(f"need n >= 2, got {n}")
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+    rng = np.random.default_rng(seed)
     k = n // 2
     if n % 2 == 1 and rng.random() < 0.5:
         k += 1
@@ -240,7 +240,7 @@ def random_balanced_design(n: int, seed) -> Design:
 def random_iid_design(n: int, seed) -> Design:
     if n < 1:
         raise DataError(f"need n >= 1, got {n}")
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+    rng = np.random.default_rng(seed)
     return Design(rng.integers(0, 2, size=n) * 2.0 - 1.0)
 
 

@@ -358,10 +358,12 @@ class TestGapDiagnostics:
         with pytest.raises(DataError, match=r"must lie in \[0, 1\)"):
             surrogate_gap_diagnostics(net, cov, alternating(10), rho0, [0.5, 0.6])
 
-    def test_eigenvalue_extremes_match_dense(self):
+    # n=12 takes the dense path; the others run Lanczos at both ends.
+    @pytest.mark.parametrize("n, density", [(12, 0.3), (60, 0.1), (400, 0.02)])
+    def test_eigenvalue_extremes_match_dense(self, n, density):
         from netdesign.criterion import _eig_extremes
 
-        net = connected_net(60, 0.1, 35)
+        net = connected_net(n, density, 35)
         lam_max, lam_min, lam_w = _eig_extremes(net, 0.5)
         R = dense_kernel(net, 0.5)
         vals = np.linalg.eigvalsh(R)

@@ -9,6 +9,7 @@ seeds through the public API to prove the audit trail works.
 
 import json
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -248,6 +249,23 @@ class TestAlphaSweep:
             rho_ts=[0.5], restarts=4, seed=9,
         )
         assert run_study(spec, threads=1).rows == run_study(spec, threads=4).rows
+
+    def test_threads_argument_is_ignored(self, monkeypatch):
+        called_on = []
+        real = experiments.synth_dataset
+
+        def spy(*args):
+            called_on.append(threading.current_thread())
+            return real(*args)
+
+        monkeypatch.setattr(experiments, "synth_dataset", spy)
+        spec = tiny(
+            "alpha_sweep", n=24, p=3, replicates=4, alphas=[0.1],
+            rho_ts=[0.5], restarts=4, seed=9,
+        )
+        run_study(spec, threads=4)
+        assert len(called_on) == 4
+        assert all(t is threading.main_thread() for t in called_on)
 
     def test_cap_below_floor_gets_relaxed(self):
         # alpha far below anything a 12-node graph can satisfy

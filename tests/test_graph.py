@@ -30,8 +30,12 @@ class TestNetwork:
     def test_canonical_edges_and_degrees(self):
         net = Network.from_edges(4, [(2, 0), (0, 2), (1, 3), (3, 2)])
         assert net.edges == ((0, 2), (1, 3), (2, 3))
-        assert np.array_equal(net.degrees, degrees_by_counting(4, net.edges))
         assert net.m == 6
+        edgeless = Network.from_edges(3, [])
+        assert edgeless.edges == () and edgeless.m == 0
+        for g in (net, edgeless):
+            assert g.degrees.dtype == np.int64
+            assert np.array_equal(g.degrees, degrees_by_counting(g.n, g.edges))
 
     def test_adjacency_matches_edges(self):
         net = Network.from_edges(5, [(0, 1), (1, 2), (3, 4)])
