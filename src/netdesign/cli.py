@@ -12,9 +12,6 @@ wall-clock entropy, so bare invocations are reproducible.
 from __future__ import annotations
 
 import argparse
-import csv
-import io
-import json
 import sys
 from pathlib import Path
 
@@ -38,7 +35,8 @@ from .errors import (
 )
 from .experiments import (
     DEFAULT_SEED,
-    _format_cell,
+    _breakdown_row,
+    _table_text,
     bundled_study_path,
     derive_seed,
     load_study_spec,
@@ -77,15 +75,7 @@ def _float_list(text: str) -> list:
 
 def _emit(columns, rows, args) -> None:
     """Rows to --output or stdout, as CSV (canonical) or a JSON document."""
-    if args.format == "json":
-        text = json.dumps(rows, indent=2, sort_keys=True) + "\n"
-    else:
-        buf = io.StringIO()
-        writer = csv.writer(buf)
-        writer.writerow(columns)
-        for row in rows:
-            writer.writerow([_format_cell(row.get(c)) for c in columns])
-        text = buf.getvalue()
+    text = _table_text(columns, rows, args.format)
     if args.output:
         Path(args.output).write_text(text)
     else:
@@ -143,17 +133,10 @@ def cmd_evaluate(args) -> int:
         raise DataError(
             f"design length ({design.n}) does not match network nodes ({net.n})"
         )
-    rows = []
-    for rho_t in args.rho_t:
-        ev = CriterionEvaluator(net, cov, rho_t)
-        br = ev.breakdown(design.x)
-        rows.append({
-            "rho_t": rho_t,
-            "precision": br.precision,
-            "network_term": br.network_term,
-            "imbalance_term": br.imbalance_term,
-            "pip": ev.pip(design.x),
-        })
+    rows = [
+        {"rho_t": rho_t, **_breakdown_row(CriterionEvaluator(net, cov, rho_t), design.x)}
+        for rho_t in args.rho_t
+    ]
     _emit(EVALUATE_COLUMNS, rows, args)
     return 0
 
@@ -205,8 +188,7 @@ def cmd_study(args) -> int:
     out = Path(args.output) if args.output else Path(f"{spec.name}.csv")
     if args.format == "json":
         out = out.with_suffix(".json") if out.suffix == ".csv" else out
-        doc = {"meta": result.meta, "rows": result.rows}
-        out.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+        out.write_text(_table_text(None, {"meta": result.meta, "rows": result.rows}, "json"))
     else:
         result.write(out)
     print(f"wrote {len(result.rows)} rows to {out}")
@@ -217,9 +199,6 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=DEFAULT_SEED,
                         help=f"master seed (default {DEFAULT_SEED})")
-    common.add_argument("--threads", type=int, default=1,
-                        help="accepted and ignored: study cells hold the interpreter "
-                             "lock, so they run on one thread")
     common.add_argument("--output", help="write result here instead of stdout")
     common.add_argument("--format", choices=("csv", "json"), default="csv",
                         help="result serialization (csv is canonical)")
@@ -281,6 +260,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("spec", help="spec file path or bundled study name")
     p.add_argument("--full", action="store_true",
                    help="restore the large-scale study defaults")
+    p.add_argument("--threads", type=int, default=1,
+                   help="accepted and ignored: study cells hold the interpreter "
+                        "lock, so they run on one thread")
     p.set_defaults(func=cmd_study)
 
     return parser

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import csv
 import functools
+import io
 import json
 import sys
 from dataclasses import dataclass
@@ -195,15 +196,16 @@ def study_defaults(kind: str, full: bool = False) -> dict:
 
 # The interval each numeric key must lie in; for the list keys (alphas,
 # rho_ts, n_grid) it holds for every entry.
-_COUNTS = ("seed", "n", "p", "n_base", "designs", "keep_first")
+_COUNTS = ("seed", "p", "designs", "keep_first")
 _POSITIVE_COUNTS = ("replicates", "restarts", "draws", "rho_draws", "subsample")
-_INTEGER_KEYS = {*_COUNTS, *_POSITIVE_COUNTS, "n_grid"}
+_INTEGER_KEYS = {*_COUNTS, *_POSITIVE_COUNTS, "n", "n_base", "n_grid"}
 _GRID_KEYS = ("alphas", "rho_ts", "n_grid")
 _FLOAT_MAX = sys.float_info.max
 _RANGES = {
     **dict.fromkeys(_COUNTS, "[0, inf)"),
     **dict.fromkeys(_POSITIVE_COUNTS, "[1, inf)"),
-    "n_grid": "[4, inf)", "density": "[0, 1]", "rho_lo": "[0, 1]", "rho_hi": "[0, 1]",
+    "n": "[2, inf)", "n_base": "[2, inf)", "n_grid": "[4, inf)",
+    "density": "[0, 1]", "rho_lo": "[0, 1]", "rho_hi": "[0, 1]",
     "rho0": "[0, 1)", "rho_ts": "[0, 1)", "alpha": "(0, 1)", "alphas": "(0, 1)",
     "alpha_bound": "(0, 1)", "theta": "(-inf, inf)", "sigma2": "(0, inf)",
     "covariate_sd": "(0, inf)",
@@ -380,14 +382,21 @@ class StudyResult:
     def write(self, path) -> Path:
         """CSV table at `path`; JSON sidecar at `path` + '.meta.json'."""
         path = Path(path)
-        with path.open("w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(self.columns)
-            for row in self.rows:
-                writer.writerow([_format_cell(row.get(c)) for c in self.columns])
-        meta_path = path.with_name(path.name + ".meta.json")
-        meta_path.write_text(json.dumps(self.meta, indent=2, sort_keys=True) + "\n")
+        path.write_text(_table_text(self.columns, self.rows, "csv"), newline="")
+        path.with_name(path.name + ".meta.json").write_text(_table_text(None, self.meta, "json"))
         return path
+
+
+def _table_text(columns, rows, fmt: str) -> str:
+    """`rows` as CSV under the fixed `columns` header, or as a JSON document
+    when fmt is "json" (columns unused; rows may be any JSON value)."""
+    if fmt == "json":
+        return json.dumps(rows, indent=2, sort_keys=True) + "\n"
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(columns)
+    writer.writerows([_format_cell(row.get(c)) for c in columns] for row in rows)
+    return buf.getvalue()
 
 
 def _format_cell(v) -> str:
@@ -434,14 +443,41 @@ def _status_rows(base: dict, rho_ts, status: str) -> list:
     return [{**base, "rho_t": rho_t, "status": status} for rho_t in rho_ts]
 
 
-def run_study(spec: StudySpec, threads: int = 1) -> StudyResult:
-    """Run the study `spec` describes, one cell after another.
+def _solved(base: dict, rho_ts, run) -> tuple:
+    """(report, []) when `run()` returns a feasible report; otherwise (None,
+    one row per rho_t whose status names the NetdesignError or "infeasible")."""
+    try:
+        report = run()
+    except NetdesignError as e:
+        return None, _status_rows(base, rho_ts, type(e).__name__)
+    if not report.feasible:
+        return None, _status_rows(base, rho_ts, "infeasible")
+    return report, []
 
-    `threads` is accepted and ignored.  Study cells are Python loops
-    around small numpy calls that hold the interpreter lock, so a thread
-    pool made every bundled study slower for the same rows.  The
-    parameter stays so that existing callers keep working.
-    """
+
+def _scored(base: dict, rho_ts, score) -> list:
+    """One "ok" row per rho_t carrying the fields `score(rho_t)` returns, or
+    a row whose status names the NetdesignError that scoring raised."""
+    out = []
+    for rho_t in rho_ts:
+        try:
+            out.append({**base, "rho_t": rho_t, **score(rho_t), "status": "ok"})
+        except NetdesignError as e:
+            out.extend(_status_rows(base, (rho_t,), type(e).__name__))
+    return out
+
+
+def _breakdown_row(ev: CriterionEvaluator, x) -> dict:
+    """Precision improvement and criterion terms of design x under `ev`."""
+    br = ev.breakdown(x)
+    return {
+        "pip": ev.pip(x), "precision": br.precision,
+        "network_term": br.network_term, "imbalance_term": br.imbalance_term,
+    }
+
+
+def run_study(spec: StudySpec) -> StudyResult:
+    """Run the study `spec` describes, one cell after another."""
     runner = {
         "alpha_sweep": run_alpha_sweep,
         "rho_robustness": run_rho_robustness,
@@ -471,10 +507,11 @@ def run_alpha_sweep(spec: StudySpec) -> StudyResult:
 
     def cell(rep: int):
         dataset_seed = derive_seed(spec.seed, 0, rep)
-        net, cov = synth_dataset(P["n"], P["p"], P["density"], dataset_seed)
-        # One evaluator per rho_t, shared by the designs of every alpha; a
-        # failed build is not cached, so it fails again for each of them.
-        evaluator = functools.cache(lambda rho_t: CriterionEvaluator(net, cov, rho_t))
+        # The dataset and one evaluator per rho_t are shared by the designs
+        # of every alpha; a failed draw or build is not cached, so it fails
+        # again for each of them.
+        dataset = functools.cache(lambda: synth_dataset(P["n"], P["p"], P["density"], dataset_seed))
+        evaluator = functools.cache(lambda rho_t: CriterionEvaluator(*dataset(), rho_t))
         out = []
         for ai, alpha in enumerate(P["alphas"]):
             solver_seed = derive_seed(spec.seed, 1, rep, ai)
@@ -483,38 +520,23 @@ def run_alpha_sweep(spec: StudySpec) -> StudyResult:
                 "rho0": P["rho0"], "alpha_requested": alpha,
                 "dataset_seed": dataset_seed, "solver_seed": solver_seed,
             }
-            try:
-                prob = hybrid_problem(net, cov, P["rho0"], alpha)
-                report = solve(
-                    prob, method=P["method"], seed=solver_seed, restarts=P["restarts"]
-                )
-            except NetdesignError as e:
-                out.extend(_status_rows(base, P["rho_ts"], type(e).__name__))
-                continue
-            if not report.feasible:
-                out.extend(_status_rows(base, P["rho_ts"], "infeasible"))
-                continue
-            x = report.design.x
-            solved = {
-                **base,
-                "alpha_used": report.alpha,
-                "relaxations": "|".join(str(a) for a in report.relaxations_applied),
-                "objective": report.objective,
-                "constraint_value": report.constraint_value,
-                "solver_method": report.method,
-                "solver_iterations": report.iterations,
-            }
-            for rho_t in P["rho_ts"]:
-                try:
-                    ev = evaluator(rho_t)
-                    br = ev.breakdown(x)
-                    out.append({
-                        **solved, "rho_t": rho_t, "pip": ev.pip(x),
-                        "precision": br.precision, "network_term": br.network_term,
-                        "imbalance_term": br.imbalance_term, "status": "ok",
-                    })
-                except NetdesignError as e:
-                    out.extend(_status_rows(solved, (rho_t,), type(e).__name__))
+            report, rows = _solved(base, P["rho_ts"], lambda: solve(
+                hybrid_problem(*dataset(), P["rho0"], alpha),
+                method=P["method"], seed=solver_seed, restarts=P["restarts"],
+            ))
+            if report is not None:
+                solved = {
+                    **base,
+                    "alpha_used": report.alpha,
+                    "relaxations": "|".join(str(a) for a in report.relaxations_applied),
+                    "objective": report.objective,
+                    "constraint_value": report.constraint_value,
+                    "solver_method": report.method,
+                    "solver_iterations": report.iterations,
+                }
+                rows = _scored(solved, P["rho_ts"],
+                               lambda rho_t: _breakdown_row(evaluator(rho_t), report.design.x))
+            out += rows
         return out
 
     return _tabulate(spec, ALPHA_SWEEP_COLUMNS, cell, range(P["replicates"]))
@@ -533,48 +555,47 @@ RHO_ROBUSTNESS_COLUMNS = (
 def run_rho_robustness(spec: StudySpec) -> StudyResult:
     """Compare the design solved at rho0 with one solved at each true
     correlation, both scored at the true correlation.  The same solver
-    seed is reused across the grid so the rho_t == rho0 cell is an exact
-    self-comparison with difference zero."""
+    seed is used across the grid, so the design solved at rho0 is also the
+    true design of the rho_t == rho0 cell: an exact self-comparison with
+    difference zero, solved once."""
     P = spec.params
 
     def cell(rep: int):
         dataset_seed = derive_seed(spec.seed, 0, rep)
         solver_seed = derive_seed(spec.seed, 1, rep)
-        net, cov = synth_dataset(P["n"], P["p"], P["density"], dataset_seed)
+        dataset = functools.cache(lambda: synth_dataset(P["n"], P["p"], P["density"], dataset_seed))
         base = {
             "replicate": rep, "n": P["n"], "p": P["p"], "density": P["density"],
             "alpha": P["alpha"], "rho0": P["rho0"],
             "dataset_seed": dataset_seed, "solver_seed": solver_seed,
         }
-        out = []
-        try:
-            prob0 = hybrid_problem(net, cov, P["rho0"], P["alpha"])
-            local = solve(
-                prob0, method=P["method"], seed=solver_seed, restarts=P["restarts"]
-            )
-            if not local.feasible:
+
+        def design(rho):
+            prob = hybrid_problem(*dataset(), rho, P["alpha"])
+            return solve(prob, method=P["method"], seed=solver_seed, restarts=P["restarts"])
+
+        def reference():
+            report = design(P["rho0"])
+            if not report.feasible:
                 raise NetdesignError("reference solve infeasible")
-        except NetdesignError as e:
-            return _status_rows(base, P["rho_ts"], type(e).__name__)
+            return report
+
+        def score(true, rho_t):
+            ev = CriterionEvaluator(*dataset(), rho_t)
+            pip_local, pip_true = ev.pip(local.design.x), ev.pip(true.design.x)
+            return {"pip_local": pip_local, "pip_true": pip_true,
+                    "pip_difference": pip_true - pip_local}
+
+        local, out = _solved(base, P["rho_ts"], reference)
+        if local is None:
+            return out
         for rho_t in P["rho_ts"]:
-            try:
-                prob_t = hybrid_problem(net, cov, rho_t, P["alpha"])
-                true = solve(
-                    prob_t, method=P["method"], seed=solver_seed, restarts=P["restarts"]
-                )
-                if not true.feasible:
-                    out.extend(_status_rows(base, (rho_t,), "infeasible"))
-                    continue
-                ev = CriterionEvaluator(net, cov, rho_t)
-                pip_local = ev.pip(local.design.x)
-                pip_true = ev.pip(true.design.x)
-                out.append({
-                    **base, "rho_t": rho_t, "pip_local": pip_local,
-                    "pip_true": pip_true, "pip_difference": pip_true - pip_local,
-                    "status": "ok",
-                })
-            except NetdesignError as e:
-                out.extend(_status_rows(base, (rho_t,), type(e).__name__))
+            true, rows = _solved(
+                base, (rho_t,), lambda: local if rho_t == P["rho0"] else design(rho_t)
+            )
+            if true is not None:
+                rows = _scored(base, (rho_t,), lambda rho_t: score(true, rho_t))
+            out += rows
         return out
 
     return _tabulate(spec, RHO_ROBUSTNESS_COLUMNS, cell, range(P["replicates"]))
@@ -610,53 +631,41 @@ def run_network_comparison(spec: StudySpec) -> StudyResult:
         # A failed draw is not cached, so it fails again for the second kind.
         dataset = functools.cache(lambda: synth_dataset(n, P["p"], P["density"], dataset_seed))
         evaluator = functools.cache(lambda rho_t: CriterionEvaluator(*dataset(), rho_t))
+        solvers = {
+            "network": lambda seed: solve(
+                hybrid_problem(*dataset(), P["rho0"], P["alpha"]),
+                method=P["method"], seed=seed, restarts=P["restarts"],
+            ),
+            "no_network": lambda seed: solve_no_network(
+                dataset()[1], method=P["method"], seed=seed, restarts=P["restarts"]
+            ),
+        }
+
+        def score(report, rho_t):
+            ev = evaluator(rho_t)
+            row = _breakdown_row(ev, report.design.x)
+            exp = ev.expected_breakdown()
+            return {
+                **row,
+                "expected_network_term": exp.network_term,
+                "expected_imbalance_term": exp.imbalance_term,
+                "t1_improvement": exp.network_term - row["network_term"],
+                "t2_improvement": exp.imbalance_term - row["imbalance_term"],
+                "solver_iterations": report.iterations,
+            }
+
         out = []
-        for kindname, ki in (("network", 0), ("no_network", 1)):
+        for ki, (kindname, run) in enumerate(solvers.items()):
             solver_seed = derive_seed(spec.seed, 1, rep, ni, ki)
             base = {
                 "replicate": rep, "n": n, "p": P["p"], "density": P["density"],
                 "rho0": P["rho0"], "alpha": P["alpha"], "method_kind": kindname,
                 "dataset_seed": dataset_seed, "solver_seed": solver_seed,
             }
-            try:
-                net, cov = dataset()
-                if kindname == "network":
-                    prob = hybrid_problem(net, cov, P["rho0"], P["alpha"])
-                    report = solve(
-                        prob, method=P["method"], seed=solver_seed,
-                        restarts=P["restarts"],
-                    )
-                else:
-                    report = solve_no_network(
-                        cov, method=P["method"], seed=solver_seed,
-                        restarts=P["restarts"],
-                    )
-            except NetdesignError as e:
-                out.extend(_status_rows(base, P["rho_ts"], type(e).__name__))
-                continue
-            if not report.feasible:
-                out.extend(_status_rows(base, P["rho_ts"], "infeasible"))
-                continue
-            x = report.design.x
-            for rho_t in P["rho_ts"]:
-                try:
-                    ev = evaluator(rho_t)
-                    br = ev.breakdown(x)
-                    exp = ev.expected_breakdown()
-                    out.append({
-                        **base, "rho_t": rho_t, "pip": ev.pip(x),
-                        "precision": br.precision,
-                        "network_term": br.network_term,
-                        "imbalance_term": br.imbalance_term,
-                        "expected_network_term": exp.network_term,
-                        "expected_imbalance_term": exp.imbalance_term,
-                        "t1_improvement": exp.network_term - br.network_term,
-                        "t2_improvement": exp.imbalance_term - br.imbalance_term,
-                        "solver_iterations": report.iterations,
-                        "status": "ok",
-                    })
-                except NetdesignError as e:
-                    out.extend(_status_rows(base, (rho_t,), type(e).__name__))
+            report, rows = _solved(base, P["rho_ts"], lambda: run(solver_seed))
+            if report is not None:
+                rows = _scored(base, P["rho_ts"], lambda rho_t: score(report, rho_t))
+            out += rows
         return out
 
     return _tabulate(spec, NETWORK_COMPARISON_COLUMNS, cell, cells)

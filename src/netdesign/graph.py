@@ -334,10 +334,7 @@ def repair_isolated(net: Network, strategy: str, seed: int | None = None) -> Rep
         kept = np.flatnonzero(net.degrees > 0)
         if kept.size == 0:
             raise DataError("cannot remove isolated nodes: the network has no edges")
-        new_id = -np.ones(net.n, dtype=np.int64)
-        new_id[kept] = np.arange(kept.size)
-        pairs = [(new_id[a], new_id[b]) for a, b in net.edges]
-        return RepairResult(Network.from_edges(kept.size, pairs), kept)
+        return RepairResult(_induced(net, kept), kept)
     raise DataError(f"unknown repair strategy {strategy!r}; use 'connect' or 'remove'")
 
 
@@ -355,12 +352,18 @@ def subsample_network(
         raise DataError(f"subsample size must lie in 1..{net.n}, got {k}")
     rng = np.random.default_rng(seed)
     chosen = np.sort(rng.choice(net.n, size=k, replace=False))
-    new_id = -np.ones(net.n, dtype=np.int64)
-    new_id[chosen] = np.arange(k)
-    pairs = [
-        (new_id[a], new_id[b]) for a, b in net.edges if new_id[a] >= 0 and new_id[b] >= 0
-    ]
-    return Network.from_edges(k, pairs), cov.rows(chosen)
+    return _induced(net, chosen), cov.rows(chosen)
+
+
+def _induced(net: Network, keep: np.ndarray) -> Network:
+    """Subgraph induced on the ascending, non-empty node ids `keep`, with
+    keep[i] renumbered i.  Renumbering is increasing, so the canonical
+    edges of `net` stay canonical and sorted."""
+    new_id = np.full(net.n, -1, dtype=np.int64)
+    new_id[keep] = np.arange(keep.size)
+    ij = new_id[np.asarray(net.edges, dtype=np.int64).reshape(-1, 2)]
+    ij = ij[(ij >= 0).all(axis=1)]
+    return Network(n=int(keep.size), edges=tuple(map(tuple, ij.tolist())))
 
 
 def paired_bipartite_instance(n_pairs: int = 10) -> tuple[Network, CovariateMatrix]:

@@ -244,7 +244,7 @@ def test_criterion_06_correlation_formula():
 
 def test_criterion_07_gap_bounds():
     spec = study_spec_from_dict({"kind": "gap_histogram"})
-    res = run_study(spec, threads=4)
+    res = run_study(spec)
     rows = [r for r in res.rows if r["status"] == "ok"]
     gaps = np.array([r["gap"] for r in rows])
     ok = (
@@ -275,7 +275,7 @@ def test_criterion_08_bipartite_illustration():
 
 def test_criterion_09_network_advantage_trend():
     spec = study_spec_from_dict({"kind": "network_vs_no_network"})
-    res = run_study(spec, threads=4)
+    res = run_study(spec)
     wins = 0
     for rep in range(10):
         hi = [r for r in res.rows if r["replicate"] == rep and r["rho_t"] == 0.9
@@ -295,7 +295,7 @@ def test_criterion_09_network_advantage_trend():
 
 def test_criterion_10_robustness_band():
     spec = study_spec_from_dict({"kind": "rho_robustness"})
-    res = run_study(spec, threads=4)
+    res = run_study(spec)
     diffs = [abs(r["pip_difference"]) for r in res.rows if r["status"] == "ok"]
     med = float(np.median(diffs))
     ok = len(diffs) == 90 and med <= 0.04
@@ -305,7 +305,7 @@ def test_criterion_10_robustness_band():
 
 def test_criterion_11_pseudo_experiment():
     spec = study_spec_from_dict({"kind": "pseudo_experiment"})
-    res = run_study(spec, threads=4)
+    res = run_study(spec)
     med = {
         kind: float(np.median([r["percentile"] for r in res.rows
                                if r["design_kind"] == kind and r["percentile"] is not None]))

@@ -270,6 +270,11 @@ class TestStudy:
         assert meta["kind"] == "alpha_sweep"
         assert meta["row_count"] == defaults
 
+    def test_threads_is_a_study_flag_only(self, capsys):
+        for subcommand in ("generate", "design", "evaluate", "diagnose", "study"):
+            assert run(subcommand, "--help") == 0
+            assert ("--threads" in capsys.readouterr().out) == (subcommand == "study")
+
     def test_spec_file_and_rerun_bytes(self, tmp_path):
         spec = tmp_path / "mini.yaml"
         spec.write_text(

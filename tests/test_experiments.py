@@ -149,6 +149,18 @@ class TestSpecLoading:
         })
         assert spec.params["subsample"] == 5000
 
+    def test_node_counts_at_least_two(self):
+        # With p 0 a one-node network passes every cross-key check; the
+        # range check still refuses it at load and names the key.
+        for kind, key, extra in [
+            ("alpha_sweep", "n", {"p": 0}), ("rho_robustness", "n", {"p": 0}),
+            ("network_vs_no_network", "n", {"p": 0}), ("gap_histogram", "n", {}),
+            ("pseudo_experiment", "n_base", {"p": 0, "subsample": 1}),
+        ]:
+            with pytest.raises(StudySpecError, match=rf"key '{key}' must lie in \[2, inf\)"):
+                study_spec_from_dict({"kind": kind, key: 1, **extra})
+            assert study_spec_from_dict({"kind": kind, key: 2, **extra}).params[key] == 2
+
     def test_paths_must_come_together(self):
         with pytest.raises(StudySpecError, match="covariates_path"):
             study_spec_from_dict({"kind": "pseudo_experiment", "edges_path": "e.txt"})
@@ -243,14 +255,7 @@ class TestAlphaSweep:
             tmp_path / "b.csv.meta.json"
         ).read_bytes()
 
-    def test_threads_do_not_change_rows(self):
-        spec = tiny(
-            "alpha_sweep", n=24, p=3, replicates=4, alphas=[0.1],
-            rho_ts=[0.5], restarts=4, seed=9,
-        )
-        assert run_study(spec, threads=1).rows == run_study(spec, threads=4).rows
-
-    def test_threads_argument_is_ignored(self, monkeypatch):
+    def test_cells_run_on_the_main_thread(self, monkeypatch):
         called_on = []
         real = experiments.synth_dataset
 
@@ -263,7 +268,7 @@ class TestAlphaSweep:
             "alpha_sweep", n=24, p=3, replicates=4, alphas=[0.1],
             rho_ts=[0.5], restarts=4, seed=9,
         )
-        run_study(spec, threads=4)
+        run_study(spec)
         assert len(called_on) == 4
         assert all(t is threading.main_thread() for t in called_on)
 
@@ -313,6 +318,24 @@ class TestRhoRobustness:
             if r["rho_t"] == r["rho0"]:
                 assert r["pip_difference"] == 0.0
             assert r["pip_difference"] == r["pip_true"] - r["pip_local"]
+
+    def test_reference_design_is_reused_at_rho0(self, monkeypatch):
+        calls = []
+        real = experiments.solve
+
+        def spy(*args, **kwargs):
+            calls.append(args[0].rho0)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(experiments, "solve", spy)
+        spec = tiny(
+            "rho_robustness", n=24, p=3, replicates=2,
+            rho_ts=[0.2, 0.5, 0.8], restarts=4, seed=21,
+        )
+        res = run_study(spec)
+        assert all(r["status"] == "ok" for r in res.rows)
+        # replicates x len(rho_ts): the rho_t == rho0 cell solves nothing.
+        assert sorted(calls) == [0.2, 0.2, 0.5, 0.5, 0.8, 0.8]
 
     def test_pip_columns_recompute(self):
         spec = tiny(
@@ -387,24 +410,32 @@ class TestSizeSweep:
         assert all(r["status"] == "ok" for r in res.rows)
 
 
-    def test_failed_dataset_fails_its_cell_only(self, monkeypatch):
+    @pytest.mark.parametrize("kind", [
+        "alpha_sweep", "rho_robustness", "network_vs_no_network", "size_sweep",
+    ])
+    def test_failed_dataset_fails_its_cell_only(self, monkeypatch, kind):
+        # Replicate 1's dataset seed; the comparison kinds add a size index.
+        failing = {derive_seed(12, 0, 1), derive_seed(12, 0, 1, 0)}
         real = experiments.synth_dataset
 
         def synth(n, p, density, seed):
-            if n == 30:
+            if seed in failing:
                 raise RankError("could not draw full-rank +/-1 covariates")
             return real(n, p, density, seed)
 
         monkeypatch.setattr(experiments, "synth_dataset", synth)
-        spec = tiny(
-            "size_sweep", n_grid=[20, 30], p=3, density=0.1, replicates=1,
-            rho_ts=[0.5], restarts=4, seed=12,
+        spec = tiny(kind, p=3, density=0.1, replicates=2, restarts=4, seed=12, **{
+            "alpha_sweep": {"n": 20, "alphas": [0.1, 0.01], "rho_ts": [0.5]},
+            "rho_robustness": {"n": 20, "rho_ts": [0.3, 0.5]},
+            "network_vs_no_network": {"n": 20, "rho_ts": [0.5]},
+            "size_sweep": {"n_grid": [20], "rho_ts": [0.5]},
+        }[kind])
+        rows = run_study(spec).rows
+        half = len(rows) // 2
+        assert half > 0
+        assert [(r["replicate"], r["status"]) for r in rows] == (
+            [(0, "ok")] * half + [(1, "RankError")] * half
         )
-        res = run_study(spec)
-        assert sorted((r["n"], r["method_kind"], r["status"]) for r in res.rows) == [
-            (20, "network", "ok"), (20, "no_network", "ok"),
-            (30, "network", "RankError"), (30, "no_network", "RankError"),
-        ]
 
 
 class TestPseudoExperiment:
