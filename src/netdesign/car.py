@@ -109,7 +109,9 @@ class _AffineGram:
 
     DZ, WZ, Z'DZ, Z'WZ and, given u, Z'Du, Z'Wu, u'Du, u'Wu are formed
     once; every Gram is then affine in rho, so a whole rho grid costs one
-    batched (k, q, q) solve instead of a sparse rebuild per rho.
+    batched (k, q, q) solve instead of a sparse rebuild per rho.  u is one
+    vector, or an (n, s) matrix whose s columns share Z and so every
+    Z'R(rho)Z; Z'Du and Z'Wu are then (q, s), u'Du and u'Wu (s,).
     """
 
     def __init__(self, net: Network, Z: np.ndarray, u: Optional[np.ndarray] = None):
@@ -122,30 +124,63 @@ class _AffineGram:
         if u is not None:
             self.ZDu = self.DZ.T @ u
             self.ZWu = self.WZ.T @ u
-            self.uDu = float(u @ (d * u))
-            self.uWu = float(u @ (W @ u))
+            if u.ndim == 1:
+                self.uDu = float(u @ (d * u))
+                self.uWu = float(u @ (W @ u))
+            else:
+                self.uDu = np.einsum("ij,ij->j", u, d[:, None] * u)
+                self.uWu = np.einsum("ij,ij->j", u, W @ u)
 
     def ZRZ(self, rho):
-        """Z'R(rho)Z; a (k, q, q) stack for an array of k values."""
-        return self.ZDZ - np.multiply.outer(rho, self.ZWZ)
+        """Z'R(rho)Z; a (..., q, q) stack for an array of rho values."""
+        M = np.multiply.outer(rho, -self.ZWZ)
+        M += self.ZDZ  # in place: a stack over many rho is the fit's largest array
+        return M
 
     def solve(self, rho) -> tuple:
         """(gamma, schur) at each rho, with gamma = (Z'RZ)^{-1} Z'Ru and
-        schur = u'Ru - (Z'Ru)' gamma; both nan where Z'RZ is singular."""
+        schur = u'Ru - (Z'Ru)' gamma; both nan where Z'RZ is singular.
+
+        For one vector u, rho is a scalar or an array, and gamma gains a
+        trailing q axis.  For s columns, rho is a scalar or a (k,) grid
+        shared by every column, which costs one Z'RZ solve per rho for all
+        of them, or an (s, k) array of each column's own values; gamma is
+        then (s, k, q) and schur (s, k), without the k axis for a scalar.
+        """
         rho = np.asarray(rho, dtype=np.float64)
-        b = self.ZDu - np.multiply.outer(rho, self.ZWu)
-        gamma = _solve_stack(self.ZRZ(rho), b)
-        return gamma, self.uDu - rho * self.uWu - np.einsum("...i,...i->...", b, gamma)
+        ZDu, ZWu, uDu, uWu = self.ZDu, self.ZWu, self.uDu, self.uWu
+        if ZDu.ndim == 2 and rho.ndim < 2:
+            b = ZDu - rho[..., None, None] * ZWu
+            gamma = _solve_stack(self.ZRZ(rho), b)
+            schur = uDu - rho[..., None] * uWu - np.einsum("...ij,...ij->...j", b, gamma)
+            return np.moveaxis(gamma, -1, 0), np.moveaxis(schur, -1, 0)
+        if ZDu.ndim == 2:
+            ZDu, ZWu, uDu, uWu = ZDu.T[:, None], ZWu.T[:, None], uDu[:, None], uWu[:, None]
+        b = ZDu - rho[..., None] * ZWu
+        gamma = _solve_stack(self.ZRZ(rho), b[..., None])[..., 0]
+        return gamma, uDu - rho * uWu - np.einsum("...i,...i->...", b, gamma)
 
 
-def _solve_stack(M: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """M^{-1} b over a stack; nan in the place of each singular matrix."""
+def _solve_stack(M: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """M^{-1} B over a stack of matrices and right-hand-side blocks; nan in
+    the place of each singular matrix."""
     try:
-        return np.linalg.solve(M, b[..., None])[..., 0]
+        return np.linalg.solve(M, B)
     except np.linalg.LinAlgError:
         if M.ndim == 2:
-            return np.full(b.shape, np.nan)
-        return np.stack([_solve_stack(Mi, bi) for Mi, bi in zip(M, b)])
+            return np.full(B.shape, np.nan)
+        return np.stack([_solve_stack(Mi, Bi) for Mi, Bi in zip(M, B)])
+
+
+def _positive_definite(M: np.ndarray) -> np.ndarray:
+    """Whether each matrix of a stack has a Cholesky factor."""
+    try:
+        np.linalg.cholesky(M)
+        return np.ones(M.shape[:-2], dtype=bool)
+    except np.linalg.LinAlgError:
+        if M.ndim == 2:
+            return np.zeros((), dtype=bool)
+        return np.array([_positive_definite(Mi) for Mi in M])
 
 
 @dataclass(frozen=True, eq=False)
@@ -271,18 +306,17 @@ class FitResult:
         )
 
 
-def _regression_gram(net: Network, cov: CovariateMatrix, x, y) -> _AffineGram:
-    """Grams of the checked design matrix X = [x F] and outcomes y."""
+def _regression_gram(net: Network, cov: CovariateMatrix, x, Y: np.ndarray) -> _AffineGram:
+    """Grams of the checked design matrix X = [x F] and the outcome columns of Y."""
     xv = as_sign_vector(x)
-    y = np.asarray(y, dtype=np.float64).ravel()
-    if y.size != net.n or cov.n != net.n or xv.size != net.n:
+    if Y.shape[0] != net.n or cov.n != net.n or xv.size != net.n:
         raise DataError("network, covariates, design and outcomes must agree on n")
     X = np.column_stack([xv, cov.values])
     if np.linalg.matrix_rank(X) < X.shape[1]:
         raise RankError(
             "design matrix [x F] is rank deficient; the assignment lies in the covariate span"
         )
-    return _AffineGram(net, X, y)
+    return _AffineGram(net, X, Y)
 
 
 def fit_gls(net: Network, cov: CovariateMatrix, x, y: np.ndarray, rho: float) -> FitResult:
@@ -290,34 +324,45 @@ def fit_gls(net: Network, cov: CovariateMatrix, x, y: np.ndarray, rho: float) ->
 
     Estimates (theta, beta) jointly; sigma2 by the ML divisor n.
     """
-    gram = _regression_gram(net, cov, x, y)
-    return _gls_result(gram, float(rho), factor_precision(net, rho).logdet(), "gls")
+    gram = _regression_gram(net, cov, x, np.asarray(y, dtype=np.float64).reshape(-1, 1))
+    rho = float(rho)
+    logdet = factor_precision(net, rho).logdet()
+    return _only(_gls_fits(gram, np.array([rho]), np.array([logdet]), "gls"))
 
 
-def _gls_result(gram: _AffineGram, rho: float, logdet: float, method: str) -> FitResult:
-    """GLS estimates at one rho from the Grams of [x F] and y; sigma2 by the divisor n."""
+def _gls_fits(gram: _AffineGram, rho: np.ndarray, logdet: np.ndarray, method: str) -> list:
+    """GLS estimates of each outcome column at its own rho, from the Grams of
+    [x F] and the outcomes; sigma2 by the divisor n.  None for a column
+    whose X'RX is not positive definite at its rho."""
     n = gram.DZ.shape[0]
-    try:
-        cM = linalg.cho_factor(gram.ZRZ(rho))
-    except linalg.LinAlgError:
-        raise RankError("X' R X is numerically singular") from None
-    gamma, rss = gram.solve(rho)
-    sigma2 = float(rss) / n
-    if sigma2 <= 0.0:
-        sigma2 = float(np.finfo(float).tiny)
-    var_theta = sigma2 * float(linalg.cho_solve(cM, np.eye(gamma.size)[:, 0])[0])
-    loglik = -0.5 * n * math.log(2.0 * math.pi) + 0.5 * logdet - 0.5 * n * math.log(
+    M = gram.ZRZ(rho)
+    gamma, rss = gram.solve(rho[:, None])
+    e0 = np.zeros(M.shape[:-1] + (1,))
+    e0[:, 0] = 1.0
+    var = _solve_stack(M, e0)[:, 0, 0]
+    sigma2 = np.maximum(rss[:, 0] / n, np.finfo(float).tiny)
+    loglik = -0.5 * n * math.log(2.0 * math.pi) + 0.5 * logdet - 0.5 * n * np.log(
         sigma2
     ) - 0.5 * n
-    return FitResult(
-        theta_hat=float(gamma[0]),
-        beta_hat=gamma[1:].copy(),
-        rho_hat=rho,
-        sigma2_hat=sigma2,
-        var_theta=var_theta,
-        loglik=loglik,
-        method=method,
-    )
+    return [
+        FitResult(
+            theta_hat=float(gamma[j, 0, 0]),
+            beta_hat=gamma[j, 0, 1:].copy(),
+            rho_hat=float(rho[j]),
+            sigma2_hat=float(sigma2[j]),
+            var_theta=float(sigma2[j] * var[j]),
+            loglik=float(loglik[j]),
+            method=method,
+        ) if ok else None
+        for j, ok in enumerate(_positive_definite(M))
+    ]
+
+
+def _only(fits: list) -> FitResult:
+    """The fit of a single outcome vector, where singular X'RX is an error."""
+    if fits[0] is None:
+        raise RankError("X' R X is numerically singular")
+    return fits[0]
 
 
 @dataclass(frozen=True, eq=False)
@@ -335,10 +380,18 @@ class NetworkSpectrum:
     def logdet(self, rho):
         """log|D - rho W| at one rho, or at each entry of an array of rho."""
         rho = np.asarray(rho, dtype=np.float64)
-        vals = 1.0 - np.multiply.outer(rho, self.eigenvalues)
-        if np.any(vals <= 0.0):
-            raise NotPositiveDefiniteError(f"kernel loses positive definiteness at rho={rho}")
-        out = self.logdet_degrees + np.sum(np.log(vals), axis=-1)
+        flat = rho.ravel()
+        terms = np.empty(flat.size)
+        # The terms log(1 - rho lam_i) in blocks of about 2^15 (256 KB), so
+        # that many rho values at once cost neither memory nor cache misses.
+        block = max(1, 2**15 // self.eigenvalues.size)
+        for i in range(0, flat.size, block):
+            vals = np.multiply.outer(flat[i:i + block], -self.eigenvalues)
+            vals += 1.0
+            if np.any(vals <= 0.0):
+                raise NotPositiveDefiniteError(f"kernel loses positive definiteness at rho={rho}")
+            terms[i:i + block] = np.sum(np.log(vals, out=vals), axis=-1)
+        out = self.logdet_degrees + terms.reshape(rho.shape)
         return float(out) if out.ndim == 0 else out
 
 
@@ -355,15 +408,18 @@ def network_spectrum(net: Network) -> NetworkSpectrum:
 def _profile_loglik(gram: _AffineGram, spectrum: NetworkSpectrum, rhos) -> np.ndarray:
     """0.5 log|R| - 0.5 n log(sigma2_hat) at each rho, from the Grams of [x F] and y.
 
-    A singular X'RX and a residual variance that cancels to zero (y in the
-    span of [x F]) both score -inf: such points are unusable.
+    Shapes follow _AffineGram.solve: (s, k) scores for s outcome columns,
+    whether the k values are shared or each column's own.  A singular X'RX
+    and a residual variance that cancels to zero (y in the span of [x F])
+    both score -inf: such points are unusable.
     """
     rhos = np.asarray(rhos, dtype=np.float64)
     n = gram.DZ.shape[0]
     sigma2 = gram.solve(rhos)[1] / n
-    out = np.full(rhos.shape, -np.inf)
+    logdet = np.broadcast_to(spectrum.logdet(rhos), sigma2.shape)
+    out = np.full(sigma2.shape, -np.inf)
     ok = sigma2 > 0.0  # False at nan, the mark of a singular X'RX
-    out[ok] = 0.5 * spectrum.logdet(rhos[ok]) - 0.5 * n * np.log(sigma2[ok])
+    out[ok] = 0.5 * logdet[ok] - 0.5 * n * np.log(sigma2[ok])
     return out
 
 
@@ -376,7 +432,7 @@ def fit_profile_ml(
     grid_step: float = 0.01,
     tol: float = 1e-5,
     spectrum: Optional[NetworkSpectrum] = None,
-) -> FitResult:
+) -> Union[FitResult, list]:
     """Maximize the profile likelihood over rho in [0, rho_max].
 
     A grid scan with the given step locates the maximizer's neighborhood.
@@ -386,27 +442,46 @@ def fit_profile_ml(
     the returned rho is the best point of all passes, so it never scores
     below any grid point.
 
+    y is one outcome vector, or an (n, s) matrix of s outcome vectors for
+    the same design.  The columns share [x F], so the grid scan solves one
+    X'R(rho)X per grid point for all of them, and each refinement pass
+    scores an (s, 21) array of rho in one call.
+
     Args:
         spectrum: optional precomputed network_spectrum(net), reused across
             fits on the same network.
+
+    Returns:
+        A FitResult for a vector y; for a matrix, a list of s entries, None
+        where X'RX is numerically singular at that column's rho_hat (a
+        vector y raises RankError there).  A rank-deficient [x F] raises
+        RankError either way.
     """
     if not 0.0 < rho_max < 1.0:
         raise DataError(f"rho_max must lie in (0, 1), got {rho_max}")
-    gram = _regression_gram(net, cov, x, y)
+    if not (grid_step > 0.0 and tol > 0.0):
+        # a step of zero or less builds no grid; a tol of zero or less stops late or never
+        raise DataError(f"grid_step and tol must be positive, got {grid_step} and {tol}")
+    Y = np.asarray(y, dtype=np.float64)
+    gram = _regression_gram(net, cov, x, Y if Y.ndim == 2 else Y.reshape(-1, 1))
     if spectrum is None:
         spectrum = network_spectrum(net)
 
     rhos = np.arange(0.0, rho_max + 1e-12, grid_step)
     rhos[-1] = min(rhos[-1], rho_max)
-    best_rho, best_score, step = 0.0, -np.inf, grid_step
+    cols = np.arange(gram.ZDu.shape[1])
+    best_rho, best_score, step = np.zeros(cols.size), np.full(cols.size, -np.inf), grid_step
     while True:
         scores = _profile_loglik(gram, spectrum, rhos)
-        k = int(np.argmax(scores))
-        if scores[k] > best_score:
-            best_rho, best_score = float(rhos[k]), float(scores[k])
+        k = np.argmax(scores, axis=1)
+        top = scores[cols, k]
+        better = top > best_score
+        best_rho = np.where(better, np.broadcast_to(rhos, scores.shape)[cols, k], best_rho)
+        best_score = np.where(better, top, best_score)
         if step <= tol:
             break
         step /= 10.0
-        rhos = np.clip(best_rho + step * np.arange(-10, 11), 0.0, rho_max)
+        rhos = np.clip(best_rho[:, None] + step * np.arange(-10, 11), 0.0, rho_max)
 
-    return _gls_result(gram, best_rho, spectrum.logdet(best_rho), "profile_ml")
+    fits = _gls_fits(gram, best_rho, spectrum.logdet(best_rho), "profile_ml")
+    return fits if Y.ndim == 2 else _only(fits)

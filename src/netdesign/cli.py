@@ -48,6 +48,7 @@ from .graph import (
     load_covariates,
     load_edge_list,
     read_text,
+    repair_isolated,
     write_covariates,
     write_edge_list,
 )
@@ -91,11 +92,22 @@ def _load_pair(args):
         raise DataError(
             f"covariate rows ({cov.n}) do not match network nodes ({net.n})"
         )
+    iso = net.isolated_nodes
+    if iso.size:
+        raise DataError(
+            f"{args.edges}: isolated nodes {iso[:10].tolist()}"
+            f"{'...' if iso.size > 10 else ''} have no edges; every node needs a neighbour"
+        )
     return net, cov
 
 
 def cmd_generate(args) -> int:
-    net = generate_bernoulli_network(args.n, args.density, seed=args.seed)
+    # A node the Bernoulli draw leaves isolated gains one edge, so the
+    # files always load; a draw without isolated nodes is written as is.
+    net = repair_isolated(
+        generate_bernoulli_network(args.n, args.density, seed=args.seed),
+        "connect", seed=derive_seed(args.seed, 2),
+    ).network
     cov = generate_pm1_covariates(args.n, args.p, seed=derive_seed(args.seed, 1))
     edges_path = f"{args.out_prefix}_edges.txt"
     cov_path = f"{args.out_prefix}_covariates.csv"

@@ -319,6 +319,16 @@ class TestProfileML:
         grid[-1] = min(grid[-1], 0.99)
         assert res.rho_hat in grid.tolist()
 
+    @pytest.mark.parametrize("grid_step, tol", [(0.0, 1e-5), (-0.01, 1e-5), (0.01, 0.0), (0.01, -1.0)])
+    def test_step_and_tolerance_must_be_positive(self, grid_step, tol):
+        # A negative tol used to loop forever: the step underflows to zero
+        # and never reaches it.
+        net = connected_net(20, 0.2, 28)
+        cov = generate_pm1_covariates(20, 1, seed=28)
+        x = np.where(np.arange(20) % 2 == 0, 1.0, -1.0)
+        with pytest.raises(DataError, match="grid_step and tol must be positive"):
+            fit_profile_ml(net, cov, x, np.arange(20.0), grid_step=grid_step, tol=tol)
+
     def test_refinement_is_batched(self, monkeypatch):
         # One grid call plus three passes of 21 points each at the defaults.
         sizes = []
@@ -342,6 +352,98 @@ class TestProfileML:
         cov = CovariateMatrix.from_raw(z)
         with pytest.raises(RankError):
             fit_profile_ml(net, cov, z, np.ones(20), spectrum=None)
+        with pytest.raises(RankError):
+            fit_profile_ml(net, cov, z, np.ones((20, 3)), spectrum=None)
+
+
+def torus(k):
+    # k x k torus: every node has degree 4, and rho is well identified.
+    return Network.from_edges(k * k, [
+        (i * k + j, nb) for i in range(k) for j in range(k)
+        for nb in (i * k + (j + 1) % k, ((i + 1) % k) * k + j)
+    ])
+
+
+class TestProfileMLColumns:
+    """An (n, s) outcome matrix fits each column as a vector fit would."""
+
+    def outcomes(self, case):
+        if case.startswith("boundary"):
+            # The outcome draws of TestProfileML.test_boundary_maximizer, whose
+            # maximizers sit on the ends of [0, rho_max], with interior draws.
+            rho_true, seed = (0.0, 40) if case == "boundary-0" else (0.995, 49)
+            net = torus(14)
+            cov = generate_pm1_covariates(net.n, 2, seed=seed)
+            rhos, seeds = (rho_true, 0.3, 0.8), (seed + 1, seed + 2, seed + 3)
+            beta = None
+        else:
+            seed = int(case.split("-")[1])
+            net = connected_net(60, 0.08, seed)
+            cov = generate_pm1_covariates(60, 3, seed=seed)
+            rhos, seeds = (0.0, 0.2, 0.5, 0.7, 0.9, 0.97), range(seed, seed + 6)
+            beta = np.arange(cov.p + 1.0)
+        x = np.where(np.arange(net.n) % 2 == 0, 1.0, -1.0)
+        Y = np.column_stack([
+            sample_outcomes(net, cov, x, CarParams(rho=r, beta=beta), seed=t)
+            for r, t in zip(rhos, seeds)
+        ])
+        return net, cov, x, Y
+
+    @pytest.mark.parametrize("case", ["random-60", "random-61", "boundary-0", "boundary-max"])
+    def test_columns_match_vector_fits(self, case):
+        net, cov, x, Y = self.outcomes(case)
+        spec = network_spectrum(net)
+        fits = fit_profile_ml(net, cov, x, Y, rho_max=0.99, spectrum=spec)
+        assert len(fits) == Y.shape[1]
+        for j, fit in enumerate(fits):
+            one = fit_profile_ml(net, cov, x, Y[:, j], rho_max=0.99, spectrum=spec)
+            assert fit.rho_hat == one.rho_hat
+            assert fit.method == one.method == "profile_ml"
+            for name in ("theta_hat", "sigma2_hat", "var_theta", "loglik"):
+                a, b = getattr(fit, name), getattr(one, name)
+                assert abs(a - b) <= 1e-12 * abs(b), name
+            np.testing.assert_allclose(fit.beta_hat, one.beta_hat, rtol=1e-12, atol=0.0)
+        if case.startswith("boundary"):
+            assert fits[0].rho_hat == (0.0 if case == "boundary-0" else 0.99)
+
+    def test_refinement_is_batched_over_columns(self, monkeypatch):
+        # One shared 100-point grid call, then three passes of 21 points for
+        # every column at once.
+        shapes = []
+        batched = car._profile_loglik
+
+        def spy(gram, spectrum, rhos):
+            shapes.append(np.shape(rhos))
+            return batched(gram, spectrum, rhos)
+
+        monkeypatch.setattr(car, "_profile_loglik", spy)
+        net, cov, x, Y = self.outcomes("random-60")
+        fit_profile_ml(net, cov, x, Y)
+        assert shapes == [(100,), (6, 21), (6, 21), (6, 21)]
+
+    def test_singular_column_is_none(self, monkeypatch):
+        # X'RX cannot be singular on [0, rho_max] in exact arithmetic, so the
+        # final (s, q, q) stack is zeroed for chosen columns to force it.
+        real = car._AffineGram.ZRZ
+
+        def zrz(self, rho):
+            M = real(self, rho)
+            if np.ndim(rho) == 1 and np.size(rho) == 6:  # one X'RX per column at rho_hat
+                M[[1, 4]] = 0.0
+            return M
+
+        net, cov, x, Y = self.outcomes("random-61")
+        good = fit_profile_ml(net, cov, x, Y)
+        monkeypatch.setattr(car._AffineGram, "ZRZ", zrz)
+        fits = fit_profile_ml(net, cov, x, Y)
+        assert [f is None for f in fits] == [False, True, False, False, True, False]
+        for j in (0, 2, 3, 5):
+            assert fits[j].theta_hat == good[j].theta_hat
+            assert fits[j].var_theta == good[j].var_theta
+        # A vector fit whose X'RX is singular at rho_hat raises, as before.
+        monkeypatch.setattr(car._AffineGram, "ZRZ", lambda self, rho: 0.0 * real(self, rho))
+        with pytest.raises(RankError, match="numerically singular"):
+            fit_profile_ml(net, cov, x, Y[:, 0])
 
 
 class TestDenseSizeGuard:

@@ -4,12 +4,18 @@ output bytes are observable without spawning subprocesses.  The oracle
 for numerical values is always a direct library call on the same files.
 """
 
+import contextlib
 import csv
+import io
 import json
+import string
+import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from netdesign.cli import main
 from netdesign.criterion import evaluate, pip
@@ -66,6 +72,24 @@ class TestGenerate:
     def test_help_exits_zero(self, capsys):
         assert run("--help") == 0
         assert "generate" in capsys.readouterr().out
+
+    def test_isolated_nodes_are_connected(self, tmp_path):
+        # This draw leaves node 21 isolated; generate gives it an edge, so
+        # every other subcommand can read the files.
+        assert generate_bernoulli_network(60, 0.1, seed=5).isolated_nodes.tolist() == [21]
+        edges, covs = make_dataset(tmp_path, n=60, p=3, density=0.1, seed=5)
+        net = load_edge_list(edges)
+        assert net.n == 60 and net.isolated_nodes.size == 0
+        assert run("design", edges, covs, "--output", tmp_path / "d.csv") == 0
+        assert run("diagnose", edges, covs, "--designs", 2, "--scatter-designs", 20,
+                   "--prior-draws", 20, "--output", tmp_path / "g.csv") == 0
+
+    def test_draw_without_isolated_nodes_is_written_as_is(self, tmp_path):
+        raw = generate_bernoulli_network(30, 0.15, seed=5)
+        assert raw.isolated_nodes.size == 0
+        edges, _ = make_dataset(tmp_path)
+        write_edge_list(raw, tmp_path / "raw.txt")
+        assert Path(edges).read_bytes() == (tmp_path / "raw.txt").read_bytes()
 
 
 class TestDesign:
@@ -183,6 +207,101 @@ class TestDesign:
         monkeypatch.setattr("netdesign.cli.hybrid_problem", fail)
         assert run("design", edges, covs) == 4
         assert "numerical failure: SVD did not converge" in capsys.readouterr().err
+
+
+class TestBadInput:
+    @pytest.mark.parametrize("sub", ["design", "evaluate", "diagnose"])
+    def test_isolated_nodes_are_data_error(self, tmp_path, capsys, sub):
+        edges, covs = make_dataset(tmp_path)
+        nodes = [v for v in range(30) if v not in (7, 12)]
+        Path(edges).write_text(
+            "".join(f"{a} {b}\n" for a, b in zip(nodes, nodes[1:] + nodes[:1]))
+        )
+        dfile = tmp_path / "x.design"
+        dfile.write_text("+1\n-1\n" * 15)
+        extra = [dfile] if sub == "evaluate" else []
+        assert run(sub, edges, covs, *extra, "--output", tmp_path / "out.csv") == 2
+        assert f"{edges}: isolated nodes [7, 12] have no edges" in capsys.readouterr().err
+
+
+_WORD = st.text(alphabet=string.ascii_letters, min_size=1, max_size=6)
+
+
+def _edge_corruption(kind, lines, n, data):
+    """The data lines of a valid n-node edge list, made invalid one way."""
+    i = data.draw(st.integers(0, len(lines) - 1))
+    a, b = lines[i].split()
+    pos = data.draw(st.integers(0, 1))
+    if kind == "truncated line":
+        return lines[:i] + [a] + lines[i + 1:]
+    if kind == "isolated node":
+        v = data.draw(st.integers(0, n - 1))
+        return [ln for ln in lines if str(v) not in ln.split()]
+    token = {
+        "non-numeric token": lambda: data.draw(_WORD),
+        "self loop": lambda: b if pos == 0 else a,
+        "negative id": lambda: str(data.draw(st.integers(-1000, -1))),
+        "id past the covariate rows": lambda: str(data.draw(st.integers(n, n + 1000))),
+    }[kind]()
+    pair = [token, b] if pos == 0 else [a, token]
+    return lines[:i] + [" ".join(pair)] + lines[i + 1:]
+
+
+def _covariate_corruption(kind, lines, data):
+    """The lines of a valid covariate file, made invalid one way."""
+    i = data.draw(st.integers(0, len(lines) - 1))
+    fields = lines[i].split(",")
+    if kind == "truncated line":
+        return lines[:i] + [",".join(fields[:-1])] + lines[i + 1:]
+    if kind == "extra field":
+        return lines[:i] + [lines[i] + ",1.0"] + lines[i + 1:]
+    if kind == "missing row":
+        return lines[:i] + lines[i + 1:]
+    if kind == "extra row":
+        return lines[:i + 1] + lines[i:]
+    j = data.draw(st.integers(0, len(fields) - 1))
+    fields[j] = data.draw(_WORD)
+    return lines[:i] + [",".join(fields)] + lines[i + 1:]
+
+
+class TestCorruptInput:
+    """A corrupted edge list or covariate file exits 2 with a message on
+    stderr: never a traceback, and never the numerical-failure code 4."""
+
+    @pytest.fixture(scope="class")
+    def clean(self, tmp_path_factory):
+        edges, covs = make_dataset(tmp_path_factory.mktemp("clean"))
+        edge_lines = Path(edges).read_text().splitlines()
+        return edge_lines[:1], edge_lines[1:], Path(covs).read_text().splitlines()
+
+    def assert_data_error(self, edge_lines, cov_lines):
+        with tempfile.TemporaryDirectory() as tmp:
+            edges, covs = Path(tmp, "edges.txt"), Path(tmp, "covs.csv")
+            edges.write_text("\n".join(edge_lines) + "\n")
+            covs.write_text("\n".join(cov_lines) + "\n")
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err), warnings.catch_warnings():
+                warnings.simplefilter("ignore")  # a dropped constant column warns
+                code = run("design", edges, covs, "--output", Path(tmp, "out.csv"))
+        assert code == 2, err.getvalue()
+        assert err.getvalue().startswith("error: ")
+
+    @pytest.mark.parametrize("kind", [
+        "truncated line", "non-numeric token", "self loop", "negative id",
+        "id past the covariate rows", "isolated node",
+    ])
+    @given(data=st.data())
+    def test_corrupt_edge_list(self, clean, kind, data):
+        header, lines, cov_lines = clean
+        self.assert_data_error(header + _edge_corruption(kind, lines, 30, data), cov_lines)
+
+    @pytest.mark.parametrize("kind", [
+        "truncated line", "non-numeric token", "extra field", "missing row", "extra row",
+    ])
+    @given(data=st.data())
+    def test_corrupt_covariates(self, clean, kind, data):
+        header, lines, cov_lines = clean
+        self.assert_data_error(header + lines, _covariate_corruption(kind, cov_lines, data))
 
 
 class TestEvaluate:

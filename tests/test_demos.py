@@ -1,14 +1,18 @@
-"""The Python demos run to completion and print their summaries.
+"""The demos run to completion and print their summaries.
 
-Each demo runs as a script, as `python3 demos/<name>.py` would, with its
-command line set and its stdout captured.
+Each Python demo runs as a script, as `python3 demos/<name>.py` would, with
+its command line set and its stdout captured.  The shell walkthrough's
+`netdesign` command lines run in-process through the CLI entry point.
 """
 
 import runpy
+import shlex
 import sys
 from pathlib import Path
 
 import pytest
+
+from netdesign.cli import main
 
 DEMOS = Path(__file__).resolve().parent.parent / "demos"
 
@@ -25,3 +29,17 @@ def test_demo_runs(name, expect, tmp_path, monkeypatch, capsys):
     runpy.run_path(str(DEMOS / name), run_name="__main__")
     assert expect in capsys.readouterr().out
     assert out.exists() == (name == "run_study.py")
+
+
+def test_cli_walkthrough_steps(tmp_path, capsys):
+    # Every `netdesign ...` line of the script, continuation lines joined,
+    # with the script's scratch directory $out set to tmp_path.
+    text = (DEMOS / "cli_walkthrough.sh").read_text().replace("\\\n", " ")
+    steps = [
+        shlex.split(line.replace("$out", str(tmp_path)))[1:]
+        for line in text.splitlines() if line.startswith("netdesign ")
+    ]
+    assert [argv[0] for argv in steps] == ["generate", "design", "evaluate", "diagnose", "study"]
+    for argv in steps:
+        assert main(argv) == 0, (argv, capsys.readouterr().err)
+    assert (tmp_path / "sweep.csv").exists()

@@ -7,6 +7,7 @@ at full desk scale elsewhere.  Rows are regenerated from their recorded
 seeds through the public API to prove the audit trail works.
 """
 
+import dataclasses
 import json
 import math
 import threading
@@ -15,8 +16,9 @@ import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
+from netdesign import car, experiments
 from netdesign.criterion import evaluate, pip
-from netdesign import experiments
+from netdesign.designs import Design
 from netdesign.errors import RankError, StudySpecError
 from netdesign.experiments import (
     DEFAULT_SEED,
@@ -477,6 +479,42 @@ class TestPseudoExperiment:
         _, res1 = self.run_small()
         _, res2 = self.run_small()
         assert res1.rows == res2.rows
+
+    def test_fit_failures_are_counted_per_draw(self, monkeypatch):
+        # The hybrid design's X'RX is forced singular at rho_hat for draws 1
+        # and 3, and the covariate-only design is replaced by a covariate
+        # column, which makes [x F] rank deficient for every draw.
+        real_zrz = car._AffineGram.ZRZ
+        final_stacks = []
+
+        def zrz(self, rho):
+            M = real_zrz(self, rho)
+            if np.ndim(rho) == 1 and np.size(rho) == 5:  # one X'RX per draw at rho_hat
+                final_stacks.append(M)
+                if len(final_stacks) == 1:  # the first design fitted: hybrid
+                    M[[1, 3]] = 0.0
+            return M
+
+        real_solve = experiments.solve_no_network
+
+        def in_covariate_span(cov, **kwargs):
+            report = real_solve(cov, **kwargs)
+            return dataclasses.replace(report, design=Design(cov.values[:, 1].copy()))
+
+        _, clean = self.run_small(replicates=1)
+        monkeypatch.setattr(car._AffineGram, "ZRZ", zrz)
+        monkeypatch.setattr(experiments, "solve_no_network", in_covariate_span)
+        _, res = self.run_small(replicates=1)
+        assert len(final_stacks) == 11  # the rank-deficient design never gets there
+        rows = {(r["design_kind"], r["design_index"]): r for r in res.rows}
+        hybrid, nonet = rows[("hybrid", None)], rows[("no_network", None)]
+        assert hybrid["fit_failures"] == 2 and hybrid["status"] == "ok"
+        assert 0.0 < hybrid["mse"] and 0.0 <= hybrid["percentile"] <= 1.0
+        assert nonet["fit_failures"] == 5 and nonet["status"] == "fit_failed"
+        assert nonet["mse"] is None and "percentile" not in nonet
+        for r, before in zip(res.rows, clean.rows):
+            if r["design_kind"] == "random":
+                assert r == before
 
     def test_loaded_network_path(self, tmp_path):
         rng = np.random.default_rng(0)
