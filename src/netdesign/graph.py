@@ -55,15 +55,27 @@ class Network:
         """
         if n < 1:
             raise DataError(f"need at least one node, got n={n}")
-        canon = set()
-        for a, b in pairs:
-            a, b = int(a), int(b)
+        try:
+            ij = np.asarray(list(pairs), dtype=np.int64)
+        except OverflowError:
+            raise GraphFormatError("node ids must lie below 2^63") from None
+        if ij.size == 0:
+            ij = ij.reshape(0, 2)
+        if ij.ndim != 2 or ij.shape[1] != 2:
+            raise GraphFormatError("edges must be pairs of node ids")
+        a, b = ij[:, 0], ij[:, 1]
+        bad = np.flatnonzero((a == b) | (np.minimum(a, b) < 0) | (np.maximum(a, b) >= n))
+        if bad.size:  # report the first bad pair, as a scan in input order would
+            a, b = int(a[bad[0]]), int(b[bad[0]])
             if a == b:
                 raise GraphFormatError(f"self loop at node {a} is not allowed")
-            if not (0 <= a < n and 0 <= b < n):
-                raise GraphFormatError(f"edge ({a}, {b}) outside node range 0..{n - 1}")
-            canon.add((a, b) if a < b else (b, a))
-        return Network(n=n, edges=tuple(sorted(canon)))
+            raise GraphFormatError(f"edge ({a}, {b}) outside node range 0..{n - 1}")
+        lo, hi = np.minimum(a, b), np.maximum(a, b)
+        order = np.lexsort((hi, lo))
+        lo, hi = lo[order], hi[order]
+        first = np.ones(lo.size, dtype=bool)
+        first[1:] = (lo[1:] != lo[:-1]) | (hi[1:] != hi[:-1])
+        return Network(n=n, edges=tuple(zip(lo[first].tolist(), hi[first].tolist())))
 
     @cached_property
     def degrees(self) -> np.ndarray:
@@ -169,11 +181,23 @@ def generate_bernoulli_network(n: int, density: float, seed: int) -> Network:
     if not 0.0 <= density <= 1.0:
         raise DataError(f"density must lie in [0, 1], got {density}")
     rng = np.random.default_rng(seed)
-    pairs = []
-    for i in range(n - 1):
-        hits = np.flatnonzero(rng.random(n - 1 - i) < density)
-        pairs.extend((i, i + 1 + int(j)) for j in hits)
-    return Network(n=n, edges=tuple(pairs))
+    # Row i draws one uniform for each pair (i, j > i).  Rows are drawn in
+    # blocks of about max(n, 2^16) uniforms, which continue the stream a
+    # row-by-row draw makes, so memory stays O(n).
+    starts = np.zeros(n, dtype=np.int64)
+    np.cumsum(np.arange(n - 1, 0, -1), out=starts[1:])
+    rows, cols = [], []
+    lo = 0
+    while lo < n - 1:
+        hi = int(np.searchsorted(starts, starts[lo] + max(n, 1 << 16)))
+        hi = min(max(hi, lo + 1), n - 1)
+        hits = np.flatnonzero(rng.random(int(starts[hi] - starts[lo])) < density) + starts[lo]
+        row = np.searchsorted(starts, hits, side="right") - 1
+        rows.append(row)
+        cols.append(hits - starts[row] + row + 1)
+        lo = hi
+    rows, cols = np.concatenate(rows).tolist(), np.concatenate(cols).tolist()
+    return Network(n=n, edges=tuple(zip(rows, cols)))
 
 
 def generate_pm1_covariates(n: int, p: int, seed: int) -> CovariateMatrix:

@@ -21,9 +21,13 @@ maintained vectors.  Repair and descent take the best swap over all
 plus x minus pairs exactly, and above n of about 256 without scoring them
 all: a lower bound on each plus row's best delta (one matrix product per
 step for the objective, O(n) for the cut) orders the rows, and rows are
-scored only until the next bound exceeds the best delta found.  Reported objectives
-are recomputed by a fresh pass over the returned design, never copied
-from solver bookkeeping.
+scored only until the next bound exceeds the best delta found.  The
+restarts of a multistart solve advance in lockstep, one swap each per
+step; below one block of pairs per restart their pair blocks are scored
+as one stack, with the per-restart arithmetic, so each restart takes the
+swaps it would take alone.  Reported objectives are recomputed by a
+fresh pass over the returned design, never copied from solver
+bookkeeping.
 """
 
 from __future__ import annotations
@@ -472,77 +476,138 @@ def _cut_delta(s_i, s_j, w_ij):
     return -4.0 * (s_i + s_j + 2.0 * w_ij)
 
 
-# Pair scores per block: keeps best() and the row bounds at O(n) memory
-# whatever the arm sizes.  Up to one block of pairs (n up to about 256),
+def _obj_delta(a_i, a_j, psi_i, psi_j, g_ij):
+    """Change in ||Hx||^2 for the same swap; a = H'Hx and g_ij = h_i . h_j.
+
+    Computes -4 (a_i - a_j) + 4 (psi_i - 2 g_ij + psi_j) in place of the
+    array g_ij, which it returns: a block needs no temporaries of its own
+    size beyond the one for a_i - a_j.
+    """
+    g_ij *= 2.0
+    np.subtract(psi_i, g_ij, out=g_ij)
+    g_ij += psi_j
+    g_ij *= 4.0
+    g_ij += -4.0 * (a_i - a_j)
+    return g_ij
+
+
+def _csr_entries(W, rows):
+    """Positions in W.data of the entries of the given rows, row after row, and their counts."""
+    start, count = W.indptr[rows], W.indptr[rows + 1] - W.indptr[rows]
+    return np.arange(count.sum()) + np.repeat(start - np.cumsum(count) + count, count), count
+
+
+# Pair scores per block.  A step scores the pairs of as many designs as fit
+# in one block with one set of array ops; a design whose pairs alone
+# overflow it (n above about 256) takes the row-bound search, which keeps
+# memory at O(n) whatever the arm sizes.  Up to one block of pairs,
 # scoring them all took less time than the row bounds save.
 _BLOCK_ENTRIES = 1 << 14
 
 
 class _SwapState:
-    """A balanced design x with v = Hx, obj = ||v||^2, wx = Wx and c = x'Wx.
+    """R balanced designs, the rows of x, each with v = Hx, obj = ||v||^2, wx = Wx and c = x'Wx.
 
-    apply() moves the products along with each swap and recomputes them
-    from scratch every `resync` swaps, so rounding drift stays bounded.
-    best() finds the lowest-scoring plus x minus pair exactly; given a
-    lower bound on each plus row's scores, it scores only the rows whose
-    bound does not exceed the best value found so far.
+    x is updated in place; a 1-d x is a stack of one, whose obj and c read
+    as numbers.  apply() moves the products of the swapped designs along
+    and recomputes a design's from scratch every `resync` of its swaps, so
+    rounding drift stays bounded.  best() finds one design's
+    lowest-scoring plus x minus pair exactly; given a lower bound on each
+    plus row's scores, it scores only the rows whose bound does not exceed
+    the best value found so far.  best_swaps() finds the repair or descent
+    swap of several designs at once.
     """
 
     def __init__(self, problem: HybridProblem, x: np.ndarray, resync: int):
         self.H, self.psi, self.W = problem.H, problem.psi, problem.W
-        self.x, self.resync, self.swaps = x, resync, 0
-        self.sync()
-
-    def sync(self) -> None:
-        self.v = self.H @ self.x
-        self.obj = float(self.v @ self.v)
+        self.Ht = np.ascontiguousarray(problem.H.T)  # row i = column i of H
+        self.Wd = None  # dense W, flattened, built for the first stacked cut block
+        self.x = x.reshape(-1, problem.n)
+        R = self.x.shape[0]
+        self.v = np.empty((R, self.H.shape[0]))
+        self.objs = np.empty(R)
         if self.W is not None:
-            self.wx = self.W @ self.x
-            self.c = float(self.x @ self.wx)
+            self.wx = np.empty((R, problem.n))
+            self.cuts = np.empty(R)
+        self.resync, self.swaps = resync, np.zeros(R, dtype=np.int64)
+        self.r, self.a = 0, None
+        for r in range(R):
+            self.sync(r)
 
-    def column_step(self, i: int, j: int) -> np.ndarray:
+    @property
+    def obj(self) -> float:
+        return float(self.objs[0])
+
+    @property
+    def c(self) -> float:
+        return float(self.cuts[0])
+
+    def sync(self, r: int = 0) -> None:
+        x = self.x[r]
+        self.v[r] = self.H @ x
+        self.objs[r] = self.v[r] @ self.v[r]
+        if self.W is not None:
+            self.wx[r] = self.W @ x
+            self.cuts[r] = x @ self.wx[r]
+
+    def column_step(self, i, j) -> np.ndarray:
         """Change in v = Hx when plus node i and minus node j swap."""
-        return -2.0 * self.H[:, i] + 2.0 * self.H[:, j]
+        return -2.0 * self.Ht[i] + 2.0 * self.Ht[j]
 
-    def apply(
-        self, i: int, j: int, d_obj: float, dc: float, dv: Optional[np.ndarray] = None
-    ) -> None:
-        """Swap plus node i with minus node j, given their objective and cut deltas.
+    def apply(self, i, j, d_obj, dc, dv=None, r=0) -> None:
+        """Swap plus node i with minus node j in design r, given their objective and cut deltas.
 
-        dv, if given, is column_step(i, j) as the caller already computed it.
+        i, j, d_obj, dc and r may be arrays, one entry per design moved.
+        d_obj None leaves v and obj behind until the next sync, for repair,
+        which reads neither.  dv, if given, is column_step(i, j) as the
+        caller already computed it.
         """
         x, W = self.x, self.W
-        x[i], x[j] = -1.0, 1.0
-        self.v += self.column_step(i, j) if dv is None else dv
-        self.obj += d_obj
+        x[r, i], x[r, j] = -1.0, 1.0
+        if d_obj is not None:
+            self.v[r] += self.column_step(i, j) if dv is None else dv
+            self.objs[r] += d_obj
         if W is not None:
-            for node, step in ((i, -2.0), (j, 2.0)):
-                lo, hi = W.indptr[node], W.indptr[node + 1]
-                self.wx[W.indices[lo:hi]] += step * W.data[lo:hi]
-            self.c += dc
-        self.swaps += 1
-        if self.swaps % self.resync == 0:
-            self.sync()
+            self.cuts[r] += dc
+            if isinstance(r, np.ndarray):
+                for nodes, step in ((i, -2.0), (j, 2.0)):
+                    nz, count = _csr_entries(W, nodes)
+                    self.wx[np.repeat(r, count), W.indices[nz]] += step * W.data[nz]
+            else:  # one design, as an annealing move: slice its two rows of W
+                wx = self.wx[r]
+                for node, step in ((i, -2.0), (j, 2.0)):
+                    lo, hi = W.indptr[node], W.indptr[node + 1]
+                    wx[W.indices[lo:hi]] += step * W.data[lo:hi]
+        self.swaps[r] += 1
+        if isinstance(r, np.ndarray):
+            for q in r[self.swaps[r] % self.resync == 0]:
+                self.sync(q)
+        elif self.swaps[r] % self.resync == 0:
+            self.sync(r)
 
-    def obj_delta(self, i: int, j: int, dv: Optional[np.ndarray] = None) -> float:
+    def obj_delta(self, i: int, j: int, dv: Optional[np.ndarray] = None, r: int = 0) -> float:
         dv = self.column_step(i, j) if dv is None else dv
-        return 2.0 * float(self.v @ dv) + float(dv @ dv)
+        return 2.0 * float(self.v[r] @ dv) + float(dv @ dv)
 
-    def cut_delta(self, i: int, j: int) -> float:
-        W = self.W
+    def cut_delta(self, i: int, j: int, r: int = 0) -> float:
+        W, x, wx = self.W, self.x[r], self.wx[r]
         lo, hi = W.indptr[i], W.indptr[i + 1]
         cols = W.indices[lo:hi]
         pos = np.searchsorted(cols, j)
         w_ij = float(W.data[lo + pos]) if pos < cols.size and cols[pos] == j else 0.0
-        return _cut_delta(self.x[i] * self.wx[i], self.x[j] * self.wx[j], w_ij)
+        return _cut_delta(x[i] * wx[i], x[j] * wx[j], w_ij)
+
+    def hv(self) -> np.ndarray:
+        """a = H'v of the design best() searches, computed on first use (valid inside best())."""
+        if self.a is None:
+            self.a = self.v[self.r] @ self.H
+        return self.a
 
     def obj_block(self, P: np.ndarray, minus: np.ndarray) -> np.ndarray:
         """Objective deltas of the swaps P x minus (valid inside best())."""
-        a, psi = self.a, self.psi
+        a, psi = self.hv(), self.psi
         G = self.H[:, P].T @ self.H[:, minus]
-        return -4.0 * (a[P][:, None] - a[minus][None, :]) + 4.0 * (
-            psi[P][:, None] - 2.0 * G + psi[minus][None, :]
-        )
+        return _obj_delta(a[P][:, None], a[minus][None, :], psi[P][:, None], psi[minus][None, :], G)
 
     def obj_row_bounds(self, plus: np.ndarray, minus: np.ndarray) -> np.ndarray:
         """Lower bounds on the obj_block values of each plus row (valid inside best()).
@@ -553,7 +618,7 @@ class _SwapState:
         (20k + 88) u (max psi + max |a|) for k rows of H and unit
         roundoff u, and the slack is more than five times that.
         """
-        H, a, psi = self.H, self.a, self.psi
+        H, a, psi = self.H, self.hv(), self.psi
         left = np.ones((plus.size, H.shape[0] + 1))
         left[:, :-1] = H[:, plus].T
         right = np.vstack([-8.0 * H[:, minus], 4.0 * (psi[minus] + a[minus])])
@@ -576,8 +641,7 @@ class _SwapState:
         duplicates, as Network.adjacency builds them).
         """
         W, s = self.W, self.s
-        start, count = W.indptr[P], W.indptr[P + 1] - W.indptr[P]
-        nz = np.arange(count.sum()) + np.repeat(start - np.cumsum(count) + count, count)
+        nz, count = _csr_entries(W, P)
         col = self.minus_pos[W.indices[nz]]
         keep = col >= 0
         w = np.zeros((P.size, minus.size))
@@ -594,8 +658,8 @@ class _SwapState:
         heaviest = float(self.W.data.max(initial=0.0))
         return _cut_delta(self.s[plus], float(self.s[minus].max()), heaviest)
 
-    def best(self, score, floor: float, bound=None):
-        """(value, (i, j)) of the lowest score(P, minus) below floor, or (floor, None).
+    def best(self, score, floor: float, bound=None, r: int = 0):
+        """(value, (i, j)) of design r's lowest score(P, minus) below floor, or (floor, None).
 
         Ties go to the first pair in (plus, minus) order.  bound(plus,
         minus), if given, returns a lower bound on the scores of each plus
@@ -604,12 +668,13 @@ class _SwapState:
         the search stops at the first row whose bound exceeds the best
         value found, which leaves the result unchanged.
         """
-        plus = np.flatnonzero(self.x > 0)
-        minus = np.flatnonzero(self.x < 0)
-        self.a = self.v @ self.H
+        x = self.x[r]
+        plus = np.flatnonzero(x > 0)
+        minus = np.flatnonzero(x < 0)
+        self.r, self.a = r, None
         if self.W is not None:
-            self.s = self.x * self.wx
-            self.minus_pos = np.full(self.x.size, -1)
+            self.s = x * self.wx[r]
+            self.minus_pos = np.full(x.size, -1)
             self.minus_pos[minus] = np.arange(minus.size)
         rows = max(2, _BLOCK_ENTRIES // minus.size)
         if bound is None or rows >= plus.size:  # one block holds every pair
@@ -635,46 +700,141 @@ class _SwapState:
             lo, size = hi, min(2 * size, rows)
         return best_val, pair
 
+    def best_stacked(self, rows: np.ndarray, repair: bool, capv: Optional[float]):
+        """The lowest-scoring repair or descent pair of each design in rows, all scored as one stack.
+
+        The designs share their arm sizes, so their pair blocks stack into
+        one (designs, plus, minus) array.  Returns (value, i, j, cut delta)
+        arrays of the lowest-scoring pair of each design, the first in
+        (plus, minus) order.  Every product is the per-design one: a
+        stacked matmul runs the same BLAS call for each design.
+        """
+        X = self.x[rows]
+        G, n = X.shape
+        at = np.arange(G)
+        P = np.nonzero(X > 0)[1].reshape(G, -1)
+        M = np.nonzero(X < 0)[1].reshape(G, -1)
+        if self.W is not None:
+            if self.Wd is None:
+                self.Wd = self.W.toarray().ravel()
+            S = X * self.wx[rows]
+            cut = _cut_delta(
+                S[at[:, None], P][:, :, None],
+                S[at[:, None], M][:, None, :],
+                self.Wd.take(P[:, :, None] * n + M[:, None, :]),
+            )
+        if repair:
+            block = cut
+        else:
+            A = np.matmul(self.v[rows][:, None, :], self.H)[:, 0]
+            block = _obj_delta(
+                A[at[:, None], P][:, :, None],
+                A[at[:, None], M][:, None, :],
+                self.psi[P][:, :, None],
+                self.psi[M][:, None, :],
+                np.matmul(self.Ht[P], self.H[:, M].transpose(1, 0, 2)),
+            )
+            if self.W is not None:
+                block = np.where(self.cuts[rows][:, None, None] + cut <= capv, block, np.inf)
+        k = block.reshape(G, -1).argmin(axis=1)
+        p_at, m_at = np.divmod(k, M.shape[1])
+        dc = cut[at, p_at, m_at] if self.W is not None else np.zeros(G)
+        return block[at, p_at, m_at], P[at, p_at], M[at, m_at], dc
+
+    def best_swaps(self, rows: np.ndarray, repair: bool, capv: Optional[float]):
+        """The best swap below its floor of each design in rows: arrays (r, i, j, value, dc).
+
+        Repair lowers x'Wx (floor -1e-12); descent lowers the objective
+        (floor -1e-10 max(1, obj)) within the cap.  Designs whose pairs
+        fit in one block are scored in stacks of as many as fit; the others
+        take the row-bound search one by one.  Designs without a swap below
+        their floor are left out.
+        """
+        floors = np.full(rows.size, -1e-12) if repair else -1e-10 * np.maximum(1.0, self.objs[rows])
+        n = self.x.shape[1]
+        plus = np.count_nonzero(self.x[rows] > 0, axis=1)
+        fits = np.maximum(2, _BLOCK_ENTRIES // (n - plus)) >= plus
+        val, dc = np.full(rows.size, np.inf), np.zeros(rows.size)
+        i, j = np.zeros(rows.size, dtype=np.int64), np.zeros(rows.size, dtype=np.int64)
+        for size in np.unique(plus[fits]):
+            same = np.flatnonzero(fits & (plus == size))
+            per = max(1, _BLOCK_ENTRIES // int(size * (n - size)))
+            for lo in range(0, same.size, per):
+                at = same[lo : lo + per]
+                val[at], i[at], j[at], dc[at] = self.best_stacked(rows[at], repair, capv)
+        for at in np.flatnonzero(~fits):
+            r = int(rows[at])
+
+            def descent(P, minus, r=r):
+                delta = self.obj_block(P, minus)
+                if self.W is not None:
+                    delta = np.where(self.cuts[r] + self.cut_block(P, minus) <= capv, delta, np.inf)
+                return delta
+
+            if repair:
+                val[at], pair = self.best(self.cut_block, floors[at], self.cut_row_bounds, r)
+                dc[at] = val[at]
+            else:
+                val[at], pair = self.best(descent, floors[at], self.obj_row_bounds, r)
+                if pair is not None and self.W is not None:
+                    dc[at] = self.cut_delta(*pair, r)
+            if pair is not None:
+                i[at], j[at] = pair
+        ok = val < floors
+        return rows[ok], i[ok], j[ok], val[ok], dc[ok]
+
 
 # ---------------------------------------------------------------------------
-# Local search: balanced-pair swaps, best improvement, multistart.
+# Local search: balanced-pair swaps, best improvement, multistart in lockstep.
 
 
-def _repair(problem: HybridProblem, cap: float, x: np.ndarray):
-    """Greedy swaps that lower x'Wx until it meets the cap; balance preserved."""
-    st = _SwapState(problem, x, resync=64)
-    capv = _feas_cap(cap)
-    while st.c > capv:
-        dc, pair = st.best(st.cut_block, -1e-12, st.cut_row_bounds)
-        if pair is None:
-            return False, x, st.swaps
-        st.apply(*pair, st.obj_delta(*pair), dc)
-    return True, x, st.swaps
-
-
-def _descend(
+def _polish(
     problem: HybridProblem,
     cap: Optional[float],
     x: np.ndarray,
     deadline: Optional[float] = None,
 ):
-    """Best-improvement swap descent on the objective, feasibility preserved."""
+    """Repair, then descend, every row of x together; returns (best_x or None, best_obj, swaps).
+
+    Each design that violates the cap takes greedy swaps that lower x'Wx
+    until it meets the cap, or is dropped when no swap lowers it; then it
+    takes best-improvement swaps on the objective, feasibility preserved,
+    until none improves.  Every design still moving takes one swap per
+    step.  Past the deadline no design takes another descent swap; a
+    repair runs to its end.  The best design is the first whose
+    recomputed objective is lowest, by more than 1e-15.
+    """
     st = _SwapState(problem, x, resync=64)
-    network = problem.W is not None
-    capv = _feas_cap(cap) if network else None
-
-    def score(P, minus):
-        delta = st.obj_block(P, minus)
-        if network:
-            delta = np.where(st.c + st.cut_block(P, minus) <= capv, delta, np.inf)
-        return delta
-
-    while deadline is None or time.perf_counter() <= deadline:
-        d_obj, pair = st.best(score, -1e-10 * max(1.0, st.obj), st.obj_row_bounds)
-        if pair is None:
-            break
-        st.apply(*pair, d_obj, st.cut_delta(*pair) if network else 0.0)
-    return x, float(problem.objective(x)), st.swaps
+    capv = _feas_cap(cap) if problem.W is not None else None
+    repairing = st.cuts > capv if capv is not None else np.zeros(st.objs.size, dtype=bool)
+    descending = ~repairing
+    feasible = descending.copy()
+    total = 0
+    while repairing.any() or descending.any():
+        for repair, moving in ((True, repairing), (False, descending)):
+            if not repair and deadline is not None and time.perf_counter() > deadline:
+                moving[:] = False
+            rows = np.flatnonzero(moving)
+            if rows.size == 0:
+                continue
+            r, i, j, val, dc = st.best_swaps(rows, repair, capv)
+            st.apply(i, j, None if repair else val, dc, r=r)
+            total += r.size
+            moving[rows] = False  # no swap left below the floor
+            moving[r] = True
+            if repair:
+                for done in r[st.cuts[r] <= capv]:
+                    # Descent starts from fresh products, as a new state would.
+                    repairing[done] = False
+                    descending[done] = feasible[done] = True
+                    st.sync(done)
+                    st.swaps[done] = 0
+    best_x, best_obj = None, math.inf
+    for row in st.x[feasible]:
+        obj = problem.objective(row)
+        if obj < best_obj - 1e-15:
+            best_x, best_obj = row.copy(), obj
+    return best_x, best_obj, total
 
 
 def _local_core(
@@ -686,25 +846,11 @@ def _local_core(
 ):
     """Multistart repair-then-descend; returns (best_x or None, best_obj, iterations)."""
     rng = np.random.default_rng(seed)
-    best_x, best_obj = None, math.inf
-    total_iters = 0
-    for _ in range(restarts):
-        # One scalar draw per restart keeps the seed stream a prefix of any
-        # longer run, so more restarts can only improve the result.
-        child_seed = int(rng.integers(0, 2**63 - 1))
-        if deadline is not None and time.perf_counter() > deadline:
-            break
-        x = random_balanced_design(problem.n, child_seed).x.copy()
-        if problem.W is not None:
-            ok, x, rep_iters = _repair(problem, cap, x)
-            total_iters += rep_iters
-            if not ok:
-                continue
-        x, obj, iters = _descend(problem, cap, x, deadline)
-        total_iters += iters
-        if obj < best_obj - 1e-15:
-            best_x, best_obj = x.copy(), obj
-    return best_x, best_obj, total_iters
+    # One scalar draw per restart keeps the seed stream a prefix of any
+    # longer run, so more restarts can only improve the result.
+    starts = [random_balanced_design(problem.n, int(rng.integers(0, 2**63 - 1))).x
+              for _ in range(restarts)]
+    return _polish(problem, cap, np.stack(starts), deadline)
 
 
 def solve_local(
@@ -718,7 +864,14 @@ def solve_local(
 
     Each restart draws a balanced design, repairs it into the cap region
     by greedy constraint-lowering swaps, then descends on the objective.
-    If every restart fails to reach feasibility the alpha ladder applies.
+    The restarts advance together, one swap each per step; below one
+    block of pairs per restart (n up to about 256) the pairs of as many
+    restarts as fit in one block are scored together.  The first restart
+    with the lowest objective wins, as if they had run one by one.  Once
+    time_budget is spent every restart stops descending where it stands
+    (a repair in progress still finishes) and the best feasible one is
+    reported; restarts no longer go unstarted.  If every restart fails to
+    reach feasibility the alpha ladder applies.
     """
     if restarts < 1:
         raise DataError(f"need at least 1 restart, got {restarts}")
@@ -819,7 +972,7 @@ def _anneal_core(
                     best_x, best_obj = x.copy(), st.obj
         if network and st.c > capv:
             mu *= schedule.penalty_growth
-    return (best_x if best_x is not None else x), st.swaps
+    return (best_x if best_x is not None else x), int(st.swaps[0])
 
 
 def solve_annealing(
@@ -841,13 +994,8 @@ def solve_annealing(
     def attempt(level, cap, deadline):
         rng = np.random.default_rng(seed if level == 0 else (seed, level))
         x, iters = _anneal_core(problem, cap, schedule, rng, deadline)
-        if problem.W is not None and not problem.is_feasible(x, cap):
-            ok, x, rep_iters = _repair(problem, cap, x)
-            iters += rep_iters
-            if not ok:
-                return None, iters, None
-        x, _, desc_iters = _descend(problem, cap, x, deadline)
-        return x, iters + desc_iters, None
+        x, _, polish_iters = _polish(problem, cap, x[None, :], deadline)
+        return x, iters + polish_iters, None
 
     return _ladder(
         problem, relax, time_budget, attempt, method="annealing", restarts=1, seed=seed

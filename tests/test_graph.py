@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from netdesign.errors import DataError, GraphFormatError, RankError
 from netdesign.graph import (
@@ -24,6 +26,28 @@ def degrees_by_counting(n, edges):
         deg[a] += 1
         deg[b] += 1
     return np.array(deg)
+
+
+def from_edges_by_scan(n, pairs):
+    """Edge tuple of Network.from_edges by a scan in input order, or the error it raises first."""
+    canon = set()
+    for a, b in pairs:
+        if a == b:
+            return f"self loop at node {a} is not allowed"
+        if not (0 <= a < n and 0 <= b < n):
+            return f"edge ({a}, {b}) outside node range 0..{n - 1}"
+        canon.add((a, b) if a < b else (b, a))
+    return tuple(sorted(canon))
+
+
+def bernoulli_row_by_row(n, density, seed):
+    """Edges of generate_bernoulli_network drawn with one rng.random call per row."""
+    rng = np.random.default_rng(seed)
+    pairs = []
+    for i in range(n - 1):
+        hits = np.flatnonzero(rng.random(n - 1 - i) < density)
+        pairs.extend((i, i + 1 + int(j)) for j in hits)
+    return tuple(pairs)
 
 
 class TestNetwork:
@@ -55,6 +79,21 @@ class TestNetwork:
         with pytest.raises(GraphFormatError, match="outside node range"):
             Network.from_edges(3, [(0, 3)])
 
+    @given(
+        n=st.integers(1, 12),
+        pairs=st.lists(st.tuples(st.integers(-2, 13), st.integers(-2, 13)), max_size=30),
+    )
+    def test_from_edges_matches_scan(self, n, pairs):
+        expect = from_edges_by_scan(n, pairs)
+        if isinstance(expect, str):
+            with pytest.raises(GraphFormatError) as err:
+                Network.from_edges(n, pairs)
+            assert str(err.value) == expect
+        else:
+            edges = Network.from_edges(n, pairs).edges
+            assert edges == expect
+            assert all(type(i) is int for edge in edges for i in edge)
+
     def test_isolated_nodes(self):
         net = Network.from_edges(4, [(0, 1)])
         assert net.isolated_nodes.tolist() == [2, 3]
@@ -67,6 +106,17 @@ class TestGenerators:
         assert a.edges == b.edges
         c = generate_bernoulli_network(60, 0.1, seed=8)
         assert c.edges != a.edges
+
+    def test_bernoulli_matches_row_by_row_draw(self):
+        # Sizes below, at and above one draw block (2^16 pairs from n = 363).
+        for n in (2, 3, 7, 50, 363, 364, 1200):
+            for density in (0.0, 0.01, 0.3, 1.0):
+                for seed in (0, 9):
+                    if density >= 0.3 and n > 400:
+                        continue
+                    edges = generate_bernoulli_network(n, density, seed=seed).edges
+                    assert edges == bernoulli_row_by_row(n, density, seed)
+                    assert all(type(i) is int for edge in edges[:5] for i in edge)
 
     def test_bernoulli_edge_count_binomial(self):
         # Oracle: edge count ~ Binomial(C(n,2), q); stay within 5 sd.

@@ -406,6 +406,16 @@ class TestLocalSearch:
         assert relaxed.feasible
         assert relaxed.relaxations_applied
 
+    def test_spent_budget_reports_the_best_start(self):
+        # Every restart stops where it stands: here, at its random start.
+        prob = no_network_problem(generate_pm1_covariates(40, 3, seed=21))
+        report = solve_local(prob, restarts=6, seed=4, time_budget=1e-9)
+        assert report.feasible and report.iterations == 0
+        rng = np.random.default_rng(4)
+        starts = [random_balanced_design(40, int(rng.integers(0, 2**63 - 1))).x
+                  for _ in range(6)]
+        assert report.objective == min(prob.objective(x) for x in starts)
+
 
 class TestAnnealing:
     def test_zero_temperature_is_descent(self):
@@ -686,9 +696,77 @@ class TestPrunedSearch:
         pruned = solve_all()
         scan = _SwapState.best
         monkeypatch.setattr(
-            _SwapState, "best", lambda self, score, floor, bound=None: scan(self, score, floor)
+            _SwapState, "best",
+            lambda self, score, floor, bound=None, r=0: scan(self, score, floor, r=r),
         )
         assert pruned == solve_all()
+
+
+def one_restart_at_a_time(problem, cap, restarts, seed, deadline=None):
+    """Multistart reference: each child seed's start polished alone, the first strict best kept."""
+    rng = np.random.default_rng(seed)
+    best_x, best_obj, total = None, math.inf, 0
+    for _ in range(restarts):
+        x = random_balanced_design(problem.n, int(rng.integers(0, 2**63 - 1))).x.copy()
+        got, obj, iters = optimizer._polish(problem, cap, x[None, :], deadline)
+        total += iters
+        if got is not None and obj < best_obj - 1e-15:
+            best_x, best_obj = got, obj
+    return best_x, best_obj, total
+
+
+def block_holding(problem, restarts, mode):
+    """_BLOCK_ENTRIES for which a block holds no restart's pairs, one, several or all."""
+    pairs = (problem.n // 2) * (problem.n - problem.n // 2)
+    return {"none": 1, "one": pairs, "several": 3 * pairs, "all": restarts * pairs}[mode]
+
+
+class TestLockstep:
+    """Restarts in lockstep give the report of restarts run one by one."""
+
+    @staticmethod
+    def check(prob, restarts, seed, mode):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(optimizer, "_BLOCK_ENTRIES", block_holding(prob, restarts, mode))
+            lockstep = solve_local(prob, restarts=restarts, seed=seed).to_record()
+            mp.setattr(optimizer, "_local_core", one_restart_at_a_time)
+            assert lockstep == solve_local(prob, restarts=restarts, seed=seed).to_record()
+
+    @settings(max_examples=40)
+    @given(
+        n=st.integers(5, 60),
+        density=st.floats(0.05, 0.9),
+        p=st.integers(1, 4),
+        rho0=st.floats(0.0, 0.9),
+        alpha=st.sampled_from([0.001, 0.05, 0.5]),
+        covariate_only=st.booleans(),
+        restarts=st.integers(1, 12),
+        mode=st.sampled_from(["none", "one", "several", "all"]),
+        seed=st.integers(0, 2**31 - 1),
+    )
+    def test_matches_one_restart_at_a_time(
+        self, n, density, p, rho0, alpha, covariate_only, restarts, mode, seed
+    ):
+        net = repair_isolated(
+            generate_bernoulli_network(n, density, seed=seed), "connect", seed=seed
+        ).network
+        cov = generate_pm1_covariates(n, min(p, n - 2), seed=seed + 1)
+        prob = no_network_problem(cov) if covariate_only else hybrid_problem(net, cov, rho0, alpha)
+        self.check(prob, restarts, seed + 2, mode)
+
+    @pytest.mark.parametrize("mode", ["none", "one", "several", "all"])
+    def test_restarts_that_fail_repair(self, mode):
+        # Dense graph and a tight cap: some starts cannot be repaired into it.
+        net = repair_isolated(
+            generate_bernoulli_network(20, 0.87, seed=12), "connect", seed=12
+        ).network
+        prob = hybrid_problem(net, generate_pm1_covariates(20, 2, seed=13), 0.5, 0.001)
+        rng = np.random.default_rng(19)
+        starts = [random_balanced_design(20, int(rng.integers(0, 2**63 - 1))).x.copy()
+                  for _ in range(8)]
+        repaired = [optimizer._polish(prob, prob.cap, x[None, :])[0] is not None for x in starts]
+        assert any(repaired) and not all(repaired)
+        self.check(prob, 8, 19, mode)
 
 
 class TestNoNetwork:
