@@ -178,8 +178,8 @@ class SolveReport:
     pass on the returned design.  optimal is True when an exact search
     completed, False when the time budget cut it short, None for
     heuristics.  iterations is summed over every ladder level tried:
-    designs scanned or tree nodes visited (exact), repair and descent
-    swaps (local), accepted moves plus those swaps (annealing).
+    balanced designs scored (exact), repair and descent swaps (local),
+    accepted moves plus those swaps (annealing).
     relaxations_applied lists the ladder levels tried after the requested
     alpha; alpha is the level in force for the reported design.
     wall_time stays in memory only, keeping serialized output
@@ -318,128 +318,76 @@ def _ladder(problem: HybridProblem, relax: bool, time_budget, attempt, **report_
 
 
 # ---------------------------------------------------------------------------
-# Exact search: exhaustive scan to n = 16, branch and bound to n = 30.
+# Exact search: head x tail enumeration of the balanced designs, n up to 30.
+
+# Design scores per block of head patterns against one tail group: 2^16 (512 KB
+# an array) timed fastest of 2^12 to 2^20 at n = 24, 28 and 30.
+_EXACT_BLOCK = 1 << 16
 
 
-def _enumerate_exact(problem: HybridProblem, cap: Optional[float]):
-    """Exhaustive scan over the sign-flip quotient, in lexicographic order.
+def _sign_patterns(length: int) -> np.ndarray:
+    """Every +/-1 vector of the given length, one per row, in lexicographic order (-1 first)."""
+    return ((np.arange(1 << length)[:, None] >> np.arange(length - 1, -1, -1)) & 1) * 2.0 - 1.0
 
-    Row index equals the lexicographic rank of the tail bits (-1 before
-    +1), so the first index attaining the minimum is the canonical
-    tie-break winner.
+
+def _exact_search(problem: HybridProblem, cap: Optional[float], deadline: Optional[float]):
+    """Best balanced design within the cap; returns (x or None, designs scored, completed).
+
+    A design with x_0 = +1 is a head pattern on the first ceil(n/2) nodes
+    and a tail pattern on the rest.  A first pass scores blocks of head
+    patterns against the tail group that makes |sum x| <= 1 and finds the
+    lowest objective within the cap, checking the deadline between blocks.
+    A second rescores the blocks that come within _TIE_REL max(1, best) of
+    it, skipping those whose first head pattern follows the earliest tie
+    yet, and takes the lexicographically first design there.  The tolerance
+    is absolute near zero, where cancellation reads a zero objective as -1e-15.
     """
-    n = problem.n
-    count = 1 << (n - 1)
-    shifts = np.arange(n - 2, -1, -1, dtype=np.uint32)
-    bits = (np.arange(count, dtype=np.uint32)[:, None] >> shifts[None, :]) & 1
-    X = np.empty((count, n))
-    X[:, 0] = 1.0
-    X[:, 1:] = bits * 2.0 - 1.0
-    mask = np.abs(X.sum(axis=1)) <= 1.0 + 1e-12
+    n, h = problem.n, (problem.n + 1) // 2
+    head, tail = _sign_patterns(h)[1 << (h - 1) :], _sign_patterns(n - h)
+    # Tail patterns grouped by plus count, lexicographic within a group.
+    tail = tail[np.argsort((tail > 0).sum(axis=1), kind="stable")]
+    tplus = (tail > 0).sum(axis=1)
+
+    def quadratic(Q):
+        # x'Qx = [2 x_h'Q_ht, x_h'Q_hh x_h, 1] . [x_t, 1, x_t'Q_tt x_t]: one product a block.
+        ch, ct = ((head @ Q[:h, :h]) * head).sum(axis=1), ((tail @ Q[h:, h:]) * tail).sum(axis=1)
+        return (np.column_stack([2.0 * head @ Q[:h, h:], ch, np.ones(len(head))]),
+                np.column_stack([tail, np.ones(len(tail)), ct]))
+
+    objective = quadratic(problem.H.T @ problem.H)
     if problem.W is not None:
-        Wd = problem.W.toarray()
-        cvals = np.einsum("ij,ij->i", X @ Wd, X)
-        mask &= cvals <= _feas_cap(cap)
-    if not mask.any():
-        return None, int(count)
-    V = X @ problem.H.T
-    obj = np.einsum("ij,ij->i", V, V)
-    obj = np.where(mask, obj, np.inf)
-    best = float(obj.min())
-    tie = _TIE_REL * max(1.0, best)
-    idx = int(np.flatnonzero(obj <= best + tie)[0])
-    return X[idx].copy(), int(count)
+        cut, capv = quadratic(problem.W.toarray()), _feas_cap(cap)
 
+    hplus, blocks = (head > 0).sum(axis=1), []
+    for kh in range(1, h + 1):
+        rows = np.flatnonzero(hplus == kh)
+        for kt in sorted({n // 2 - kh, (n + 1) // 2 - kh} & set(range(n - h + 1))):
+            c0, c1 = np.searchsorted(tplus, [kt, kt + 1]).tolist()
+            step = max(1, _EXACT_BLOCK // (c1 - c0))
+            blocks += [(rows[lo : lo + step], c0, c1) for lo in range(0, rows.size, step)]
 
-def _bnb_exact(problem: HybridProblem, cap: Optional[float], deadline: Optional[float]):
-    """Depth-first branch and bound in lexicographic order, x_0 fixed to +1.
+    def score(rows, c0, c1):
+        """Objectives of head patterns rows with tail patterns c0:c1, inf above the cap."""
+        obj = objective[0][rows] @ objective[1][c0:c1].T
+        if problem.W is not None:
+            obj[cut[0][rows] @ cut[1][c0:c1].T > capv] = np.inf
+        return obj
 
-    Objective bound: ||H x|| can shrink by at most the summed norms of the
-    unassigned columns, so max(0, ||v|| - rad)^2 lower-bounds every
-    completion.  Constraint bound: each edge with an unassigned endpoint
-    contributes at least -2.  Balance prunes by the exact parity argument.
-    Returns (best_x, nodes_visited, truncated).
-    """
-    n = problem.n
-    hcols = np.ascontiguousarray(problem.H.T)  # row i = column i of H
-    norms = np.sqrt(problem.psi)
-    rad = np.zeros(n + 1)
-    rad[:n] = np.cumsum(norms[::-1])[::-1]
-
-    if problem.W is not None:
-        Wd = problem.W.toarray()
-        capv = _feas_cap(cap)
-        undetermined = np.zeros(n + 1)
-        iu, ju = np.nonzero(np.triu(Wd))
-        for b in ju:
-            undetermined[: b + 1] += 1.0
-    else:
-        Wd = None
-        capv = math.inf
-        undetermined = np.zeros(n + 1)
-
-    state = {
-        "best_obj": math.inf,
-        "best_x": None,
-        "from_dfs": False,
-        "nodes": 0,
-        "truncated": False,
-    }
-    primer = _local_core(problem, cap, restarts=4, seed=0, deadline=deadline)
-    if primer[0] is not None:
-        state["best_x"] = _canonical(primer[0]).copy()
-        state["best_obj"] = primer[1]
-
-    x = np.zeros(n)
-    x[0] = 1.0
-
-    def rec(depth: int, v: np.ndarray, psum: float, cpart: float) -> None:
-        if state["truncated"]:
-            return
-        state["nodes"] += 1
-        if (
-            deadline is not None
-            and state["nodes"] % 1024 == 0
-            and time.perf_counter() > deadline
-        ):
-            state["truncated"] = True
-            return
-        k = n - depth
-        apsum = abs(psum)
-        if apsum > k + 1:
-            return
-        if (int(apsum) + k) % 2 == 0 and apsum > k:
-            return
-        if Wd is not None and cpart - 2.0 * undetermined[depth] > capv:
-            return
-        nv = float(np.linalg.norm(v))
-        lb = max(0.0, nv - rad[depth]) ** 2
-        tie = _TIE_REL * max(1.0, min(state["best_obj"], 1e300))
-        if state["from_dfs"]:
-            if lb >= state["best_obj"] - tie:
-                return
-        elif lb > state["best_obj"] + tie:
-            return
-        if depth == n:
-            obj = nv * nv
-            if obj < state["best_obj"] - tie or (
-                not state["from_dfs"] and obj <= state["best_obj"] + tie
-            ):
-                state["best_obj"] = obj
-                state["best_x"] = x.copy()
-                state["from_dfs"] = True
-            return
-        row = Wd[depth, :depth] if Wd is not None else None
-        for sign in (-1.0, 1.0):
-            x[depth] = sign
-            dc = 2.0 * sign * float(row @ x[:depth]) if Wd is not None else 0.0
-            rec(depth + 1, v + sign * hcols[depth], psum + sign, cpart + dc)
-            if state["truncated"]:
-                break
-        x[depth] = 0.0
-
-    rec(1, hcols[0].copy(), 1.0, 0.0)
-    return state["best_x"], state["nodes"], state["truncated"]
+    lows, scored = [], 0
+    for b, (rows, c0, c1) in enumerate(blocks):
+        if b and deadline is not None and time.perf_counter() > deadline:
+            break
+        lows.append(float(score(rows, c0, c1).min()))
+        scored += rows.size * (c1 - c0)
+    completed, best = len(lows) == len(blocks), min(lows, default=math.inf)
+    if best == math.inf:
+        return None, scored, completed
+    near, first = best + _TIE_REL * max(1.0, best), (math.inf,)
+    for (rows, c0, c1), low in zip(blocks, lows):
+        if low <= near and tuple(head[rows[0]]) <= first[:h]:
+            r, c = divmod(int(np.argmax(score(rows, c0, c1) <= near)), c1 - c0)
+            first = min(first, tuple(head[rows[r]]) + tuple(tail[c0 + c]))
+    return np.array(first), scored, completed
 
 
 def solve_exact(
@@ -449,20 +397,16 @@ def solve_exact(
 ) -> SolveReport:
     """Provably optimal assignment for n up to 30.
 
-    Exhaustive scan of the sign-flip quotient up to n = 16, branch and
-    bound above.  Ties resolve to the lexicographically smallest design
-    with x_0 = +1.  With relax=True an infeasible cap is retried up the
-    alpha ladder; otherwise infeasibility is reported as such.
+    Scores every balanced design with x_0 = +1, C(29, 14) = 7.8e7 of them
+    at n = 30, in blocks of matrix products, and resolves ties to the
+    lexicographically smallest.  With relax=True an infeasible cap is
+    retried up the alpha ladder; otherwise infeasibility is reported.
     """
     if problem.n > 30:
         raise DataError(f"exact search is limited to n <= 30, got n={problem.n}")
 
     def attempt(level, cap, deadline):
-        if problem.n <= 16:
-            x, nodes = _enumerate_exact(problem, cap)
-            return x, nodes, True
-        x, nodes, truncated = _bnb_exact(problem, cap, deadline)
-        return x, nodes, not truncated
+        return _exact_search(problem, cap, deadline)
 
     return _ladder(problem, relax, time_budget, attempt, method="exact", restarts=0, seed=None)
 
@@ -512,8 +456,8 @@ class _SwapState:
     as numbers.  apply() moves the products of the swapped designs along
     and recomputes a design's from scratch every `resync` of its swaps, so
     rounding drift stays bounded.  best() finds one design's
-    lowest-scoring plus x minus pair exactly; given a lower bound on each
-    plus row's scores, it scores only the rows whose bound does not exceed
+    lowest-scoring plus x minus pair exactly from a lower bound on each
+    plus row's scores: it scores only the rows whose bound does not exceed
     the best value found so far.  best_swaps() finds the repair or descent
     swap of several designs at once.
     """
@@ -530,7 +474,6 @@ class _SwapState:
             self.wx = np.empty((R, problem.n))
             self.cuts = np.empty(R)
         self.resync, self.swaps = resync, np.zeros(R, dtype=np.int64)
-        self.r, self.a = 0, None
         for r in range(R):
             self.sync(r)
 
@@ -597,20 +540,14 @@ class _SwapState:
         w_ij = float(W.data[lo + pos]) if pos < cols.size and cols[pos] == j else 0.0
         return _cut_delta(x[i] * wx[i], x[j] * wx[j], w_ij)
 
-    def hv(self) -> np.ndarray:
-        """a = H'v of the design best() searches, computed on first use (valid inside best())."""
-        if self.a is None:
-            self.a = self.v[self.r] @ self.H
-        return self.a
-
     def obj_block(self, P: np.ndarray, minus: np.ndarray) -> np.ndarray:
-        """Objective deltas of the swaps P x minus (valid inside best())."""
-        a, psi = self.hv(), self.psi
+        """Objective deltas of the focused design's swaps P x minus."""
+        a, psi = self.a, self.psi
         G = self.H[:, P].T @ self.H[:, minus]
         return _obj_delta(a[P][:, None], a[minus][None, :], psi[P][:, None], psi[minus][None, :], G)
 
     def obj_row_bounds(self, plus: np.ndarray, minus: np.ndarray) -> np.ndarray:
-        """Lower bounds on the obj_block values of each plus row (valid inside best()).
+        """Lower bounds on the obj_block values of each plus row of the focused design.
 
         Row i's minimum is 4(psi_i - a_i) + min_j [4(psi_j + a_j) - 8 h_i.h_j],
         one matrix product per block of rows.  The slack covers the
@@ -618,7 +555,7 @@ class _SwapState:
         (20k + 88) u (max psi + max |a|) for k rows of H and unit
         roundoff u, and the slack is more than five times that.
         """
-        H, a, psi = self.H, self.hv(), self.psi
+        H, a, psi = self.H, self.a, self.psi
         left = np.ones((plus.size, H.shape[0] + 1))
         left[:, :-1] = H[:, plus].T
         right = np.vstack([-8.0 * H[:, minus], 4.0 * (psi[minus] + a[minus])])
@@ -635,7 +572,7 @@ class _SwapState:
         return low + 4.0 * (psi[plus] - a[plus]) - slack
 
     def cut_block(self, P: np.ndarray, minus: np.ndarray) -> np.ndarray:
-        """Cut deltas of the swaps P x minus (valid inside best()).
+        """Cut deltas of the focused design's swaps P x minus.
 
         The weights come straight from W's CSR arrays (sorted, without
         duplicates, as Network.adjacency builds them).
@@ -649,7 +586,7 @@ class _SwapState:
         return _cut_delta(s[P][:, None], s[minus][None, :], w)
 
     def cut_row_bounds(self, plus: np.ndarray, minus: np.ndarray) -> np.ndarray:
-        """Lower bounds on the cut_block values of each plus row (valid inside best()).
+        """Lower bounds on the cut_block values of each plus row of the focused design.
 
         _cut_delta does not increase as s_j or w_ij grow, under rounding
         too, so the largest s on the minus arm and the largest weight
@@ -658,29 +595,30 @@ class _SwapState:
         heaviest = float(self.W.data.max(initial=0.0))
         return _cut_delta(self.s[plus], float(self.s[minus].max()), heaviest)
 
-    def best(self, score, floor: float, bound=None, r: int = 0):
-        """(value, (i, j)) of design r's lowest score(P, minus) below floor, or (floor, None).
-
-        Ties go to the first pair in (plus, minus) order.  bound(plus,
-        minus), if given, returns a lower bound on the scores of each plus
-        row.  Unless one block holds every pair, rows are then visited in
-        ascending bound order, in blocks that double from two rows, and
-        the search stops at the first row whose bound exceeds the best
-        value found, which leaves the result unchanged.
-        """
+    def focus(self, r: int):
+        """Set design r's a = H'v and s = x * Wx for the block scores; returns its (plus, minus)."""
         x = self.x[r]
         plus = np.flatnonzero(x > 0)
         minus = np.flatnonzero(x < 0)
-        self.r, self.a = r, None
+        self.a = self.v[r] @ self.H
         if self.W is not None:
             self.s = x * self.wx[r]
             self.minus_pos = np.full(x.size, -1)
             self.minus_pos[minus] = np.arange(minus.size)
+        return plus, minus
+
+    def best(self, score, floor: float, bound, r: int = 0):
+        """(value, (i, j)) of design r's lowest score(P, minus) below floor, or (floor, None).
+
+        Ties go to the first pair in (plus, minus) order.  bound(plus,
+        minus) returns a lower bound on the scores of each plus row.  Rows
+        are visited in ascending bound order, in blocks that double from
+        two rows, and the search stops at the first row whose bound
+        exceeds the best value found, which leaves the result unchanged.
+        """
+        plus, minus = self.focus(r)
         rows = max(2, _BLOCK_ENTRIES // minus.size)
-        if bound is None or rows >= plus.size:  # one block holds every pair
-            low, size = np.full(plus.size, -np.inf), rows
-        else:
-            low, size = bound(plus, minus), 2
+        low, size = bound(plus, minus), 2
         order = np.argsort(low, kind="stable")
         low = low[order]
         best_val, pair = floor, None
@@ -1011,14 +949,16 @@ def solve(
     time_budget: Optional[float] = None,
     relax: bool = True,
 ) -> SolveReport:
-    """Dispatch: exact to n = 16, local search to n = 5000, annealing above.
+    """Dispatch: exact to n = 21, local search to n = 5000, annealing above.
 
-    Local search beat annealing in both time and objective at every size
-    measured, up to n = 5000 (perfbench graphs, mean degree 10, p = 10);
-    larger sizes were not measured.
+    Exact search took less time than a 32-restart local search up to
+    n = 21, a third or less up to 20, about as long at 22 and longer above
+    (Bernoulli graphs, density 0.2, p = 3).  Local search beat annealing in
+    time and objective at every size measured, up to n = 5000 (perfbench
+    graphs, mean degree 10, p = 10); larger sizes were not measured.
     """
     if method == "auto":
-        if problem.n <= 16:
+        if problem.n <= 21:
             method = "exact"
         elif problem.n <= 5000:
             method = "local"

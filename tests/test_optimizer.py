@@ -10,10 +10,11 @@ cross-checked by bisection on math.erf.
 import dataclasses
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy import sparse, stats
 
@@ -338,6 +339,82 @@ class TestBranchAndBound:
         assert (report.design is None) == (not report.feasible)
 
 
+def exact_by_enumeration(net, cov, rho0, alpha, relax):
+    """(objective, design, alpha used) by the enumeration oracles, up the ladder if relax."""
+    levels = [alpha] + ([a for a in RELAXATION_LADDER if a > alpha] if relax else [])
+    for level in levels:
+        oracle = brute_force_hybrid if net.n <= 12 else chunked_enumeration
+        obj, x = oracle(net, cov, rho0, level)
+        if x is not None:
+            return obj, x, level
+    return math.inf, None, None
+
+
+class TestExactOracle:
+    """solve_exact against the enumeration oracles, across the head/tail split."""
+
+    @settings(max_examples=60)
+    @given(
+        n=st.sampled_from(range(2, 21)),
+        density=st.floats(0.1, 0.8),
+        p=st.integers(1, 3),
+        rho0=st.floats(0.0, 0.9),
+        alpha=st.sampled_from([0.001, 0.05, 0.3, 0.5]),
+        kind=st.sampled_from(["network", "ties", "covariate_only"]),
+        relax=st.booleans(),
+        seed=st.integers(0, 2**31 - 1),
+    )
+    def test_matches_enumeration(self, n, density, p, rho0, alpha, kind, relax, seed):
+        # "ties": one +/-1 covariate on an unweighted graph and a round rho0,
+        # where many designs tie exactly and the first in lexicographic
+        # order must win wherever the head/tail split puts it.
+        assume(kind != "covariate_only" or n <= 14)
+        if kind == "ties":
+            p, rho0 = 1, round(rho0) / 2.0
+        cov = generate_pm1_covariates(n, min(p, n - 2), seed=seed + 1)
+        if kind == "covariate_only":
+            report = solve_exact(no_network_problem(cov), relax=relax)
+            obj, x = brute_force_no_network(cov)
+            used = None
+        else:
+            net = repair_isolated(
+                generate_bernoulli_network(n, density, seed=seed), "connect", seed=seed
+            ).network
+            report = solve_exact(hybrid_problem(net, cov, rho0, alpha), relax=relax)
+            obj, x, used = exact_by_enumeration(net, cov, rho0, alpha, relax)
+        assert report.optimal
+        if x is None:
+            assert not report.feasible and report.design is None
+            return
+        assert report.feasible and report.alpha == used
+        assert report.objective == pytest.approx(obj, abs=1e-8)
+        assert np.array_equal(report.design.x, x)
+
+    def test_memory_stays_within_one_block(self):
+        # n = 26: 2^12 head and 2^13 tail patterns of 13 nodes; the largest
+        # tail group holds C(13, 6) = 1716 patterns.  A block holds at most
+        # max(_EXACT_BLOCK, 1716) scores, in two float64 arrays (objective,
+        # cut) and two boolean masks: 18 bytes a score.  The patterns and
+        # the factors of the two quadratic forms take at most six arrays of
+        # 13 + 2 float64 columns over the 12288 head and tail rows.  Scores
+        # kept for all 5.2M balanced designs would take 42 MB.
+        n, p = 26, 2
+        net = repair_isolated(
+            generate_bernoulli_network(n, 0.2, seed=3), "connect", seed=3
+        ).network
+        prob = hybrid_problem(net, generate_pm1_covariates(n, p, seed=4), 0.5, 0.05)
+        scores = 18 * max(optimizer._EXACT_BLOCK, 1716)
+        tables = 8 * (2**13 + 2**12) * 6 * (13 + 2)
+        tracemalloc.start()
+        try:
+            report = solve_exact(prob, relax=False)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert report.optimal and report.iterations == math.comb(25, 12)
+        assert peak < scores + tables
+
+
 class TestLocalSearch:
     def test_matches_exact_on_100_instances(self):
         rng = np.random.default_rng(2024)
@@ -474,6 +551,11 @@ class TestAnnealing:
         assert not report.feasible and report.design is None
 
 
+def every_row(plus, minus):
+    """A row bound of -inf: best() scores every row."""
+    return np.full(plus.size, -np.inf)
+
+
 class TestSwapDeltas:
     @given(
         n=st.integers(4, 14),
@@ -509,7 +591,7 @@ class TestSwapDeltas:
                     pairs.append((i, j))
             return d_obj
 
-        _, (i, j) = state.best(score, math.inf)
+        _, (i, j) = state.best(score, math.inf, every_row)
         assert len(pairs) == int((x > 0).sum() * (x < 0).sum())
         # The maintained products follow the swap.
         state.apply(i, j, state.obj_delta(i, j), state.cut_delta(i, j))
@@ -530,23 +612,18 @@ class TestSwapDeltas:
             block[np.ix_(P == target[0], minus == target[1])] = -1.0
             return block
 
-        assert state.best(score, -0.5) == (-1.0, target)
-        assert state.best(score, -1.0) == (-1.0, None)
+        assert state.best(score, -0.5, every_row) == (-1.0, target)
+        assert state.best(score, -1.0, every_row) == (-1.0, None)
 
 
-def scan_every_pair(state, score, floor):
-    """Lowest score below floor, first in (plus, minus) order, pair by pair.
-
-    Call it right after state.best(), which sets up the products score reads.
-    """
-    plus, minus = np.flatnonzero(state.x > 0), np.flatnonzero(state.x < 0)
+def scan_every_pair(state, score, floor, r=0):
+    """Design r's lowest score below floor, first in (plus, minus) order, all pairs in one block."""
+    plus, minus = state.focus(r)
     block = score(plus, minus)
-    best_val, pair = floor, None
-    for a, i in enumerate(plus):
-        for b, j in enumerate(minus):
-            if block[a, b] < best_val:
-                best_val, pair = float(block[a, b]), (int(i), int(j))
-    return best_val, pair
+    k = int(np.argmin(block))  # the first of equal minima
+    if not block.flat[k] < floor:
+        return floor, None
+    return float(block.flat[k]), (int(plus[k // minus.size]), int(minus[k % minus.size]))
 
 
 def pruning_instance(n, density, p, rho0, alpha, weighted, seed):
@@ -567,9 +644,9 @@ def pruning_instance(n, density, p, rho0, alpha, weighted, seed):
 class TestPrunedSearch:
     """best() with row bounds returns what a scan of every pair returns.
 
-    best() prunes only when one block cannot hold every pair (n above about
-    256), so most tests shrink the block to prune at sizes an oracle scans
-    quickly.
+    Local search calls best() only for designs whose pairs overflow one
+    block (n above about 256), so most tests shrink the block to reach it
+    at sizes an oracle scans quickly.
     """
 
     @settings(max_examples=60)
@@ -615,7 +692,6 @@ class TestPrunedSearch:
         cases = [
             (capped, state.obj_row_bounds),
             (state.obj_block, state.obj_row_bounds),
-            (state.cut_block, None),
             (state.cut_block, state.cut_row_bounds),
             (state.cut_block, late_rows_first(True)),
             (state.cut_block, late_rows_first(False)),
@@ -641,16 +717,15 @@ class TestPrunedSearch:
             prob = pruning_instance(n, 0.1, 3, 0.5, 0.5, False, int(rng.integers(2**31)))
             x = random_balanced_design(n, rng).x.copy()
             state = _SwapState(prob, x, resync=64)
-            state.best(state.obj_block, math.inf)
-            plus, minus = np.flatnonzero(x > 0), np.flatnonzero(x < 0)
+            plus, minus = state.focus(0)
             low = state.obj_row_bounds(plus, minus)
             rows = state.obj_block(plus, minus).min(axis=1)
             assert np.all(low <= rows)
             assert np.allclose(low, rows, rtol=0.0, atol=1e-9)
 
-    @pytest.mark.parametrize("bound", [None, lambda plus, minus: np.full(plus.size, -1.0)])
+    @pytest.mark.parametrize("bound", [lambda plus, minus: np.full(plus.size, -1.0)])
     def test_decodes_pairs_across_blocks(self, bound):
-        n = 800  # 400 x 400 pairs: several blocks either way
+        n = 800  # 400 x 400 pairs: several blocks
         x = random_balanced_design(n, 0).x.copy()
         state = _SwapState(no_network_problem(generate_pm1_covariates(n, 1, seed=0)), x, 64)
         plus, minus = np.flatnonzero(x > 0), np.flatnonzero(x < 0)
@@ -694,10 +769,9 @@ class TestPrunedSearch:
             return records
 
         pruned = solve_all()
-        scan = _SwapState.best
         monkeypatch.setattr(
             _SwapState, "best",
-            lambda self, score, floor, bound=None, r=0: scan(self, score, floor, r=r),
+            lambda self, score, floor, bound, r=0: scan_every_pair(self, score, floor, r),
         )
         assert pruned == solve_all()
 
