@@ -18,16 +18,20 @@ All solvers work off the factored form H = La^{-1} B' (objective
 swap move exchanges one node from each arm, so balance is invariant; its
 objective delta costs O(p) and its constraint delta O(1) given the
 maintained vectors.  Repair and descent take the best swap over all
-plus x minus pairs exactly, and above n of about 256 without scoring them
-all: a lower bound on each plus row's best delta (one matrix product per
-step for the objective, O(n) for the cut) orders the rows, and rows are
-scored only until the next bound exceeds the best delta found.  The
-restarts of a multistart solve advance in lockstep, one swap each per
-step; below one block of pairs per restart their pair blocks are scored
-as one stack, with the per-restart arithmetic, so each restart takes the
-swaps it would take alone.  Reported objectives are recomputed by a
-fresh pass over the returned design, never copied from solver
-bookkeeping.
+plus x minus pairs exactly, and one scorer computes the objective and
+cut deltas and the cap mask of a block of pairs for both.  The restarts
+of a multistart solve advance in lockstep, one swap each per step; below
+one block of pairs per restart (n up to about 256) their pair blocks are
+scored as one stack, with the per-restart arithmetic, so each restart
+takes the swaps it would take alone.  Above that a design's pairs are
+scored without scoring them all: a lower bound on each plus row's best
+delta (one matrix product per step for the objective, O(n) for the cut)
+orders the rows, and rows are scored, as a stack of one, only until the
+next bound exceeds the best delta found.  The scorer reads the weights
+of small designs from a dense copy of W and those of large ones from
+W's sparse rows, so memory stays O(n) where the dense copy would not
+fit.  Reported objectives are recomputed by a fresh pass over the
+returned design, never copied from solver bookkeeping.
 """
 
 from __future__ import annotations
@@ -117,15 +121,6 @@ class HybridProblem:
             return None
         xv = as_sign_vector(x)
         return float(xv @ (self.W @ xv))
-
-    def is_feasible(self, x, cap: Optional[float] = None) -> bool:
-        xv = as_sign_vector(x)
-        if abs(float(xv.sum())) > 1.0 + 1e-12:
-            return False
-        if self.W is None:
-            return True
-        q = self.cap if cap is None else cap
-        return self.constraint_value(xv) <= q + _FEAS_TOL
 
 
 def hybrid_problem(
@@ -455,17 +450,19 @@ class _SwapState:
     x is updated in place; a 1-d x is a stack of one, whose obj and c read
     as numbers.  apply() moves the products of the swapped designs along
     and recomputes a design's from scratch every `resync` of its swaps, so
-    rounding drift stays bounded.  best() finds one design's
-    lowest-scoring plus x minus pair exactly from a lower bound on each
-    plus row's scores: it scores only the rows whose bound does not exceed
-    the best value found so far.  best_swaps() finds the repair or descent
-    swap of several designs at once.
+    rounding drift stays bounded.  pairs() is the one scorer of repair and
+    descent swaps, for a stack of designs that share their arm sizes.
+    best_stacked() scores every pair of each design in a stack; best()
+    finds one design's lowest-scoring pair exactly from a lower bound on
+    each plus row's scores, scoring only the rows whose bound does not
+    exceed the best value found so far.  best_swaps() takes each design
+    in rows to one of the two.
     """
 
     def __init__(self, problem: HybridProblem, x: np.ndarray, resync: int):
         self.H, self.psi, self.W = problem.H, problem.psi, problem.W
         self.Ht = np.ascontiguousarray(problem.H.T)  # row i = column i of H
-        self.Wd = None  # dense W, flattened, built for the first stacked cut block
+        self.Wd = None  # dense W, flattened, built by the first weights() of a small design
         self.x = x.reshape(-1, problem.n)
         R = self.x.shape[0]
         self.v = np.empty((R, self.H.shape[0]))
@@ -540,22 +537,81 @@ class _SwapState:
         w_ij = float(W.data[lo + pos]) if pos < cols.size and cols[pos] == j else 0.0
         return _cut_delta(x[i] * wx[i], x[j] * wx[j], w_ij)
 
-    def obj_block(self, P: np.ndarray, minus: np.ndarray) -> np.ndarray:
-        """Objective deltas of the focused design's swaps P x minus."""
-        a, psi = self.a, self.psi
-        G = self.H[:, P].T @ self.H[:, minus]
-        return _obj_delta(a[P][:, None], a[minus][None, :], psi[P][:, None], psi[minus][None, :], G)
+    def focus(self, rows: np.ndarray, descent: bool):
+        """(P, M, A, S) of the designs in rows, which share their arm sizes.
 
-    def obj_row_bounds(self, plus: np.ndarray, minus: np.ndarray) -> np.ndarray:
-        """Lower bounds on the obj_block values of each plus row of the focused design.
+        P and M hold each design's plus and minus nodes, (G, k) and (G, l);
+        A its a = H'v in descent (None in repair) and S its s = x * Wx
+        (None without W), both (G, n).
+        """
+        X = self.x[rows]
+        G, n = X.shape
+        A = np.matmul(self.v[rows][:, None, :], self.H)[:, 0] if descent else None
+        S = X * self.wx[rows] if self.W is not None else None
+        P = np.flatnonzero(X > 0).reshape(G, -1) % n
+        return P, np.flatnonzero(X < 0).reshape(G, -1) % n, A, S
+
+    def weights(self, P: np.ndarray, M: np.ndarray) -> np.ndarray:
+        """w_ij of the pairs P x M, (G, k, l), gathered by size.
+
+        Designs whose pairs fit one block (n up to about 256) take them
+        from dense W, flattened: at most 0.5 MB, and faster per call.  A
+        larger design, which is scored alone, takes them from W's CSR rows
+        (sorted, without duplicates, as Network.adjacency builds them),
+        which keeps memory at O(n).
+        """
+        k, l, n = P.shape[1], M.shape[1], self.x.shape[1]
+        if (n - l) * l <= _BLOCK_ENTRIES:
+            if self.Wd is None:
+                self.Wd = self.W.toarray().ravel()
+            return self.Wd.take(P[:, :, None] * n + M[:, None, :])
+        nz, count = _csr_entries(self.W, P[0])
+        pos = np.full(n, -1)
+        pos[M[0]] = np.arange(l)
+        col = pos[self.W.indices[nz]]
+        keep = col >= 0
+        w = np.zeros((1, k, l))
+        w[0, np.repeat(np.arange(k), count)[keep], col[keep]] = self.W.data[nz[keep]]
+        return w
+
+    def pairs(self, rows: np.ndarray, arms, capv: Optional[float]):
+        """(score, cut) blocks, (G, k, l), of the swaps P x M of the designs in rows.
+
+        arms is (P, M, A, S) as focus returns it, for every plus row or a
+        subset.  The score is the cut delta in repair (A None) and the
+        objective delta in descent, inf where the cut would take x'Wx above
+        capv.  cut is None without W.  Every product is the per-design
+        one: a stacked matmul runs the same BLAS call for each design.
+        """
+        P, M, A, S = arms
+        at = np.arange(P.shape[0])[:, None]
+        cut = None
+        if self.W is not None:
+            cut = _cut_delta(S[at, P][:, :, None], S[at, M][:, None, :], self.weights(P, M))
+        if A is None:
+            return cut, cut
+        score = _obj_delta(
+            A[at, P][:, :, None],
+            A[at, M][:, None, :],
+            self.psi[P][:, :, None],
+            self.psi[M][:, None, :],
+            np.matmul(self.Ht[P], self.H[:, M].transpose(1, 0, 2)),
+        )
+        if cut is not None:
+            score = np.where(self.cuts[rows][:, None, None] + cut <= capv, score, np.inf)
+        return score, cut
+
+    def obj_row_bounds(self, arms) -> np.ndarray:
+        """Lower bounds on the descent scores of each plus row of a stack of one design.
 
         Row i's minimum is 4(psi_i - a_i) + min_j [4(psi_j + a_j) - 8 h_i.h_j],
         one matrix product per block of rows.  The slack covers the
-        rounding of this sum and of obj_block's: both together stay below
-        (20k + 88) u (max psi + max |a|) for k rows of H and unit
-        roundoff u, and the slack is more than five times that.
+        rounding of this sum and of the objective deltas: both together
+        stay below (20k + 88) u (max psi + max |a|) for k rows of H and
+        unit roundoff u, and the slack is more than five times that.
         """
-        H, a, psi = self.H, self.a, self.psi
+        (plus,), (minus,), (a,), _ = arms
+        H, psi = self.H, self.psi
         left = np.ones((plus.size, H.shape[0] + 1))
         left[:, :-1] = H[:, plus].T
         right = np.vstack([-8.0 * H[:, minus], 4.0 * (psi[minus] + a[minus])])
@@ -571,57 +627,32 @@ class _SwapState:
         )
         return low + 4.0 * (psi[plus] - a[plus]) - slack
 
-    def cut_block(self, P: np.ndarray, minus: np.ndarray) -> np.ndarray:
-        """Cut deltas of the focused design's swaps P x minus.
-
-        The weights come straight from W's CSR arrays (sorted, without
-        duplicates, as Network.adjacency builds them).
-        """
-        W, s = self.W, self.s
-        nz, count = _csr_entries(W, P)
-        col = self.minus_pos[W.indices[nz]]
-        keep = col >= 0
-        w = np.zeros((P.size, minus.size))
-        w[np.repeat(np.arange(P.size), count)[keep], col[keep]] = W.data[nz[keep]]
-        return _cut_delta(s[P][:, None], s[minus][None, :], w)
-
-    def cut_row_bounds(self, plus: np.ndarray, minus: np.ndarray) -> np.ndarray:
-        """Lower bounds on the cut_block values of each plus row of the focused design.
+    def cut_row_bounds(self, arms) -> np.ndarray:
+        """Lower bounds on the repair scores of each plus row of a stack of one design.
 
         _cut_delta does not increase as s_j or w_ij grow, under rounding
         too, so the largest s on the minus arm and the largest weight
         bound every row exactly.
         """
+        (plus,), (minus,), _, (s,) = arms
         heaviest = float(self.W.data.max(initial=0.0))
-        return _cut_delta(self.s[plus], float(self.s[minus].max()), heaviest)
+        return _cut_delta(s[plus], float(s[minus].max()), heaviest)
 
-    def focus(self, r: int):
-        """Set design r's a = H'v and s = x * Wx for the block scores; returns its (plus, minus)."""
-        x = self.x[r]
-        plus = np.flatnonzero(x > 0)
-        minus = np.flatnonzero(x < 0)
-        self.a = self.v[r] @ self.H
-        if self.W is not None:
-            self.s = x * self.wx[r]
-            self.minus_pos = np.full(x.size, -1)
-            self.minus_pos[minus] = np.arange(minus.size)
-        return plus, minus
+    def best(self, rows: np.ndarray, arms, capv: Optional[float], floor: float, low: np.ndarray):
+        """(value, (i, j), cut delta) of the lowest pair below floor, or (floor, None, 0.0).
 
-    def best(self, score, floor: float, bound, r: int = 0):
-        """(value, (i, j)) of design r's lowest score(P, minus) below floor, or (floor, None).
-
-        Ties go to the first pair in (plus, minus) order.  bound(plus,
-        minus) returns a lower bound on the scores of each plus row.  Rows
-        are visited in ascending bound order, in blocks that double from
-        two rows, and the search stops at the first row whose bound
+        rows is a stack of one design and arms its focus.  Ties go to the
+        first pair in (plus, minus) order.  low holds a lower bound on the
+        scores of each plus row.  Rows are visited in ascending bound
+        order, in blocks that double from two rows, each scored by pairs()
+        as a stack of one; the search stops at the first row whose bound
         exceeds the best value found, which leaves the result unchanged.
         """
-        plus, minus = self.focus(r)
-        rows = max(2, _BLOCK_ENTRIES // minus.size)
-        low, size = bound(plus, minus), 2
-        order = np.argsort(low, kind="stable")
+        (plus,), (minus,) = arms[0], arms[1]
+        rows_per = max(2, _BLOCK_ENTRIES // minus.size)
+        order, size = np.argsort(low, kind="stable"), 2
         low = low[order]
-        best_val, pair = floor, None
+        best_val, pair, dc = floor, None, 0.0
         lo = 0
         while lo < plus.size and low[lo] <= best_val:
             hi = lo + max(2, int(np.searchsorted(low[lo : lo + size], best_val, side="right")))
@@ -629,64 +660,37 @@ class _SwapState:
             # rounding differs from the matrix product's: leave none over.
             hi = plus.size if hi >= plus.size - 1 else hi
             P = plus[np.sort(order[lo:hi])]
-            block = score(P, minus)
+            block, cut = self.pairs(rows, (P[None],) + arms[1:], capv)
             k = int(np.argmin(block))
             val = float(block.flat[k])
             cand = (int(P[k // minus.size]), int(minus[k % minus.size]))
             if val < best_val or (val == best_val and pair is not None and cand < pair):
                 best_val, pair = val, cand
-            lo, size = hi, min(2 * size, rows)
-        return best_val, pair
+                dc = 0.0 if cut is None else float(cut.flat[k])
+            lo, size = hi, min(2 * size, rows_per)
+        return best_val, pair, dc
 
     def best_stacked(self, rows: np.ndarray, repair: bool, capv: Optional[float]):
-        """The lowest-scoring repair or descent pair of each design in rows, all scored as one stack.
+        """The lowest-scoring pair of each design in rows, every plus node scored as one stack.
 
-        The designs share their arm sizes, so their pair blocks stack into
-        one (designs, plus, minus) array.  Returns (value, i, j, cut delta)
-        arrays of the lowest-scoring pair of each design, the first in
-        (plus, minus) order.  Every product is the per-design one: a
-        stacked matmul runs the same BLAS call for each design.
+        Returns (value, i, j, cut delta) arrays, the first pair in
+        (plus, minus) order for each design.
         """
-        X = self.x[rows]
-        G, n = X.shape
-        at = np.arange(G)
-        P = np.nonzero(X > 0)[1].reshape(G, -1)
-        M = np.nonzero(X < 0)[1].reshape(G, -1)
-        if self.W is not None:
-            if self.Wd is None:
-                self.Wd = self.W.toarray().ravel()
-            S = X * self.wx[rows]
-            cut = _cut_delta(
-                S[at[:, None], P][:, :, None],
-                S[at[:, None], M][:, None, :],
-                self.Wd.take(P[:, :, None] * n + M[:, None, :]),
-            )
-        if repair:
-            block = cut
-        else:
-            A = np.matmul(self.v[rows][:, None, :], self.H)[:, 0]
-            block = _obj_delta(
-                A[at[:, None], P][:, :, None],
-                A[at[:, None], M][:, None, :],
-                self.psi[P][:, :, None],
-                self.psi[M][:, None, :],
-                np.matmul(self.Ht[P], self.H[:, M].transpose(1, 0, 2)),
-            )
-            if self.W is not None:
-                block = np.where(self.cuts[rows][:, None, None] + cut <= capv, block, np.inf)
-        k = block.reshape(G, -1).argmin(axis=1)
-        p_at, m_at = np.divmod(k, M.shape[1])
-        dc = cut[at, p_at, m_at] if self.W is not None else np.zeros(G)
-        return block[at, p_at, m_at], P[at, p_at], M[at, m_at], dc
+        arms = self.focus(rows, not repair)
+        block, cut = self.pairs(rows, arms, capv)
+        at = np.arange(rows.size)
+        p_at, m_at = np.divmod(block.reshape(rows.size, -1).argmin(axis=1), block.shape[2])
+        dc = cut[at, p_at, m_at] if cut is not None else np.zeros(rows.size)
+        return block[at, p_at, m_at], arms[0][at, p_at], arms[1][at, m_at], dc
 
     def best_swaps(self, rows: np.ndarray, repair: bool, capv: Optional[float]):
         """The best swap below its floor of each design in rows: arrays (r, i, j, value, dc).
 
         Repair lowers x'Wx (floor -1e-12); descent lowers the objective
-        (floor -1e-10 max(1, obj)) within the cap.  Designs whose pairs
-        fit in one block are scored in stacks of as many as fit; the others
-        take the row-bound search one by one.  Designs without a swap below
-        their floor are left out.
+        (floor -1e-10 max(1, obj)) within the cap.  Both score through
+        pairs(): designs whose pairs fit in one block in stacks of as many
+        as fit, the others one by one in the row-bound search.  Designs
+        without a swap below their floor are left out.
         """
         floors = np.full(rows.size, -1e-12) if repair else -1e-10 * np.maximum(1.0, self.objs[rows])
         n = self.x.shape[1]
@@ -701,21 +705,9 @@ class _SwapState:
                 at = same[lo : lo + per]
                 val[at], i[at], j[at], dc[at] = self.best_stacked(rows[at], repair, capv)
         for at in np.flatnonzero(~fits):
-            r = int(rows[at])
-
-            def descent(P, minus, r=r):
-                delta = self.obj_block(P, minus)
-                if self.W is not None:
-                    delta = np.where(self.cuts[r] + self.cut_block(P, minus) <= capv, delta, np.inf)
-                return delta
-
-            if repair:
-                val[at], pair = self.best(self.cut_block, floors[at], self.cut_row_bounds, r)
-                dc[at] = val[at]
-            else:
-                val[at], pair = self.best(descent, floors[at], self.obj_row_bounds, r)
-                if pair is not None and self.W is not None:
-                    dc[at] = self.cut_delta(*pair, r)
+            arms = self.focus(rows[at : at + 1], not repair)
+            low = self.cut_row_bounds(arms) if repair else self.obj_row_bounds(arms)
+            val[at], pair, dc[at] = self.best(rows[at : at + 1], arms, capv, floors[at], low)
             if pair is not None:
                 i[at], j[at] = pair
         ok = val < floors

@@ -551,9 +551,21 @@ class TestAnnealing:
         assert not report.feasible and report.design is None
 
 
-def every_row(plus, minus):
-    """A row bound of -inf: best() scores every row."""
-    return np.full(plus.size, -np.inf)
+def balanced_stack(n, designs, seed):
+    """Random balanced designs with equal plus counts, one per row, as a stack needs them."""
+    X = np.stack([random_balanced_design(n, seed + k).x for k in range(designs)])
+    return np.where((X > 0).sum(axis=1, keepdims=True) == (X[0] > 0).sum(), X, -X)
+
+
+def synthetic_pairs(targets):
+    """A pairs() stand-in scoring -1 on the target pairs and 0 elsewhere."""
+    def pairs(rows, arms, capv):
+        (P,), (M,) = arms[0], arms[1]
+        block = np.zeros((1, P.size, M.size))
+        for i, j in targets:
+            block[0][np.ix_(P == i, M == j)] = -1.0
+        return block, None
+    return pairs
 
 
 class TestSwapDeltas:
@@ -562,68 +574,74 @@ class TestSwapDeltas:
         density=st.floats(0.1, 0.8),
         p=st.integers(1, 3),
         rho0=st.floats(0.0, 0.9),
+        weighted=st.booleans(),
+        designs=st.integers(2, 4),
         seed=st.integers(0, 2**31 - 1),
     )
-    def test_deltas_match_dense_recomputation(self, n, density, p, rho0, seed):
+    def test_deltas_match_dense_recomputation(self, n, density, p, rho0, weighted, designs, seed):
+        prob = pruning_instance(n, density, p, rho0, 0.5, weighted, seed)
         net = repair_isolated(
             generate_bernoulli_network(n, density, seed=seed), "connect", seed=seed
         ).network
-        cov = generate_pm1_covariates(n, p, seed=seed + 1)
-        prob = hybrid_problem(net, cov, rho0, 0.5)
-        M = dense_objective_matrix(net, cov, rho0)
-        W = net.adjacency.toarray()
-        x = random_balanced_design(n, seed + 2).x.copy()
-        state = _SwapState(prob, x, resync=64)
-        pairs = []
-
-        def score(P, minus):
-            d_obj, d_cut = state.obj_block(P, minus), state.cut_block(P, minus)
-            for a, i in enumerate(P):
-                for b, j in enumerate(minus):
+        Q = dense_objective_matrix(net, generate_pm1_covariates(n, p, seed=seed + 1), rho0)
+        W = prob.W.toarray()
+        X = balanced_stack(n, designs, seed + 2)
+        state = _SwapState(prob, X, resync=64)
+        rows = np.arange(designs)
+        P, M, _, _ = arms = state.focus(rows, True)
+        obj, cut = state.pairs(rows, arms, math.inf)
+        assert np.array_equal(state.pairs(rows, state.focus(rows, False), None)[0], cut)
+        assert obj.shape == cut.shape == (designs, P.shape[1], M.shape[1])
+        for r in rows:
+            x = X[r].copy()
+            for a, i in enumerate(P[r]):
+                for b, j in enumerate(M[r]):
                     y = x.copy()
                     y[i], y[j] = -1.0, 1.0
-                    dense_obj = y @ M @ y - x @ M @ x
+                    dense_obj = y @ Q @ y - x @ Q @ x
                     dense_cut = y @ W @ y - x @ W @ x
-                    assert d_obj[a, b] == pytest.approx(dense_obj, abs=1e-9)
-                    assert d_cut[a, b] == pytest.approx(dense_cut, abs=1e-9)
-                    assert state.obj_delta(i, j) == pytest.approx(dense_obj, abs=1e-9)
-                    assert state.cut_delta(i, j) == pytest.approx(dense_cut, abs=1e-9)
-                    pairs.append((i, j))
-            return d_obj
-
-        _, (i, j) = state.best(score, math.inf, every_row)
-        assert len(pairs) == int((x > 0).sum() * (x < 0).sum())
+                    assert obj[r, a, b] == pytest.approx(dense_obj, abs=1e-9)
+                    assert cut[r, a, b] == pytest.approx(dense_cut, abs=1e-9)
+                    assert state.obj_delta(i, j, r=r) == pytest.approx(dense_obj, abs=1e-9)
+                    assert state.cut_delta(i, j, r=r) == pytest.approx(dense_cut, abs=1e-9)
+            # Alone, through the CSR gather, the design scores bit for bit the same.
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(optimizer, "_BLOCK_ENTRIES", 0)
+                alone = rows[r : r + 1]
+                got_obj, got_cut = state.pairs(alone, state.focus(alone, True), math.inf)
+                assert np.array_equal(got_obj[0], obj[r]) and np.array_equal(got_cut[0], cut[r])
         # The maintained products follow the swap.
+        a, b = np.unravel_index(int(np.argmin(obj[0])), obj[0].shape)
+        i, j = int(P[0, a]), int(M[0, b])
         state.apply(i, j, state.obj_delta(i, j), state.cut_delta(i, j))
+        x = state.x[0]
         assert x[i] == -1.0 and x[j] == 1.0
-        assert state.obj == pytest.approx(x @ M @ x, abs=1e-9)
-        assert state.c == pytest.approx(x @ W @ x, abs=1e-9)
-        assert np.allclose(state.wx, W @ x, atol=1e-12)
+        assert state.objs[0] == pytest.approx(x @ Q @ x, abs=1e-9)
+        assert state.cuts[0] == pytest.approx(x @ W @ x, abs=1e-9)
+        assert np.allclose(state.wx[0], W @ x, atol=1e-12)
 
     def test_best_decodes_pairs_across_blocks(self):
         n = 300  # 150 plus rows: three 64-row blocks
         x = random_balanced_design(n, 0).x.copy()
         state = _SwapState(no_network_problem(generate_pm1_covariates(n, 1, seed=0)), x, 64)
-        plus, minus = np.flatnonzero(x > 0), np.flatnonzero(x < 0)
+        arms = state.focus(np.arange(1), True)
+        (plus,), (minus,) = arms[0], arms[1]
         target = (int(plus[130]), int(minus[17]))
-
-        def score(P, minus):
-            block = np.zeros((P.size, minus.size))
-            block[np.ix_(P == target[0], minus == target[1])] = -1.0
-            return block
-
-        assert state.best(score, -0.5, every_row) == (-1.0, target)
-        assert state.best(score, -1.0, every_row) == (-1.0, None)
+        state.pairs = synthetic_pairs([target])
+        every_row = np.full(plus.size, -np.inf)
+        assert state.best(np.arange(1), arms, None, -0.5, every_row) == (-1.0, target, 0.0)
+        assert state.best(np.arange(1), arms, None, -1.0, every_row) == (-1.0, None, 0.0)
 
 
-def scan_every_pair(state, score, floor, r=0):
-    """Design r's lowest score below floor, first in (plus, minus) order, all pairs in one block."""
-    plus, minus = state.focus(r)
-    block = score(plus, minus)
+def scan_every_pair(state, rows, arms, capv, floor):
+    """What best() returns, from every pair of the stack of one scored in one block."""
+    block, cut = state.pairs(rows, arms, capv)
     k = int(np.argmin(block))  # the first of equal minima
     if not block.flat[k] < floor:
-        return floor, None
-    return float(block.flat[k]), (int(plus[k // minus.size]), int(minus[k % minus.size]))
+        return floor, None, 0.0
+    (plus,), (minus,) = arms[0], arms[1]
+    pair = (int(plus[k // minus.size]), int(minus[k % minus.size]))
+    return float(block.flat[k]), pair, 0.0 if cut is None else float(cut.flat[k])
 
 
 def pruning_instance(n, density, p, rho0, alpha, weighted, seed):
@@ -672,40 +690,38 @@ class TestPrunedSearch:
         prob = pruning_instance(n, density, p, rho0, alpha, weighted, seed)
         x = random_balanced_design(n, seed + 2).x.copy()
         state = _SwapState(prob, x, resync=64)
-        capv = prob.cap + 1e-9
-
-        def capped(P, minus):
-            delta = state.obj_block(P, minus)
-            return np.where(state.c + state.cut_block(P, minus) <= capv, delta, np.inf)
+        one = np.arange(1)
+        descent, repair = state.focus(one, True), state.focus(one, False)
 
         def late_rows_first(per_row):
             # Exact minima (per row, or over all rows), lowered by one on the
             # later half of the rows: those are visited first, so an earlier
             # row that ties the best score has a bound equal to it.  Integer
             # cut deltas make such ties common.
-            def bound(plus, minus):
-                block = state.cut_block(plus, minus)
-                late = np.arange(plus.size) >= plus.size // 2
-                return (block.min(axis=1) if per_row else block.min()) - late
-            return bound
+            block = state.pairs(one, repair, None)[0][0]
+            late = np.arange(block.shape[0]) >= block.shape[0] // 2
+            return (block.min(axis=1) if per_row else block.min()) - late
 
         cases = [
-            (capped, state.obj_row_bounds),
-            (state.obj_block, state.obj_row_bounds),
-            (state.cut_block, state.cut_row_bounds),
-            (state.cut_block, late_rows_first(True)),
-            (state.cut_block, late_rows_first(False)),
+            (descent, prob.cap + 1e-9, state.obj_row_bounds(descent)),
+            (descent, math.inf, state.obj_row_bounds(descent)),
+            (repair, None, state.cut_row_bounds(repair)),
+            (repair, None, late_rows_first(True)),
+            (repair, None, late_rows_first(False)),
         ]
-        for score, bound in cases:
+        pairs = state.pairs
+        for arms, capv, low in cases:
             for floor in (math.inf, 0.0, -1e-10 * max(1.0, state.obj)):
                 rows = []
 
-                def counted(P, minus, score=score):
-                    rows.append(P.size)
-                    return score(P, minus)
+                def counted(stack, arms, capv):
+                    rows.append(arms[0].shape[1])
+                    return pairs(stack, arms, capv)
 
-                got = state.best(counted, floor, bound)
-                assert got == scan_every_pair(state, score, floor)
+                state.pairs = counted
+                got = state.best(one, arms, capv, floor, low)
+                state.pairs = pairs
+                assert got == scan_every_pair(state, one, arms, capv, floor)
                 # numpy would score a lone row by a matrix-vector product,
                 # which rounds differently from the scan's matrix product.
                 assert min(rows, default=2) >= 2
@@ -717,9 +733,9 @@ class TestPrunedSearch:
             prob = pruning_instance(n, 0.1, 3, 0.5, 0.5, False, int(rng.integers(2**31)))
             x = random_balanced_design(n, rng).x.copy()
             state = _SwapState(prob, x, resync=64)
-            plus, minus = state.focus(0)
-            low = state.obj_row_bounds(plus, minus)
-            rows = state.obj_block(plus, minus).min(axis=1)
+            arms = state.focus(np.arange(1), True)
+            low = state.obj_row_bounds(arms)
+            rows = state.pairs(np.arange(1), arms, math.inf)[0][0].min(axis=1)
             assert np.all(low <= rows)
             assert np.allclose(low, rows, rtol=0.0, atol=1e-9)
 
@@ -728,17 +744,33 @@ class TestPrunedSearch:
         n = 800  # 400 x 400 pairs: several blocks
         x = random_balanced_design(n, 0).x.copy()
         state = _SwapState(no_network_problem(generate_pm1_covariates(n, 1, seed=0)), x, 64)
-        plus, minus = np.flatnonzero(x > 0), np.flatnonzero(x < 0)
+        arms = state.focus(np.arange(1), True)
+        (plus,), (minus,) = arms[0], arms[1]
         targets = [(int(plus[330]), int(minus[17])), (int(plus[331]), int(minus[3]))]
+        state.pairs = synthetic_pairs(targets)
+        low = bound(plus, minus)
+        assert state.best(np.arange(1), arms, None, -0.5, low) == (-1.0, targets[0], 0.0)
+        assert state.best(np.arange(1), arms, None, -1.0, low) == (-1.0, None, 0.0)
 
-        def score(P, minus):
-            block = np.zeros((P.size, minus.size))
-            for i, j in targets:
-                block[np.ix_(P == i, minus == j)] = -1.0
-            return block
-
-        assert state.best(score, -0.5, bound) == (-1.0, targets[0])
-        assert state.best(score, -1.0, bound) == (-1.0, None)
+    def test_memory_stays_linear(self):
+        # At n = 2000 (mean degree 10, p = 10) a design's 10^6 pairs overflow
+        # the block, so repair and descent run the row-bound search alone.
+        # Its arrays are O(n p) or one block of pair scores: the peak measured
+        # 0.97 MB, against 32 MB for one n x n float64 array.
+        n = 2000
+        net = repair_isolated(
+            generate_bernoulli_network(n, 10 / n, seed=1), "connect", seed=1
+        ).network
+        prob = hybrid_problem(net, generate_pm1_covariates(n, 10, seed=2), 0.5, 0.001)
+        assert optimizer._BLOCK_ENTRIES // (n - n // 2) < n // 2
+        tracemalloc.start()
+        try:
+            report = solve_local(prob, restarts=1, seed=3)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert report.feasible and report.iterations > 0
+        assert peak < 8 * n * n / 8
 
     def test_local_search_matches_full_scan(self, monkeypatch):
         # 24 small instances pruned in blocks of 64 pair scores, and 6 above
@@ -771,7 +803,8 @@ class TestPrunedSearch:
         pruned = solve_all()
         monkeypatch.setattr(
             _SwapState, "best",
-            lambda self, score, floor, bound, r=0: scan_every_pair(self, score, floor, r),
+            lambda self, rows, arms, capv, floor, low:
+                scan_every_pair(self, rows, arms, capv, floor),
         )
         assert pruned == solve_all()
 
