@@ -35,6 +35,7 @@ from .criterion import (
     k_matrix,
     pip,
     quadform_correlation,
+    robustness_correlation,
     robustness_scatter,
     surrogate_gap_diagnostics,
 )

@@ -20,8 +20,7 @@ import numpy as np
 from .criterion import (
     CriterionEvaluator,
     concavity_probe,
-    k_matrix,
-    quadform_correlation,
+    robustness_correlation,
     robustness_scatter,
     surrogate_gap_diagnostics,
 )
@@ -159,7 +158,6 @@ DIAGNOSE_COLUMNS = ("check", "index", "rho", "value", "exact", "bound_a", "bound
 def cmd_diagnose(args) -> int:
     net, cov = _load_pair(args)
     rows = []
-    k0 = k_matrix(net, cov, args.rho0)
     for rho in args.rho_grid:
         if rho == args.rho0:
             continue
@@ -169,7 +167,7 @@ def cmd_diagnose(args) -> int:
         rows.append({
             "check": "correlation", "rho": rho,
             "value": float(sc.sample_correlation),
-            "exact": float(quadform_correlation(k0, k_matrix(net, cov, rho))),
+            "exact": robustness_correlation(net, cov, args.rho0, rho),
         })
     grid = np.round(np.arange(0.05, 0.951, 0.01), 10)
     for idx in range(args.designs):

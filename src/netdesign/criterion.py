@@ -14,8 +14,10 @@ It splits into three interpretable pieces,
 so maximizing precision means sending the network term negative (cutting
 edges between arms) while keeping the kernel-weighted covariate imbalance
 small.  Everything here works off a thin factored form (B = R F and the
-Cholesky factor of F' R F); the dense n-by-n K is only materialized by
-k_matrix for diagnostics and tests.
+Cholesky factor of F' R F).  The dense n-by-n K is only materialized by
+k_matrix, which the tests and users who call it use; the `diagnose`
+subcommand takes the robustness correlation from the factored
+robustness_correlation instead.
 """
 
 from __future__ import annotations
@@ -50,6 +52,7 @@ __all__ = [
     "expected_breakdown",
     "pip",
     "quadform_correlation",
+    "robustness_correlation",
     "RobustnessScatter",
     "robustness_scatter",
     "GapDiagnostics",
@@ -280,6 +283,36 @@ def quadform_correlation(a, b) -> float:
     return float(ua @ ub) / math.sqrt(na * nb)
 
 
+def robustness_correlation(net: Network, cov: CovariateMatrix, rho0: float, rho: float) -> float:
+    """quadform_correlation(k_matrix(net, cov, rho0), k_matrix(net, cov, rho)), factored.
+
+    Off the diagonal, K = R - H'H equals -rho W - H'H, so the inner
+    product of the off-diagonal parts of Ka and Kb is
+
+        rho_a rho_b <W, W> + rho_a <W, Hb'Hb> + rho_b <W, Ha'Ha>
+            + ||Ha Hb'||_F^2 - sum_i ||ha_i||^2 ||hb_i||^2,
+
+    the same as tr(Ka Kb) - sum_i Ka_ii Kb_ii with the degree diagonal
+    cancelled before it is summed.  Every term is an O(m p) sparse
+    product or a thin O(n p^2) one, so no n-by-n array is built and no
+    dense-size limit applies.
+    """
+    W = net.adjacency
+    ww = float(W.data @ W.data)
+    H = [CriterionEvaluator(net, cov, r).H for r in (rho0, rho)]
+    g = [np.einsum("ki,ki->i", h, h) for h in H]
+    wh = [float(np.sum(h * (W @ h.T).T)) for h in H]
+
+    def inner(a: int, b: int, ra: float, rb: float) -> float:
+        hh = H[a] @ H[b].T
+        return ra * rb * ww + ra * wh[b] + rb * wh[a] + float(np.sum(hh * hh)) - float(g[a] @ g[b])
+
+    na, nb = inner(0, 0, rho0, rho0), inner(1, 1, rho, rho)
+    if na <= 0.0 or nb <= 0.0:
+        raise DataError("quadratic form has no off-diagonal mass; correlation undefined")
+    return inner(0, 1, rho0, rho) / math.sqrt(na * nb)
+
+
 @dataclass(frozen=True, eq=False)
 class RobustnessScatter:
     """Paired criterion values of iid designs at a working and a true rho."""
@@ -302,27 +335,31 @@ def robustness_scatter(
     """Scatter of x'K(rho0)x against x'K(rho)x over random iid designs.
 
     Duplicate designs are redrawn so the sample always has variation.
+    The precisions of all designs at one rho come from one H X and the
+    shared x'Wx from one W X, X holding the designs as columns.
     """
     if n_designs < 2:
         raise DataError(f"need at least 2 designs, got {n_designs}")
     rng = np.random.default_rng(seed)
     seen = set()
-    designs = []
-    attempts = 0
-    while len(designs) < n_designs:
+    X = np.empty((net.n, n_designs))
+    count = attempts = 0
+    while count < n_designs:
         x = rng.integers(0, 2, size=net.n) * 2.0 - 1.0
-        key = x.tobytes()
+        key = np.packbits(x > 0).tobytes()
         attempts += 1
         if key in seen:
             if attempts > 1000 * n_designs:
                 raise DataError("could not draw enough distinct designs")
             continue
         seen.add(key)
-        designs.append(x)
-    ev0 = CriterionEvaluator(net, cov, rho0)
-    ev1 = CriterionEvaluator(net, cov, rho)
-    t0 = np.array([ev0.breakdown(x).precision for x in designs])
-    t1 = np.array([ev1.breakdown(x).precision for x in designs])
+        X[:, count] = x
+        count += 1
+    xwx = np.einsum("ij,ij->j", X, net.adjacency @ X)
+    t0, t1 = [
+        float(net.m) - r * xwx - np.sum((CriterionEvaluator(net, cov, r).H @ X) ** 2, axis=0)
+        for r in (rho0, rho)
+    ]
     if t0.std() == 0.0 or t1.std() == 0.0:
         raise DataError("criterion values show no variation; correlation undefined")
     corr = float(np.corrcoef(t0, t1)[0, 1])
@@ -335,35 +372,55 @@ def robustness_scatter(
     )
 
 
-def _eig_extremes(net: Network, rho0: float) -> tuple:
-    """(lam_max, lam_min) of D - rho0 W and max |lam| of W, to 1e-6 relative.
+# Both ends of the spectrum of R(rho0) cost two Lanczos runs on the sparse
+# kernel, or one dense build and eigvalsh.  Dense against Lanczos, in ms,
+# median of 15 on one BLAS thread of a 2-core Xeon, Bernoulli graphs of
+# mean degree 4 / 12 / 40: n=50 0.14/0.19/0.16 against 2.7/2.7/1.7;
+# n=200 2.3/2.5/1.9 against 4.9/3.8/3.2; n=300 6.2/5.0/5.3 against
+# 6.5/5.1/4.0; n=400 12/10/9.4 against 10/4.1/3.5.
+_DENSE_EIGEN = 200
 
-    Plain Lanczos on the sparse operators for both ends of the spectrum.
+
+def _eig_extremes(net: Network, rho0: float) -> tuple:
+    """(lam_max, lam_min) of D - rho0 W and max |lam| of W.
+
+    Up to _DENSE_EIGEN = 200 nodes, where it was measured faster, from one
+    dense eigvalsh of D - rho0 W built from the cached dense W.  Above
+    it, plain Lanczos on the sparse kernel at each end, to 1e-6 relative.
     Shift-invert around zero gives the same lam_min but needs a sparse LU
     of R(rho0), which made it slower at every size measured and two
     orders of magnitude slower at n=2000.
     """
-    R = precision_matrix(net, rho0)
-    return _lanczos_extreme(R, "LA"), _lanczos_extreme(R, "SA"), _adjacency_radius(net)
+    W, radius = _adjacency_spectrum(net)
+    if W is None:
+        R = precision_matrix(net, rho0)
+        return _lanczos_extreme(R, "LA"), _lanczos_extreme(R, "SA"), radius
+    R = -rho0 * W
+    R[np.diag_indices_from(R)] = net.degrees
+    vals = np.linalg.eigvalsh(R)
+    return float(vals[-1]), float(vals[0]), radius
 
 
 @functools.lru_cache(maxsize=1)
-def _adjacency_radius(net: Network) -> float:
-    """max |lam(W)|.  It does not depend on rho, so a gap study that scores
-    every design on one network computes it once."""
-    return abs(_lanczos_extreme(net.adjacency, "LM"))
+def _adjacency_spectrum(net: Network) -> tuple:
+    """(dense W, or None above _DENSE_EIGEN nodes; max |lam(W)|).
+
+    Neither depends on rho, so a gap study that scores every design on
+    one network computes them once.
+    """
+    if net.n > _DENSE_EIGEN:
+        return None, abs(_lanczos_extreme(net.adjacency, "LM"))
+    W = net.adjacency.toarray()
+    vals = np.linalg.eigvalsh(W)
+    return W, float(max(-vals[0], vals[-1]))
 
 
 def _lanczos_extreme(A, which: str) -> float:
     """The largest ("LA"), smallest ("SA") or largest-magnitude ("LM")
     eigenvalue of a sparse symmetric operator, to 1e-6 relative.
 
-    Dense eigvalsh below the size where ARPACK is usable."""
-    if A.shape[0] < 20:
-        vals = np.linalg.eigvalsh(A.toarray())
-        if which == "LM":
-            return float(vals[np.argmax(np.abs(vals))])
-        return float(vals[-1] if which == "LA" else vals[0])
+    Only for operators above _DENSE_EIGEN = 200 rows: up to that size one
+    dense eigvalsh was measured cheaper, and _eig_extremes takes it."""
     # Fixed start vector: ARPACK otherwise seeds from global numpy state,
     # which would make repeated runs differ in the last few bits.  Drawn
     # from a frozen generator so it is generic for structured graphs too.

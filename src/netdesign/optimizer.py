@@ -551,51 +551,73 @@ class _SwapState:
         P = np.flatnonzero(X > 0).reshape(G, -1) % n
         return P, np.flatnonzero(X < 0).reshape(G, -1) % n, A, S
 
-    def weights(self, P: np.ndarray, M: np.ndarray) -> np.ndarray:
+    def gather_minus(self, arms):
+        """What pairs() reads of the minus arm of arms: (s_j, a_j, psi_j, H[:, M], pos).
+
+        s_j, a_j and psi_j are (G, 1, l), None where arms has no S or A;
+        H[:, M] is (G, rows of H, l).  pos maps each node to its minus
+        column for the CSR gather of weights(), and is None for designs
+        whose pairs fit one block.  The row-bound search gathers them once
+        and scores every block of plus rows against them.
+        """
+        _, M, A, S = arms
+        at = np.arange(M.shape[0])[:, None]
+        n, l = self.x.shape[1], M.shape[1]
+        pos = None
+        if S is not None and (n - l) * l > _BLOCK_ENTRIES:
+            pos = np.full(n, -1)
+            pos[M[0]] = np.arange(l)
+        s_j = None if S is None else S[at, M][:, None, :]
+        if A is None:
+            return s_j, None, None, None, pos
+        return s_j, A[at, M][:, None, :], self.psi[M][:, None, :], self.H[:, M].transpose(1, 0, 2), pos
+
+    def weights(self, P: np.ndarray, M: np.ndarray, pos: Optional[np.ndarray]) -> np.ndarray:
         """w_ij of the pairs P x M, (G, k, l), gathered by size.
 
-        Designs whose pairs fit one block (n up to about 256) take them
-        from dense W, flattened: at most 0.5 MB, and faster per call.  A
-        larger design, which is scored alone, takes them from W's CSR rows
-        (sorted, without duplicates, as Network.adjacency builds them),
-        which keeps memory at O(n).
+        Designs whose pairs fit one block (n up to about 256, pos None)
+        take them from dense W, flattened: at most 0.5 MB, and faster per
+        call.  A larger design, which is scored alone, takes them from W's
+        CSR rows (sorted, without duplicates, as Network.adjacency builds
+        them) through pos, its node-to-minus-column map, which keeps
+        memory at O(n).
         """
-        k, l, n = P.shape[1], M.shape[1], self.x.shape[1]
-        if (n - l) * l <= _BLOCK_ENTRIES:
+        if pos is None:
             if self.Wd is None:
                 self.Wd = self.W.toarray().ravel()
-            return self.Wd.take(P[:, :, None] * n + M[:, None, :])
+            return self.Wd.take(P[:, :, None] * self.x.shape[1] + M[:, None, :])
+        k, l = P.shape[1], M.shape[1]
         nz, count = _csr_entries(self.W, P[0])
-        pos = np.full(n, -1)
-        pos[M[0]] = np.arange(l)
         col = pos[self.W.indices[nz]]
         keep = col >= 0
         w = np.zeros((1, k, l))
         w[0, np.repeat(np.arange(k), count)[keep], col[keep]] = self.W.data[nz[keep]]
         return w
 
-    def pairs(self, rows: np.ndarray, arms, capv: Optional[float]):
+    def pairs(self, rows: np.ndarray, arms, capv: Optional[float], minus=None):
         """(score, cut) blocks, (G, k, l), of the swaps P x M of the designs in rows.
 
         arms is (P, M, A, S) as focus returns it, for every plus row or a
-        subset.  The score is the cut delta in repair (A None) and the
-        objective delta in descent, inf where the cut would take x'Wx above
-        capv.  cut is None without W.  Every product is the per-design
-        one: a stacked matmul runs the same BLAS call for each design.
+        subset, and minus its gather_minus(), gathered here when None.
+        The score is the cut delta in repair (A None) and the objective
+        delta in descent, inf where the cut would take x'Wx above capv.
+        cut is None without W.  Every product is the per-design one: a
+        stacked matmul runs the same BLAS call for each design.
         """
         P, M, A, S = arms
+        s_j, a_j, psi_j, h_j, pos = self.gather_minus(arms) if minus is None else minus
         at = np.arange(P.shape[0])[:, None]
         cut = None
         if self.W is not None:
-            cut = _cut_delta(S[at, P][:, :, None], S[at, M][:, None, :], self.weights(P, M))
+            cut = _cut_delta(S[at, P][:, :, None], s_j, self.weights(P, M, pos))
         if A is None:
             return cut, cut
         score = _obj_delta(
             A[at, P][:, :, None],
-            A[at, M][:, None, :],
+            a_j,
             self.psi[P][:, :, None],
-            self.psi[M][:, None, :],
-            np.matmul(self.Ht[P], self.H[:, M].transpose(1, 0, 2)),
+            psi_j,
+            np.matmul(self.Ht[P], h_j),
         )
         if cut is not None:
             score = np.where(self.cuts[rows][:, None, None] + cut <= capv, score, np.inf)
@@ -649,6 +671,7 @@ class _SwapState:
         exceeds the best value found, which leaves the result unchanged.
         """
         (plus,), (minus,) = arms[0], arms[1]
+        gathered = self.gather_minus(arms)
         rows_per = max(2, _BLOCK_ENTRIES // minus.size)
         order, size = np.argsort(low, kind="stable"), 2
         low = low[order]
@@ -660,7 +683,7 @@ class _SwapState:
             # rounding differs from the matrix product's: leave none over.
             hi = plus.size if hi >= plus.size - 1 else hi
             P = plus[np.sort(order[lo:hi])]
-            block, cut = self.pairs(rows, (P[None],) + arms[1:], capv)
+            block, cut = self.pairs(rows, (P[None],) + arms[1:], capv, gathered)
             k = int(np.argmin(block))
             val = float(block.flat[k])
             cand = (int(P[k // minus.size]), int(minus[k % minus.size]))

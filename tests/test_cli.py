@@ -10,6 +10,7 @@ import io
 import json
 import string
 import tempfile
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -18,7 +19,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from netdesign.cli import main
-from netdesign.criterion import evaluate, pip
+from netdesign.criterion import evaluate, k_matrix, pip, quadform_correlation
 from netdesign.designs import Design
 from netdesign.experiments import derive_seed
 from netdesign.graph import (
@@ -363,9 +364,12 @@ class TestDiagnose:
         gaps = [r for r in rows if r["check"] == "gap"]
         conc = [r for r in rows if r["check"] == "concavity"]
         assert [float(r["rho"]) for r in corr] == [0.1, 0.3, 0.7, 0.9]
+        net, cov = load_edge_list(edges), load_covariates(covs)
         for r in corr:
             assert abs(float(r["value"]) - float(r["exact"])) < 0.05
             assert 0.0 < float(r["exact"]) <= 1.0
+            dense = quadform_correlation(k_matrix(net, cov, 0.5), k_matrix(net, cov, float(r["rho"])))
+            assert float(r["exact"]) == pytest.approx(dense, rel=1e-10)
         assert len(gaps) == 5
         for r in gaps:
             g = float(r["value"])
@@ -375,6 +379,21 @@ class TestDiagnose:
         assert len(conc) == 5
         for r in conc:
             assert float(r["value"]) <= 1e-6
+
+    def test_correlation_rows_build_no_dense_kernel(self, tmp_path):
+        # One n-by-n float64 array takes 72 MB at n=3000; the correlation
+        # and scatter rows need O(n) per scatter design (about 12 MB here).
+        n = 3000
+        edges, covs = make_dataset(tmp_path, n=n, p=5, density=10 / n, seed=7)
+        tracemalloc.start()
+        try:
+            assert run("diagnose", edges, covs, "--designs", 0, "--rho-grid", "0.3,0.9",
+                       "--output", tmp_path / "diag.csv") == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < n * n * 8 / 4
+        assert len(read_rows(tmp_path / "diag.csv")) == 2
 
 
 class TestStudy:

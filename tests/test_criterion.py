@@ -3,9 +3,13 @@ import itertools
 import numpy as np
 import pytest
 
+from netdesign import criterion
 from netdesign.car import CarParams, fit_gls, sample_outcomes
 from netdesign.criterion import (
+    _DENSE_EIGEN,
     CriterionEvaluator,
+    _adjacency_spectrum,
+    _eig_extremes,
     _precision_curve,
     balanced_moment_c,
     concavity_probe,
@@ -16,6 +20,7 @@ from netdesign.criterion import (
     k_matrix,
     pip,
     quadform_correlation,
+    robustness_correlation,
     robustness_scatter,
     surrogate_gap_diagnostics,
 )
@@ -267,7 +272,48 @@ class TestQuadformCorrelation:
         assert quadform_correlation(net.adjacency, dense) == pytest.approx(1.0)
 
 
+class TestRobustnessCorrelation:
+    @pytest.mark.parametrize("n, density, p, seed", [
+        (12, 0.4, 1, 50), (40, 0.15, 1, 51), (60, 0.1, 3, 52), (150, 0.04, 5, 53),
+    ])
+    @pytest.mark.parametrize("rho0, rho", [
+        (0.5, 0.9), (0.5, 0.1), (0.0, 0.7), (0.9, 0.0), (0.0, 0.0), (0.3, 0.3),
+    ])
+    def test_matches_dense_route(self, n, density, p, seed, rho0, rho):
+        net = connected_net(n, density, seed)
+        cov = generate_pm1_covariates(n, p, seed=seed)
+        want = quadform_correlation(k_matrix(net, cov, rho0), k_matrix(net, cov, rho))
+        assert robustness_correlation(net, cov, rho0, rho) == pytest.approx(want, rel=1e-10)
+
+    def test_rho_outside_unit_interval_rejected(self):
+        net = connected_net(10, 0.3, 54)
+        cov = generate_pm1_covariates(10, 1, seed=54)
+        with pytest.raises(DataError, match=r"must lie in \[0, 1\)"):
+            robustness_correlation(net, cov, 0.5, 1.0)
+
+
 class TestRobustnessScatter:
+    # n=8 has 256 designs, so 100 draws redraw many duplicates.
+    @pytest.mark.parametrize("n, n_designs", [(8, 100), (60, 300)])
+    def test_matches_per_design_breakdown(self, n, n_designs):
+        net = connected_net(n, 0.3 if n < 20 else 0.1, 27)
+        cov = generate_pm1_covariates(n, 2, seed=27)
+        sc = robustness_scatter(net, cov, 0.4, 0.85, n_designs, seed=28)
+        rng = np.random.default_rng(28)
+        seen, designs = set(), []
+        while len(designs) < n_designs:
+            x = rng.integers(0, 2, size=n) * 2.0 - 1.0
+            if x.tobytes() not in seen:
+                seen.add(x.tobytes())
+                designs.append(x)
+        for rho, got in ((0.4, sc.precision_at_rho0), (0.85, sc.precision_at_rho)):
+            ev = CriterionEvaluator(net, cov, rho)
+            want = np.array([ev.breakdown(x).precision for x in designs])
+            # x'Kx is m minus two terms up to about m in size, so rounding
+            # scales with m: a design of precision near zero, such as all
+            # +1 on n=8, has no relative accuracy on either route.
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * net.m)
+
     def test_deterministic_and_correlated(self):
         net = connected_net(40, 0.1, 20)
         cov = generate_pm1_covariates(40, 2, seed=20)
@@ -358,11 +404,12 @@ class TestGapDiagnostics:
         with pytest.raises(DataError, match=r"must lie in \[0, 1\)"):
             surrogate_gap_diagnostics(net, cov, alternating(10), rho0, [0.5, 0.6])
 
-    # n=12 takes the dense path; the others run Lanczos at both ends.
-    @pytest.mark.parametrize("n, density", [(12, 0.3), (60, 0.1), (400, 0.02)])
+    # Up to _DENSE_EIGEN nodes one dense eigvalsh serves; above it Lanczos
+    # runs at both ends.
+    @pytest.mark.parametrize("n, density", [
+        (12, 0.3), (60, 0.1), (_DENSE_EIGEN, 0.05), (_DENSE_EIGEN + 1, 0.05), (400, 0.02),
+    ])
     def test_eigenvalue_extremes_match_dense(self, n, density):
-        from netdesign.criterion import _eig_extremes
-
         net = connected_net(n, density, 35)
         lam_max, lam_min, lam_w = _eig_extremes(net, 0.5)
         R = dense_kernel(net, 0.5)
@@ -371,6 +418,20 @@ class TestGapDiagnostics:
         assert lam_max == pytest.approx(vals[-1], rel=1e-5)
         assert lam_min == pytest.approx(vals[0], rel=1e-5)
         assert lam_w == pytest.approx(np.max(np.abs(wvals)), rel=1e-5)
+
+    def test_dense_and_lanczos_routes_agree(self, monkeypatch):
+        net = connected_net(120, 0.08, 36)
+        try:
+            _adjacency_spectrum.cache_clear()
+            dense = _eig_extremes(net, 0.4)
+            monkeypatch.setattr(criterion, "_DENSE_EIGEN", 0)
+            _adjacency_spectrum.cache_clear()
+            lanczos = _eig_extremes(net, 0.4)
+            assert _adjacency_spectrum(net)[0] is None
+        finally:
+            _adjacency_spectrum.cache_clear()
+        for want, got in zip(dense, lanczos):
+            assert got == pytest.approx(want, rel=1e-6)
 
 
 class TestConcavity:

@@ -559,7 +559,7 @@ def balanced_stack(n, designs, seed):
 
 def synthetic_pairs(targets):
     """A pairs() stand-in scoring -1 on the target pairs and 0 elsewhere."""
-    def pairs(rows, arms, capv):
+    def pairs(rows, arms, capv, minus=None):
         (P,), (M,) = arms[0], arms[1]
         block = np.zeros((1, P.size, M.size))
         for i, j in targets:
@@ -714,9 +714,9 @@ class TestPrunedSearch:
             for floor in (math.inf, 0.0, -1e-10 * max(1.0, state.obj)):
                 rows = []
 
-                def counted(stack, arms, capv):
+                def counted(stack, arms, capv, minus):
                     rows.append(arms[0].shape[1])
-                    return pairs(stack, arms, capv)
+                    return pairs(stack, arms, capv, minus)
 
                 state.pairs = counted
                 got = state.best(one, arms, capv, floor, low)
