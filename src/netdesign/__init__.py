@@ -37,6 +37,7 @@ from .criterion import (
     quadform_correlation,
     robustness_correlation,
     robustness_scatter,
+    robustness_scatters,
     surrogate_gap_diagnostics,
 )
 from .designs import Design, as_sign_vector

@@ -21,7 +21,7 @@ from .criterion import (
     CriterionEvaluator,
     concavity_probe,
     robustness_correlation,
-    robustness_scatter,
+    robustness_scatters,
     surrogate_gap_diagnostics,
 )
 from .designs import Design
@@ -158,12 +158,11 @@ DIAGNOSE_COLUMNS = ("check", "index", "rho", "value", "exact", "bound_a", "bound
 def cmd_diagnose(args) -> int:
     net, cov = _load_pair(args)
     rows = []
-    for rho in args.rho_grid:
-        if rho == args.rho0:
-            continue
-        sc = robustness_scatter(
-            net, cov, args.rho0, rho, args.scatter_designs, derive_seed(args.seed, 0)
-        )
+    scatter_rhos = [rho for rho in args.rho_grid if rho != args.rho0]
+    scatters = robustness_scatters(
+        net, cov, args.rho0, scatter_rhos, args.scatter_designs, derive_seed(args.seed, 0)
+    )
+    for rho, sc in zip(scatter_rhos, scatters):
         rows.append({
             "check": "correlation", "rho": rho,
             "value": float(sc.sample_correlation),

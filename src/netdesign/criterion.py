@@ -25,6 +25,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import asdict, dataclass
+from typing import Iterator
 
 import numpy as np
 from scipy import linalg, sparse
@@ -55,6 +56,7 @@ __all__ = [
     "robustness_correlation",
     "RobustnessScatter",
     "robustness_scatter",
+    "robustness_scatters",
     "GapDiagnostics",
     "surrogate_gap_diagnostics",
     "concavity_probe",
@@ -338,6 +340,23 @@ def robustness_scatter(
     The precisions of all designs at one rho come from one H X and the
     shared x'Wx from one W X, X holding the designs as columns.
     """
+    return next(robustness_scatters(net, cov, rho0, (rho,), n_designs, seed))
+
+
+def robustness_scatters(
+    net: Network,
+    cov: CovariateMatrix,
+    rho0: float,
+    rhos,
+    n_designs: int,
+    seed: int,
+) -> Iterator[RobustnessScatter]:
+    """robustness_scatter at each rho of rhos in turn, all on one draw of designs.
+
+    A generator: the designs, W X and the precisions at rho0 are computed
+    once, when the first scatter is asked for, and each rho adds one H X.
+    Each scatter equals robustness_scatter(net, cov, rho0, rho, n_designs, seed).
+    """
     if n_designs < 2:
         raise DataError(f"need at least 2 designs, got {n_designs}")
     rng = np.random.default_rng(seed)
@@ -356,20 +375,22 @@ def robustness_scatter(
         X[:, count] = x
         count += 1
     xwx = np.einsum("ij,ij->j", X, net.adjacency @ X)
-    t0, t1 = [
-        float(net.m) - r * xwx - np.sum((CriterionEvaluator(net, cov, r).H @ X) ** 2, axis=0)
-        for r in (rho0, rho)
-    ]
-    if t0.std() == 0.0 or t1.std() == 0.0:
-        raise DataError("criterion values show no variation; correlation undefined")
-    corr = float(np.corrcoef(t0, t1)[0, 1])
-    return RobustnessScatter(
-        rho0=rho0,
-        rho=rho,
-        precision_at_rho0=t0,
-        precision_at_rho=t1,
-        sample_correlation=corr,
-    )
+
+    def precisions(r):
+        return float(net.m) - r * xwx - np.sum((CriterionEvaluator(net, cov, r).H @ X) ** 2, axis=0)
+
+    t0 = precisions(rho0)
+    for rho in rhos:
+        t1 = precisions(rho)
+        if t0.std() == 0.0 or t1.std() == 0.0:
+            raise DataError("criterion values show no variation; correlation undefined")
+        yield RobustnessScatter(
+            rho0=rho0,
+            rho=rho,
+            precision_at_rho0=t0,
+            precision_at_rho=t1,
+            sample_correlation=float(np.corrcoef(t0, t1)[0, 1]),
+        )
 
 
 # Both ends of the spectrum of R(rho0) cost two Lanczos runs on the sparse

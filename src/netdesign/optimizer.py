@@ -20,18 +20,18 @@ objective delta costs O(p) and its constraint delta O(1) given the
 maintained vectors.  Repair and descent take the best swap over all
 plus x minus pairs exactly, and one scorer computes the objective and
 cut deltas and the cap mask of a block of pairs for both.  The restarts
-of a multistart solve advance in lockstep, one swap each per step; below
-one block of pairs per restart (n up to about 256) their pair blocks are
-scored as one stack, with the per-restart arithmetic, so each restart
-takes the swaps it would take alone.  Above that a design's pairs are
-scored without scoring them all: a lower bound on each plus row's best
-delta (one matrix product per step for the objective, O(n) for the cut)
-orders the rows, and rows are scored, as a stack of one, only until the
-next bound exceeds the best delta found.  The scorer reads the weights
-of small designs from a dense copy of W and those of large ones from
-W's sparse rows, so memory stays O(n) where the dense copy would not
-fit.  Reported objectives are recomputed by a fresh pass over the
-returned design, never copied from solver bookkeeping.
+of a multistart solve advance in lockstep, one swap each per step, scored
+in stacks with the per-restart arithmetic, so each takes the swaps it
+would take alone.  Below one block of pairs per restart (n up to about
+256) every pair of a stack is scored.  Above that a lower bound on each
+plus row's best delta (matrix products for the objective, O(n) for the
+cut) orders the rows, and rows are scored only until the next bound
+exceeds the best delta found, six restarts sharing each product and
+scoring call.  The scorer reads the weights of small designs from a
+dense copy of W and those of large ones from W's sparse rows, so memory
+stays O(n) a restart where the dense copy would not fit.  Reported
+objectives are recomputed by a fresh pass over the returned design,
+never copied from solver bookkeeping.
 """
 
 from __future__ import annotations
@@ -443,6 +443,15 @@ def _csr_entries(W, rows):
 # scoring them all took less time than the row bounds save.
 _BLOCK_ENTRIES = 1 << 14
 
+# Large designs per row-bound search: at n = 1000, stacks of 6 and 8 timed fastest
+# of 4 to 32, and 6 peaked at 1.6 MB of transient arrays against 2.2 MB for 8.
+_STACK_DESIGNS = 6
+
+
+def _pick(arrays, at):
+    """The entries at of each array in a tuple, None left as None."""
+    return tuple(None if a is None else a[at] for a in arrays)
+
 
 class _SwapState:
     """R balanced designs, the rows of x, each with v = Hx, obj = ||v||^2, wx = Wx and c = x'Wx.
@@ -453,15 +462,16 @@ class _SwapState:
     rounding drift stays bounded.  pairs() is the one scorer of repair and
     descent swaps, for a stack of designs that share their arm sizes.
     best_stacked() scores every pair of each design in a stack; best()
-    finds one design's lowest-scoring pair exactly from a lower bound on
-    each plus row's scores, scoring only the rows whose bound does not
-    exceed the best value found so far.  best_swaps() takes each design
-    in rows to one of the two.
+    finds each design's lowest-scoring pair in a stack exactly from a
+    lower bound on each plus row's scores, scoring only the rows whose
+    bound does not exceed the best value found so far.  best_swaps() takes
+    the designs in rows, by arm size, to one of the two.
     """
 
     def __init__(self, problem: HybridProblem, x: np.ndarray, resync: int):
         self.H, self.psi, self.W = problem.H, problem.psi, problem.W
-        self.Ht = np.ascontiguousarray(problem.H.T)  # row i = column i of H
+        self.Ht1 = np.hstack([problem.H.T, np.ones((problem.n, 1))])  # for obj_row_bounds
+        self.Ht = self.Ht1[:, :-1]  # row i = column i of H
         self.Wd = None  # dense W, flattened, built by the first weights() of a small design
         self.x = x.reshape(-1, problem.n)
         R = self.x.shape[0]
@@ -552,47 +562,51 @@ class _SwapState:
         return P, np.flatnonzero(X < 0).reshape(G, -1) % n, A, S
 
     def gather_minus(self, arms):
-        """What pairs() reads of the minus arm of arms: (s_j, a_j, psi_j, H[:, M], pos).
+        """What pairs() reads of the minus arms of arms: (s_j, a_j, psi_j, h_j, pos).
 
         s_j, a_j and psi_j are (G, 1, l), None where arms has no S or A;
-        H[:, M] is (G, rows of H, l).  pos maps each node to its minus
-        column for the CSR gather of weights(), and is None for designs
-        whose pairs fit one block.  The row-bound search gathers them once
-        and scores every block of plus rows against them.
+        h_j, (G, l, rows of H), holds the columns of H at each design's
+        minus nodes.  pos, (G, n), maps each node to its column in each
+        design's minus arm for the CSR gather of weights(), and is None for
+        designs whose pairs fit one block.  The row-bound search gathers
+        them once and scores every round against them.
         """
         _, M, A, S = arms
-        at = np.arange(M.shape[0])[:, None]
-        n, l = self.x.shape[1], M.shape[1]
+        (G, l), n = M.shape, self.x.shape[1]
+        at = np.arange(G)[:, None]
         pos = None
         if S is not None and (n - l) * l > _BLOCK_ENTRIES:
-            pos = np.full(n, -1)
-            pos[M[0]] = np.arange(l)
+            pos = np.full((G, n), -1)
+            pos[at, M] = np.arange(l)
         s_j = None if S is None else S[at, M][:, None, :]
         if A is None:
             return s_j, None, None, None, pos
-        return s_j, A[at, M][:, None, :], self.psi[M][:, None, :], self.H[:, M].transpose(1, 0, 2), pos
+        # pairs() multiplies by h_j transposed, H[:, M] column-major per design, as
+        # the rounding of its product depends on that layout; a C-contiguous h_j
+        # keeps it for any subset of the designs.
+        h_j = self.Ht[M]
+        return s_j, A[at, M][:, None, :], self.psi[M][:, None, :], h_j, pos
 
     def weights(self, P: np.ndarray, M: np.ndarray, pos: Optional[np.ndarray]) -> np.ndarray:
         """w_ij of the pairs P x M, (G, k, l), gathered by size.
 
         Designs whose pairs fit one block (n up to about 256, pos None)
         take them from dense W, flattened: at most 0.5 MB, and faster per
-        call.  A larger design, which is scored alone, takes them from W's
-        CSR rows (sorted, without duplicates, as Network.adjacency builds
-        them) through pos, its node-to-minus-column map, which keeps
-        memory at O(n).
+        call.  Larger designs take them from W's CSR rows (sorted, without
+        duplicates, as Network.adjacency builds them) through pos, their
+        node-to-minus-column maps, which keeps memory at O(n) a design.
         """
         if pos is None:
             if self.Wd is None:
                 self.Wd = self.W.toarray().ravel()
             return self.Wd.take(P[:, :, None] * self.x.shape[1] + M[:, None, :])
-        k, l = P.shape[1], M.shape[1]
-        nz, count = _csr_entries(self.W, P[0])
-        col = pos[self.W.indices[nz]]
+        nz, count = _csr_entries(self.W, P.ravel())
+        row = np.repeat(np.arange(P.size), count)
+        col = pos[row // P.shape[1], self.W.indices[nz]]
         keep = col >= 0
-        w = np.zeros((1, k, l))
-        w[0, np.repeat(np.arange(k), count)[keep], col[keep]] = self.W.data[nz[keep]]
-        return w
+        w = np.zeros((P.size, M.shape[1]))
+        w[row[keep], col[keep]] = self.W.data[nz[keep]]
+        return w.reshape(P.shape + M.shape[1:])
 
     def pairs(self, rows: np.ndarray, arms, capv: Optional[float], minus=None):
         """(score, cut) blocks, (G, k, l), of the swaps P x M of the designs in rows.
@@ -617,81 +631,96 @@ class _SwapState:
             a_j,
             self.psi[P][:, :, None],
             psi_j,
-            np.matmul(self.Ht[P], h_j),
+            np.matmul(self.Ht[P], h_j.transpose(0, 2, 1)),
         )
         if cut is not None:
             score = np.where(self.cuts[rows][:, None, None] + cut <= capv, score, np.inf)
         return score, cut
 
     def obj_row_bounds(self, arms) -> np.ndarray:
-        """Lower bounds on the descent scores of each plus row of a stack of one design.
+        """Lower bounds, (G, k), on the descent scores of each plus row of each design in arms.
 
         Row i's minimum is 4(psi_i - a_i) + min_j [4(psi_j + a_j) - 8 h_i.h_j],
-        one matrix product per block of rows.  The slack covers the
-        rounding of this sum and of the objective deltas: both together
-        stay below (20k + 88) u (max psi + max |a|) for k rows of H and
-        unit roundoff u, and the slack is more than five times that.
+        one stacked matrix product per block of rows.  The slack covers the
+        rounding of this sum and of the objective deltas: both together stay
+        below (20k + 88) u (max psi + max |a|) for k rows of H and unit
+        roundoff u, and the slack is more than five times that.
         """
-        (plus,), (minus,), (a,), _ = arms
-        H, psi = self.H, self.psi
-        left = np.ones((plus.size, H.shape[0] + 1))
-        left[:, :-1] = H[:, plus].T
-        right = np.vstack([-8.0 * H[:, minus], 4.0 * (psi[minus] + a[minus])])
-        rows = max(1, _BLOCK_ENTRIES // minus.size)
-        buf = np.empty((min(rows, plus.size), minus.size))
-        low = np.empty(plus.size)
-        for lo in range(0, plus.size, rows):
-            block = buf[: min(rows, plus.size - lo)]
-            np.matmul(left[lo : lo + rows], right, out=block)
-            block.min(axis=1, out=low[lo : lo + rows])
+        P, M, A, _ = arms
+        (G, k), l = P.shape, M.shape[1]
+        at = np.arange(G)[:, None]
+        H, psi, left = self.H, self.psi, self.Ht1[P]
+        right = np.empty((G, H.shape[0] + 1, l))
+        right[:, :-1] = -8.0 * np.take(H, M, axis=1).transpose(1, 0, 2)
+        right[:, -1] = 4.0 * (psi[M] + A[at, M])
+        rows = max(1, _BLOCK_ENTRIES // l)
+        buf = np.empty((G, min(rows, k), l))
+        low = np.empty((G, k))
+        for lo in range(0, k, rows):
+            block = buf[:, : min(rows, k - lo)]
+            np.matmul(left[:, lo : lo + rows], right, out=block)
+            block.min(axis=2, out=low[:, lo : lo + rows])
         slack = 64.0 * (H.shape[0] + 4) * np.finfo(float).eps * (
-            float(psi.max()) + float(np.abs(a).max())
+            float(psi.max()) + np.abs(A).max(axis=1)
         )
-        return low + 4.0 * (psi[plus] - a[plus]) - slack
+        return low + 4.0 * (psi[P] - A[at, P]) - slack[:, None]
 
     def cut_row_bounds(self, arms) -> np.ndarray:
-        """Lower bounds on the repair scores of each plus row of a stack of one design.
+        """Lower bounds, (G, k), on the repair scores of each plus row of each design in arms.
 
         _cut_delta does not increase as s_j or w_ij grow, under rounding
-        too, so the largest s on the minus arm and the largest weight
-        bound every row exactly.
+        too, so the largest s on a design's minus arm and the largest
+        weight bound every row exactly.
         """
-        (plus,), (minus,), _, (s,) = arms
+        P, M, _, S = arms
+        at = np.arange(P.shape[0])[:, None]
         heaviest = float(self.W.data.max(initial=0.0))
-        return _cut_delta(s[plus], float(s[minus].max()), heaviest)
+        return _cut_delta(S[at, P], S[at, M].max(axis=1, keepdims=True), heaviest)
 
-    def best(self, rows: np.ndarray, arms, capv: Optional[float], floor: float, low: np.ndarray):
-        """(value, (i, j), cut delta) of the lowest pair below floor, or (floor, None, 0.0).
+    def best(self, rows: np.ndarray, arms, capv: Optional[float], floors, low: np.ndarray):
+        """Each design's lowest pair below its floor: arrays (value, i, j, cut delta).
 
-        rows is a stack of one design and arms its focus.  Ties go to the
-        first pair in (plus, minus) order.  low holds a lower bound on the
-        scores of each plus row.  Rows are visited in ascending bound
-        order, in blocks that double from two rows, each scored by pairs()
-        as a stack of one; the search stops at the first row whose bound
-        exceeds the best value found, which leaves the result unchanged.
+        A design without one gets (floor, -1, -1, 0).  Ties go to the first
+        pair in (plus, minus) order.  rows is a stack of designs that share
+        their arm sizes, arms their focus and low (G, k) a lower bound on
+        the scores of each plus row.  Each design visits its rows in
+        ascending bound order, in blocks that double from two rows, up to
+        the first row whose bound exceeds the best value it has found.  The
+        designs advance together, a block each per round, and the blocks of
+        one width share a pairs() call.
         """
-        (plus,), (minus,) = arms[0], arms[1]
-        gathered = self.gather_minus(arms)
-        rows_per = max(2, _BLOCK_ENTRIES // minus.size)
-        order, size = np.argsort(low, kind="stable"), 2
-        low = low[order]
-        best_val, pair, dc = floor, None, 0.0
-        lo = 0
-        while lo < plus.size and low[lo] <= best_val:
-            hi = lo + max(2, int(np.searchsorted(low[lo : lo + size], best_val, side="right")))
-            # numpy scores a lone row by a matrix-vector product, whose
-            # rounding differs from the matrix product's: leave none over.
-            hi = plus.size if hi >= plus.size - 1 else hi
-            P = plus[np.sort(order[lo:hi])]
-            block, cut = self.pairs(rows, (P[None],) + arms[1:], capv, gathered)
-            k = int(np.argmin(block))
-            val = float(block.flat[k])
-            cand = (int(P[k // minus.size]), int(minus[k % minus.size]))
-            if val < best_val or (val == best_val and pair is not None and cand < pair):
-                best_val, pair = val, cand
-                dc = 0.0 if cut is None else float(cut.flat[k])
-            lo, size = hi, min(2 * size, rows_per)
-        return best_val, pair, dc
+        P, M = arms[0], arms[1]
+        (G, k), l = P.shape, M.shape[1]
+        minus = self.gather_minus(arms)
+        at = np.arange(G)[:, None]
+        order = np.argsort(low, axis=1, kind="stable")
+        most = max(2, _BLOCK_ENTRIES // l)  # rows a block may take
+        low = np.hstack([low[at, order], np.full((G, most), np.nan)])  # no row past the last
+        val, i, j, dc = np.array(floors, dtype=float), np.full(G, -1), np.full(G, -1), np.zeros(G)
+        lo, size = np.zeros(G, dtype=np.int64), 2
+        while True:
+            live = np.flatnonzero(low[at[:, 0], lo] <= val)
+            if live.size == 0:
+                return val, i, j, dc
+            # A block takes the rows of the next `size` whose bound does not exceed
+            # the best value, at least two: numpy scores a lone row by a matrix-vector
+            # product, whose rounding differs from the matrix product's.
+            admit = low[live[:, None], lo[live, None] + np.arange(size)] <= val[live, None]
+            hi = lo[live] + np.maximum(2, np.count_nonzero(admit, axis=1))
+            hi = np.where(hi >= k - 1, k, hi)
+            # The rounding of a matrix product can depend on its number of
+            # rows, so blocks are stacked only with blocks of their width.
+            width = hi - lo[live]
+            for w in sorted(set(width.tolist())):
+                g = live[width == w]
+                b = P[g[:, None], np.sort(order[g[:, None], lo[g, None] + np.arange(w)], axis=1)]
+                block, cut = self.pairs(rows[g], (b,) + _pick(arms[1:], g), capv, _pick(minus, g))
+                gi, kk = np.arange(g.size), block.reshape(g.size, -1).argmin(axis=1)
+                v, ci, cj = block.reshape(g.size, -1)[gi, kk], b[gi, kk // l], M[g, kk % l]
+                win = (v < val[g]) | ((v == val[g]) & ((ci < i[g]) | ((ci == i[g]) & (cj < j[g]))))
+                val[g[win]], i[g[win]], j[g[win]] = v[win], ci[win], cj[win]
+                dc[g[win]] = 0.0 if cut is None else cut.reshape(g.size, -1)[gi[win], kk[win]]
+            lo[live], size = hi, min(2 * size, most)
 
     def best_stacked(self, rows: np.ndarray, repair: bool, capv: Optional[float]):
         """The lowest-scoring pair of each design in rows, every plus node scored as one stack.
@@ -711,28 +740,28 @@ class _SwapState:
 
         Repair lowers x'Wx (floor -1e-12); descent lowers the objective
         (floor -1e-10 max(1, obj)) within the cap.  Both score through
-        pairs(): designs whose pairs fit in one block in stacks of as many
-        as fit, the others one by one in the row-bound search.  Designs
-        without a swap below their floor are left out.
+        pairs(), the designs of each arm size together: those whose pairs
+        fit in one block in stacks of as many as fit, the others in stacks
+        of _STACK_DESIGNS, each stack one row-bound search.  Designs without
+        a swap below their floor are left out.
         """
         floors = np.full(rows.size, -1e-12) if repair else -1e-10 * np.maximum(1.0, self.objs[rows])
         n = self.x.shape[1]
         plus = np.count_nonzero(self.x[rows] > 0, axis=1)
-        fits = np.maximum(2, _BLOCK_ENTRIES // (n - plus)) >= plus
-        val, dc = np.full(rows.size, np.inf), np.zeros(rows.size)
-        i, j = np.zeros(rows.size, dtype=np.int64), np.zeros(rows.size, dtype=np.int64)
-        for size in np.unique(plus[fits]):
-            same = np.flatnonzero(fits & (plus == size))
-            per = max(1, _BLOCK_ENTRIES // int(size * (n - size)))
+        val, dc = np.empty(rows.size), np.empty(rows.size)
+        i, j = np.empty(rows.size, dtype=np.int64), np.empty(rows.size, dtype=np.int64)
+        for size in np.unique(plus).tolist():
+            same = np.flatnonzero(plus == size)
+            fits = max(2, _BLOCK_ENTRIES // (n - size)) >= size
+            per = max(1, _BLOCK_ENTRIES // (size * (n - size))) if fits else _STACK_DESIGNS
             for lo in range(0, same.size, per):
                 at = same[lo : lo + per]
-                val[at], i[at], j[at], dc[at] = self.best_stacked(rows[at], repair, capv)
-        for at in np.flatnonzero(~fits):
-            arms = self.focus(rows[at : at + 1], not repair)
-            low = self.cut_row_bounds(arms) if repair else self.obj_row_bounds(arms)
-            val[at], pair, dc[at] = self.best(rows[at : at + 1], arms, capv, floors[at], low)
-            if pair is not None:
-                i[at], j[at] = pair
+                if fits:
+                    val[at], i[at], j[at], dc[at] = self.best_stacked(rows[at], repair, capv)
+                    continue
+                arms = self.focus(rows[at], not repair)
+                low = self.cut_row_bounds(arms) if repair else self.obj_row_bounds(arms)
+                val[at], i[at], j[at], dc[at] = self.best(rows[at], arms, capv, floors[at], low)
         ok = val < floors
         return rows[ok], i[ok], j[ok], val[ok], dc[ok]
 

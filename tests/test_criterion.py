@@ -22,6 +22,7 @@ from netdesign.criterion import (
     quadform_correlation,
     robustness_correlation,
     robustness_scatter,
+    robustness_scatters,
     surrogate_gap_diagnostics,
 )
 from netdesign.errors import DataError, DegenerateDesignError
@@ -322,6 +323,19 @@ class TestRobustnessScatter:
         assert np.array_equal(a.precision_at_rho0, b.precision_at_rho0)
         assert a.sample_correlation == b.sample_correlation
         assert -1.0 <= a.sample_correlation <= 1.0
+
+    def test_scatters_share_one_draw(self):
+        # diagnose asks for every grid rho from one draw of the designs.
+        net = connected_net(40, 0.1, 20)
+        cov = generate_pm1_covariates(40, 2, seed=20)
+        rhos = (0.1, 0.3, 0.9)
+        got = list(robustness_scatters(net, cov, 0.5, rhos, 200, seed=21))
+        assert [sc.rho for sc in got] == list(rhos)
+        for rho, sc in zip(rhos, got):
+            alone = robustness_scatter(net, cov, 0.5, rho, 200, seed=21)
+            assert np.array_equal(sc.precision_at_rho0, alone.precision_at_rho0)
+            assert np.array_equal(sc.precision_at_rho, alone.precision_at_rho)
+            assert sc.sample_correlation == alone.sample_correlation
 
     def test_sample_tracks_exact_formula(self):
         net = connected_net(40, 0.1, 22)

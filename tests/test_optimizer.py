@@ -560,12 +560,19 @@ def balanced_stack(n, designs, seed):
 def synthetic_pairs(targets):
     """A pairs() stand-in scoring -1 on the target pairs and 0 elsewhere."""
     def pairs(rows, arms, capv, minus=None):
-        (P,), (M,) = arms[0], arms[1]
-        block = np.zeros((1, P.size, M.size))
-        for i, j in targets:
-            block[0][np.ix_(P == i, M == j)] = -1.0
+        P, M = arms[0], arms[1]
+        block = np.zeros(P.shape + M.shape[1:])
+        for g in range(P.shape[0]):
+            for i, j in targets:
+                block[g][np.ix_(P[g] == i, M[g] == j)] = -1.0
         return block, None
     return pairs
+
+
+def search_one(state, rows, arms, capv, floor, low):
+    """best() on a stack of one, as (value, (i, j) or None, cut delta)."""
+    val, i, j, dc = state.best(rows, arms, capv, np.array([floor]), np.reshape(low, (1, -1)))
+    return float(val[0]), None if i[0] < 0 else (int(i[0]), int(j[0])), float(dc[0])
 
 
 class TestSwapDeltas:
@@ -629,8 +636,8 @@ class TestSwapDeltas:
         target = (int(plus[130]), int(minus[17]))
         state.pairs = synthetic_pairs([target])
         every_row = np.full(plus.size, -np.inf)
-        assert state.best(np.arange(1), arms, None, -0.5, every_row) == (-1.0, target, 0.0)
-        assert state.best(np.arange(1), arms, None, -1.0, every_row) == (-1.0, None, 0.0)
+        assert search_one(state, np.arange(1), arms, None, -0.5, every_row) == (-1.0, target, 0.0)
+        assert search_one(state, np.arange(1), arms, None, -1.0, every_row) == (-1.0, None, 0.0)
 
 
 def scan_every_pair(state, rows, arms, capv, floor):
@@ -642,6 +649,18 @@ def scan_every_pair(state, rows, arms, capv, floor):
     (plus,), (minus,) = arms[0], arms[1]
     pair = (int(plus[k // minus.size]), int(minus[k % minus.size]))
     return float(block.flat[k]), pair, 0.0 if cut is None else float(cut.flat[k])
+
+
+def scan_each_design(state, rows, arms, capv, floors, low):
+    """What best() returns for a stack, from scan_every_pair() on each design alone."""
+    found = [
+        scan_every_pair(state, rows[g : g + 1], optimizer._pick(arms, slice(g, g + 1)),
+                        capv, floors[g])
+        for g in range(rows.size)
+    ]
+    pairs = [(-1, -1) if pair is None else pair for _, pair, _ in found]
+    return (np.array([val for val, _, _ in found]), np.array([i for i, _ in pairs]),
+            np.array([j for _, j in pairs]), np.array([dc for _, _, dc in found]))
 
 
 def pruning_instance(n, density, p, rho0, alpha, weighted, seed):
@@ -719,12 +738,112 @@ class TestPrunedSearch:
                     return pairs(stack, arms, capv, minus)
 
                 state.pairs = counted
-                got = state.best(one, arms, capv, floor, low)
+                got = search_one(state, one, arms, capv, floor, low)
                 state.pairs = pairs
                 assert got == scan_every_pair(state, one, arms, capv, floor)
                 # numpy would score a lone row by a matrix-vector product,
                 # which rounds differently from the scan's matrix product.
                 assert min(rows, default=2) >= 2
+
+    @settings(max_examples=40)
+    @given(
+        half=st.integers(3, 45),
+        designs=st.integers(1, 6),
+        density=st.floats(0.03, 0.5),
+        p=st.integers(1, 4),
+        rho0=st.floats(0.0, 0.9),
+        alpha=st.sampled_from([0.001, 0.05, 0.5]),
+        weighted=st.booleans(),
+        block=st.sampled_from([1, 16, 64, 512]),
+        seed=st.integers(0, 2**31 - 1),
+    )
+    def test_stack_matches_scan_of_each_design(
+        self, half, designs, density, p, rho0, alpha, weighted, block, seed
+    ):
+        # Odd n: the designs of a stack come in two arm sizes.
+        n = 2 * half + 1
+        prob = pruning_instance(n, density, p, rho0, alpha, weighted, seed)
+        X = np.stack([random_balanced_design(n, seed + 2 + d).x for d in range(designs)])
+        state = _SwapState(prob, X, resync=64)
+        plus = (X > 0).sum(axis=1)
+        widths = []
+        pairs = state.pairs
+
+        def counted(stack, arms, capv, minus=None):
+            widths.append(arms[0].shape[1])
+            return pairs(stack, arms, capv, minus)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(optimizer, "_BLOCK_ENTRIES", block)
+            for size in np.unique(plus):
+                rows = np.flatnonzero(plus == size)
+                for descent, capv in ((True, prob.cap + 1e-9), (True, math.inf), (False, None)):
+                    arms = state.focus(rows, descent)
+                    low = state.obj_row_bounds(arms) if descent else state.cut_row_bounds(arms)
+                    for floor in (math.inf, 0.0, None):
+                        floors = (np.full(rows.size, floor) if floor is not None
+                                  else -1e-10 * np.maximum(1.0, state.objs[rows]))
+                        state.pairs = counted
+                        got = state.best(rows, arms, capv, floors, low)
+                        state.pairs = pairs
+                        want = scan_each_design(state, rows, arms, capv, floors, low)
+                        for a, b in zip(got, want):
+                            assert np.array_equal(a, b)
+            # numpy would score a lone row by a matrix-vector product, which
+            # rounds differently from the scan's matrix product.
+            assert min(widths, default=2) >= 2
+            # best_swaps takes the stack by arm size, as local search calls it.
+            found = [state.best_swaps(np.arange(designs), repair, prob.cap + 1e-9)
+                     for repair in (True, False)]
+            mp.setattr(_SwapState, "best", scan_each_design)
+            for repair, got in zip((True, False), found):
+                want = state.best_swaps(np.arange(designs), repair, prob.cap + 1e-9)
+                for a, b in zip(got, want):
+                    assert np.array_equal(a, b)
+
+    def test_stack_scores_as_each_design_alone(self):
+        # Above n = 256 the rounding of a block's product can depend on the
+        # memory layout of its operands.  The designs of a stack leave the
+        # search at different rounds, and a round scores the designs still in
+        # it from their picks of the stack's arrays: every block each design
+        # scores must equal, bit for bit, the one it scores searched alone.
+        # At n = 600 (arms of 300) a row-major H[:, M] rounds some product
+        # entries differently; at arms of 400 none did in trials.
+        n, designs = 600, 6
+        prob = pruning_instance(n, 10 / n, 8, 0.5, 0.5, False, 11)  # half the designs over the cap
+        state = _SwapState(prob, balanced_stack(n, designs, 12), resync=64)
+        rows = np.arange(designs)
+        pairs = state.pairs
+
+        def recorded(blocks):
+            def record(stack, arms, capv, minus=None):
+                score, cut = pairs(stack, arms, capv, minus)
+                for g, r in enumerate(stack.tolist()):
+                    blocks.setdefault(r, []).append((arms[0][g].tolist(), score[g]))
+                stacks.append(stack.size)
+                return score, cut
+            return record
+
+        for descent, capv in ((True, prob.cap + 1e-9), (True, math.inf), (False, None)):
+            arms = state.focus(rows, descent)
+            low = state.obj_row_bounds(arms) if descent else state.cut_row_bounds(arms)
+            # Bounds lowered more for each later design keep it in the search longer.
+            low = low - np.linspace(0.0, 0.5, designs)[:, None] * np.ptp(low, axis=1)[:, None]
+            floors = -1e-10 * np.maximum(1.0, state.objs)
+            stacked, alone, stacks = {}, {}, []
+            state.pairs = recorded(stacked)
+            got = state.best(rows, arms, capv, floors, low)
+            assert min(stacks) < designs  # some round scored only part of the stack
+            state.pairs = recorded(alone)
+            for g in rows:
+                one = slice(g, g + 1)
+                want = state.best(rows[one], optimizer._pick(arms, one), capv, floors[one], low[one])
+                assert all(a[g] == b[0] for a, b in zip(got, want))
+            state.pairs = pairs
+            for g in rows.tolist():
+                assert len(stacked[g]) == len(alone[g])
+                for (p_a, s_a), (p_b, s_b) in zip(stacked[g], alone[g]):
+                    assert p_a == p_b and np.array_equal(s_a, s_b)
 
     def test_bounds_are_below_every_delta(self):
         rng = np.random.default_rng(7)
@@ -749,14 +868,12 @@ class TestPrunedSearch:
         targets = [(int(plus[330]), int(minus[17])), (int(plus[331]), int(minus[3]))]
         state.pairs = synthetic_pairs(targets)
         low = bound(plus, minus)
-        assert state.best(np.arange(1), arms, None, -0.5, low) == (-1.0, targets[0], 0.0)
-        assert state.best(np.arange(1), arms, None, -1.0, low) == (-1.0, None, 0.0)
+        assert search_one(state, np.arange(1), arms, None, -0.5, low) == (-1.0, targets[0], 0.0)
+        assert search_one(state, np.arange(1), arms, None, -1.0, low) == (-1.0, None, 0.0)
 
-    def test_memory_stays_linear(self):
-        # At n = 2000 (mean degree 10, p = 10) a design's 10^6 pairs overflow
-        # the block, so repair and descent run the row-bound search alone.
-        # Its arrays are O(n p) or one block of pair scores: the peak measured
-        # 0.97 MB, against 32 MB for one n x n float64 array.
+    @staticmethod
+    def traced_peak_n2000(restarts):
+        """A solve_local at n = 2000 (mean degree 10, p = 10): its report and traced peak bytes."""
         n = 2000
         net = repair_isolated(
             generate_bernoulli_network(n, 10 / n, seed=1), "connect", seed=1
@@ -765,12 +882,25 @@ class TestPrunedSearch:
         assert optimizer._BLOCK_ENTRIES // (n - n // 2) < n // 2
         tracemalloc.start()
         try:
-            report = solve_local(prob, restarts=1, seed=3)
+            report = solve_local(prob, restarts=restarts, seed=3)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert report.feasible and report.iterations > 0
-        assert peak < 8 * n * n / 8
+        return peak
+
+    def test_memory_stays_linear(self):
+        # At n = 2000 a design's 10^6 pairs overflow the block, so repair and
+        # descent run the row-bound search.  Its arrays are O(n p) or one
+        # block of pair scores: the peak measured 0.98 MB, against 32 MB for
+        # one n x n float64 array.
+        n = 2000
+        assert self.traced_peak_n2000(restarts=1) < 8 * n * n / 8
+
+    def test_stacked_memory_stays_linear(self):
+        # Eight restarts share each step's bound products and pair scoring,
+        # in stacks of optimizer._STACK_DESIGNS: the peak measured 3.1 MB.
+        assert self.traced_peak_n2000(restarts=8) < 8 * 2**20
 
     def test_local_search_matches_full_scan(self, monkeypatch):
         # 24 small instances pruned in blocks of 64 pair scores, and 6 above
@@ -801,11 +931,7 @@ class TestPrunedSearch:
             return records
 
         pruned = solve_all()
-        monkeypatch.setattr(
-            _SwapState, "best",
-            lambda self, rows, arms, capv, floor, low:
-                scan_every_pair(self, rows, arms, capv, floor),
-        )
+        monkeypatch.setattr(_SwapState, "best", scan_each_design)
         assert pruned == solve_all()
 
 
