@@ -35,6 +35,7 @@ from .errors import (
 from .experiments import (
     DEFAULT_SEED,
     _breakdown_row,
+    _gap_design,
     _table_text,
     bundled_study_path,
     derive_seed,
@@ -42,6 +43,7 @@ from .experiments import (
     run_study,
 )
 from .graph import (
+    check_covariate_rows,
     generate_bernoulli_network,
     generate_pm1_covariates,
     load_covariates,
@@ -51,7 +53,7 @@ from .graph import (
     write_covariates,
     write_edge_list,
 )
-from .optimizer import SOLVER_METHODS, hybrid_problem, random_iid_design, solve
+from .optimizer import SOLVER_METHODS, hybrid_problem, solve
 
 _NUMERICAL_ERRORS = (NotPositiveDefiniteError, EigenSolverError, np.linalg.LinAlgError)
 
@@ -87,10 +89,7 @@ def _load_pair(args):
     cov = load_covariates(
         args.covariates, keep_first=args.keep_first, header=args.header
     )
-    if cov.n != net.n:
-        raise DataError(
-            f"covariate rows ({cov.n}) do not match network nodes ({net.n})"
-        )
+    check_covariate_rows(net, cov)
     iso = net.isolated_nodes
     if iso.size:
         raise DataError(
@@ -170,10 +169,7 @@ def cmd_diagnose(args) -> int:
         })
     grid = np.round(np.arange(0.05, 0.951, 0.01), 10)
     for idx in range(args.designs):
-        x = random_iid_design(net.n, derive_seed(args.seed, 1, idx)).x
-        rhos = np.random.default_rng(derive_seed(args.seed, 2, idx)).uniform(
-            0.0, 1.0, args.prior_draws
-        )
+        _, _, x, rhos = _gap_design(args.seed, idx, net.n, args.prior_draws)
         diag = surrogate_gap_diagnostics(net, cov, x, float(rhos.mean()), rhos)
         rows.append({
             "check": "gap", "index": idx, "value": float(diag.gap_estimate),

@@ -40,7 +40,7 @@ from .errors import (
     EigenSolverError,
     RankError,
 )
-from .graph import CovariateMatrix, Network
+from .graph import CovariateMatrix, Network, check_covariate_rows
 
 __all__ = [
     "CriterionBreakdown",
@@ -96,8 +96,7 @@ class CriterionEvaluator:
     def __init__(self, net: Network, cov: CovariateMatrix, rho: float):
         if not 0.0 <= rho < 1.0:
             raise DataError(f"rho must lie in [0, 1), got {rho}")
-        if cov.n != net.n:
-            raise DataError(f"covariate rows ({cov.n}) do not match node count ({net.n})")
+        check_covariate_rows(net, cov)
         _check_degrees(net, "criterion undefined")
         self.net = net
         self.cov = cov
@@ -186,8 +185,7 @@ def _precision_curve(net: Network, cov: CovariateMatrix, x, rhos) -> tuple:
     Returns (gram, coef, t): the Grams of (F, x), the kernel-weighted
     covariate coefficients (F'RF)^{-1} F'Rx and the precisions.
     """
-    if cov.n != net.n:
-        raise DataError(f"covariate rows ({cov.n}) do not match node count ({net.n})")
+    check_covariate_rows(net, cov)
     _check_degrees(net, "criterion undefined")
     xv = as_sign_vector(x)
     if xv.size != net.n:

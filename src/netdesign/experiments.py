@@ -38,6 +38,7 @@ from .criterion import CriterionEvaluator, surrogate_gap_diagnostics
 from .errors import NetdesignError, StudySpecError
 from .graph import (
     CovariateMatrix,
+    check_covariate_rows,
     generate_bernoulli_network,
     generate_pm1_covariates,
     load_covariates,
@@ -713,10 +714,7 @@ def run_pseudo_experiment(spec: StudySpec) -> StudyResult:
             keep_first=P["keep_first"],
             header=P["covariates_header"],
         )
-        if base_cov.n != base_net.n:
-            raise NetdesignError(
-                f"covariate rows ({base_cov.n}) do not match nodes ({base_net.n})"
-            )
+        check_covariate_rows(base_net, base_cov)
     else:
         base_net = generate_bernoulli_network(
             P["n_base"], P["density"], seed=derive_seed(spec.seed, 0, 0)
@@ -831,6 +829,14 @@ GAP_HISTOGRAM_COLUMNS = (
 )
 
 
+def _gap_design(seed: int, idx: int, n: int, prior_draws: int):
+    """Design idx of a prior-gap check, iid on n nodes, and its prior of prior_draws
+    uniform rho draws on [0, 1): (design seed, prior seed, x, rhos)."""
+    design_seed, rho_seed = derive_seed(seed, 1, idx), derive_seed(seed, 2, idx)
+    rhos = np.random.default_rng(rho_seed).uniform(0.0, 1.0, prior_draws)
+    return design_seed, rho_seed, random_iid_design(n, design_seed).x, rhos
+
+
 def run_gap_histogram(spec: StudySpec) -> StudyResult:
     """Sample completely randomized designs on one dense network and record
     the surrogate criterion, the prior-averaging gap, and its bounds.
@@ -849,24 +855,19 @@ def run_gap_histogram(spec: StudySpec) -> StudyResult:
     cov = CovariateMatrix.from_raw(z)
 
     def cell(li: int):
-        design_seed = derive_seed(spec.seed, 1, li)
-        rho_seed = derive_seed(spec.seed, 2, li)
+        design_seed, rho_seed, x, rhos = _gap_design(spec.seed, li, P["n"], P["rho_draws"])
         base = {
             "design_index": li, "n": P["n"], "density": P["density"],
             "alpha_bound": P["alpha_bound"],
             "design_seed": design_seed, "rho_seed": rho_seed,
         }
         try:
-            x = random_iid_design(P["n"], design_seed).x
-            rhos = np.random.default_rng(rho_seed).uniform(0.0, 1.0, P["rho_draws"])
-            rho0 = float(rhos.mean())
-            diag = surrogate_gap_diagnostics(
-                net, cov, x, rho0, rhos, alpha=P["alpha_bound"]
-            )
+            diag = surrogate_gap_diagnostics(net, cov, x, float(rhos.mean()), rhos,
+                                             alpha=P["alpha_bound"])
             return [{
                 **base, "t_at_rho0": diag.t_at_rho0, "gap": float(diag.gap_estimate),
                 "second_derivative_term": float(diag.second_derivative_term),
-                "rho_mean": rho0, "rho_var": float(diag.var_rho),
+                "rho_mean": diag.rho0, "rho_var": float(diag.var_rho),
                 "bound_a": float(diag.bound_a), "bound_b": float(diag.bound_b),
                 "status": "ok",
             }]

@@ -156,6 +156,12 @@ class CovariateMatrix:
         return f"CovariateMatrix(n={self.n}, p={self.p})"
 
 
+def check_covariate_rows(net: Network, cov: CovariateMatrix) -> None:
+    """Raise DataError unless cov has one row per node of net."""
+    if cov.n != net.n:
+        raise DataError(f"covariate rows ({cov.n}) do not match network nodes ({net.n})")
+
+
 @dataclass(frozen=True)
 class RepairResult:
     """Outcome of an isolated-node repair.
@@ -370,8 +376,7 @@ def subsample_network(
     The sampled node set is sorted ascending, so k == n returns the network
     unchanged.  Isolated nodes may appear in the result; repair separately.
     """
-    if cov.n != net.n:
-        raise DataError(f"covariate rows ({cov.n}) do not match node count ({net.n})")
+    check_covariate_rows(net, cov)
     if not 1 <= k <= net.n:
         raise DataError(f"subsample size must lie in 1..{net.n}, got {k}")
     rng = np.random.default_rng(seed)

@@ -18,18 +18,15 @@ All solvers work off the factored form H = La^{-1} B' (objective
 swap move exchanges one node from each arm, so balance is invariant; its
 objective delta costs O(p) and its constraint delta O(1) given the
 maintained vectors.  Repair and descent take the best swap over all
-plus x minus pairs exactly, and one scorer computes the objective and
-cut deltas and the cap mask of a block of pairs for both.  The restarts
-of a multistart solve advance in lockstep, one swap each per step, scored
-in stacks with the per-restart arithmetic, so each takes the swaps it
-would take alone.  Below one block of pairs per restart (n up to about
-256) every pair of a stack is scored.  Above that a lower bound on each
-plus row's best delta (matrix products for the objective, O(n) for the
-cut) orders the rows, and rows are scored only until the next bound
-exceeds the best delta found, six restarts sharing each product and
-scoring call.  The scorer reads the weights of small designs from a
-dense copy of W and those of large ones from W's sparse rows, so memory
-stays O(n) a restart where the dense copy would not fit.  Reported
+plus x minus pairs exactly.  Repair reads it in O(n + m) from the top of
+s = x * Wx on each arm and the cross-arm edges.  The restarts of a
+multistart solve advance in lockstep, one swap each per step, scored in
+stacks with the per-restart arithmetic, so each takes the swaps it would
+take alone.  Below one block of pairs per restart (n up to about 256)
+descent scores every pair of a stack.  Above that a lower bound on each
+plus row's best delta orders the rows, and rows are scored only until
+the next bound exceeds the best delta found, six restarts sharing each
+product and scoring call, in O(n) memory a restart.  Reported
 objectives are recomputed by a fresh pass over the returned design,
 never copied from solver bookkeeping.
 """
@@ -440,7 +437,9 @@ def _csr_entries(W, rows):
 # in one block with one set of array ops; a design whose pairs alone
 # overflow it (n above about 256) takes the row-bound search, which keeps
 # memory at O(n) whatever the arm sizes.  Up to one block of pairs,
-# scoring them all took less time than the row bounds save.
+# scoring them all took less time than the row bounds save.  Repair scores
+# the W entries of as many designs as fit in one block: at n = 1000, blocks
+# of 2^14 to 2^16 took the same time, and only 2^16 raised the traced peak.
 _BLOCK_ENTRIES = 1 << 14
 
 # Large designs per row-bound search: at n = 1000, stacks of 6 and 8 timed fastest
@@ -459,13 +458,11 @@ class _SwapState:
     x is updated in place; a 1-d x is a stack of one, whose obj and c read
     as numbers.  apply() moves the products of the swapped designs along
     and recomputes a design's from scratch every `resync` of its swaps, so
-    rounding drift stays bounded.  pairs() is the one scorer of repair and
-    descent swaps, for a stack of designs that share their arm sizes.
-    best_stacked() scores every pair of each design in a stack; best()
-    finds each design's lowest-scoring pair in a stack exactly from a
-    lower bound on each plus row's scores, scoring only the rows whose
-    bound does not exceed the best value found so far.  best_swaps() takes
-    the designs in rows, by arm size, to one of the two.
+    rounding drift stays bounded.  best_repairs() finds repair swaps and
+    best_swaps() descent swaps, through pairs(), the scorer of a stack of
+    designs that share their arm sizes: best_stacked() scores every pair,
+    best() only the plus rows whose lower bound does not exceed the best
+    value found so far.
     """
 
     def __init__(self, problem: HybridProblem, x: np.ndarray, resync: int):
@@ -547,16 +544,43 @@ class _SwapState:
         w_ij = float(W.data[lo + pos]) if pos < cols.size and cols[pos] == j else 0.0
         return _cut_delta(x[i] * wx[i], x[j] * wx[j], w_ij)
 
-    def focus(self, rows: np.ndarray, descent: bool):
+    def best_repairs(self, rows: np.ndarray):
+        """The swap lowering x'Wx most of each design in rows: arrays (r, i, j, dc).
+
+        dc = -4 (s_i + s_j + 2 w_ij) is exact for nonnegative integer weights
+        (0/1 in a Network), so a scan of every pair takes the first top-s plus
+        node with the first top-s minus node, or a cross-arm edge that scores
+        lower or ties it earlier in (plus, minus) order, the order of W's
+        sorted CSR entries.  The edges of as many designs as fit in
+        _BLOCK_ENTRIES are scored at once.  Designs whose best dc is not
+        below -1e-12 are left out.
+        """
+        W, at = self.W, np.arange(rows.size)
+        S, plus = self.x[rows] * self.wx[rows], self.x[rows] > 0
+        i = np.where(plus, S, -np.inf).argmax(axis=1)
+        j = np.where(plus, -np.inf, S).argmax(axis=1)
+        dc = _cut_delta(S[at, i], S[at, j], 0.0)  # an edge i-j scores lower below
+        tail, head = np.repeat(np.arange(W.shape[0]), np.diff(W.indptr)), W.indices
+        per = max(1, _BLOCK_ENTRIES // W.nnz)
+        for g in np.split(at, np.arange(per, rows.size, per)):
+            cut = _cut_delta(S[g][:, tail], S[g][:, head], W.data)
+            cut[~plus[g][:, tail] | plus[g][:, head]] = np.inf
+            e = cut.argmin(axis=1)
+            v, ei, ej = cut[at[: g.size], e], tail[e], head[e]
+            win = (v < dc[g]) | ((v == dc[g]) & ((ei < i[g]) | ((ei == i[g]) & (ej < j[g]))))
+            dc[g[win]], i[g[win]], j[g[win]] = v[win], ei[win], ej[win]
+        ok = dc < -1e-12
+        return rows[ok], i[ok], j[ok], dc[ok]
+
+    def focus(self, rows: np.ndarray):
         """(P, M, A, S) of the designs in rows, which share their arm sizes.
 
         P and M hold each design's plus and minus nodes, (G, k) and (G, l);
-        A its a = H'v in descent (None in repair) and S its s = x * Wx
-        (None without W), both (G, n).
+        A its a = H'v and S its s = x * Wx (None without W), both (G, n).
         """
         X = self.x[rows]
         G, n = X.shape
-        A = np.matmul(self.v[rows][:, None, :], self.H)[:, 0] if descent else None
+        A = np.matmul(self.v[rows][:, None, :], self.H)[:, 0]
         S = X * self.wx[rows] if self.W is not None else None
         P = np.flatnonzero(X > 0).reshape(G, -1) % n
         return P, np.flatnonzero(X < 0).reshape(G, -1) % n, A, S
@@ -564,7 +588,7 @@ class _SwapState:
     def gather_minus(self, arms):
         """What pairs() reads of the minus arms of arms: (s_j, a_j, psi_j, h_j, pos).
 
-        s_j, a_j and psi_j are (G, 1, l), None where arms has no S or A;
+        s_j, a_j and psi_j are (G, 1, l), s_j None without W;
         h_j, (G, l, rows of H), holds the columns of H at each design's
         minus nodes.  pos, (G, n), maps each node to its column in each
         design's minus arm for the CSR gather of weights(), and is None for
@@ -579,8 +603,6 @@ class _SwapState:
             pos = np.full((G, n), -1)
             pos[at, M] = np.arange(l)
         s_j = None if S is None else S[at, M][:, None, :]
-        if A is None:
-            return s_j, None, None, None, pos
         # pairs() multiplies by h_j transposed, H[:, M] column-major per design, as
         # the rounding of its product depends on that layout; a C-contiguous h_j
         # keeps it for any subset of the designs.
@@ -613,10 +635,9 @@ class _SwapState:
 
         arms is (P, M, A, S) as focus returns it, for every plus row or a
         subset, and minus its gather_minus(), gathered here when None.
-        The score is the cut delta in repair (A None) and the objective
-        delta in descent, inf where the cut would take x'Wx above capv.
-        cut is None without W.  Every product is the per-design one: a
-        stacked matmul runs the same BLAS call for each design.
+        The score is the objective delta, inf where the cut would take x'Wx
+        above capv; cut is None without W.  Every product is the per-design
+        one: a stacked matmul runs the same BLAS call for each design.
         """
         P, M, A, S = arms
         s_j, a_j, psi_j, h_j, pos = self.gather_minus(arms) if minus is None else minus
@@ -624,8 +645,6 @@ class _SwapState:
         cut = None
         if self.W is not None:
             cut = _cut_delta(S[at, P][:, :, None], s_j, self.weights(P, M, pos))
-        if A is None:
-            return cut, cut
         score = _obj_delta(
             A[at, P][:, :, None],
             a_j,
@@ -664,18 +683,6 @@ class _SwapState:
             float(psi.max()) + np.abs(A).max(axis=1)
         )
         return low + 4.0 * (psi[P] - A[at, P]) - slack[:, None]
-
-    def cut_row_bounds(self, arms) -> np.ndarray:
-        """Lower bounds, (G, k), on the repair scores of each plus row of each design in arms.
-
-        _cut_delta does not increase as s_j or w_ij grow, under rounding
-        too, so the largest s on a design's minus arm and the largest
-        weight bound every row exactly.
-        """
-        P, M, _, S = arms
-        at = np.arange(P.shape[0])[:, None]
-        heaviest = float(self.W.data.max(initial=0.0))
-        return _cut_delta(S[at, P], S[at, M].max(axis=1, keepdims=True), heaviest)
 
     def best(self, rows: np.ndarray, arms, capv: Optional[float], floors, low: np.ndarray):
         """Each design's lowest pair below its floor: arrays (value, i, j, cut delta).
@@ -722,30 +729,28 @@ class _SwapState:
                 dc[g[win]] = 0.0 if cut is None else cut.reshape(g.size, -1)[gi[win], kk[win]]
             lo[live], size = hi, min(2 * size, most)
 
-    def best_stacked(self, rows: np.ndarray, repair: bool, capv: Optional[float]):
+    def best_stacked(self, rows: np.ndarray, arms, capv: Optional[float]):
         """The lowest-scoring pair of each design in rows, every plus node scored as one stack.
 
         Returns (value, i, j, cut delta) arrays, the first pair in
-        (plus, minus) order for each design.
+        (plus, minus) order for each design; arms is focus(rows).
         """
-        arms = self.focus(rows, not repair)
         block, cut = self.pairs(rows, arms, capv)
         at = np.arange(rows.size)
         p_at, m_at = np.divmod(block.reshape(rows.size, -1).argmin(axis=1), block.shape[2])
         dc = cut[at, p_at, m_at] if cut is not None else np.zeros(rows.size)
         return block[at, p_at, m_at], arms[0][at, p_at], arms[1][at, m_at], dc
 
-    def best_swaps(self, rows: np.ndarray, repair: bool, capv: Optional[float]):
-        """The best swap below its floor of each design in rows: arrays (r, i, j, value, dc).
+    def best_swaps(self, rows: np.ndarray, capv: Optional[float]):
+        """The best descent swap of each design in rows: arrays (r, i, j, value, dc).
 
-        Repair lowers x'Wx (floor -1e-12); descent lowers the objective
-        (floor -1e-10 max(1, obj)) within the cap.  Both score through
-        pairs(), the designs of each arm size together: those whose pairs
-        fit in one block in stacks of as many as fit, the others in stacks
-        of _STACK_DESIGNS, each stack one row-bound search.  Designs without
-        a swap below their floor are left out.
+        A swap must lower the objective by more than 1e-10 max(1, obj) within
+        capv.  The designs of each arm size are scored together: those whose
+        pairs fit in one block in stacks of as many as fit, the others in
+        stacks of _STACK_DESIGNS, each one row-bound search.  Designs
+        without such a swap are left out.
         """
-        floors = np.full(rows.size, -1e-12) if repair else -1e-10 * np.maximum(1.0, self.objs[rows])
+        floors = -1e-10 * np.maximum(1.0, self.objs[rows])
         n = self.x.shape[1]
         plus = np.count_nonzero(self.x[rows] > 0, axis=1)
         val, dc = np.empty(rows.size), np.empty(rows.size)
@@ -756,12 +761,12 @@ class _SwapState:
             per = max(1, _BLOCK_ENTRIES // (size * (n - size))) if fits else _STACK_DESIGNS
             for lo in range(0, same.size, per):
                 at = same[lo : lo + per]
+                arms = self.focus(rows[at])
                 if fits:
-                    val[at], i[at], j[at], dc[at] = self.best_stacked(rows[at], repair, capv)
-                    continue
-                arms = self.focus(rows[at], not repair)
-                low = self.cut_row_bounds(arms) if repair else self.obj_row_bounds(arms)
-                val[at], i[at], j[at], dc[at] = self.best(rows[at], arms, capv, floors[at], low)
+                    val[at], i[at], j[at], dc[at] = self.best_stacked(rows[at], arms, capv)
+                else:
+                    low = self.obj_row_bounds(arms)
+                    val[at], i[at], j[at], dc[at] = self.best(rows[at], arms, capv, floors[at], low)
         ok = val < floors
         return rows[ok], i[ok], j[ok], val[ok], dc[ok]
 
@@ -778,39 +783,35 @@ def _polish(
 ):
     """Repair, then descend, every row of x together; returns (best_x or None, best_obj, swaps).
 
-    Each design that violates the cap takes greedy swaps that lower x'Wx
-    until it meets the cap, or is dropped when no swap lowers it; then it
-    takes best-improvement swaps on the objective, feasibility preserved,
-    until none improves.  Every design still moving takes one swap per
-    step.  Past the deadline no design takes another descent swap; a
-    repair runs to its end.  The best design is the first whose
-    recomputed objective is lowest, by more than 1e-15.
+    Each design over the cap takes greedy swaps that lower x'Wx until it
+    meets the cap, or is dropped when none lowers it.  Then each feasible
+    design takes best-improvement swaps on the objective within the cap
+    until none improves, or the deadline passes.  Each moving design takes
+    one swap a step.  The best design is the first whose recomputed
+    objective is lowest, by more than 1e-15.
     """
     st = _SwapState(problem, x, resync=64)
-    capv = _feas_cap(cap) if problem.W is not None else None
-    repairing = st.cuts > capv if capv is not None else np.zeros(st.objs.size, dtype=bool)
-    descending = ~repairing
-    feasible = descending.copy()
-    total = 0
-    while repairing.any() or descending.any():
-        for repair, moving in ((True, repairing), (False, descending)):
-            if not repair and deadline is not None and time.perf_counter() > deadline:
-                moving[:] = False
-            rows = np.flatnonzero(moving)
-            if rows.size == 0:
-                continue
-            r, i, j, val, dc = st.best_swaps(rows, repair, capv)
-            st.apply(i, j, None if repair else val, dc, r=r)
-            total += r.size
-            moving[rows] = False  # no swap left below the floor
-            moving[r] = True
-            if repair:
-                for done in r[st.cuts[r] <= capv]:
-                    # Descent starts from fresh products, as a new state would.
-                    repairing[done] = False
-                    descending[done] = feasible[done] = True
-                    st.sync(done)
-                    st.swaps[done] = 0
+    capv = None if problem.W is None else _feas_cap(cap)
+    repairing = np.zeros(st.objs.size, dtype=bool) if capv is None else st.cuts > capv
+    feasible, total = ~repairing, 0
+    while repairing.any():
+        r, i, j, dc = st.best_repairs(np.flatnonzero(repairing))
+        st.apply(i, j, None, dc, r=r)
+        total += r.size
+        repairing[:] = False  # dropped unless it took a swap
+        repairing[r] = st.cuts[r] > capv
+        feasible[r] = ~repairing[r]
+    for r in np.flatnonzero(feasible):  # descent starts from fresh products
+        st.sync(r)
+    st.swaps[:] = 0
+    descending = feasible.copy()
+    while descending.any() and (deadline is None or time.perf_counter() <= deadline):
+        rows = np.flatnonzero(descending)
+        r, i, j, val, dc = st.best_swaps(rows, capv)
+        st.apply(i, j, val, dc, r=r)
+        total += r.size
+        descending[:] = False  # no swap left below the floor
+        descending[r] = True
     best_x, best_obj = None, math.inf
     for row in st.x[feasible]:
         obj = problem.objective(row)
@@ -846,13 +847,12 @@ def solve_local(
 
     Each restart draws a balanced design, repairs it into the cap region
     by greedy constraint-lowering swaps, then descends on the objective.
-    The restarts advance together, one swap each per step; below one
-    block of pairs per restart (n up to about 256) the pairs of as many
-    restarts as fit in one block are scored together.  The first restart
-    with the lowest objective wins, as if they had run one by one.  Once
+    The restarts advance together, one swap each per step, all repairing
+    before any descends; below about n = 256 the pairs of as many restarts
+    as fit in one block are scored together.  The first restart with the
+    lowest objective wins, as if they had run one by one.  Once
     time_budget is spent every restart stops descending where it stands
-    (a repair in progress still finishes) and the best feasible one is
-    reported; restarts no longer go unstarted.  If every restart fails to
+    and the best feasible one is reported.  If every restart fails to
     reach feasibility the alpha ladder applies.
     """
     if restarts < 1:
@@ -993,16 +993,15 @@ def solve(
     time_budget: Optional[float] = None,
     relax: bool = True,
 ) -> SolveReport:
-    """Dispatch: exact to n = 21, local search to n = 5000, annealing above.
+    """Dispatch: exact to n = 30, local search to n = 5000, annealing above.
 
-    Exact search took less time than a 32-restart local search up to
-    n = 21, a third or less up to 20, about as long at 22 and longer above
-    (Bernoulli graphs, density 0.2, p = 3).  Local search beat annealing in
-    time and objective at every size measured, up to n = 5000 (perfbench
-    graphs, mean degree 10, p = 10); larger sizes were not measured.
+    At n = 22-30 exact search took 0.005-0.65 s, where a 32-restart local
+    search returned 1.6-7.1 times the optimum (0.026 against 6e-31 at 30).
+    Local search beat annealing in time and objective at every size
+    measured, up to n = 5000 (perfbench graphs, mean degree 10, p = 10).
     """
     if method == "auto":
-        if problem.n <= 21:
+        if problem.n <= 30:
             method = "exact"
         elif problem.n <= 5000:
             method = "local"

@@ -225,6 +225,18 @@ class TestBadInput:
         assert f"{edges}: isolated nodes [7, 12] have no edges" in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize("sub", ["design", "evaluate", "diagnose"])
+    def test_covariate_rows_must_match_nodes(self, tmp_path, capsys, sub):
+        edges, covs = make_dataset(tmp_path)
+        lines = Path(covs).read_text().splitlines(keepends=True)
+        Path(covs).write_text("".join(lines[:-1]))
+        dfile = tmp_path / "x.design"
+        dfile.write_text("+1\n-1\n" * 15)
+        extra = [dfile] if sub == "evaluate" else []
+        assert run(sub, edges, covs, *extra, "--output", tmp_path / "out.csv") == 2
+        assert "covariate rows (29) do not match network nodes (30)" in capsys.readouterr().err
+
+
 _WORD = st.text(alphabet=string.ascii_letters, min_size=1, max_size=6)
 
 

@@ -19,7 +19,7 @@ from hypothesis import example, given, strategies as st
 from netdesign import car, experiments
 from netdesign.criterion import evaluate, pip
 from netdesign.designs import Design
-from netdesign.errors import RankError, StudySpecError
+from netdesign.errors import DataError, RankError, StudySpecError
 from netdesign.experiments import (
     DEFAULT_SEED,
     STUDY_KINDS,
@@ -532,6 +532,15 @@ class TestPseudoExperiment:
         assert len(res.rows) == 12
         assert all(r["status"] == "ok" for r in res.rows)
         assert all(r["n_kept"] <= 48 for r in res.rows)
+
+    def test_loaded_covariate_rows_must_match_nodes(self, tmp_path):
+        net = generate_bernoulli_network(60, 0.08, seed=1)
+        edges, covs = tmp_path / "edges.txt", tmp_path / "z.csv"
+        write_edge_list(net, edges)
+        write_covariates(np.random.default_rng(0).integers(0, 2, size=(59, 3)) * 2.0 - 1.0, covs)
+        spec = tiny("pseudo_experiment", edges_path=str(edges), covariates_path=str(covs))
+        with pytest.raises(DataError, match=r"covariate rows \(59\) do not match network nodes \(60\)"):
+            run_study(spec)
 
 
 class TestGapHistogram:

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from netdesign.criterion import CriterionEvaluator, concavity_probe, surrogate_gap_diagnostics
 from netdesign.errors import DataError, GraphFormatError, RankError
 from netdesign.graph import (
     CovariateMatrix,
@@ -329,6 +330,22 @@ class TestSubsample:
             subsample_network(net, cov, 0, seed=0)
         with pytest.raises(DataError):
             subsample_network(net, cov, 11, seed=0)
+
+
+class TestCovariateRows:
+    def test_every_check_gives_one_message(self):
+        net = repair_isolated(generate_bernoulli_network(12, 0.4, seed=0), "connect", seed=0).network
+        cov = generate_pm1_covariates(10, 1, seed=0)
+        x = np.tile([1.0, -1.0], 6)
+        for call in (
+            lambda: subsample_network(net, cov, 5, seed=0),
+            lambda: CriterionEvaluator(net, cov, 0.5),
+            lambda: surrogate_gap_diagnostics(net, cov, x, 0.5, [0.4, 0.6]),
+            lambda: concavity_probe(net, cov, x, np.arange(0.2, 0.3, 0.01)),
+        ):
+            with pytest.raises(DataError) as err:
+                call()
+            assert str(err.value) == "covariate rows (10) do not match network nodes (12)"
 
 
 class TestPairedBipartite:

@@ -595,9 +595,8 @@ class TestSwapDeltas:
         X = balanced_stack(n, designs, seed + 2)
         state = _SwapState(prob, X, resync=64)
         rows = np.arange(designs)
-        P, M, _, _ = arms = state.focus(rows, True)
+        P, M, _, _ = arms = state.focus(rows)
         obj, cut = state.pairs(rows, arms, math.inf)
-        assert np.array_equal(state.pairs(rows, state.focus(rows, False), None)[0], cut)
         assert obj.shape == cut.shape == (designs, P.shape[1], M.shape[1])
         for r in rows:
             x = X[r].copy()
@@ -615,7 +614,7 @@ class TestSwapDeltas:
             with pytest.MonkeyPatch.context() as mp:
                 mp.setattr(optimizer, "_BLOCK_ENTRIES", 0)
                 alone = rows[r : r + 1]
-                got_obj, got_cut = state.pairs(alone, state.focus(alone, True), math.inf)
+                got_obj, got_cut = state.pairs(alone, state.focus(alone), math.inf)
                 assert np.array_equal(got_obj[0], obj[r]) and np.array_equal(got_cut[0], cut[r])
         # The maintained products follow the swap.
         a, b = np.unravel_index(int(np.argmin(obj[0])), obj[0].shape)
@@ -631,13 +630,62 @@ class TestSwapDeltas:
         n = 300  # 150 plus rows: three 64-row blocks
         x = random_balanced_design(n, 0).x.copy()
         state = _SwapState(no_network_problem(generate_pm1_covariates(n, 1, seed=0)), x, 64)
-        arms = state.focus(np.arange(1), True)
+        arms = state.focus(np.arange(1))
         (plus,), (minus,) = arms[0], arms[1]
         target = (int(plus[130]), int(minus[17]))
         state.pairs = synthetic_pairs([target])
         every_row = np.full(plus.size, -np.inf)
         assert search_one(state, np.arange(1), arms, None, -0.5, every_row) == (-1.0, target, 0.0)
         assert search_one(state, np.arange(1), arms, None, -1.0, every_row) == (-1.0, None, 0.0)
+
+
+def scan_repairs(W, X, rows):
+    """What best_repairs(rows) returns, from y'Wy - x'Wx of every plus x minus pair of each design."""
+    found = []
+    for r in rows:
+        x, best = X[r], (-1e-12, None)
+        for i in np.flatnonzero(x > 0):
+            for j in np.flatnonzero(x < 0):
+                y = x.copy()
+                y[i], y[j] = -1.0, 1.0
+                delta = y @ W @ y - x @ W @ x
+                if delta < best[0]:  # the first of equal minima below the floor
+                    best = (delta, (i, j))
+        if best[1] is not None:
+            found.append((r, *best[1], best[0]))
+    return tuple(np.array([f[k] for f in found], dtype=float if k == 3 else np.int64)
+                 for k in range(4))
+
+
+class TestBestRepairs:
+    @settings(max_examples=60)
+    @given(
+        n=st.integers(4, 31),
+        density=st.floats(0.05, 0.8),
+        weighted=st.booleans(),
+        designs=st.integers(1, 6),
+        one_design_chunks=st.booleans(),
+        seed=st.integers(0, 2**31 - 1),
+    )
+    def test_matches_scan_of_every_pair(self, n, density, weighted, designs, one_design_chunks,
+                                        seed):
+        # Odd n mixes arm sizes in a stack; weighted W has integer weights 1-3.
+        prob = pruning_instance(n, density, 1, 0.5, 0.5, weighted, seed)
+        W = prob.W.toarray()
+        # Design 0 stays out of rows, so rows index into the stack.
+        X = np.stack([random_balanced_design(n, seed + 2 + d).x for d in range(designs + 1)])
+        state = _SwapState(prob, X, resync=64)
+        rows = np.arange(1, designs + 1)
+        with pytest.MonkeyPatch.context() as mp:
+            if one_design_chunks:
+                mp.setattr(optimizer, "_BLOCK_ENTRIES", 1)
+            for _ in range(3):  # again after the swaps found, on the maintained wx
+                got = state.best_repairs(rows)
+                want = scan_repairs(W, state.x, rows)
+                for a, b in zip(got, want):
+                    assert a.shape == b.shape and np.array_equal(a, b)
+                r, i, j, dc = got
+                state.apply(i, j, None, dc, r=r)
 
 
 def scan_every_pair(state, rows, arms, capv, floor):
@@ -710,26 +758,10 @@ class TestPrunedSearch:
         x = random_balanced_design(n, seed + 2).x.copy()
         state = _SwapState(prob, x, resync=64)
         one = np.arange(1)
-        descent, repair = state.focus(one, True), state.focus(one, False)
-
-        def late_rows_first(per_row):
-            # Exact minima (per row, or over all rows), lowered by one on the
-            # later half of the rows: those are visited first, so an earlier
-            # row that ties the best score has a bound equal to it.  Integer
-            # cut deltas make such ties common.
-            block = state.pairs(one, repair, None)[0][0]
-            late = np.arange(block.shape[0]) >= block.shape[0] // 2
-            return (block.min(axis=1) if per_row else block.min()) - late
-
-        cases = [
-            (descent, prob.cap + 1e-9, state.obj_row_bounds(descent)),
-            (descent, math.inf, state.obj_row_bounds(descent)),
-            (repair, None, state.cut_row_bounds(repair)),
-            (repair, None, late_rows_first(True)),
-            (repair, None, late_rows_first(False)),
-        ]
+        arms = state.focus(one)
+        low = state.obj_row_bounds(arms)
         pairs = state.pairs
-        for arms, capv, low in cases:
+        for capv in (prob.cap + 1e-9, math.inf):
             for floor in (math.inf, 0.0, -1e-10 * max(1.0, state.obj)):
                 rows = []
 
@@ -777,9 +809,9 @@ class TestPrunedSearch:
             mp.setattr(optimizer, "_BLOCK_ENTRIES", block)
             for size in np.unique(plus):
                 rows = np.flatnonzero(plus == size)
-                for descent, capv in ((True, prob.cap + 1e-9), (True, math.inf), (False, None)):
-                    arms = state.focus(rows, descent)
-                    low = state.obj_row_bounds(arms) if descent else state.cut_row_bounds(arms)
+                arms = state.focus(rows)
+                low = state.obj_row_bounds(arms)
+                for capv in (prob.cap + 1e-9, math.inf):
                     for floor in (math.inf, 0.0, None):
                         floors = (np.full(rows.size, floor) if floor is not None
                                   else -1e-10 * np.maximum(1.0, state.objs[rows]))
@@ -793,13 +825,11 @@ class TestPrunedSearch:
             # rounds differently from the scan's matrix product.
             assert min(widths, default=2) >= 2
             # best_swaps takes the stack by arm size, as local search calls it.
-            found = [state.best_swaps(np.arange(designs), repair, prob.cap + 1e-9)
-                     for repair in (True, False)]
+            got = state.best_swaps(np.arange(designs), prob.cap + 1e-9)
             mp.setattr(_SwapState, "best", scan_each_design)
-            for repair, got in zip((True, False), found):
-                want = state.best_swaps(np.arange(designs), repair, prob.cap + 1e-9)
-                for a, b in zip(got, want):
-                    assert np.array_equal(a, b)
+            want = state.best_swaps(np.arange(designs), prob.cap + 1e-9)
+            for a, b in zip(got, want):
+                assert np.array_equal(a, b)
 
     def test_stack_scores_as_each_design_alone(self):
         # Above n = 256 the rounding of a block's product can depend on the
@@ -824,9 +854,9 @@ class TestPrunedSearch:
                 return score, cut
             return record
 
-        for descent, capv in ((True, prob.cap + 1e-9), (True, math.inf), (False, None)):
-            arms = state.focus(rows, descent)
-            low = state.obj_row_bounds(arms) if descent else state.cut_row_bounds(arms)
+        for capv in (prob.cap + 1e-9, math.inf):
+            arms = state.focus(rows)
+            low = state.obj_row_bounds(arms)
             # Bounds lowered more for each later design keep it in the search longer.
             low = low - np.linspace(0.0, 0.5, designs)[:, None] * np.ptp(low, axis=1)[:, None]
             floors = -1e-10 * np.maximum(1.0, state.objs)
@@ -852,7 +882,7 @@ class TestPrunedSearch:
             prob = pruning_instance(n, 0.1, 3, 0.5, 0.5, False, int(rng.integers(2**31)))
             x = random_balanced_design(n, rng).x.copy()
             state = _SwapState(prob, x, resync=64)
-            arms = state.focus(np.arange(1), True)
+            arms = state.focus(np.arange(1))
             low = state.obj_row_bounds(arms)
             rows = state.pairs(np.arange(1), arms, math.inf)[0][0].min(axis=1)
             assert np.all(low <= rows)
@@ -863,7 +893,7 @@ class TestPrunedSearch:
         n = 800  # 400 x 400 pairs: several blocks
         x = random_balanced_design(n, 0).x.copy()
         state = _SwapState(no_network_problem(generate_pm1_covariates(n, 1, seed=0)), x, 64)
-        arms = state.focus(np.arange(1), True)
+        arms = state.focus(np.arange(1))
         (plus,), (minus,) = arms[0], arms[1]
         targets = [(int(plus[330]), int(minus[17])), (int(plus[331]), int(minus[3]))]
         state.pairs = synthetic_pairs(targets)
@@ -1067,6 +1097,11 @@ class TestDispatch:
         net, cov, rho0, alpha = random_instance(rng, n_lo=10, n_hi=12)
         prob = hybrid_problem(net, cov, rho0, alpha)
         assert solve(prob).method == "exact"
+
+        # Up to n = 30, the exact search's own limit.
+        net, cov, rho0, alpha = random_instance(rng, n_lo=22, n_hi=30)
+        report = solve(hybrid_problem(net, cov, rho0, alpha))
+        assert report.method == "exact" and report.optimal
 
         net2 = repair_isolated(
             generate_bernoulli_network(40, 0.1, seed=51), "connect", seed=0
