@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional, Union
 
 import numpy as np
@@ -108,10 +109,10 @@ class _AffineGram:
     """Grams of the kernel family R(rho) = D - rho W against fixed Z and u.
 
     DZ, WZ, Z'DZ, Z'WZ and, given u, Z'Du, Z'Wu, u'Du, u'Wu are formed
-    once; every Gram is then affine in rho, so a whole rho grid costs one
-    batched (k, q, q) solve instead of a sparse rebuild per rho.  u is one
-    vector, or an (n, s) matrix whose s columns share Z and so every
-    Z'R(rho)Z; Z'Du and Z'Wu are then (q, s), u'Du and u'Wu (s,).
+    once; every Gram is then affine in rho, so no rho needs a sparse
+    rebuild.  u is one vector, or an (n, s) matrix whose s columns share Z
+    and so every Z'R(rho)Z; Z'Du and Z'Wu are then (q, s), u'Du and u'Wu
+    (s,).
     """
 
     def __init__(self, net: Network, Z: np.ndarray, u: Optional[np.ndarray] = None):
@@ -142,23 +143,73 @@ class _AffineGram:
         schur = u'Ru - (Z'Ru)' gamma; both nan where Z'RZ is singular.
 
         For one vector u, rho is a scalar or an array, and gamma gains a
-        trailing q axis.  For s columns, rho is a scalar or a (k,) grid
-        shared by every column, which costs one Z'RZ solve per rho for all
-        of them, or an (s, k) array of each column's own values; gamma is
-        then (s, k, q) and schur (s, k), without the k axis for a scalar.
+        trailing q axis.  For s columns, rho is an (s, k) array of each
+        column's own values (k = 1 for one value each); gamma is then
+        (s, k, q) and schur (s, k).
         """
         rho = np.asarray(rho, dtype=np.float64)
         ZDu, ZWu, uDu, uWu = self.ZDu, self.ZWu, self.uDu, self.uWu
-        if ZDu.ndim == 2 and rho.ndim < 2:
-            b = ZDu - rho[..., None, None] * ZWu
-            gamma = _solve_stack(self.ZRZ(rho), b)
-            schur = uDu - rho[..., None] * uWu - np.einsum("...ij,...ij->...j", b, gamma)
-            return np.moveaxis(gamma, -1, 0), np.moveaxis(schur, -1, 0)
         if ZDu.ndim == 2:
             ZDu, ZWu, uDu, uWu = ZDu.T[:, None], ZWu.T[:, None], uDu[:, None], uWu[:, None]
         b = ZDu - rho[..., None] * ZWu
         gamma = _solve_stack(self.ZRZ(rho), b[..., None])[..., 0]
         return gamma, uDu - rho * uWu - np.einsum("...i,...i->...", b, gamma)
+
+    @cached_property
+    def _pencil(self) -> Optional[tuple]:
+        """(mu, cD, cW) of the pencil (Z'WZ, Z'DZ), or None where Z'DZ has
+        no Cholesky factor.
+
+        B solves the generalized symmetric eigenproblem Z'WZ B = Z'DZ B
+        diag(mu) with B'(Z'DZ)B = I, so B'(Z'R(rho)Z)B = I - rho diag(mu)
+        at every rho; cD = B'Z'Du and cW = B'Z'Wu.  The Cholesky factor L
+        of Z'DZ reduces it to a standard one: B = L^{-T} V for the
+        eigenvectors V of L^{-1} Z'WZ L^{-T}.
+        """
+        # numpy's LAPACK, which the fit already uses: scipy's generalized
+        # eigh loads other routines, 0.7 MB more peak memory per study.
+        try:
+            L_inv = np.linalg.inv(np.linalg.cholesky(self.ZDZ))
+        except np.linalg.LinAlgError:
+            return None
+        mu, V = np.linalg.eigh(L_inv @ self.ZWZ @ L_inv.T)
+        B = L_inv.T @ V
+        # Summed row by row, so that a column's coefficients do not depend
+        # on how many columns share the Grams.
+        cD = sum(np.multiply.outer(b, z) for b, z in zip(B, self.ZDu))
+        cW = sum(np.multiply.outer(b, z) for b, z in zip(B, self.ZWu))
+        return mu, cD, cW
+
+    def schur(self, rho):
+        """u'Ru - (Z'Ru)'(Z'RZ)^{-1} Z'Ru at each rho, without a solve; nan
+        where Z'RZ is not positive definite.
+
+        In the basis of _pencil the quadratic form splits into q terms
+        (cD_j - rho cW_j)^2 / (1 - rho mu_j), so one diagonalization per
+        Gram scores every rho elementwise.  For one vector u, rho is a
+        scalar or an array, whose shape the result takes.  For s columns,
+        rho is a scalar or a (k,) grid shared by every column, or an (s, k)
+        array of each column's own values; the result is then (s, k),
+        without the k axis for a scalar.
+        """
+        rho = np.asarray(rho, dtype=np.float64)
+        uDu, uWu = self.uDu, self.uWu
+        columns = np.ndim(uDu) and rho.ndim  # s columns, each with k values
+        if columns:
+            uDu, uWu = uDu[:, None], uWu[:, None]
+        out = uDu - rho * uWu
+        if self._pencil is None:
+            return np.full(np.shape(out), np.nan)
+        mu, cD, cW = self._pencil
+        if columns:
+            cD, cW = cD[..., None], cW[..., None]
+        singular = np.zeros(np.shape(out), dtype=bool)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            for m, d, w in zip(mu, cD, cW):
+                pivot = 1.0 - rho * m
+                singular |= pivot <= 0.0
+                out = out - (d - rho * w) ** 2 / pivot
+        return np.where(singular, np.nan, out)
 
 
 def _solve_stack(M: np.ndarray, B: np.ndarray) -> np.ndarray:
@@ -408,17 +459,18 @@ def network_spectrum(net: Network) -> NetworkSpectrum:
 def _profile_loglik(gram: _AffineGram, spectrum: NetworkSpectrum, rhos) -> np.ndarray:
     """0.5 log|R| - 0.5 n log(sigma2_hat) at each rho, from the Grams of [x F] and y.
 
-    Shapes follow _AffineGram.solve: (s, k) scores for s outcome columns,
-    whether the k values are shared or each column's own.  A singular X'RX
+    The residual quadratic forms come from _AffineGram.schur, whose shapes
+    they follow: (s, k) scores for s outcome columns, whether the k values
+    are shared or each column's own.  An X'RX that is not positive definite
     and a residual variance that cancels to zero (y in the span of [x F])
     both score -inf: such points are unusable.
     """
     rhos = np.asarray(rhos, dtype=np.float64)
     n = gram.DZ.shape[0]
-    sigma2 = gram.solve(rhos)[1] / n
+    sigma2 = gram.schur(rhos) / n
     logdet = np.broadcast_to(spectrum.logdet(rhos), sigma2.shape)
     out = np.full(sigma2.shape, -np.inf)
-    ok = sigma2 > 0.0  # False at nan, the mark of a singular X'RX
+    ok = sigma2 > 0.0  # False at nan, the mark of an X'RX that is not positive definite
     out[ok] = 0.5 * logdet[ok] - 0.5 * n * np.log(sigma2[ok])
     return out
 
@@ -440,12 +492,14 @@ def fit_profile_ml(
     step across [best - step, best + step], clipped to [0, rho_max], until
     the step is at most tol.  Every pass is one batched kernel call, and
     the returned rho is the best point of all passes, so it never scores
-    below any grid point.
+    below any grid point.  The fit diagonalizes X'DX and X'WX together
+    once and then scores every rho elementwise, without a linear solve;
+    only the estimates at rho_hat come from solving X'R(rho_hat)X.
 
     y is one outcome vector, or an (n, s) matrix of s outcome vectors for
-    the same design.  The columns share [x F], so the grid scan solves one
-    X'R(rho)X per grid point for all of them, and each refinement pass
-    scores an (s, 21) array of rho in one call.
+    the same design.  The columns share [x F] and so the diagonalization;
+    the grid scan scores one (s, k) array for all of them, and each
+    refinement pass an (s, 21) array of rho in one call.
 
     Args:
         spectrum: optional precomputed network_spectrum(net), reused across

@@ -19,6 +19,7 @@ import numpy as np
 
 from .criterion import (
     CriterionEvaluator,
+    check_design_length,
     concavity_probe,
     robustness_correlation,
     robustness_scatters,
@@ -139,10 +140,7 @@ EVALUATE_COLUMNS = ("rho_t", "precision", "network_term", "imbalance_term", "pip
 def cmd_evaluate(args) -> int:
     net, cov = _load_pair(args)
     design = Design.from_lines(read_text(args.design))
-    if design.n != net.n:
-        raise DataError(
-            f"design length ({design.n}) does not match network nodes ({net.n})"
-        )
+    check_design_length(net, design.x)
     rows = [
         {"rho_t": rho_t, **_breakdown_row(CriterionEvaluator(net, cov, rho_t), design.x)}
         for rho_t in args.rho_t

@@ -63,6 +63,14 @@ __all__ = [
 ]
 
 
+def check_design_length(net: Network, x) -> np.ndarray:
+    """x as a +/-1 vector; DataError unless it has one entry per node of net."""
+    xv = as_sign_vector(x)
+    if xv.size != net.n:
+        raise DataError(f"design length {xv.size} does not match n={net.n}")
+    return xv
+
+
 @dataclass(frozen=True)
 class CriterionBreakdown:
     """Decomposition of the precision x' K x at one rho.
@@ -117,9 +125,7 @@ class CriterionEvaluator:
         return float(v @ v)
 
     def breakdown(self, x, sigma2: float = 1.0) -> CriterionBreakdown:
-        xv = as_sign_vector(x)
-        if xv.size != self.net.n:
-            raise DataError(f"design length {xv.size} does not match n={self.net.n}")
+        xv = check_design_length(self.net, x)
         t1 = self.network_term(xv)
         t2 = self.imbalance_term(xv)
         t = self.m - t1 - t2
@@ -187,9 +193,7 @@ def _precision_curve(net: Network, cov: CovariateMatrix, x, rhos) -> tuple:
     """
     check_covariate_rows(net, cov)
     _check_degrees(net, "criterion undefined")
-    xv = as_sign_vector(x)
-    if xv.size != net.n:
-        raise DataError(f"design length {xv.size} does not match n={net.n}")
+    xv = check_design_length(net, x)
     gram = _AffineGram(net, cov.values, xv)
     coef, t = gram.solve(rhos)
     if np.any(np.isnan(t)):

@@ -446,6 +446,79 @@ class TestProfileMLColumns:
             fit_profile_ml(net, cov, x, Y[:, 0])
 
 
+class TestDiagonalizedScore:
+    """The residual form of the profile likelihood, scored elementwise in the
+    basis that diagonalizes X'DX and X'WX, against a dense solve of
+    X'R(rho)X at each rho."""
+
+    def oracle(self, net, X, y, rho):
+        R = dense_kernel(net, rho)
+        b = X.T @ R @ y
+        return y @ R @ y - b @ np.linalg.solve(X.T @ R @ X, b)
+
+    def assert_close(self, got, want):
+        assert np.all(np.abs(got - want) <= 1e-10 * np.abs(want))
+
+    @pytest.mark.parametrize("case", ["random-60", "random-61", "boundary-0", "boundary-max"])
+    def test_matches_dense_solve(self, case):
+        net, cov, x, Y = TestProfileMLColumns().outcomes(case)
+        X = np.column_stack([x, cov.values])
+        s = Y.shape[1]
+        grid = np.linspace(0.0, 0.99, 12)
+        own = np.random.default_rng(s).uniform(0.0, 0.99, size=(s, 4))
+        own[:, 0], own[:, -1] = 0.0, 0.99
+
+        def want(rho, j):
+            return self.oracle(net, X, Y[:, j], rho)
+
+        gram = _AffineGram(net, X, Y)
+        shared = gram.schur(grid)
+        assert shared.shape == (s, grid.size)
+        for j in range(s):
+            self.assert_close(shared[j], [want(r, j) for r in grid])
+        per_column = gram.schur(own)
+        assert per_column.shape == own.shape
+        for j in range(s):
+            self.assert_close(per_column[j], [want(r, j) for r in own[j]])
+        for rho in (0.0, 0.5, 0.99):
+            one = gram.schur(rho)
+            assert one.shape == (s,)
+            self.assert_close(one, [want(rho, j) for j in range(s)])
+        vector = _AffineGram(net, X, Y[:, 0])
+        assert vector.schur(grid).shape == grid.shape
+        self.assert_close(vector.schur(grid), [want(r, 0) for r in grid])
+        assert np.ndim(vector.schur(0.99)) == 0
+        self.assert_close(vector.schur(0.99), want(0.99, 0))
+
+    def test_matrix_not_positive_definite_scores_minus_inf(self):
+        net, cov, x, Y = TestProfileMLColumns().outcomes("random-60")
+        X = np.column_stack([x, cov.values])
+        spectrum = network_spectrum(net)
+        grid = np.arange(0.0, 0.991, 0.01)
+        clean = _profile_loglik(_AffineGram(net, X, Y), spectrum, grid)
+        # The largest generalized eigenvalue is forced to 1.3, so that
+        # X'RX is not positive definite for rho above 1/1.3.  The residual
+        # form stays positive there (its last term changes sign), so only
+        # the pivot check can score those points -inf.
+        gram = _AffineGram(net, X, Y)
+        mu, cD, cW = gram._pencil
+        mu = mu.copy()
+        mu[-1] = 1.3
+        gram.__dict__["_pencil"] = (mu, cD, cW)
+        scores = _profile_loglik(gram, spectrum, grid)
+        high = grid > 1.0 / 1.3
+        assert np.all(scores[:, high] == -np.inf)
+        rho = grid[high]
+        form = gram.uDu[:, None] - rho * gram.uWu[:, None] - sum(
+            (d[:, None] - rho * w[:, None]) ** 2 / (1.0 - rho * m) for m, d, w in zip(mu, cD, cW))
+        assert np.all(form > 0.0)
+        np.testing.assert_array_equal(scores[:, 0], clean[:, 0])  # mu plays no part at rho 0
+        # Without a Cholesky factor of X'DX, no rho scores.
+        gram = _AffineGram(net, X, Y)
+        gram.ZDZ = -gram.ZDZ
+        assert np.all(_profile_loglik(gram, spectrum, grid) == -np.inf)
+
+
 class TestDenseSizeGuard:
     # The limit is lowered for the test, so a guard that fails to fire costs
     # a small allocation, not 1.8 GB; a path graph of limit+1 nodes trips it.

@@ -357,11 +357,18 @@ class TestEvaluate:
         dfile.write_text("+1\n" * 30)
         assert run("evaluate", edges, covs, dfile) == 2
 
-    def test_length_mismatch(self, tmp_path):
+    def test_length_mismatch(self, tmp_path, capsys):
+        # One check and one wording, made before any rho_t is scored, so an
+        # empty --rho-t list does not let a short design through either.
         edges, covs = make_dataset(tmp_path)
         dfile = tmp_path / "short.design"
         dfile.write_text("+1\n-1\n")
-        assert run("evaluate", edges, covs, dfile) == 2
+        capsys.readouterr()
+        for rho_t in ([], ["--rho-t", "0.3,0.7"], ["--rho-t", ","]):
+            assert run("evaluate", edges, covs, dfile, *rho_t) == 2
+            out, err = capsys.readouterr()
+            assert out == ""
+            assert err == "error: design length 2 does not match n=30\n"
 
 
 class TestDiagnose:

@@ -920,10 +920,11 @@ class TestPrunedSearch:
         return peak
 
     def test_memory_stays_linear(self):
-        # At n = 2000 a design's 10^6 pairs overflow the block, so repair and
-        # descent run the row-bound search.  Its arrays are O(n p) or one
-        # block of pair scores: the peak measured 0.98 MB, against 32 MB for
-        # one n x n float64 array.
+        # At n = 2000 a design's 10^6 pairs overflow the block, so descent
+        # runs the row-bound search, and repair runs best_repairs, which
+        # needs no row bounds.  Their arrays are O(n p) or one block of pair
+        # scores: the peak measured 0.98 MB, against 32 MB for one n x n
+        # float64 array.
         n = 2000
         assert self.traced_peak_n2000(restarts=1) < 8 * n * n / 8
 
