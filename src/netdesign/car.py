@@ -112,7 +112,8 @@ class _AffineGram:
     once; every Gram is then affine in rho, so no rho needs a sparse
     rebuild.  u is one vector, or an (n, s) matrix whose s columns share Z
     and so every Z'R(rho)Z; Z'Du and Z'Wu are then (q, s), u'Du and u'Wu
-    (s,).
+    (s,).  _pencil diagonalizes Z'DZ and Z'WZ together once; every Schur
+    complement (schur) and GLS estimate at any rho is then elementwise.
     """
 
     def __init__(self, net: Network, Z: np.ndarray, u: Optional[np.ndarray] = None):
@@ -132,39 +133,17 @@ class _AffineGram:
                 self.uDu = np.einsum("ij,ij->j", u, d[:, None] * u)
                 self.uWu = np.einsum("ij,ij->j", u, W @ u)
 
-    def ZRZ(self, rho):
-        """Z'R(rho)Z; a (..., q, q) stack for an array of rho values."""
-        M = np.multiply.outer(rho, -self.ZWZ)
-        M += self.ZDZ  # in place: a stack over many rho is the fit's largest array
-        return M
-
-    def solve(self, rho) -> tuple:
-        """(gamma, schur) at each rho, with gamma = (Z'RZ)^{-1} Z'Ru and
-        schur = u'Ru - (Z'Ru)' gamma; both nan where Z'RZ is singular.
-
-        For one vector u, rho is a scalar or an array, and gamma gains a
-        trailing q axis.  For s columns, rho is an (s, k) array of each
-        column's own values (k = 1 for one value each); gamma is then
-        (s, k, q) and schur (s, k).
-        """
-        rho = np.asarray(rho, dtype=np.float64)
-        ZDu, ZWu, uDu, uWu = self.ZDu, self.ZWu, self.uDu, self.uWu
-        if ZDu.ndim == 2:
-            ZDu, ZWu, uDu, uWu = ZDu.T[:, None], ZWu.T[:, None], uDu[:, None], uWu[:, None]
-        b = ZDu - rho[..., None] * ZWu
-        gamma = _solve_stack(self.ZRZ(rho), b[..., None])[..., 0]
-        return gamma, uDu - rho * uWu - np.einsum("...i,...i->...", b, gamma)
-
     @cached_property
     def _pencil(self) -> Optional[tuple]:
-        """(mu, cD, cW) of the pencil (Z'WZ, Z'DZ), or None where Z'DZ has
-        no Cholesky factor.
+        """(mu, B, cD, cW) of the pencil (Z'WZ, Z'DZ), or None where Z'DZ
+        has no Cholesky factor.
 
         B solves the generalized symmetric eigenproblem Z'WZ B = Z'DZ B
         diag(mu) with B'(Z'DZ)B = I, so B'(Z'R(rho)Z)B = I - rho diag(mu)
-        at every rho; cD = B'Z'Du and cW = B'Z'Wu.  The Cholesky factor L
-        of Z'DZ reduces it to a standard one: B = L^{-T} V for the
-        eigenvectors V of L^{-1} Z'WZ L^{-T}.
+        and (Z'R(rho)Z)^{-1} = B diag(1 / (1 - rho mu)) B' at every rho;
+        cD = B'Z'Du and cW = B'Z'Wu.  The Cholesky factor L of Z'DZ reduces
+        it to a standard one: B = L^{-T} V for the eigenvectors V of
+        L^{-1} Z'WZ L^{-T}.
         """
         # numpy's LAPACK, which the fit already uses: scipy's generalized
         # eigh loads other routines, 0.7 MB more peak memory per study.
@@ -178,7 +157,7 @@ class _AffineGram:
         # on how many columns share the Grams.
         cD = sum(np.multiply.outer(b, z) for b, z in zip(B, self.ZDu))
         cW = sum(np.multiply.outer(b, z) for b, z in zip(B, self.ZWu))
-        return mu, cD, cW
+        return mu, B, cD, cW
 
     def schur(self, rho):
         """u'Ru - (Z'Ru)'(Z'RZ)^{-1} Z'Ru at each rho, without a solve; nan
@@ -200,7 +179,7 @@ class _AffineGram:
         out = uDu - rho * uWu
         if self._pencil is None:
             return np.full(np.shape(out), np.nan)
-        mu, cD, cW = self._pencil
+        mu, _, cD, cW = self._pencil
         if columns:
             cD, cW = cD[..., None], cW[..., None]
         singular = np.zeros(np.shape(out), dtype=bool)
@@ -210,28 +189,6 @@ class _AffineGram:
                 singular |= pivot <= 0.0
                 out = out - (d - rho * w) ** 2 / pivot
         return np.where(singular, np.nan, out)
-
-
-def _solve_stack(M: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """M^{-1} B over a stack of matrices and right-hand-side blocks; nan in
-    the place of each singular matrix."""
-    try:
-        return np.linalg.solve(M, B)
-    except np.linalg.LinAlgError:
-        if M.ndim == 2:
-            return np.full(B.shape, np.nan)
-        return np.stack([_solve_stack(Mi, Bi) for Mi, Bi in zip(M, B)])
-
-
-def _positive_definite(M: np.ndarray) -> np.ndarray:
-    """Whether each matrix of a stack has a Cholesky factor."""
-    try:
-        np.linalg.cholesky(M)
-        return np.ones(M.shape[:-2], dtype=bool)
-    except np.linalg.LinAlgError:
-        if M.ndim == 2:
-            return np.zeros((), dtype=bool)
-        return np.array([_positive_definite(Mi) for Mi in M])
 
 
 @dataclass(frozen=True, eq=False)
@@ -382,31 +339,35 @@ def fit_gls(net: Network, cov: CovariateMatrix, x, y: np.ndarray, rho: float) ->
 
 
 def _gls_fits(gram: _AffineGram, rho: np.ndarray, logdet: np.ndarray, method: str) -> list:
-    """GLS estimates of each outcome column at its own rho, from the Grams of
-    [x F] and the outcomes; sigma2 by the divisor n.  None for a column
-    whose X'RX is not positive definite at its rho."""
+    """GLS estimates of each outcome column at its own rho, elementwise in the
+    pencil basis of [x F]: gamma = B (cD - rho cW) / (1 - rho mu), var_theta
+    = sigma2 sum_j B_0j^2 / (1 - rho mu_j), and the RSS is schur(rho), with
+    sigma2 = RSS / n.  None for a column whose schur is nan."""
     n = gram.DZ.shape[0]
-    M = gram.ZRZ(rho)
-    gamma, rss = gram.solve(rho[:, None])
-    e0 = np.zeros(M.shape[:-1] + (1,))
-    e0[:, 0] = 1.0
-    var = _solve_stack(M, e0)[:, 0, 0]
-    sigma2 = np.maximum(rss[:, 0] / n, np.finfo(float).tiny)
-    loglik = -0.5 * n * math.log(2.0 * math.pi) + 0.5 * logdet - 0.5 * n * np.log(
-        sigma2
-    ) - 0.5 * n
-    return [
-        FitResult(
-            theta_hat=float(gamma[j, 0, 0]),
-            beta_hat=gamma[j, 0, 1:].copy(),
+    rss = gram.schur(rho[:, None])[:, 0]
+    fits = [None] * rho.size
+    if gram._pencil is None:  # X'DX has no Cholesky factor: rss is nan throughout
+        return fits
+    mu, B, cD, cW = gram._pencil
+    with np.errstate(divide="ignore", invalid="ignore"):  # the pivots of the nan columns
+        pivot = 1.0 - np.multiply.outer(mu, rho)
+        coef = (cD - rho * cW) / pivot
+        gamma = sum(np.multiply.outer(b, c) for b, c in zip(B.T, coef))
+        var = np.sum(B[0, :, None] ** 2 / pivot, axis=0)
+    sigma2 = np.maximum(rss / n, np.finfo(float).tiny)
+    loglik = (-0.5 * n * math.log(2.0 * math.pi) + 0.5 * logdet
+              - 0.5 * n * np.log(sigma2) - 0.5 * n)
+    for j in np.flatnonzero(~np.isnan(rss)):
+        fits[j] = FitResult(
+            theta_hat=float(gamma[0, j]),
+            beta_hat=gamma[1:, j].copy(),
             rho_hat=float(rho[j]),
             sigma2_hat=float(sigma2[j]),
             var_theta=float(sigma2[j] * var[j]),
             loglik=float(loglik[j]),
             method=method,
-        ) if ok else None
-        for j, ok in enumerate(_positive_definite(M))
-    ]
+        )
+    return fits
 
 
 def _only(fits: list) -> FitResult:
@@ -446,14 +407,19 @@ class NetworkSpectrum:
         return float(out) if out.ndim == 0 else out
 
 
+def _logdet_degrees(net: Network) -> float:
+    """sum log m_i, the log determinant of D."""
+    _check_degrees(net, "spectrum undefined")
+    return float(np.sum(np.log(net.degrees.astype(np.float64))))
+
+
 def network_spectrum(net: Network) -> NetworkSpectrum:
     _check_dense(net.n, "network_spectrum")
-    _check_degrees(net, "spectrum undefined")
-    d = net.degrees.astype(np.float64)
-    inv_sqrt = 1.0 / np.sqrt(d)
+    logdet_degrees = _logdet_degrees(net)
+    inv_sqrt = 1.0 / np.sqrt(net.degrees.astype(np.float64))
     S = net.adjacency.toarray() * inv_sqrt[:, None] * inv_sqrt[None, :]
     lam = np.linalg.eigvalsh(S)
-    return NetworkSpectrum(eigenvalues=lam, logdet_degrees=float(np.sum(np.log(d))))
+    return NetworkSpectrum(eigenvalues=lam, logdet_degrees=logdet_degrees)
 
 
 def _profile_loglik(gram: _AffineGram, spectrum: NetworkSpectrum, rhos) -> np.ndarray:
@@ -493,8 +459,8 @@ def fit_profile_ml(
     the step is at most tol.  Every pass is one batched kernel call, and
     the returned rho is the best point of all passes, so it never scores
     below any grid point.  The fit diagonalizes X'DX and X'WX together
-    once and then scores every rho elementwise, without a linear solve;
-    only the estimates at rho_hat come from solving X'R(rho_hat)X.
+    once; every score, and the estimates at rho_hat, are then elementwise
+    in that basis, so no linear solve is made at any rho.
 
     y is one outcome vector, or an (n, s) matrix of s outcome vectors for
     the same design.  The columns share [x F] and so the diagonalization;
@@ -503,11 +469,12 @@ def fit_profile_ml(
 
     Args:
         spectrum: optional precomputed network_spectrum(net), reused across
-            fits on the same network.
+            fits on the same network; DataError for the spectrum of another
+            network (another n or another degree sequence).
 
     Returns:
         A FitResult for a vector y; for a matrix, a list of s entries, None
-        where X'RX is numerically singular at that column's rho_hat (a
+        where X'RX is not positive definite at that column's rho_hat (a
         vector y raises RankError there).  A rank-deficient [x F] raises
         RankError either way.
     """
@@ -520,6 +487,8 @@ def fit_profile_ml(
     gram = _regression_gram(net, cov, x, Y if Y.ndim == 2 else Y.reshape(-1, 1))
     if spectrum is None:
         spectrum = network_spectrum(net)
+    elif spectrum.eigenvalues.size != net.n or spectrum.logdet_degrees != _logdet_degrees(net):
+        raise DataError("spectrum is not network_spectrum(net) of the fitted network")
 
     rhos = np.arange(0.0, rho_max + 1e-12, grid_step)
     rhos[-1] = min(rhos[-1], rho_max)

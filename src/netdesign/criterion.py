@@ -13,11 +13,13 @@ It splits into three interpretable pieces,
 
 so maximizing precision means sending the network term negative (cutting
 edges between arms) while keeping the kernel-weighted covariate imbalance
-small.  Everything here works off a thin factored form (B = R F and the
-Cholesky factor of F' R F).  The dense n-by-n K is only materialized by
-k_matrix, which the tests and users who call it use; the `diagnose`
-subcommand takes the robustness correlation from the factored
-robustness_correlation instead.
+small.  The criterion at one rho works off a thin factored form (B = R F
+and the Cholesky factor of F' R F).  Curves over many rho (the gap and
+concavity diagnostics) diagonalize F'DF and F'WF together once and then
+score every rho elementwise, since F'R(rho)F is affine in rho.  The dense
+n-by-n K is only materialized by k_matrix, which the tests and users who
+call it use; `diagnose` takes the robustness correlation from the
+factored robustness_correlation instead.
 """
 
 from __future__ import annotations
@@ -113,7 +115,11 @@ class CriterionEvaluator:
         self.m = float(net.m)
         gram = _AffineGram(net, cov.values)
         self.B = gram.DZ - self.rho * gram.WZ
-        self.H = linalg.solve_triangular(_cholesky_frf(gram.ZRZ(self.rho)), self.B.T, lower=True)
+        try:
+            La = linalg.cholesky(gram.ZDZ - self.rho * gram.ZWZ, lower=True)
+        except linalg.LinAlgError:
+            raise RankError("F' R F is not positive definite; check covariate rank") from None
+        self.H = linalg.solve_triangular(La, self.B.T, lower=True)
 
     def network_term(self, x) -> float:
         xv = as_sign_vector(x)
@@ -177,28 +183,20 @@ class CriterionEvaluator:
         return 1.0 - self.expected_breakdown().precision / t0
 
 
-def _cholesky_frf(FRF: np.ndarray) -> np.ndarray:
-    """Lower Cholesky factor of F'RF; RankError when it is not positive definite."""
-    try:
-        return linalg.cholesky(FRF, lower=True)
-    except linalg.LinAlgError:
-        raise RankError("F' R F is not positive definite; check covariate rank") from None
-
-
 def _precision_curve(net: Network, cov: CovariateMatrix, x, rhos) -> tuple:
-    """T(x, rho) = x' K(rho) x at each rho, through the rho-affine Grams.
-
-    Returns (gram, coef, t): the Grams of (F, x), the kernel-weighted
-    covariate coefficients (F'RF)^{-1} F'Rx and the precisions.
+    """T(x, rho) = x'Rx - x'RF (F'RF)^{-1} F'Rx at each rho, which
+    _AffineGram.schur scores elementwise after one joint diagonalization of
+    F'DF and F'WF.  Returns (gram, t): the Grams of (F, x) with that pencil
+    cached, and the precisions.
     """
     check_covariate_rows(net, cov)
     _check_degrees(net, "criterion undefined")
     xv = check_design_length(net, x)
     gram = _AffineGram(net, cov.values, xv)
-    coef, t = gram.solve(rhos)
+    t = gram.schur(rhos)
     if np.any(np.isnan(t)):
         raise RankError("F' R F is not positive definite; check covariate rank")
-    return gram, coef, t
+    return gram, t
 
 
 def evaluate(net: Network, cov: CovariateMatrix, x, rho: float, sigma2: float = 1.0) -> CriterionBreakdown:
@@ -497,10 +495,13 @@ def surrogate_gap_diagnostics(
     The second-derivative term uses the residual vector
     s = [I - F (F'RF)^{-1} F' R] x at rho0:
         0.5 * d^2/drho^2 imbalance_term = s' W F (F'RF)^{-1} F' W s,
-    scaled by the prior variance.  bound_a scales with
-    min(n * lam_max(R), (1 + rho0) m); bound_b replaces that factor with
-    m + z_{1-alpha} sqrt(m), valid for designs respecting the connection
-    cap at level alpha.
+    scaled by the prior variance.  In the pencil basis of (F'WF, F'DF),
+    with eigenvalues mu, cD = B'F'Dx and cW = B'F'Wx, that form is
+        sum_j (cW_j - mu_j cD_j)^2 / (1 - rho0 mu_j)^3,
+    so neither it nor T(x, rho) at the prior draws needs a solve.  bound_a
+    scales with min(n * lam_max(R), (1 + rho0) m); bound_b replaces that
+    factor with m + z_{1-alpha} sqrt(m), valid for designs respecting the
+    connection cap at level alpha.
     """
     samples = np.asarray(prior_samples, dtype=np.float64).ravel()
     if samples.size == 0:
@@ -511,14 +512,13 @@ def surrogate_gap_diagnostics(
         raise DataError(f"alpha must lie in (0, 1), got {alpha}")
     if not 0.0 <= rho0 < 1.0:
         raise DataError(f"rho0 must lie in [0, 1), got {rho0}")
-    gram, coef, t = _precision_curve(net, cov, x, np.concatenate(([rho0], samples)))
+    gram, t = _precision_curve(net, cov, x, np.concatenate(([rho0], samples)))
     var_rho = float(np.var(samples))
 
-    # F' W s for the residual s = x - F coef of the kernel-weighted
-    # projection at rho0, straight from the Grams.
-    u = gram.ZWu - gram.ZWZ @ coef[0]
-    half = linalg.solve_triangular(_cholesky_frf(gram.ZRZ(float(rho0))), u, lower=True)
-    second = float(half @ half) * var_rho
+    # The imbalance term is sum_j (cD_j - rho cW_j)^2 / (1 - rho mu_j) in
+    # the pencil basis; half its second derivative is elementwise too.
+    mu, _, cD, cW = gram._pencil
+    second = var_rho * float(np.sum((cW - mu * cD) ** 2 / (1.0 - rho0 * mu) ** 3))
 
     lam_max, lam_min, lam_w = _eig_extremes(net, rho0)
     m = float(net.m)
@@ -556,5 +556,5 @@ def concavity_probe(net: Network, cov: CovariateMatrix, x, rho_grid) -> np.ndarr
         raise DataError("rho grid must be strictly increasing and uniform")
     if steps[0] > 0.01 + 1e-12:
         raise DataError(f"grid step must be at most 0.01, got {steps[0]}")
-    t = _precision_curve(net, cov, x, grid)[2]
+    t = _precision_curve(net, cov, x, grid)[1]
     return t[2:] - 2.0 * t[1:-1] + t[:-2]

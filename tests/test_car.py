@@ -171,12 +171,20 @@ class TestSampling:
 
 
 class TestFitGls:
-    def test_matches_dense_gls_oracle(self):
-        net = connected_net(30, 0.15, 14)
-        cov = generate_pm1_covariates(30, 3, seed=14)
-        x = np.where(np.arange(30) % 2 == 0, 1.0, -1.0)
+    @pytest.mark.parametrize("graph", ["random", "torus"])
+    @pytest.mark.parametrize("rho", [0.0, 0.5, 0.99])
+    def test_matches_dense_gls_oracle(self, rho, graph):
+        # The intercept gives the pencil (X'WX, X'DX) an eigenvalue mu = 1,
+        # so rho 0.99 leaves a pivot 1 - rho mu of 0.01.  On the bipartite
+        # torus, x is its two-colouring and adds mu = -1, the other end.
+        if graph == "random":
+            net = connected_net(30, 0.15, 14)
+            x = np.where(np.arange(30) % 2 == 0, 1.0, -1.0)
+        else:
+            net = torus(6)
+            x = np.array([(-1.0) ** (i + j) for i in range(6) for j in range(6)])
+        cov = generate_pm1_covariates(net.n, 3, seed=14)
         y = sample_outcomes(net, cov, x, CarParams(rho=0.5, theta=1.5), seed=20)
-        rho = 0.5
         res = fit_gls(net, cov, x, y, rho)
         R = dense_kernel(net, rho)
         X = np.column_stack([x, cov.values])
@@ -346,6 +354,24 @@ class TestProfileML:
         fit_profile_ml(net, cov, x, y)
         assert sizes == [100, 21, 21, 21]
 
+    @pytest.mark.parametrize("other", ["size", "degrees"])
+    def test_spectrum_of_another_network_rejected(self, other):
+        # A 40-node spectrum, or one of 60 nodes with another degree
+        # sequence, would price log|R| for the wrong network.
+        net = connected_net(60, 0.08, 60)
+        cov = generate_pm1_covariates(60, 2, seed=60)
+        x = np.where(np.arange(60) % 2 == 0, 1.0, -1.0)
+        y = sample_outcomes(net, cov, x, CarParams(rho=0.4), seed=61)
+        wrong = network_spectrum(connected_net(40, 0.1, 62) if other == "size"
+                                 else connected_net(60, 0.08, 63))
+        own = network_spectrum(net)
+        assert (wrong.eigenvalues.size == own.eigenvalues.size) == (other == "degrees")
+        assert wrong.logdet_degrees != own.logdet_degrees
+        with pytest.raises(DataError, match="spectrum"):
+            fit_profile_ml(net, cov, x, y, spectrum=wrong)
+        with pytest.raises(DataError, match="spectrum"):
+            fit_profile_ml(net, cov, x, y[:, None], spectrum=wrong)
+
     def test_rank_deficient_rejected(self):
         net = connected_net(20, 0.2, 28)
         z = np.where(np.arange(20) % 2 == 0, 1.0, -1.0)
@@ -422,26 +448,28 @@ class TestProfileMLColumns:
         assert shapes == [(100,), (6, 21), (6, 21), (6, 21)]
 
     def test_singular_column_is_none(self, monkeypatch):
-        # X'RX cannot be singular on [0, rho_max] in exact arithmetic, so the
-        # final (s, q, q) stack is zeroed for chosen columns to force it.
-        real = car._AffineGram.ZRZ
+        # X'RX cannot lose positive definiteness on [0, rho_max] in exact
+        # arithmetic, so the final residual forms, one per column at rho_hat,
+        # are set to nan for chosen columns, as schur marks such an X'RX.
+        real = car._AffineGram.schur
 
-        def zrz(self, rho):
-            M = real(self, rho)
-            if np.ndim(rho) == 1 and np.size(rho) == 6:  # one X'RX per column at rho_hat
-                M[[1, 4]] = 0.0
-            return M
+        def schur(self, rho):
+            out = real(self, rho)
+            if np.shape(rho) == (6, 1):  # one residual form per column at rho_hat
+                out[[1, 4]] = np.nan
+            return out
 
         net, cov, x, Y = self.outcomes("random-61")
         good = fit_profile_ml(net, cov, x, Y)
-        monkeypatch.setattr(car._AffineGram, "ZRZ", zrz)
+        monkeypatch.setattr(car._AffineGram, "schur", schur)
         fits = fit_profile_ml(net, cov, x, Y)
         assert [f is None for f in fits] == [False, True, False, False, True, False]
         for j in (0, 2, 3, 5):
             assert fits[j].theta_hat == good[j].theta_hat
             assert fits[j].var_theta == good[j].var_theta
         # A vector fit whose X'RX is singular at rho_hat raises, as before.
-        monkeypatch.setattr(car._AffineGram, "ZRZ", lambda self, rho: 0.0 * real(self, rho))
+        monkeypatch.setattr(car._AffineGram, "schur", lambda self, rho: real(self, rho) * (
+            np.nan if np.shape(rho) == (1, 1) else 1.0))
         with pytest.raises(RankError, match="numerically singular"):
             fit_profile_ml(net, cov, x, Y[:, 0])
 
@@ -501,10 +529,10 @@ class TestDiagonalizedScore:
         # form stays positive there (its last term changes sign), so only
         # the pivot check can score those points -inf.
         gram = _AffineGram(net, X, Y)
-        mu, cD, cW = gram._pencil
+        mu, B, cD, cW = gram._pencil
         mu = mu.copy()
         mu[-1] = 1.3
-        gram.__dict__["_pencil"] = (mu, cD, cW)
+        gram.__dict__["_pencil"] = (mu, B, cD, cW)
         scores = _profile_loglik(gram, spectrum, grid)
         high = grid > 1.0 / 1.3
         assert np.all(scores[:, high] == -np.inf)

@@ -113,8 +113,8 @@ class TestEvaluate:
         for _ in range(10):
             x = rng.integers(0, 2, size=30) * 2.0 - 1.0
             # Grid route: the rho-affine Gram kernel behind the gap and
-            # concavity diagnostics, one batched solve over the grid.
-            curve = _precision_curve(net, cov, x, grid)[2]
+            # concavity diagnostics, every rho elementwise in the pencil basis.
+            curve = _precision_curve(net, cov, x, grid)[1]
             for t, Kr in zip(curve, K_grid):
                 assert t == pytest.approx(x @ Kr @ x, rel=1e-10)
             br = evaluate(net, cov, x, rho)
@@ -381,6 +381,23 @@ class TestGapDiagnostics:
         half_fd = 0.5 * fd * np.var(samples)
         assert d.second_derivative_term == pytest.approx(half_fd, rel=1e-3)
         assert d.second_derivative_term >= 0.0
+
+    @pytest.mark.parametrize("rho0", [0.0, 0.3, 0.95])
+    def test_second_derivative_matches_dense_oracle(self, rho0):
+        # s' W F (F'RF)^{-1} F' W s var_rho for the residual
+        # s = x - F (F'RF)^{-1} F'R x, with dense solves at rho0.
+        net = connected_net(30, 0.15, 28)
+        cov = generate_pm1_covariates(30, 2, seed=28)
+        x = alternating(30)
+        samples = np.random.default_rng(29).uniform(0, 1, size=100)
+        d = surrogate_gap_diagnostics(net, cov, x, rho0, samples)
+        R = dense_kernel(net, rho0)
+        W = dense_kernel(net, 0.0) - dense_kernel(net, 1.0)
+        F = cov.values
+        s = x - F @ np.linalg.solve(F.T @ R @ F, F.T @ R @ x)
+        u = F.T @ W @ s
+        want = float(u @ np.linalg.solve(F.T @ R @ F, u)) * np.var(samples)
+        assert abs(d.second_derivative_term - want) <= 1e-10 * want
 
     def test_jensen_gap_nonnegative_and_bounded(self):
         net = connected_net(30, 0.2, 30)

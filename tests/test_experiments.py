@@ -481,19 +481,20 @@ class TestPseudoExperiment:
         assert res1.rows == res2.rows
 
     def test_fit_failures_are_counted_per_draw(self, monkeypatch):
-        # The hybrid design's X'RX is forced singular at rho_hat for draws 1
-        # and 3, and the covariate-only design is replaced by a covariate
-        # column, which makes [x F] rank deficient for every draw.
-        real_zrz = car._AffineGram.ZRZ
-        final_stacks = []
+        # The hybrid design's X'RX is marked not positive definite at rho_hat
+        # for draws 1 and 3 (a nan residual form), and the covariate-only
+        # design is replaced by a covariate column, which makes [x F] rank
+        # deficient for every draw.
+        real_schur = car._AffineGram.schur
+        final_forms = []
 
-        def zrz(self, rho):
-            M = real_zrz(self, rho)
-            if np.ndim(rho) == 1 and np.size(rho) == 5:  # one X'RX per draw at rho_hat
-                final_stacks.append(M)
-                if len(final_stacks) == 1:  # the first design fitted: hybrid
-                    M[[1, 3]] = 0.0
-            return M
+        def schur(self, rho):
+            out = real_schur(self, rho)
+            if np.shape(rho) == (5, 1):  # one residual form per draw at rho_hat
+                final_forms.append(out)
+                if len(final_forms) == 1:  # the first design fitted: hybrid
+                    out[[1, 3]] = np.nan
+            return out
 
         real_solve = experiments.solve_no_network
 
@@ -502,10 +503,10 @@ class TestPseudoExperiment:
             return dataclasses.replace(report, design=Design(cov.values[:, 1].copy()))
 
         _, clean = self.run_small(replicates=1)
-        monkeypatch.setattr(car._AffineGram, "ZRZ", zrz)
+        monkeypatch.setattr(car._AffineGram, "schur", schur)
         monkeypatch.setattr(experiments, "solve_no_network", in_covariate_span)
         _, res = self.run_small(replicates=1)
-        assert len(final_stacks) == 11  # the rank-deficient design never gets there
+        assert len(final_forms) == 11  # the rank-deficient design never gets there
         rows = {(r["design_kind"], r["design_index"]): r for r in res.rows}
         hybrid, nonet = rows[("hybrid", None)], rows[("no_network", None)]
         assert hybrid["fit_failures"] == 2 and hybrid["status"] == "ok"
