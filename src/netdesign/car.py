@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Optional, Union
 
 import numpy as np
@@ -407,19 +407,16 @@ class NetworkSpectrum:
         return float(out) if out.ndim == 0 else out
 
 
-def _logdet_degrees(net: Network) -> float:
-    """sum log m_i, the log determinant of D."""
-    _check_degrees(net, "spectrum undefined")
-    return float(np.sum(np.log(net.degrees.astype(np.float64))))
-
-
+@lru_cache(maxsize=1)
 def network_spectrum(net: Network) -> NetworkSpectrum:
+    """The spectrum of net, kept for the last network, so repeated fits on one decompose it once."""
     _check_dense(net.n, "network_spectrum")
-    logdet_degrees = _logdet_degrees(net)
-    inv_sqrt = 1.0 / np.sqrt(net.degrees.astype(np.float64))
+    _check_degrees(net, "spectrum undefined")
+    d = net.degrees.astype(np.float64)
+    inv_sqrt = 1.0 / np.sqrt(d)
     S = net.adjacency.toarray() * inv_sqrt[:, None] * inv_sqrt[None, :]
     lam = np.linalg.eigvalsh(S)
-    return NetworkSpectrum(eigenvalues=lam, logdet_degrees=logdet_degrees)
+    return NetworkSpectrum(eigenvalues=lam, logdet_degrees=float(np.sum(np.log(d))))
 
 
 def _profile_loglik(gram: _AffineGram, spectrum: NetworkSpectrum, rhos) -> np.ndarray:
@@ -449,7 +446,6 @@ def fit_profile_ml(
     rho_max: float = RHO_MAX_DEFAULT,
     grid_step: float = 0.01,
     tol: float = 1e-5,
-    spectrum: Optional[NetworkSpectrum] = None,
 ) -> Union[FitResult, list]:
     """Maximize the profile likelihood over rho in [0, rho_max].
 
@@ -460,17 +456,13 @@ def fit_profile_ml(
     the returned rho is the best point of all passes, so it never scores
     below any grid point.  The fit diagonalizes X'DX and X'WX together
     once; every score, and the estimates at rho_hat, are then elementwise
-    in that basis, so no linear solve is made at any rho.
+    in that basis, so no linear solve is made at any rho.  log|D - rho W|
+    comes from network_spectrum(net), which keeps the last network's.
 
     y is one outcome vector, or an (n, s) matrix of s outcome vectors for
     the same design.  The columns share [x F] and so the diagonalization;
     the grid scan scores one (s, k) array for all of them, and each
     refinement pass an (s, 21) array of rho in one call.
-
-    Args:
-        spectrum: optional precomputed network_spectrum(net), reused across
-            fits on the same network; DataError for the spectrum of another
-            network (another n or another degree sequence).
 
     Returns:
         A FitResult for a vector y; for a matrix, a list of s entries, None
@@ -485,10 +477,7 @@ def fit_profile_ml(
         raise DataError(f"grid_step and tol must be positive, got {grid_step} and {tol}")
     Y = np.asarray(y, dtype=np.float64)
     gram = _regression_gram(net, cov, x, Y if Y.ndim == 2 else Y.reshape(-1, 1))
-    if spectrum is None:
-        spectrum = network_spectrum(net)
-    elif spectrum.eigenvalues.size != net.n or spectrum.logdet_degrees != _logdet_degrees(net):
-        raise DataError("spectrum is not network_spectrum(net) of the fitted network")
+    spectrum = network_spectrum(net)
 
     rhos = np.arange(0.0, rho_max + 1e-12, grid_step)
     rhos[-1] = min(rhos[-1], rho_max)

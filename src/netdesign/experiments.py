@@ -31,7 +31,6 @@ from .car import (
     HeteroCarParams,
     factor_precision,
     fit_profile_ml,
-    network_spectrum,
     sample_noise,
 )
 from .criterion import CriterionEvaluator, surrogate_gap_diagnostics
@@ -774,7 +773,6 @@ def run_pseudo_experiment(spec: StudySpec) -> StudyResult:
         )
         params = HeteroCarParams(rho=rho_vec, sigma2=P["sigma2"], theta=P["theta"])
         factor = factor_precision(net, params)
-        spectrum = network_spectrum(net)
 
         noise = np.column_stack([
             sample_noise(factor, P["sigma2"], derive_seed(spec.seed, 5, rep, d))
@@ -786,9 +784,7 @@ def run_pseudo_experiment(spec: StudySpec) -> StudyResult:
             # One fit per design over all draws; None marks a failed draw, and
             # a design-level error (a rank-deficient [x F]) fails every draw.
             try:
-                fits = fit_profile_ml(
-                    net, cov, x, P["theta"] * x[:, None] + noise, spectrum=spectrum
-                )
+                fits = fit_profile_ml(net, cov, x, P["theta"] * x[:, None] + noise)
             except NetdesignError:
                 fits = [None] * P["draws"]
             for fit in fits:

@@ -25,7 +25,8 @@ stacks with the per-restart arithmetic, so each takes the swaps it would
 take alone.  Below one block of pairs per restart (n up to about 256)
 descent scores every pair of a stack.  Above that a lower bound on each
 plus row's best delta orders the rows, and rows are scored only until
-the next bound exceeds the best delta found, six restarts sharing each
+the next bound exceeds the best delta found by a rounding window, pairs
+near the best rescored in one fixed order, six restarts sharing each
 product and scoring call, in O(n) memory a restart.  Reported
 objectives are recomputed by a fresh pass over the returned design,
 never copied from solver bookkeeping.
@@ -461,8 +462,8 @@ class _SwapState:
     rounding drift stays bounded.  best_repairs() finds repair swaps and
     best_swaps() descent swaps, through pairs(), the scorer of a stack of
     designs that share their arm sizes: best_stacked() scores every pair,
-    best() only the plus rows whose lower bound does not exceed the best
-    value found so far.
+    best() only the plus rows whose lower bound comes within window() of
+    the best value found so far, and takes the canonical() minimum.
     """
 
     def __init__(self, problem: HybridProblem, x: np.ndarray, resync: int):
@@ -603,11 +604,7 @@ class _SwapState:
             pos = np.full((G, n), -1)
             pos[at, M] = np.arange(l)
         s_j = None if S is None else S[at, M][:, None, :]
-        # pairs() multiplies by h_j transposed, H[:, M] column-major per design, as
-        # the rounding of its product depends on that layout; a C-contiguous h_j
-        # keeps it for any subset of the designs.
-        h_j = self.Ht[M]
-        return s_j, A[at, M][:, None, :], self.psi[M][:, None, :], h_j, pos
+        return s_j, A[at, M][:, None, :], self.psi[M][:, None, :], self.Ht[M], pos
 
     def weights(self, P: np.ndarray, M: np.ndarray, pos: Optional[np.ndarray]) -> np.ndarray:
         """w_ij of the pairs P x M, (G, k, l), gathered by size.
@@ -656,14 +653,28 @@ class _SwapState:
             score = np.where(self.cuts[rows][:, None, None] + cut <= capv, score, np.inf)
         return score, cut
 
+    def window(self, A: np.ndarray) -> np.ndarray:
+        """Rounding window 64 (k + 4) eps (max psi + max |a|) of designs whose a are A's rows.
+
+        Two roundings of a pair's score differ by 2 (8k + 44) u at most, a row bound and its
+        scores by (20k + 88) u, times that scale, for u = eps / 2 (Higham 2002, ch. 3).
+        """
+        scale = float(self.psi.max()) + np.abs(A).max(axis=1)
+        return 64.0 * (self.H.shape[0] + 4) * np.finfo(float).eps * scale
+
+    def canonical(self, A: np.ndarray, g: np.ndarray, i: np.ndarray, j: np.ndarray) -> np.ndarray:
+        """Objective deltas of swaps (i, j) of designs g, a = A[g]: h_i.h_j summed left to right."""
+        dot = self.H[0].take(i) * self.H[0].take(j)
+        for h in self.H[1:]:
+            dot += h.take(i) * h.take(j)
+        return _obj_delta(A[g, i], A[g, j], self.psi[i], self.psi[j], dot)
+
     def obj_row_bounds(self, arms) -> np.ndarray:
         """Lower bounds, (G, k), on the descent scores of each plus row of each design in arms.
 
         Row i's minimum is 4(psi_i - a_i) + min_j [4(psi_j + a_j) - 8 h_i.h_j],
-        one stacked matrix product per block of rows.  The slack covers the
-        rounding of this sum and of the objective deltas: both together stay
-        below (20k + 88) u (max psi + max |a|) for k rows of H and unit
-        roundoff u, and the slack is more than five times that.
+        one stacked matrix product per block of at least 16 rows, less the
+        window() that covers the rounding of this sum and of the scores.
         """
         P, M, A, _ = arms
         (G, k), l = P.shape, M.shape[1]
@@ -672,62 +683,56 @@ class _SwapState:
         right = np.empty((G, H.shape[0] + 1, l))
         right[:, :-1] = -8.0 * np.take(H, M, axis=1).transpose(1, 0, 2)
         right[:, -1] = 4.0 * (psi[M] + A[at, M])
-        rows = max(1, _BLOCK_ENTRIES // l)
+        rows = max(16, _BLOCK_ENTRIES // l)
         buf = np.empty((G, min(rows, k), l))
         low = np.empty((G, k))
         for lo in range(0, k, rows):
             block = buf[:, : min(rows, k - lo)]
             np.matmul(left[:, lo : lo + rows], right, out=block)
             block.min(axis=2, out=low[:, lo : lo + rows])
-        slack = 64.0 * (H.shape[0] + 4) * np.finfo(float).eps * (
-            float(psi.max()) + np.abs(A).max(axis=1)
-        )
-        return low + 4.0 * (psi[P] - A[at, P]) - slack[:, None]
+        return low + 4.0 * (psi[P] - A[at, P]) - self.window(A)[:, None]
 
     def best(self, rows: np.ndarray, arms, capv: Optional[float], floors, low: np.ndarray):
         """Each design's lowest pair below its floor: arrays (value, i, j, cut delta).
 
-        A design without one gets (floor, -1, -1, 0).  Ties go to the first
-        pair in (plus, minus) order.  rows is a stack of designs that share
-        their arm sizes, arms their focus and low (G, k) a lower bound on
-        the scores of each plus row.  Each design visits its rows in
-        ascending bound order, in blocks that double from two rows, up to
-        the first row whose bound exceeds the best value it has found.  The
-        designs advance together, a block each per round, and the blocks of
-        one width share a pairs() call.
+        value is the canonical() score, ties going to the first pair in
+        (plus, minus) order; a design without one gets (floor, -1, -1, 0).
+        rows is a stack of designs that share their arm sizes, arms their
+        focus and low (G, k) a lower bound on each plus row's block scores.
+        The designs visit their rows in ascending bound order, one pairs()
+        call a round, in blocks that double from two rows, while the bound is
+        within window() w of their best value.  Pairs within w of the lowest
+        score so far are rescored by canonical(), less than w / 2 from a
+        block score, so no block layout changes the result.
         """
-        P, M = arms[0], arms[1]
-        (G, k), l = P.shape, M.shape[1]
-        minus = self.gather_minus(arms)
-        at = np.arange(G)[:, None]
-        order = np.argsort(low, axis=1, kind="stable")
-        most = max(2, _BLOCK_ENTRIES // l)  # rows a block may take
-        low = np.hstack([low[at, order], np.full((G, most), np.nan)])  # no row past the last
-        val, i, j, dc = np.array(floors, dtype=float), np.full(G, -1), np.full(G, -1), np.zeros(G)
-        lo, size = np.zeros(G, dtype=np.int64), 2
-        while True:
-            live = np.flatnonzero(low[at[:, 0], lo] <= val)
-            if live.size == 0:
-                return val, i, j, dc
-            # A block takes the rows of the next `size` whose bound does not exceed
-            # the best value, at least two: numpy scores a lone row by a matrix-vector
-            # product, whose rounding differs from the matrix product's.
-            admit = low[live[:, None], lo[live, None] + np.arange(size)] <= val[live, None]
-            hi = lo[live] + np.maximum(2, np.count_nonzero(admit, axis=1))
-            hi = np.where(hi >= k - 1, k, hi)
-            # The rounding of a matrix product can depend on its number of
-            # rows, so blocks are stacked only with blocks of their width.
-            width = hi - lo[live]
-            for w in sorted(set(width.tolist())):
-                g = live[width == w]
-                b = P[g[:, None], np.sort(order[g[:, None], lo[g, None] + np.arange(w)], axis=1)]
-                block, cut = self.pairs(rows[g], (b,) + _pick(arms[1:], g), capv, _pick(minus, g))
-                gi, kk = np.arange(g.size), block.reshape(g.size, -1).argmin(axis=1)
-                v, ci, cj = block.reshape(g.size, -1)[gi, kk], b[gi, kk // l], M[g, kk % l]
-                win = (v < val[g]) | ((v == val[g]) & ((ci < i[g]) | ((ci == i[g]) & (cj < j[g]))))
-                val[g[win]], i[g[win]], j[g[win]] = v[win], ci[win], cj[win]
-                dc[g[win]] = 0.0 if cut is None else cut.reshape(g.size, -1)[gi[win], kk[win]]
-            lo[live], size = hi, min(2 * size, most)
+        P, M, A = arms[:3]
+        (G, k), l, n = P.shape, M.shape[1], self.x.shape[1]
+        minus, w = self.gather_minus(arms), self.window(A)
+        at, order = np.arange(G), np.argsort(low, axis=1, kind="stable")
+        most = max(1, _BLOCK_ENTRIES // l)  # rows a block may take
+        low = np.hstack([low[at[:, None], order], np.full((G, most), np.nan)])
+        val, key, dc = np.array(floors, dtype=float), np.full(G, -1), np.zeros(G)
+        lo, size = np.zeros(G, dtype=np.int64), min(2, most)
+        while (live := np.flatnonzero(low[at, lo] <= val + w)).size:
+            span = lo[live, None] + np.arange(size)
+            span = span[:, : (low[live[:, None], span] <= (val + w)[live, None]).sum(1).max()]
+            b = P[live[:, None], order[live[:, None], np.minimum(span, k - 1)]]
+            block, cut = self.pairs(rows[live], (b,) + _pick(arms[1:], live), capv,
+                                    _pick(minus, live))
+            lo[live], size = span[:, -1] + 1, min(2 * size, most)
+            bar = np.minimum(val[live], block.min(axis=(1, 2))) + w[live]
+            s, p, m = np.nonzero(block <= bar[:, None, None])
+            d, pair = live[s], b[s, p] * n + M[live[s], m]
+            v = np.where(block[s, p, m] < np.inf, self.canonical(A, d, pair // n, pair % n), np.inf)
+            was = val.copy()
+            np.minimum.at(val, d, v)
+            key[val < was] = n * n  # key = i n + j of the best pair, -1 for none
+            tied = v == val[d]
+            np.minimum.at(key, d[tied], pair[tied])
+            hit = tied & (pair == key[d])
+            dc[d[hit]] = 0.0 if cut is None else cut[s[hit], p[hit], m[hit]]
+        i, j = np.divmod(key, n)
+        return val, i, np.where(key < 0, -1, j), dc
 
     def best_stacked(self, rows: np.ndarray, arms, capv: Optional[float]):
         """The lowest-scoring pair of each design in rows, every plus node scored as one stack.
@@ -746,9 +751,9 @@ class _SwapState:
 
         A swap must lower the objective by more than 1e-10 max(1, obj) within
         capv.  The designs of each arm size are scored together: those whose
-        pairs fit in one block in stacks of as many as fit, the others in
-        stacks of _STACK_DESIGNS, each one row-bound search.  Designs
-        without such a swap are left out.
+        pairs fit in one block in stacks of as many as fit, by block score,
+        the others in stacks of _STACK_DESIGNS, each one row-bound search,
+        by canonical() score.  Designs without such a swap are left out.
         """
         floors = -1e-10 * np.maximum(1.0, self.objs[rows])
         n = self.x.shape[1]
@@ -757,7 +762,7 @@ class _SwapState:
         i, j = np.empty(rows.size, dtype=np.int64), np.empty(rows.size, dtype=np.int64)
         for size in np.unique(plus).tolist():
             same = np.flatnonzero(plus == size)
-            fits = max(2, _BLOCK_ENTRIES // (n - size)) >= size
+            fits = size * (n - size) <= _BLOCK_ENTRIES
             per = max(1, _BLOCK_ENTRIES // (size * (n - size))) if fits else _STACK_DESIGNS
             for lo in range(0, same.size, per):
                 at = same[lo : lo + per]
@@ -993,20 +998,15 @@ def solve(
     time_budget: Optional[float] = None,
     relax: bool = True,
 ) -> SolveReport:
-    """Dispatch: exact to n = 30, local search to n = 5000, annealing above.
+    """Dispatch: exact search to n = 30, local search above.
 
     At n = 22-30 exact search took 0.005-0.65 s, where a 32-restart local
     search returned 1.6-7.1 times the optimum (0.026 against 6e-31 at 30).
-    Local search beat annealing in time and objective at every size
-    measured, up to n = 5000 (perfbench graphs, mean degree 10, p = 10).
+    Local search beat annealing in objective and time at every size
+    measured, up to n = 12,000 (mean degree 10, p = 10).
     """
     if method == "auto":
-        if problem.n <= 30:
-            method = "exact"
-        elif problem.n <= 5000:
-            method = "local"
-        else:
-            method = "annealing"
+        method = "exact" if problem.n <= 30 else "local"
     if method == "exact":
         return solve_exact(problem, time_budget=time_budget, relax=relax)
     if method == "local":

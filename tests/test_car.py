@@ -262,26 +262,39 @@ class TestProfileML:
         x = np.where(np.arange(300) % 2 == 0, 1.0, -1.0)
         params = CarParams(rho=0.7, theta=1.0, beta=np.array([0.5, 1.0, -1.0]))
         fac = factor_precision(net, params)
-        spec = network_spectrum(net)
         rng = np.random.default_rng(23)
         rhos, thetas = [], []
         for _ in range(20):
             y = sample_outcomes(net, cov, x, params, rng, factor=fac)
-            res = fit_profile_ml(net, cov, x, y, spectrum=spec)
+            res = fit_profile_ml(net, cov, x, y)
             rhos.append(res.rho_hat)
             thetas.append(res.theta_hat)
         assert abs(np.mean(rhos) - 0.7) < 0.15
         assert abs(np.mean(thetas) - 1.0) < 0.1
 
-    def test_spectrum_argument_is_pure_caching(self):
-        net = connected_net(25, 0.2, 24)
+    def test_one_eigendecomposition_per_network(self, monkeypatch):
+        # Fits of several designs and outcomes on one network decompose it
+        # once; a fit on another network decomposes that one.
+        calls = []
+        eigvalsh = np.linalg.eigvalsh
+
+        def counted(a):
+            calls.append(a.shape[0])
+            return eigvalsh(a)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+        car.network_spectrum.cache_clear()
+        net, other = connected_net(25, 0.2, 24), connected_net(30, 0.2, 25)
         cov = generate_pm1_covariates(25, 1, seed=24)
-        x = np.where(np.arange(25) % 2 == 0, 1.0, -1.0)
-        y = sample_outcomes(net, cov, x, CarParams(rho=0.3), seed=25)
-        a = fit_profile_ml(net, cov, x, y)
-        b = fit_profile_ml(net, cov, x, y, spectrum=network_spectrum(net))
-        assert a.rho_hat == b.rho_hat
-        assert a.theta_hat == b.theta_hat
+        for seed in range(3):
+            x = np.roll(np.where(np.arange(25) % 2 == 0, 1.0, -1.0), seed)
+            y = sample_outcomes(net, cov, x, CarParams(rho=0.3), seed=25 + seed)
+            fit = fit_profile_ml(net, cov, x, y)
+            assert fit.rho_hat == fit_profile_ml(net, cov, x, y[:, None])[0].rho_hat
+        assert calls == [25]
+        x = np.where(np.arange(30) % 2 == 0, 1.0, -1.0)
+        fit_profile_ml(other, generate_pm1_covariates(30, 1, seed=26), x, np.arange(30.0))
+        assert calls == [25, 30]
 
     def test_refinement_tolerance(self):
         net = connected_net(40, 0.15, 26)
@@ -354,32 +367,14 @@ class TestProfileML:
         fit_profile_ml(net, cov, x, y)
         assert sizes == [100, 21, 21, 21]
 
-    @pytest.mark.parametrize("other", ["size", "degrees"])
-    def test_spectrum_of_another_network_rejected(self, other):
-        # A 40-node spectrum, or one of 60 nodes with another degree
-        # sequence, would price log|R| for the wrong network.
-        net = connected_net(60, 0.08, 60)
-        cov = generate_pm1_covariates(60, 2, seed=60)
-        x = np.where(np.arange(60) % 2 == 0, 1.0, -1.0)
-        y = sample_outcomes(net, cov, x, CarParams(rho=0.4), seed=61)
-        wrong = network_spectrum(connected_net(40, 0.1, 62) if other == "size"
-                                 else connected_net(60, 0.08, 63))
-        own = network_spectrum(net)
-        assert (wrong.eigenvalues.size == own.eigenvalues.size) == (other == "degrees")
-        assert wrong.logdet_degrees != own.logdet_degrees
-        with pytest.raises(DataError, match="spectrum"):
-            fit_profile_ml(net, cov, x, y, spectrum=wrong)
-        with pytest.raises(DataError, match="spectrum"):
-            fit_profile_ml(net, cov, x, y[:, None], spectrum=wrong)
-
     def test_rank_deficient_rejected(self):
         net = connected_net(20, 0.2, 28)
         z = np.where(np.arange(20) % 2 == 0, 1.0, -1.0)
         cov = CovariateMatrix.from_raw(z)
         with pytest.raises(RankError):
-            fit_profile_ml(net, cov, z, np.ones(20), spectrum=None)
+            fit_profile_ml(net, cov, z, np.ones(20))
         with pytest.raises(RankError):
-            fit_profile_ml(net, cov, z, np.ones((20, 3)), spectrum=None)
+            fit_profile_ml(net, cov, z, np.ones((20, 3)))
 
 
 def torus(k):
@@ -418,11 +413,10 @@ class TestProfileMLColumns:
     @pytest.mark.parametrize("case", ["random-60", "random-61", "boundary-0", "boundary-max"])
     def test_columns_match_vector_fits(self, case):
         net, cov, x, Y = self.outcomes(case)
-        spec = network_spectrum(net)
-        fits = fit_profile_ml(net, cov, x, Y, rho_max=0.99, spectrum=spec)
+        fits = fit_profile_ml(net, cov, x, Y, rho_max=0.99)
         assert len(fits) == Y.shape[1]
         for j, fit in enumerate(fits):
-            one = fit_profile_ml(net, cov, x, Y[:, j], rho_max=0.99, spectrum=spec)
+            one = fit_profile_ml(net, cov, x, Y[:, j], rho_max=0.99)
             assert fit.rho_hat == one.rho_hat
             assert fit.method == one.method == "profile_ml"
             for name in ("theta_hat", "sigma2_hat", "var_theta", "loglik"):

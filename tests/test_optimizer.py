@@ -14,7 +14,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy import sparse, stats
 
@@ -287,6 +287,8 @@ class TestExactSmall:
 
 
 class TestBranchAndBound:
+    """Exact search at n = 17-20 and on K18, named for the branch and bound it replaced."""
+
     @pytest.mark.parametrize("n", [17, 18, 19, 20])
     def test_matches_chunked_enumeration(self, n):
         net = repair_isolated(
@@ -318,8 +320,8 @@ class TestBranchAndBound:
 
     def test_iterations_sum_over_ladder_levels(self):
         # The instance of test_complete_graph_ladder: the strict solve
-        # visits nodes before proving infeasibility, and the relaxed solve
-        # counts those of every level it climbed through.
+        # scores designs before finding none within the cap, and the relaxed
+        # solve counts those of every level it climbed through.
         n = 18
         net = Network.from_edges(n, list(itertools.combinations(range(n), 2)))
         cov = generate_pm1_covariates(n, 1, seed=2)
@@ -557,8 +559,8 @@ def balanced_stack(n, designs, seed):
     return np.where((X > 0).sum(axis=1, keepdims=True) == (X[0] > 0).sum(), X, -X)
 
 
-def synthetic_pairs(targets):
-    """A pairs() stand-in scoring -1 on the target pairs and 0 elsewhere."""
+def synthetic_pairs(state, targets):
+    """Stand-ins for state's pairs() and canonical(), scoring -1 on the target pairs and 0 elsewhere."""
     def pairs(rows, arms, capv, minus=None):
         P, M = arms[0], arms[1]
         block = np.zeros(P.shape + M.shape[1:])
@@ -566,7 +568,11 @@ def synthetic_pairs(targets):
             for i, j in targets:
                 block[g][np.ix_(P[g] == i, M[g] == j)] = -1.0
         return block, None
-    return pairs
+
+    def canonical(A, g, i, j):
+        return np.array([-1.0 if pair in targets else 0.0 for pair in zip(i.tolist(), j.tolist())])
+
+    state.pairs, state.canonical = pairs, canonical
 
 
 def search_one(state, rows, arms, capv, floor, low):
@@ -633,7 +639,7 @@ class TestSwapDeltas:
         arms = state.focus(np.arange(1))
         (plus,), (minus,) = arms[0], arms[1]
         target = (int(plus[130]), int(minus[17]))
-        state.pairs = synthetic_pairs([target])
+        synthetic_pairs(state, [target])
         every_row = np.full(plus.size, -np.inf)
         assert search_one(state, np.arange(1), arms, None, -0.5, every_row) == (-1.0, target, 0.0)
         assert search_one(state, np.arange(1), arms, None, -1.0, every_row) == (-1.0, None, 0.0)
@@ -689,14 +695,18 @@ class TestBestRepairs:
 
 
 def scan_every_pair(state, rows, arms, capv, floor):
-    """What best() returns, from every pair of the stack of one scored in one block."""
-    block, cut = state.pairs(rows, arms, capv)
-    k = int(np.argmin(block))  # the first of equal minima
-    if not block.flat[k] < floor:
-        return floor, None, 0.0
+    """What best() returns, from canonical() on every pair of the stack of one, within the cap."""
     (plus,), (minus,) = arms[0], arms[1]
-    pair = (int(plus[k // minus.size]), int(minus[k % minus.size]))
-    return float(block.flat[k]), pair, 0.0 if cut is None else float(cut.flat[k])
+    i, j = np.repeat(plus, minus.size), np.tile(minus, plus.size)
+    score = state.canonical(arms[2], np.zeros(i.size, dtype=np.int64), i, j)
+    cut = None
+    if state.W is not None:
+        cut = optimizer._cut_delta(arms[3][0, i], arms[3][0, j], state.W.toarray()[i, j])
+        score[state.cuts[rows[0]] + cut > capv] = np.inf
+    k = int(np.argmin(score))  # the first of equal minima, in (plus, minus) order
+    if not score[k] < floor:
+        return floor, None, 0.0
+    return float(score[k]), (int(i[k]), int(j[k])), 0.0 if cut is None else float(cut[k])
 
 
 def scan_each_design(state, rows, arms, capv, floors, low):
@@ -727,7 +737,7 @@ def pruning_instance(n, density, p, rho0, alpha, weighted, seed):
 
 
 class TestPrunedSearch:
-    """best() with row bounds returns what a scan of every pair returns.
+    """best() with row bounds returns what a canonical scan of every pair returns.
 
     Local search calls best() only for designs whose pairs overflow one
     block (n above about 256), so most tests shrink the block to reach it
@@ -736,46 +746,38 @@ class TestPrunedSearch:
 
     @settings(max_examples=60)
     @given(
-        n=st.integers(6, 120),
+        n=st.integers(6, 1200),
         density=st.floats(0.02, 0.5),
         p=st.integers(1, 4),
         rho0=st.floats(0.0, 0.9),
         alpha=st.sampled_from([0.001, 0.05, 0.5]),
         weighted=st.booleans(),
-        block=st.sampled_from([1, 64, 512, optimizer._BLOCK_ENTRIES]),
+        covariate_only=st.booleans(),
+        block=st.sampled_from([1, 16, 64, 512, optimizer._BLOCK_ENTRIES]),
         seed=st.integers(0, 2**31 - 1),
     )
+    @example(n=1200, density=0.01, p=4, rho0=0.5, alpha=0.05, weighted=True,
+             covariate_only=False, block=optimizer._BLOCK_ENTRIES, seed=3)
+    @example(n=1200, density=0.01, p=2, rho0=0.5, alpha=0.05, weighted=False,
+             covariate_only=True, block=1, seed=4)
     def test_matches_scan_of_every_pair(
-        self, n, density, p, rho0, alpha, weighted, block, seed
+        self, n, density, p, rho0, alpha, weighted, covariate_only, block, seed
     ):
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(optimizer, "_BLOCK_ENTRIES", block)
-            self.check_against_scan(n, density, p, rho0, alpha, weighted, seed)
-
-    @staticmethod
-    def check_against_scan(n, density, p, rho0, alpha, weighted, seed):
-        prob = pruning_instance(n, density, p, rho0, alpha, weighted, seed)
+        # Bit for bit whatever the block, on either problem; +/-1 covariates
+        # make exact ties common, most of all without the network.
+        prob = (no_network_problem(generate_pm1_covariates(n, p, seed=seed + 1)) if covariate_only
+                else pruning_instance(n, min(density, 40 / n), p, rho0, alpha, weighted, seed))
         x = random_balanced_design(n, seed + 2).x.copy()
         state = _SwapState(prob, x, resync=64)
         one = np.arange(1)
-        arms = state.focus(one)
-        low = state.obj_row_bounds(arms)
-        pairs = state.pairs
-        for capv in (prob.cap + 1e-9, math.inf):
-            for floor in (math.inf, 0.0, -1e-10 * max(1.0, state.obj)):
-                rows = []
-
-                def counted(stack, arms, capv, minus):
-                    rows.append(arms[0].shape[1])
-                    return pairs(stack, arms, capv, minus)
-
-                state.pairs = counted
-                got = search_one(state, one, arms, capv, floor, low)
-                state.pairs = pairs
-                assert got == scan_every_pair(state, one, arms, capv, floor)
-                # numpy would score a lone row by a matrix-vector product,
-                # which rounds differently from the scan's matrix product.
-                assert min(rows, default=2) >= 2
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(optimizer, "_BLOCK_ENTRIES", block)
+            arms = state.focus(one)
+            low = state.obj_row_bounds(arms)
+            for capv in (None,) if covariate_only else (prob.cap + 1e-9, math.inf):
+                for floor in (math.inf, 0.0, -1e-10 * max(1.0, state.obj)):
+                    got = search_one(state, one, arms, capv, floor, low)
+                    assert got == scan_every_pair(state, one, arms, capv, floor)
 
     @settings(max_examples=40)
     @given(
@@ -798,13 +800,6 @@ class TestPrunedSearch:
         X = np.stack([random_balanced_design(n, seed + 2 + d).x for d in range(designs)])
         state = _SwapState(prob, X, resync=64)
         plus = (X > 0).sum(axis=1)
-        widths = []
-        pairs = state.pairs
-
-        def counted(stack, arms, capv, minus=None):
-            widths.append(arms[0].shape[1])
-            return pairs(stack, arms, capv, minus)
-
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(optimizer, "_BLOCK_ENTRIES", block)
             for size in np.unique(plus):
@@ -815,65 +810,16 @@ class TestPrunedSearch:
                     for floor in (math.inf, 0.0, None):
                         floors = (np.full(rows.size, floor) if floor is not None
                                   else -1e-10 * np.maximum(1.0, state.objs[rows]))
-                        state.pairs = counted
                         got = state.best(rows, arms, capv, floors, low)
-                        state.pairs = pairs
                         want = scan_each_design(state, rows, arms, capv, floors, low)
                         for a, b in zip(got, want):
                             assert np.array_equal(a, b)
-            # numpy would score a lone row by a matrix-vector product, which
-            # rounds differently from the scan's matrix product.
-            assert min(widths, default=2) >= 2
             # best_swaps takes the stack by arm size, as local search calls it.
             got = state.best_swaps(np.arange(designs), prob.cap + 1e-9)
             mp.setattr(_SwapState, "best", scan_each_design)
             want = state.best_swaps(np.arange(designs), prob.cap + 1e-9)
             for a, b in zip(got, want):
                 assert np.array_equal(a, b)
-
-    def test_stack_scores_as_each_design_alone(self):
-        # Above n = 256 the rounding of a block's product can depend on the
-        # memory layout of its operands.  The designs of a stack leave the
-        # search at different rounds, and a round scores the designs still in
-        # it from their picks of the stack's arrays: every block each design
-        # scores must equal, bit for bit, the one it scores searched alone.
-        # At n = 600 (arms of 300) a row-major H[:, M] rounds some product
-        # entries differently; at arms of 400 none did in trials.
-        n, designs = 600, 6
-        prob = pruning_instance(n, 10 / n, 8, 0.5, 0.5, False, 11)  # half the designs over the cap
-        state = _SwapState(prob, balanced_stack(n, designs, 12), resync=64)
-        rows = np.arange(designs)
-        pairs = state.pairs
-
-        def recorded(blocks):
-            def record(stack, arms, capv, minus=None):
-                score, cut = pairs(stack, arms, capv, minus)
-                for g, r in enumerate(stack.tolist()):
-                    blocks.setdefault(r, []).append((arms[0][g].tolist(), score[g]))
-                stacks.append(stack.size)
-                return score, cut
-            return record
-
-        for capv in (prob.cap + 1e-9, math.inf):
-            arms = state.focus(rows)
-            low = state.obj_row_bounds(arms)
-            # Bounds lowered more for each later design keep it in the search longer.
-            low = low - np.linspace(0.0, 0.5, designs)[:, None] * np.ptp(low, axis=1)[:, None]
-            floors = -1e-10 * np.maximum(1.0, state.objs)
-            stacked, alone, stacks = {}, {}, []
-            state.pairs = recorded(stacked)
-            got = state.best(rows, arms, capv, floors, low)
-            assert min(stacks) < designs  # some round scored only part of the stack
-            state.pairs = recorded(alone)
-            for g in rows:
-                one = slice(g, g + 1)
-                want = state.best(rows[one], optimizer._pick(arms, one), capv, floors[one], low[one])
-                assert all(a[g] == b[0] for a, b in zip(got, want))
-            state.pairs = pairs
-            for g in rows.tolist():
-                assert len(stacked[g]) == len(alone[g])
-                for (p_a, s_a), (p_b, s_b) in zip(stacked[g], alone[g]):
-                    assert p_a == p_b and np.array_equal(s_a, s_b)
 
     def test_bounds_are_below_every_delta(self):
         rng = np.random.default_rng(7)
@@ -896,19 +842,15 @@ class TestPrunedSearch:
         arms = state.focus(np.arange(1))
         (plus,), (minus,) = arms[0], arms[1]
         targets = [(int(plus[330]), int(minus[17])), (int(plus[331]), int(minus[3]))]
-        state.pairs = synthetic_pairs(targets)
+        synthetic_pairs(state, targets)
         low = bound(plus, minus)
         assert search_one(state, np.arange(1), arms, None, -0.5, low) == (-1.0, targets[0], 0.0)
         assert search_one(state, np.arange(1), arms, None, -1.0, low) == (-1.0, None, 0.0)
 
     @staticmethod
-    def traced_peak_n2000(restarts):
-        """A solve_local at n = 2000 (mean degree 10, p = 10): its report and traced peak bytes."""
-        n = 2000
-        net = repair_isolated(
-            generate_bernoulli_network(n, 10 / n, seed=1), "connect", seed=1
-        ).network
-        prob = hybrid_problem(net, generate_pm1_covariates(n, 10, seed=2), 0.5, 0.001)
+    def traced_peak(prob, restarts):
+        """The traced peak bytes of a solve_local whose designs take the row-bound search."""
+        n = prob.n
         assert optimizer._BLOCK_ENTRIES // (n - n // 2) < n // 2
         tracemalloc.start()
         try:
@@ -919,6 +861,15 @@ class TestPrunedSearch:
         assert report.feasible and report.iterations > 0
         return peak
 
+    @staticmethod
+    def hybrid_n2000():
+        """n = 2000, mean degree 10, p = 10."""
+        n = 2000
+        net = repair_isolated(
+            generate_bernoulli_network(n, 10 / n, seed=1), "connect", seed=1
+        ).network
+        return hybrid_problem(net, generate_pm1_covariates(n, 10, seed=2), 0.5, 0.001)
+
     def test_memory_stays_linear(self):
         # At n = 2000 a design's 10^6 pairs overflow the block, so descent
         # runs the row-bound search, and repair runs best_repairs, which
@@ -926,12 +877,29 @@ class TestPrunedSearch:
         # scores: the peak measured 0.98 MB, against 32 MB for one n x n
         # float64 array.
         n = 2000
-        assert self.traced_peak_n2000(restarts=1) < 8 * n * n / 8
+        assert self.traced_peak(self.hybrid_n2000(), restarts=1) < 8 * n * n / 8
 
     def test_stacked_memory_stays_linear(self):
         # Eight restarts share each step's bound products and pair scoring,
         # in stacks of optimizer._STACK_DESIGNS: the peak measured 3.1 MB.
-        assert self.traced_peak_n2000(restarts=8) < 8 * 2**20
+        assert self.traced_peak(self.hybrid_n2000(), restarts=8) < 8 * 2**20
+
+    def test_tied_memory_stays_linear(self, monkeypatch):
+        # One +/-1 covariate and no network: every swap of a plus and a minus
+        # node with the other's covariate sign scores the same, so thousands
+        # of pairs tie exactly.  A round rescores at most one block of them:
+        # the peak measured 1.4 MB.
+        n, tied = 2000, []
+        canonical = _SwapState.canonical
+
+        def counted(state, A, g, i, j):
+            tied.append(g.size)
+            return canonical(state, A, g, i, j)
+
+        monkeypatch.setattr(_SwapState, "canonical", counted)
+        prob = no_network_problem(generate_pm1_covariates(n, 1, seed=4))
+        assert self.traced_peak(prob, restarts=1) < 8 * n * n / 8
+        assert max(tied) > 1000
 
     def test_local_search_matches_full_scan(self, monkeypatch):
         # 24 small instances pruned in blocks of 64 pair scores, and 6 above
@@ -1111,15 +1079,15 @@ class TestDispatch:
         prob2 = hybrid_problem(net2, cov2, 0.5, 0.2)
         assert solve(prob2, restarts=4).method == "local"
 
-    def test_auto_annealing_above_5000(self):
+    def test_auto_local_above_5000(self):
+        # Local search at every n above 30; a spent budget stops it after repair.
         net = repair_isolated(
             generate_bernoulli_network(5001, 0.002, seed=53), "connect", seed=0
         ).network
         cov = generate_pm1_covariates(5001, 1, seed=54)
         prob = hybrid_problem(net, cov, 0.5, 0.2)
-        schedule = AnnealingSchedule(n_temps=3, moves_per_temp=50)
-        report = solve(prob, schedule=schedule, seed=0)
-        assert report.method == "annealing"
+        report = solve(prob, seed=0, restarts=1, time_budget=0.0)
+        assert report.method == "local"
 
     def test_unknown_method(self):
         cov = generate_pm1_covariates(8, 1, seed=55)
