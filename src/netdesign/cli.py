@@ -153,6 +153,10 @@ DIAGNOSE_COLUMNS = ("check", "index", "rho", "value", "exact", "bound_a", "bound
 
 
 def cmd_diagnose(args) -> int:
+    if args.prior_draws < 1:
+        raise DataError(f"--prior-draws must be at least 1, got {args.prior_draws}")
+    if args.designs < 0:
+        raise DataError(f"--designs must be at least 0, got {args.designs}")
     net, cov = _load_pair(args)
     rows = []
     scatter_rhos = [rho for rho in args.rho_grid if rho != args.rho0]

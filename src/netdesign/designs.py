@@ -28,9 +28,7 @@ class Design:
     x: np.ndarray
 
     def __post_init__(self):
-        arr = np.asarray(self.x, dtype=np.float64).ravel()
-        if arr.size == 0 or not np.all(np.abs(arr) == 1.0):
-            raise DataError("design entries must all be +1 or -1")
+        arr = as_sign_vector(self.x)
         arr.flags.writeable = False
         object.__setattr__(self, "x", arr)
 

@@ -180,7 +180,6 @@ class StudySpec:
     name: str
     params: dict
     full: bool = False
-    output: str | None = None
 
 
 def study_defaults(kind: str, full: bool = False) -> dict:
@@ -291,7 +290,7 @@ def study_spec_from_dict(raw: dict, full: bool = False) -> StudySpec:
     if not isinstance(full, bool):
         raise StudySpecError(f"key 'full' must be true or false, got {full!r}")
     params = study_defaults(kind, full)
-    reserved = {"kind", "name", "seed", "output", "full"}
+    reserved = {"kind", "name", "seed", "full"}
     for key, value in raw.items():
         if key in reserved:
             continue
@@ -304,12 +303,7 @@ def study_spec_from_dict(raw: dict, full: bool = False) -> StudySpec:
     name = raw.get("name", kind)
     if not isinstance(name, str):
         raise StudySpecError(f"key 'name' must be a string, got {name!r}")
-    output = raw.get("output")
-    if output is not None and not isinstance(output, str):
-        raise StudySpecError(f"key 'output' must be a string, got {output!r}")
-    return StudySpec(
-        kind=kind, seed=int(seed), name=name, params=params, full=full, output=output
-    )
+    return StudySpec(kind=kind, seed=int(seed), name=name, params=params, full=full)
 
 
 def load_study_spec(path, full: bool = False) -> StudySpec:
@@ -438,32 +432,33 @@ def _tabulate(spec: StudySpec, columns, cell, cells) -> StudyResult:
     return StudyResult(spec.kind, columns, rows, _meta(spec, columns, rows))
 
 
-def _status_rows(base: dict, rho_ts, status: str) -> list:
-    """One row per evaluation correlation that carries only a status."""
-    return [{**base, "rho_t": rho_t, "status": status} for rho_t in rho_ts]
+def _rho_heads(base: dict, rho_ts) -> list:
+    """One row head per rho_t.  A head is a row without its status: the base
+    fields plus what names the row in its cell (a rho_t, a design_kind or nothing)."""
+    return [{**base, "rho_t": rho_t} for rho_t in rho_ts]
 
 
-def _solved(base: dict, rho_ts, run) -> tuple:
+def _solved(heads, run) -> tuple:
     """(report, []) when `run()` returns a feasible report; otherwise (None,
-    one row per rho_t whose status names the NetdesignError or "infeasible")."""
+    each head with a status naming the NetdesignError or "infeasible")."""
     try:
         report = run()
     except NetdesignError as e:
-        return None, _status_rows(base, rho_ts, type(e).__name__)
+        return None, [{**head, "status": type(e).__name__} for head in heads]
     if not report.feasible:
-        return None, _status_rows(base, rho_ts, "infeasible")
+        return None, [{**head, "status": "infeasible"} for head in heads]
     return report, []
 
 
-def _scored(base: dict, rho_ts, score) -> list:
-    """One "ok" row per rho_t carrying the fields `score(rho_t)` returns, or
-    a row whose status names the NetdesignError that scoring raised."""
+def _scored(heads, score) -> list:
+    """Each head as an "ok" row carrying the fields `score(head)` returns, or
+    with a status naming the NetdesignError that scoring raised."""
     out = []
-    for rho_t in rho_ts:
+    for head in heads:
         try:
-            out.append({**base, "rho_t": rho_t, **score(rho_t), "status": "ok"})
+            out.append({**head, **score(head), "status": "ok"})
         except NetdesignError as e:
-            out.extend(_status_rows(base, (rho_t,), type(e).__name__))
+            out.append({**head, "status": type(e).__name__})
     return out
 
 
@@ -520,7 +515,7 @@ def run_alpha_sweep(spec: StudySpec) -> StudyResult:
                 "rho0": P["rho0"], "alpha_requested": alpha,
                 "dataset_seed": dataset_seed, "solver_seed": solver_seed,
             }
-            report, rows = _solved(base, P["rho_ts"], lambda: solve(
+            report, rows = _solved(_rho_heads(base, P["rho_ts"]), lambda: solve(
                 hybrid_problem(*dataset(), P["rho0"], alpha),
                 method=P["method"], seed=solver_seed, restarts=P["restarts"],
             ))
@@ -534,8 +529,8 @@ def run_alpha_sweep(spec: StudySpec) -> StudyResult:
                     "solver_method": report.method,
                     "solver_iterations": report.iterations,
                 }
-                rows = _scored(solved, P["rho_ts"],
-                               lambda rho_t: _breakdown_row(evaluator(rho_t), report.design.x))
+                rows = _scored(_rho_heads(solved, P["rho_ts"]),
+                               lambda h: _breakdown_row(evaluator(h["rho_t"]), report.design.x))
             out += rows
         return out
 
@@ -574,27 +569,20 @@ def run_rho_robustness(spec: StudySpec) -> StudyResult:
             prob = hybrid_problem(*dataset(), rho, P["alpha"])
             return solve(prob, method=P["method"], seed=solver_seed, restarts=P["restarts"])
 
-        def reference():
-            report = design(P["rho0"])
-            if not report.feasible:
-                raise NetdesignError("reference solve infeasible")
-            return report
-
-        def score(true, rho_t):
-            ev = CriterionEvaluator(*dataset(), rho_t)
+        def score(true, head):
+            ev = CriterionEvaluator(*dataset(), head["rho_t"])
             pip_local, pip_true = ev.pip(local.design.x), ev.pip(true.design.x)
             return {"pip_local": pip_local, "pip_true": pip_true,
                     "pip_difference": pip_true - pip_local}
 
-        local, out = _solved(base, P["rho_ts"], reference)
+        local, out = _solved(_rho_heads(base, P["rho_ts"]), lambda: design(P["rho0"]))
         if local is None:
             return out
-        for rho_t in P["rho_ts"]:
-            true, rows = _solved(
-                base, (rho_t,), lambda: local if rho_t == P["rho0"] else design(rho_t)
-            )
+        for head in _rho_heads(base, P["rho_ts"]):
+            rho_t = head["rho_t"]
+            true, rows = _solved([head], lambda: local if rho_t == P["rho0"] else design(rho_t))
             if true is not None:
-                rows = _scored(base, (rho_t,), lambda rho_t: score(true, rho_t))
+                rows = _scored([head], lambda h: score(true, h))
             out += rows
         return out
 
@@ -641,8 +629,8 @@ def run_network_comparison(spec: StudySpec) -> StudyResult:
             ),
         }
 
-        def score(report, rho_t):
-            ev = evaluator(rho_t)
+        def score(report, head):
+            ev = evaluator(head["rho_t"])
             row = _breakdown_row(ev, report.design.x)
             exp = ev.expected_breakdown()
             return {
@@ -662,9 +650,10 @@ def run_network_comparison(spec: StudySpec) -> StudyResult:
                 "rho0": P["rho0"], "alpha": P["alpha"], "method_kind": kindname,
                 "dataset_seed": dataset_seed, "solver_seed": solver_seed,
             }
-            report, rows = _solved(base, P["rho_ts"], lambda: run(solver_seed))
+            heads = _rho_heads(base, P["rho_ts"])
+            report, rows = _solved(heads, lambda: run(solver_seed))
             if report is not None:
-                rows = _scored(base, P["rho_ts"], lambda rho_t: score(report, rho_t))
+                rows = _scored(heads, lambda h: score(report, h))
             out += rows
         return out
 
@@ -679,12 +668,6 @@ PSEUDO_EXPERIMENT_COLUMNS = (
     "fit_failures", "draws", "rho0", "alpha",
     "dataset_seed", "solver_seed", "design_seed", "rho_seed", "status",
 )
-
-
-def _covariates_from_rows(values: np.ndarray):
-    """Drop constant columns that subsampling can create, then rebuild."""
-    keep = [j for j in range(values.shape[1]) if np.ptp(values[:, j]) > 0.0]
-    return CovariateMatrix.from_raw(values[:, keep]), values.shape[1] - len(keep)
 
 
 def _mse_percentile(opt_mse: float, random_mses) -> float:
@@ -733,29 +716,33 @@ def run_pseudo_experiment(spec: StudySpec) -> StudyResult:
             "alpha": P["alpha"], "dataset_seed": dataset_seed,
             "solver_seed": solver_seed, "rho_seed": rho_seed,
         }
-        try:
-            sub_net, sub_cov = subsample_network(
-                base_net, base_cov, P["subsample"], dataset_seed
-            )
+
+        @functools.cache
+        def dataset():
+            sub_net, sub_cov = subsample_network(base_net, base_cov, P["subsample"], dataset_seed)
             rr = repair_isolated(sub_net, "remove")
-            net = rr.network
-            cov, _ = _covariates_from_rows(sub_cov.values[rr.kept][:, 1:])
-            if net.n < 4 * n_random:
-                raise NetdesignError(f"only {net.n} nodes left after repair")
-            prob = hybrid_problem(net, cov, P["rho0"], P["alpha"])
-            hybrid = solve(
-                prob, method=P["method"],
-                seed=derive_seed(spec.seed, 2, rep, 0), restarts=P["restarts"],
-            )
-            nonet = solve_no_network(
-                cov, method=P["method"],
-                seed=derive_seed(spec.seed, 2, rep, 1), restarts=P["restarts"],
-            )
-            if not (hybrid.feasible and nonet.feasible):
-                raise NetdesignError("design solve infeasible")
-        except NetdesignError as e:
-            return [{**base, "design_kind": kind, "status": type(e).__name__}
-                    for kind in ("hybrid", "no_network")]
+            # Drop the constant columns that subsampling can create.
+            values = sub_cov.values[rr.kept][:, 1:]
+            cov = CovariateMatrix.from_raw(values[:, np.ptp(values, axis=0) > 0.0])
+            if rr.network.n < 4 * n_random:
+                raise NetdesignError(f"only {rr.network.n} nodes left after repair")
+            return rr.network, cov
+
+        # Both rows carry the first failure; the hybrid design is solved first.
+        heads = [{**base, "design_kind": kind} for kind in ("hybrid", "no_network")]
+        hybrid, out = _solved(heads, lambda: solve(
+            hybrid_problem(*dataset(), P["rho0"], P["alpha"]), method=P["method"],
+            seed=derive_seed(spec.seed, 2, rep, 0), restarts=P["restarts"],
+        ))
+        if hybrid is None:
+            return out
+        nonet, out = _solved(heads, lambda: solve_no_network(
+            dataset()[1], method=P["method"],
+            seed=derive_seed(spec.seed, 2, rep, 1), restarts=P["restarts"],
+        ))
+        if nonet is None:
+            return out
+        net, cov = dataset()
 
         design_seeds = [derive_seed(spec.seed, 3, rep, j) for j in range(n_random)]
         designs = (
@@ -857,17 +844,17 @@ def run_gap_histogram(spec: StudySpec) -> StudyResult:
             "alpha_bound": P["alpha_bound"],
             "design_seed": design_seed, "rho_seed": rho_seed,
         }
-        try:
+
+        def score(_):
             diag = surrogate_gap_diagnostics(net, cov, x, float(rhos.mean()), rhos,
                                              alpha=P["alpha_bound"])
-            return [{
-                **base, "t_at_rho0": diag.t_at_rho0, "gap": float(diag.gap_estimate),
+            return {
+                "t_at_rho0": diag.t_at_rho0, "gap": float(diag.gap_estimate),
                 "second_derivative_term": float(diag.second_derivative_term),
                 "rho_mean": diag.rho0, "rho_var": float(diag.var_rho),
                 "bound_a": float(diag.bound_a), "bound_b": float(diag.bound_b),
-                "status": "ok",
-            }]
-        except NetdesignError as e:
-            return [{**base, "status": type(e).__name__}]
+            }
+
+        return _scored([base], score)
 
     return _tabulate(spec, GAP_HISTOGRAM_COLUMNS, cell, range(P["designs"]))

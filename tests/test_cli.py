@@ -414,6 +414,23 @@ class TestDiagnose:
         assert peak < n * n * 8 / 4
         assert len(read_rows(tmp_path / "diag.csv")) == 2
 
+    @pytest.mark.parametrize("flag, value, least", [
+        ("--prior-draws", -3, 1), ("--prior-draws", 0, 1), ("--designs", -1, 0),
+    ])
+    def test_bad_counts_fail_before_any_work(self, tmp_path, capsys, flag, value, least):
+        # A data error (exit 2) naming the flag, with nothing else on stderr:
+        # no traceback, no numpy warning, and no gap rows written.
+        edges, covs = make_dataset(tmp_path, n=60)
+        capsys.readouterr()
+        out = tmp_path / "diag.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run("diagnose", edges, covs, flag, value, "--output", out) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {flag} must be at least {least}, got {value}\n"
+        assert not out.exists()
+
 
 class TestStudy:
     def test_bundled_name_resolves(self, tmp_path):

@@ -19,7 +19,7 @@ from hypothesis import example, given, strategies as st
 from netdesign import car, experiments
 from netdesign.criterion import evaluate, pip
 from netdesign.designs import Design
-from netdesign.errors import DataError, RankError, StudySpecError
+from netdesign.errors import DataError, EigenSolverError, RankError, StudySpecError
 from netdesign.experiments import (
     DEFAULT_SEED,
     STUDY_KINDS,
@@ -106,6 +106,12 @@ class TestSpecLoading:
         # n_grid belongs to size_sweep, not alpha_sweep
         with pytest.raises(StudySpecError, match="'n_grid'"):
             study_spec_from_dict({"kind": "alpha_sweep", "n_grid": [10, 20]})
+
+    def test_output_is_not_a_spec_key(self):
+        # Where a study writes is set by the CLI's --output flag alone.
+        with pytest.raises(StudySpecError, match="unknown key 'output'"):
+            study_spec_from_dict({"kind": "alpha_sweep", "output": "a.csv"})
+        assert "output" not in {f.name for f in dataclasses.fields(StudySpec)}
 
     def test_bad_values_name_the_key(self):
         with pytest.raises(StudySpecError, match="'replicates'"):
@@ -438,6 +444,78 @@ class TestSizeSweep:
         assert [(r["replicate"], r["status"]) for r in rows] == (
             [(0, "ok")] * half + [(1, "RankError")] * half
         )
+
+
+class TestRowStatus:
+    """Failures become row statuses cell by cell, the same way in every kind."""
+
+    def test_failed_subsample_fails_its_replicate_only(self, monkeypatch):
+        real = experiments.subsample_network
+
+        def subsample(net, cov, k, seed):
+            if seed == derive_seed(14, 1, 1):  # replicate 1's dataset seed
+                raise RankError("subsample left a rank-deficient covariate block")
+            return real(net, cov, k, seed)
+
+        monkeypatch.setattr(experiments, "subsample_network", subsample)
+        rows = run_study(tiny("pseudo_experiment", n_base=80, density=0.06, p=3, subsample=56,
+                              replicates=2, draws=3, restarts=4, seed=14)).rows
+        assert [(r["replicate"], r["status"]) for r in rows] == (
+            [(0, "ok")] * 12 + [(1, "RankError")] * 2
+        )
+        assert [r["design_kind"] for r in rows[12:]] == ["hybrid", "no_network"]
+
+    def test_failed_diagnostics_fail_their_design_only(self, monkeypatch):
+        real = experiments.surrogate_gap_diagnostics
+        failing_x = experiments._gap_design(16, 1, 20, 50)[2]
+
+        def diagnostics(net, cov, x, *args, **kwargs):
+            if np.array_equal(x, failing_x):
+                raise EigenSolverError("spectral ends did not converge")
+            return real(net, cov, x, *args, **kwargs)
+
+        monkeypatch.setattr(experiments, "surrogate_gap_diagnostics", diagnostics)
+        rows = run_study(tiny("gap_histogram", n=20, density=0.3, designs=3,
+                              rho_draws=50, seed=16)).rows
+        assert [r["status"] for r in rows] == ["ok", "EigenSolverError", "ok"]
+        assert set(rows[1]) == set(rows[0]) - {
+            "t_at_rho0", "gap", "second_derivative_term", "rho_mean", "rho_var",
+            "bound_a", "bound_b",
+        }
+
+    @pytest.mark.parametrize("infeasible", ["solve", "solve_no_network"])
+    def test_infeasible_pseudo_solve_reads_infeasible(self, monkeypatch, infeasible):
+        # Both optimized rows of a replicate read "infeasible" whichever
+        # solve fails the cap; after an infeasible hybrid solve the
+        # covariate-only design is not solved.
+        real = {name: getattr(experiments, name) for name in ("solve", "solve_no_network")}
+        calls = []
+
+        def patched(name):
+            def run(*args, **kwargs):
+                calls.append(name)
+                report = real[name](*args, **kwargs)
+                return dataclasses.replace(report, feasible=name != infeasible)
+            return run
+
+        for name in real:
+            monkeypatch.setattr(experiments, name, patched(name))
+        rows = run_study(tiny("pseudo_experiment", n_base=80, density=0.06, p=3, subsample=56,
+                              replicates=1, draws=3, restarts=4, seed=14)).rows
+        assert [(r["design_kind"], r["status"]) for r in rows] == [
+            ("hybrid", "infeasible"), ("no_network", "infeasible"),
+        ]
+        assert calls == (["solve"] if infeasible == "solve" else ["solve", "solve_no_network"])
+
+    def test_infeasible_reference_reads_infeasible(self, monkeypatch):
+        real = experiments.solve
+        monkeypatch.setattr(experiments, "solve", lambda *a, **kw: dataclasses.replace(
+            real(*a, **kw), feasible=False))
+        rows = run_study(tiny("rho_robustness", n=20, p=2, replicates=2, rho_ts=[0.3, 0.5, 0.7],
+                              restarts=4, seed=12)).rows
+        assert [(r["replicate"], r["rho_t"], r["status"]) for r in rows] == [
+            (rep, rho_t, "infeasible") for rep in range(2) for rho_t in (0.3, 0.5, 0.7)
+        ]
 
 
 class TestPseudoExperiment:

@@ -208,6 +208,13 @@ class TestRandomDesigns:
         with pytest.raises(DataError):
             random_balanced_design(1, 0)
 
+    def test_design_holds_a_read_only_sign_vector(self):
+        d = Design([1, -1, 1])
+        assert d.x.dtype == np.float64 and not d.x.flags.writeable
+        for bad in ([], [1, 0, -1], [0.5, -1.0]):
+            with pytest.raises(DataError, match=r"must all be \+1 or -1"):
+                Design(bad)
+
 
 class TestExactSmall:
     def test_path6_matches_brute_force(self):
@@ -286,8 +293,8 @@ class TestExactSmall:
             solve_exact(hybrid_problem(net, cov, 0.5, 0.5))
 
 
-class TestBranchAndBound:
-    """Exact search at n = 17-20 and on K18, named for the branch and bound it replaced."""
+class TestExactMidSize:
+    """Exact search at n = 17-20 and on K18: the enumeration oracle, the ladder and the budget."""
 
     @pytest.mark.parametrize("n", [17, 18, 19, 20])
     def test_matches_chunked_enumeration(self, n):
