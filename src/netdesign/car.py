@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, partial
 from typing import Optional, Union
 
 import numpy as np
@@ -176,19 +176,27 @@ class _AffineGram:
         columns = np.ndim(uDu) and rho.ndim  # s columns, each with k values
         if columns:
             uDu, uWu = uDu[:, None], uWu[:, None]
-        out = uDu - rho * uWu
         if self._pencil is None:
-            return np.full(np.shape(out), np.nan)
+            return np.full(np.shape(uDu - rho * uWu), np.nan)
         mu, _, cD, cW = self._pencil
         if columns:
             cD, cW = cD[..., None], cW[..., None]
-        singular = np.zeros(np.shape(out), dtype=bool)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            for m, d, w in zip(mu, cD, cW):
-                pivot = 1.0 - rho * m
-                singular |= pivot <= 0.0
-                out = out - (d - rho * w) ** 2 / pivot
-        return np.where(singular, np.nan, out)
+        return _schur(uDu, uWu, mu, cD, cW, rho)
+
+
+def _schur(uDu, uWu, mu, cD, cW, rho):
+    """uDu - rho uWu - sum_j (cD_j - rho cW_j)^2 / (1 - rho mu_j), nan where a
+    pivot 1 - rho mu_j is not positive; mu, cD and cW hold the q terms on
+    their first axis, and all broadcast against rho.  Each score is its own
+    elementwise sequence, so its bits do not depend on what it is stacked with."""
+    out = uDu - rho * uWu
+    singular = np.zeros(np.shape(out), dtype=bool)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for m, d, w in zip(mu, cD, cW):
+            pivot = 1.0 - rho * m
+            singular |= pivot <= 0.0
+            out = out - (d - rho * w) ** 2 / pivot
+    return np.where(singular, np.nan, out)
 
 
 @dataclass(frozen=True, eq=False)
@@ -400,8 +408,11 @@ class NetworkSpectrum:
         for i in range(0, flat.size, block):
             vals = np.multiply.outer(flat[i:i + block], -self.eigenvalues)
             vals += 1.0
-            if np.any(vals <= 0.0):
-                raise NotPositiveDefiniteError(f"kernel loses positive definiteness at rho={rho}")
+            lost = np.any(vals <= 0.0, axis=-1)
+            if lost.any():
+                raise NotPositiveDefiniteError(
+                    f"kernel loses positive definiteness at rho={flat[i + np.argmax(lost)]!r}"
+                    f" (largest eigenvalue {self.eigenvalues[-1]!r})")
             terms[i:i + block] = np.sum(np.log(vals, out=vals), axis=-1)
         out = self.logdet_degrees + terms.reshape(rho.shape)
         return float(out) if out.ndim == 0 else out
@@ -419,19 +430,22 @@ def network_spectrum(net: Network) -> NetworkSpectrum:
     return NetworkSpectrum(eigenvalues=lam, logdet_degrees=float(np.sum(np.log(d))))
 
 
-def _profile_loglik(gram: _AffineGram, spectrum: NetworkSpectrum, rhos) -> np.ndarray:
-    """0.5 log|R| - 0.5 n log(sigma2_hat) at each rho, from the Grams of [x F] and y.
+def _distinct_logdet(spectrum: NetworkSpectrum, rhos: np.ndarray) -> np.ndarray:
+    """spectrum.logdet at each entry of rhos, priced once per distinct value."""
+    distinct, inverse = np.unique(rhos, return_inverse=True)
+    return spectrum.logdet(distinct)[inverse].reshape(rhos.shape)
 
-    The residual quadratic forms come from _AffineGram.schur, whose shapes
-    they follow: (s, k) scores for s outcome columns, whether the k values
-    are shared or each column's own.  An X'RX that is not positive definite
-    and a residual variance that cancels to zero (y in the span of [x F])
-    both score -inf: such points are unusable.
+
+def _profile_loglik(schur, spectrum: NetworkSpectrum, rhos) -> np.ndarray:
+    """0.5 log|R| - 0.5 n log(sigma2_hat) at each rho, from the residual forms
+    schur(rhos) of [x F] and y, whose shape the scores take.  An X'RX that
+    is not positive definite and a residual variance that cancels to zero
+    (y in the span of [x F]) both score -inf: such points are unusable.
     """
     rhos = np.asarray(rhos, dtype=np.float64)
-    n = gram.DZ.shape[0]
-    sigma2 = gram.schur(rhos) / n
-    logdet = np.broadcast_to(spectrum.logdet(rhos), sigma2.shape)
+    n = spectrum.eigenvalues.size
+    sigma2 = schur(rhos) / n
+    logdet = np.broadcast_to(_distinct_logdet(spectrum, rhos), sigma2.shape)
     out = np.full(sigma2.shape, -np.inf)
     ok = sigma2 > 0.0  # False at nan, the mark of an X'RX that is not positive definite
     out[ok] = 0.5 * logdet[ok] - 0.5 * n * np.log(sigma2[ok])
@@ -442,7 +456,7 @@ def fit_profile_ml(
     net: Network,
     cov: CovariateMatrix,
     x,
-    y: np.ndarray,
+    y,
     rho_max: float = RHO_MAX_DEFAULT,
     grid_step: float = 0.01,
     tol: float = 1e-5,
@@ -455,45 +469,69 @@ def fit_profile_ml(
     the step is at most tol.  Every pass is one batched kernel call, and
     the returned rho is the best point of all passes, so it never scores
     below any grid point.  The fit diagonalizes X'DX and X'WX together
-    once; every score, and the estimates at rho_hat, are then elementwise
-    in that basis, so no linear solve is made at any rho.  log|D - rho W|
-    comes from network_spectrum(net), which keeps the last network's.
+    once per design; every score, and the estimates at rho_hat, are then
+    elementwise in that basis, so no linear solve is made at any rho.
+    log|D - rho W| comes from network_spectrum(net), which keeps the last
+    network's; each pass prices it once per distinct rho.
 
     y is one outcome vector, or an (n, s) matrix of s outcome vectors for
-    the same design.  The columns share [x F] and so the diagonalization;
-    the grid scan scores one (s, k) array for all of them, and each
-    refinement pass an (s, 21) array of rho in one call.
+    the same design.  x may also be a (d, n) stack of designs, with y d
+    such matrices (a generator forms each only for its Grams).  One search
+    serves every column of every design, whose fits keep their bits: a
+    (d, s, k) grid scan, then (d, s, 21) refinement passes.
 
     Returns:
         A FitResult for a vector y; for a matrix, a list of s entries, None
         where X'RX is not positive definite at that column's rho_hat (a
         vector y raises RankError there).  A rank-deficient [x F] raises
-        RankError either way.
+        RankError either way.  For a stack, a list of d such lists, where
+        a rank-deficient design's list is s entries of None.
     """
     if not 0.0 < rho_max < 1.0:
         raise DataError(f"rho_max must lie in (0, 1), got {rho_max}")
     if not (grid_step > 0.0 and tol > 0.0):
         # a step of zero or less builds no grid; a tol of zero or less stops late or never
         raise DataError(f"grid_step and tol must be positive, got {grid_step} and {tol}")
-    Y = np.asarray(y, dtype=np.float64)
-    gram = _regression_gram(net, cov, x, Y if Y.ndim == 2 else Y.reshape(-1, 1))
+    stack = np.ndim(x) == 2
+    grams, widths = [], set()
+    for xd, yd in zip(x, y, strict=True) if stack else [(x, y)]:
+        Y = np.asarray(yd, dtype=np.float64)
+        Y = Y if Y.ndim == 2 else Y.reshape(-1, 1)
+        widths.add(Y.shape[1])
+        try:
+            grams.append(_regression_gram(net, cov, xd, Y))
+        except RankError:
+            if not stack:
+                raise
+            grams.append(None)
+    if len(widths) > 1:
+        raise DataError(f"every design needs as many outcome columns, got {sorted(widths)}")
     spectrum = network_spectrum(net)
+    live = [g for g in grams if g is not None and g._pencil is not None]
+    best_rho = np.zeros((len(live), *widths))
+    if live:
+        # The terms of every design on a (d, s, k) rho, q first: (q, d, s, 1) and (q, d, 1, 1).
+        mu, _, cD, cW = (np.stack(a, axis=1) for a in zip(*(g._pencil for g in live)))
+        uDu, uWu = (np.stack([getattr(g, a) for g in live])[..., None] for a in ("uDu", "uWu"))
+        schur = partial(_schur, uDu, uWu, mu[..., None, None], cD[..., None], cW[..., None])
+        rhos = np.arange(0.0, rho_max + 1e-12, grid_step)
+        rhos[-1] = min(rhos[-1], rho_max)
+        best_score, step = np.full(best_rho.shape, -np.inf), grid_step
+        while True:
+            scores = _profile_loglik(schur, spectrum, rhos)
+            k = np.argmax(scores, axis=-1)[..., None]
+            top = np.take_along_axis(scores, k, -1)[..., 0]
+            better = top > best_score
+            best_rho = np.where(better, np.take_along_axis(
+                np.broadcast_to(rhos, scores.shape), k, -1)[..., 0], best_rho)
+            best_score = np.where(better, top, best_score)
+            if step <= tol:
+                break
+            step /= 10.0
+            rhos = np.clip(best_rho[..., None] + step * np.arange(-10, 11), 0.0, rho_max)
 
-    rhos = np.arange(0.0, rho_max + 1e-12, grid_step)
-    rhos[-1] = min(rhos[-1], rho_max)
-    cols = np.arange(gram.ZDu.shape[1])
-    best_rho, best_score, step = np.zeros(cols.size), np.full(cols.size, -np.inf), grid_step
-    while True:
-        scores = _profile_loglik(gram, spectrum, rhos)
-        k = np.argmax(scores, axis=1)
-        top = scores[cols, k]
-        better = top > best_score
-        best_rho = np.where(better, np.broadcast_to(rhos, scores.shape)[cols, k], best_rho)
-        best_score = np.where(better, top, best_score)
-        if step <= tol:
-            break
-        step /= 10.0
-        rhos = np.clip(best_rho[:, None] + step * np.arange(-10, 11), 0.0, rho_max)
-
-    fits = _gls_fits(gram, best_rho, spectrum.logdet(best_rho), "profile_ml")
-    return fits if Y.ndim == 2 else _only(fits)
+    # Where [x F] is rank deficient or X'DX has no Cholesky factor, every fit is None.
+    hats = zip(best_rho, _distinct_logdet(spectrum, best_rho))
+    fits = [_gls_fits(g, *next(hats), "profile_ml") if g in live else [None] * best_rho.shape[1]
+            for g in grams]
+    return fits if stack else fits[0] if np.ndim(y) == 2 else _only(fits[0])

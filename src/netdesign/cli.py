@@ -157,6 +157,8 @@ def cmd_diagnose(args) -> int:
         raise DataError(f"--prior-draws must be at least 1, got {args.prior_draws}")
     if args.designs < 0:
         raise DataError(f"--designs must be at least 0, got {args.designs}")
+    if args.scatter_designs < 2:
+        raise DataError(f"--scatter-designs must be at least 2, got {args.scatter_designs}")
     net, cov = _load_pair(args)
     rows = []
     scatter_rhos = [rho for rho in args.rho_grid if rho != args.rho0]

@@ -31,7 +31,6 @@ from typing import Iterator
 
 import numpy as np
 from scipy import linalg, sparse
-from scipy.sparse.linalg import ArpackNoConvergence, eigsh
 from scipy.special import ndtri
 
 from .car import _AffineGram, _check_degrees, _check_dense, precision_matrix
@@ -442,6 +441,7 @@ def _lanczos_extreme(A, which: str) -> float:
 
     Only for operators above _DENSE_EIGEN = 200 rows: up to that size one
     dense eigvalsh was measured cheaper, and _eig_extremes takes it."""
+    from scipy.sparse.linalg import ArpackNoConvergence, eigsh  # loaded only where used
     # Fixed start vector: ARPACK otherwise seeds from global numpy state,
     # which would make repeated runs differ in the last few bits.  Drawn
     # from a frozen generator so it is generic for structured graphs too.

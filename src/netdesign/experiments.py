@@ -25,7 +25,6 @@ from importlib import metadata, resources
 from pathlib import Path
 
 import numpy as np
-import yaml
 
 from .car import (
     HeteroCarParams,
@@ -308,6 +307,7 @@ def study_spec_from_dict(raw: dict, full: bool = False) -> StudySpec:
 
 def load_study_spec(path, full: bool = False) -> StudySpec:
     """Read a YAML study spec from disk."""
+    import yaml  # loaded here: the other subcommands read no YAML
     path = Path(path)
     try:
         text = read_text(path)
@@ -685,9 +685,10 @@ def run_pseudo_experiment(spec: StudySpec) -> StudyResult:
     model (rho_i uniform, drawn once per replicate) and fit the
     single-correlation model by profile likelihood.  The same noise field
     is shared by all twelve designs within a draw, so MSE differences
-    reflect the designs, not the noise.  All draws of one design are fitted
-    in one batched profile-likelihood call.  Each optimal design's MSE is
-    ranked inside the ten random-design MSEs."""
+    reflect the designs, not the noise.  All draws of all twelve designs
+    are fitted in one profile-likelihood call: one rho search, whose passes
+    price log|D - rho W| once per distinct rho.  Each optimal design's MSE
+    is ranked inside the ten random-design MSEs."""
     P = spec.params
     if P["edges_path"] is not None:
         base_net = load_edge_list(P["edges_path"])
@@ -765,25 +766,18 @@ def run_pseudo_experiment(spec: StudySpec) -> StudyResult:
             sample_noise(factor, P["sigma2"], derive_seed(spec.seed, 5, rep, d))
             for d in range(P["draws"])
         ])
-        sq_err = np.zeros(len(designs))
-        failures = np.zeros(len(designs), dtype=int)
-        for k, (_, _, x, _) in enumerate(designs):
-            # One fit per design over all draws; None marks a failed draw, and
-            # a design-level error (a rank-deficient [x F]) fails every draw.
-            try:
-                fits = fit_profile_ml(net, cov, x, P["theta"] * x[:, None] + noise)
-            except NetdesignError:
-                fits = [None] * P["draws"]
-            for fit in fits:
-                if fit is None:
-                    failures[k] += 1
-                else:
-                    sq_err[k] += (fit.theta_hat - P["theta"]) ** 2
-        successes = P["draws"] - failures
-        mses = [
-            float(sq_err[k] / successes[k]) if successes[k] > 0 else None
-            for k in range(len(designs))
-        ]
+        # One fit of all designs and draws; None marks a failed draw, a network-level
+        # error fails them all, and a rank-deficient [x F] all draws of its design.
+        xs = np.array([x for _, _, x, _ in designs])
+        try:
+            fits = fit_profile_ml(net, cov, xs, (P["theta"] * x[:, None] + noise for x in xs))
+        except NetdesignError:
+            fits = [[None] * P["draws"]] * len(designs)
+        mses, failures = [], []
+        for design_fits in fits:
+            ok = [fit.theta_hat for fit in design_fits if fit is not None]
+            failures.append(len(design_fits) - len(ok))
+            mses.append(sum((t - P["theta"]) ** 2 for t in ok) / len(ok) if ok else None)
         random_mses = [m for kind_m, m in zip(designs, mses) if kind_m[0] == "random"
                        and m is not None]
         out = []
@@ -791,7 +785,7 @@ def run_pseudo_experiment(spec: StudySpec) -> StudyResult:
             row = {
                 **base, "n_kept": net.n, "design_kind": kindname,
                 "design_index": idx, "mse": mses[k],
-                "fit_failures": int(failures[k]), "design_seed": dseed,
+                "fit_failures": failures[k], "design_seed": dseed,
                 "status": "ok" if mses[k] is not None else "fit_failed",
             }
             if kindname in ("hybrid", "no_network") and mses[k] is not None and random_mses:

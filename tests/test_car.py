@@ -239,6 +239,33 @@ class TestProfileML:
             _, ld = np.linalg.slogdet(dense_kernel(net, rho))
             assert abs(spec.logdet(rho) - ld) <= 1e-9 * max(1.0, abs(ld))
 
+    def test_spectrum_logdet_bits_do_not_depend_on_the_call(self):
+        # Each rho's sum is its own row reduction, so pricing an array, its
+        # distinct values or each value alone gives the same bits.  At n=300
+        # a block holds 109 rho, so the 630 values span several blocks.
+        net = connected_net(300, 0.03, 18)
+        spec = network_spectrum(net)
+        rho = np.random.default_rng(5).choice(np.linspace(0.0, 0.99, 400), size=(7, 90))
+        whole = spec.logdet(rho)
+        distinct, inverse = np.unique(rho, return_inverse=True)
+        assert distinct.size < rho.size
+        np.testing.assert_array_equal(spec.logdet(distinct)[inverse].reshape(rho.shape), whole)
+        np.testing.assert_array_equal(spec.logdet(distinct[::-1])[::-1], spec.logdet(distinct))
+        np.testing.assert_array_equal(whole.ravel(), [spec.logdet(r) for r in rho.ravel()])
+
+    @pytest.mark.parametrize("order", [1, -1])
+    def test_spectrum_logdet_names_the_first_bad_rho(self, order):
+        # The error names the first input rho at which some 1 - rho lam_i
+        # is not positive, not the whole array.
+        spec = network_spectrum(connected_net(35, 0.12, 18))
+        rho = np.linspace(0.0, 1.2, 40)[::order]
+        first = rho[np.flatnonzero(rho * spec.eigenvalues.max() >= 1.0)[0]]
+        assert (first == 1.2) == (order == -1)
+        with pytest.raises(NotPositiveDefiniteError) as info:
+            spec.logdet(rho)
+        assert str(info.value) == (f"kernel loses positive definiteness at rho={first!r}"
+                                   f" (largest eigenvalue {spec.eigenvalues.max()!r})")
+
     def test_grid_dominance(self):
         net = connected_net(50, 0.1, 19)
         cov = generate_pm1_covariates(50, 2, seed=19)
@@ -249,7 +276,7 @@ class TestProfileML:
         grid = np.arange(0.0, 0.991, 0.01)
         # The batched grid scan scores every point as the dense oracle does.
         gram = _AffineGram(net, np.column_stack([x, cov.values]), y)
-        scan = _profile_loglik(gram, network_spectrum(net), grid)
+        scan = _profile_loglik(gram.schur, network_spectrum(net), grid)
         for rho, score in zip(grid, scan):
             oracle = self.loglik_oracle(net, cov, x, y, rho)
             assert abs(score - oracle) <= 1e-10 * max(1.0, abs(oracle))
@@ -291,6 +318,7 @@ class TestProfileML:
             y = sample_outcomes(net, cov, x, CarParams(rho=0.3), seed=25 + seed)
             fit = fit_profile_ml(net, cov, x, y)
             assert fit.rho_hat == fit_profile_ml(net, cov, x, y[:, None])[0].rho_hat
+            assert fit.rho_hat == fit_profile_ml(net, cov, np.stack([x, -x]), [y, y])[0][0].rho_hat
         assert calls == [25]
         x = np.where(np.arange(30) % 2 == 0, 1.0, -1.0)
         fit_profile_ml(other, generate_pm1_covariates(30, 1, seed=26), x, np.arange(30.0))
@@ -428,18 +456,22 @@ class TestProfileMLColumns:
 
     def test_refinement_is_batched_over_columns(self, monkeypatch):
         # One shared 100-point grid call, then three passes of 21 points for
-        # every column at once.
+        # every column of every design at once: a single design is a stack
+        # of one.
         shapes = []
         batched = car._profile_loglik
 
-        def spy(gram, spectrum, rhos):
+        def spy(schur, spectrum, rhos):
             shapes.append(np.shape(rhos))
-            return batched(gram, spectrum, rhos)
+            return batched(schur, spectrum, rhos)
 
         monkeypatch.setattr(car, "_profile_loglik", spy)
         net, cov, x, Y = self.outcomes("random-60")
         fit_profile_ml(net, cov, x, Y)
-        assert shapes == [(100,), (6, 21), (6, 21), (6, 21)]
+        assert shapes == [(100,), (1, 6, 21), (1, 6, 21), (1, 6, 21)]
+        shapes.clear()
+        fit_profile_ml(net, cov, np.stack([x, -x, np.roll(x, 1)]), [Y, Y[:, ::-1], Y])
+        assert shapes == [(100,), (3, 6, 21), (3, 6, 21), (3, 6, 21)]
 
     def test_singular_column_is_none(self, monkeypatch):
         # X'RX cannot lose positive definiteness on [0, rho_max] in exact
@@ -466,6 +498,108 @@ class TestProfileMLColumns:
             np.nan if np.shape(rho) == (1, 1) else 1.0))
         with pytest.raises(RankError, match="numerically singular"):
             fit_profile_ml(net, cov, x, Y[:, 0])
+
+
+class TestProfileMLStack:
+    """A (d, n) stack of designs fits each design, bit for bit, as a call
+    for that design alone does, in one search."""
+
+    KW = {"rho_max": 0.95, "grid_step": 0.02, "tol": 1e-4}
+
+    def stack(self, case, d, s=4):
+        # d random designs with s outcome columns each; in a stack of more
+        # than one, design d // 2 is a covariate column, so its [x F] is
+        # rank deficient.
+        net = torus(8) if case == "torus" else connected_net(*case)
+        cov = generate_pm1_covariates(net.n, 2, seed=net.n)
+        rng = np.random.default_rng(net.n + d)
+        xs = np.where(rng.random((d, net.n)) < 0.5, 1.0, -1.0)
+        if d > 1:
+            xs[d // 2] = cov.values[:, 1]
+        Ys = [np.column_stack([
+            sample_outcomes(net, cov, x, CarParams(rho=r, beta=np.ones(3)), seed=rng)
+            for r in rng.uniform(0.0, 0.97, s)]) for x in xs]
+        return net, cov, xs, Ys
+
+    def assert_same(self, got, want):
+        assert [f is None for f in got] == [f is None for f in want]
+        for a, b in zip(got, want):
+            if b is not None:
+                for name in ("rho_hat", "theta_hat", "sigma2_hat", "var_theta", "loglik", "method"):
+                    assert getattr(a, name) == getattr(b, name), name
+                assert np.array_equal(a.beta_hat, b.beta_hat)
+
+    @pytest.mark.parametrize("d", [1, 3, 12])
+    @pytest.mark.parametrize("case", [(40, 0.15, 70), (60, 0.08, 71), (35, 0.12, 72), "torus"],
+                             ids=["n40", "n60", "n35", "torus"])
+    def test_stack_matches_one_design_fits(self, monkeypatch, case, d):
+        net, cov, xs, Ys = self.stack(case, d)
+        # Column 1 of design 0 is made singular at its rho_hat, in the stack
+        # and alone: schur marks such an X'RX nan.
+        real, target = car._AffineGram.schur, xs[0] * net.degrees
+
+        def schur(self, rho):
+            out = real(self, rho)
+            if np.shape(rho) == (4, 1) and np.array_equal(self.DZ[:, 0], target):
+                out[1] = np.nan
+            return out
+
+        # Every pass's points and scores are kept, to score each design's
+        # points again on its own Grams: the same bits, pass by pass.
+        passes, loglik = [], car._profile_loglik
+
+        def kept(schur, spectrum, rhos):
+            passes.append((rhos, loglik(schur, spectrum, rhos)))
+            return passes[-1][1]
+
+        monkeypatch.setattr(car, "_profile_loglik", kept)
+        monkeypatch.setattr(car._AffineGram, "schur", schur)
+        fits = fit_profile_ml(net, cov, xs, iter(Ys), **self.KW)
+        monkeypatch.setattr(car, "_profile_loglik", loglik)
+        assert len(fits) == d and len(passes) == 4
+        assert [f is None for f in fits[0]] == [False, True, False, False]
+        for j, (x, Y) in enumerate(zip(xs, Ys)):
+            if d > 1 and j == d // 2:
+                assert fits[j] == [None] * 4
+                with pytest.raises(RankError):
+                    fit_profile_ml(net, cov, x, Y, **self.KW)
+                continue
+            self.assert_same(fits[j], fit_profile_ml(net, cov, x, Y, **self.KW))
+            live, gram = j - (d > 1 and j > d // 2), _AffineGram(net, np.column_stack([x, cov.values]), Y)
+            for rhos, scores in passes:
+                alone = loglik(gram.schur, network_spectrum(net), rhos if rhos.ndim == 1 else rhos[live])
+                np.testing.assert_array_equal(scores[live], alone)
+        # A vector in a stack of one is the vector fit.
+        vector = fit_profile_ml(net, cov, xs[0], Ys[0][:, 0], **self.KW)
+        self.assert_same(fit_profile_ml(net, cov, xs[:1], [Ys[0][:, 0]], **self.KW)[0], [vector])
+
+    def test_each_logdet_call_prices_distinct_rho(self, monkeypatch):
+        # The grid, three refinement passes and the estimates each price
+        # log|R| once per distinct rho, though a repeated design repeats
+        # every refinement point.
+        calls = []
+        real = car.NetworkSpectrum.logdet
+
+        def logdet(self, rho):
+            calls.append(np.asarray(rho))
+            return real(self, rho)
+
+        monkeypatch.setattr(car.NetworkSpectrum, "logdet", logdet)
+        net, cov, xs, Ys = self.stack((40, 0.15, 70), 5)
+        xs[3], Ys[3] = xs[0], Ys[0]
+        fits = fit_profile_ml(net, cov, xs, Ys)
+        assert [f.rho_hat for f in fits[3]] == [f.rho_hat for f in fits[0]]
+        assert len(calls) == 5 and calls[0].size == 100
+        for rho in calls:
+            assert rho.ndim == 1 and np.unique(rho).size == rho.size
+        assert all(rho.size <= 3 * 4 * 21 for rho in calls[1:4])  # 4 of 5 designs fit, one repeated
+
+    def test_mismatched_stacks_are_refused(self):
+        net, cov, xs, Ys = self.stack((40, 0.15, 70), 3)
+        with pytest.raises(DataError, match="as many outcome columns"):
+            fit_profile_ml(net, cov, xs, [Ys[0], Ys[1][:, :2], Ys[2]])
+        with pytest.raises(ValueError):
+            fit_profile_ml(net, cov, xs, Ys[:2])
 
 
 class TestDiagonalizedScore:
@@ -517,7 +651,7 @@ class TestDiagonalizedScore:
         X = np.column_stack([x, cov.values])
         spectrum = network_spectrum(net)
         grid = np.arange(0.0, 0.991, 0.01)
-        clean = _profile_loglik(_AffineGram(net, X, Y), spectrum, grid)
+        clean = _profile_loglik(_AffineGram(net, X, Y).schur, spectrum, grid)
         # The largest generalized eigenvalue is forced to 1.3, so that
         # X'RX is not positive definite for rho above 1/1.3.  The residual
         # form stays positive there (its last term changes sign), so only
@@ -527,7 +661,7 @@ class TestDiagonalizedScore:
         mu = mu.copy()
         mu[-1] = 1.3
         gram.__dict__["_pencil"] = (mu, B, cD, cW)
-        scores = _profile_loglik(gram, spectrum, grid)
+        scores = _profile_loglik(gram.schur, spectrum, grid)
         high = grid > 1.0 / 1.3
         assert np.all(scores[:, high] == -np.inf)
         rho = grid[high]
@@ -538,7 +672,7 @@ class TestDiagonalizedScore:
         # Without a Cholesky factor of X'DX, no rho scores.
         gram = _AffineGram(net, X, Y)
         gram.ZDZ = -gram.ZDZ
-        assert np.all(_profile_loglik(gram, spectrum, grid) == -np.inf)
+        assert np.all(_profile_loglik(gram.schur, spectrum, grid) == -np.inf)
 
 
 class TestDenseSizeGuard:

@@ -1,6 +1,7 @@
 """Command-line behavior: exit codes, round trips, and the thin-adapter
 rule.  Everything runs in-process through main(argv) so exit codes and
-output bytes are observable without spawning subprocesses.  The oracle
+output bytes are observable without spawning subprocesses; only the
+check of what a command imports needs a fresh interpreter.  The oracle
 for numerical values is always a direct library call on the same files.
 """
 
@@ -8,7 +9,10 @@ import contextlib
 import csv
 import io
 import json
+import os
 import string
+import subprocess
+import sys
 import tempfile
 import tracemalloc
 import warnings
@@ -18,6 +22,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+import netdesign
 from netdesign.cli import main
 from netdesign.criterion import evaluate, k_matrix, pip, quadform_correlation
 from netdesign.designs import Design
@@ -416,6 +421,7 @@ class TestDiagnose:
 
     @pytest.mark.parametrize("flag, value, least", [
         ("--prior-draws", -3, 1), ("--prior-draws", 0, 1), ("--designs", -1, 0),
+        ("--scatter-designs", -1, 2), ("--scatter-designs", 0, 2), ("--scatter-designs", 1, 2),
     ])
     def test_bad_counts_fail_before_any_work(self, tmp_path, capsys, flag, value, least):
         # A data error (exit 2) naming the flag, with nothing else on stderr:
@@ -430,6 +436,24 @@ class TestDiagnose:
         assert captured.out == ""
         assert captured.err == f"error: {flag} must be at least {least}, got {value}\n"
         assert not out.exists()
+
+
+class TestImports:
+    def test_design_loads_no_yaml_or_arpack(self, tmp_path):
+        # Only a study spec needs YAML and only the Lanczos route of the
+        # diagnostics needs scipy.sparse.linalg; a fresh interpreter shows
+        # what `netdesign design` loads.
+        edges, covs = make_dataset(tmp_path)
+        code = (
+            "import sys\nfrom netdesign.cli import main\n"
+            f"assert main(['design', {edges!r}, {covs!r}, '--output', {str(tmp_path / 'd.csv')!r}]) == 0\n"
+            "print([m for m in ('yaml', 'scipy.sparse.linalg') if m in sys.modules])\n"
+        )
+        src = str(Path(netdesign.__file__).parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                              text=True, timeout=120, check=True)
+        assert done.stdout.splitlines()[-1] == "[]"
 
 
 class TestStudy:
