@@ -18,18 +18,21 @@ All solvers work off the factored form H = La^{-1} B' (objective
 swap move exchanges one node from each arm, so balance is invariant; its
 objective delta costs O(p) and its constraint delta O(1) given the
 maintained vectors.  Repair and descent take the best swap over all
-plus x minus pairs exactly.  Repair reads it in O(n + m) from the top of
-s = x * Wx on each arm and the cross-arm edges.  The restarts of a
-multistart solve advance in lockstep, one swap each per step, scored in
-stacks with the per-restart arithmetic, so each takes the swaps it would
-take alone.  Below one block of pairs per restart (n up to about 256)
-descent scores every pair of a stack.  Above that a lower bound on each
-plus row's best delta orders the rows, and rows are scored only until
-the next bound exceeds the best delta found by a rounding window, pairs
-near the best rescored in one fixed order, six restarts sharing each
-product and scoring call, in O(n) memory a restart.  Reported
-objectives are recomputed by a fresh pass over the returned design,
-never copied from solver bookkeeping.
+plus x minus pairs exactly.  Repair reads it from the top of s = x * Wx
+on each arm and the cross-arm edges of the nodes whose s lies within
+twice the largest weight of that top, for every repairing design in one
+pass.  The restarts of a multistart solve advance in lockstep, one swap
+each per step, scored in stacks with the per-restart arithmetic, so each
+takes the swaps it would take alone.  Below one block of pairs per
+restart (n up to about 256) descent scores every pair of a stack.  Above
+that a lower bound on each plus row's best delta orders the rows, and
+rows are scored only until the next bound exceeds the best delta found
+by a rounding window, pairs near the best rescored in one fixed order,
+six restarts sharing each product and scoring call, in O(n) memory a
+restart.  The bounds are computed in float32, less a slack E that bounds
+their rounding error in advance, so they stay valid and the swaps stay
+those of a float64 scan.  Reported objectives are recomputed by a fresh
+pass over the returned design, never copied from solver bookkeeping.
 """
 
 from __future__ import annotations
@@ -438,9 +441,10 @@ def _csr_entries(W, rows):
 # in one block with one set of array ops; a design whose pairs alone
 # overflow it (n above about 256) takes the row-bound search, which keeps
 # memory at O(n) whatever the arm sizes.  Up to one block of pairs,
-# scoring them all took less time than the row bounds save.  Repair scores
-# the W entries of as many designs as fit in one block: at n = 1000, blocks
-# of 2^14 to 2^16 took the same time, and only 2^16 raised the traced peak.
+# scoring them all took less time than the row bounds save.  The float32
+# row bounds fill twice as many rows, at least 16, as one block of pairs:
+# at n = 5000 (a 6-design stack of 2500-entry rows) 16 rows, 0.96 MB, timed
+# 8.8 ms against 10.4 ms for 32 on one core of a 2-vCPU Xeon VM.
 _BLOCK_ENTRIES = 1 << 14
 
 # Large designs per row-bound search: at n = 1000, stacks of 6 and 8 timed fastest
@@ -462,15 +466,18 @@ class _SwapState:
     rounding drift stays bounded.  best_repairs() finds repair swaps and
     best_swaps() descent swaps, through pairs(), the scorer of a stack of
     designs that share their arm sizes: best_stacked() scores every pair,
-    best() only the plus rows whose lower bound comes within window() of
-    the best value found so far, and takes the canonical() minimum.
+    best() only the plus rows whose obj_row_bounds() comes within window()
+    of the best value found so far, and takes the canonical() minimum.
     """
 
     def __init__(self, problem: HybridProblem, x: np.ndarray, resync: int):
         self.H, self.psi, self.W = problem.H, problem.psi, problem.W
-        self.Ht1 = np.hstack([problem.H.T, np.ones((problem.n, 1))])  # for obj_row_bounds
-        self.Ht = self.Ht1[:, :-1]  # row i = column i of H
+        self.Ht = np.ascontiguousarray(problem.H.T)  # row i = column i of H
+        self.Ht1 = None  # float32 [Ht 1], built by the first obj_row_bounds()
         self.Wd = None  # dense W, flattened, built by the first weights() of a small design
+        # Twice the largest weight: how far below the top s of its arm an
+        # endpoint of a repair edge that can beat the top pair may lie.
+        self.reach = None if self.W is None else 2.0 * float(self.W.data.max(initial=0.0))
         self.x = x.reshape(-1, problem.n)
         R = self.x.shape[0]
         self.v = np.empty((R, self.H.shape[0]))
@@ -550,26 +557,36 @@ class _SwapState:
 
         dc = -4 (s_i + s_j + 2 w_ij) is exact for nonnegative integer weights
         (0/1 in a Network), so a scan of every pair takes the first top-s plus
-        node with the first top-s minus node, or a cross-arm edge that scores
-        lower or ties it earlier in (plus, minus) order, the order of W's
-        sorted CSR entries.  The edges of as many designs as fit in
-        _BLOCK_ENTRIES are scored at once.  Designs whose best dc is not
-        below -1e-12 are left out.
+        node i* with the first top-s minus node j*, or a cross-arm edge that
+        scores lower or ties it earlier in (plus, minus) order.  Such an edge
+        (i, j) has s_i + s_j + 2 w_ij >= s_i* + s_j*, so s_i >= s_i* - 2 w_max
+        and s_j >= s_j* - 2 w_max: only the CSR rows of those plus nodes are
+        read, and only their heads among those minus nodes scored, in
+        (design, plus, minus) order, for every design in one pass; on graphs
+        where many nodes tie at the top, such as complete bipartite ones, in
+        passes of about _BLOCK_ENTRIES entries, so memory stays O(n + m).
+        Designs whose best dc is not below -1e-12 are left out.
         """
         W, at = self.W, np.arange(rows.size)
         S, plus = self.x[rows] * self.wx[rows], self.x[rows] > 0
-        i = np.where(plus, S, -np.inf).argmax(axis=1)
-        j = np.where(plus, -np.inf, S).argmax(axis=1)
+        top, bottom = np.where(plus, S, -np.inf), np.where(plus, -np.inf, S)
+        i, j = top.argmax(axis=1), bottom.argmax(axis=1)
         dc = _cut_delta(S[at, i], S[at, j], 0.0)  # an edge i-j scores lower below
-        tail, head = np.repeat(np.arange(W.shape[0]), np.diff(W.indptr)), W.indices
-        per = max(1, _BLOCK_ENTRIES // W.nnz)
-        for g in np.split(at, np.arange(per, rows.size, per)):
-            cut = _cut_delta(S[g][:, tail], S[g][:, head], W.data)
-            cut[~plus[g][:, tail] | plus[g][:, head]] = np.inf
-            e = cut.argmin(axis=1)
-            v, ei, ej = cut[at[: g.size], e], tail[e], head[e]
+        near = top >= S[at, i, None] - self.reach
+        load = np.cumsum(near @ np.diff(W.indptr)) // _BLOCK_ENTRIES
+        for group in np.split(at, np.flatnonzero(np.diff(load)) + 1):
+            g, tail = np.nonzero(near[group])
+            nz, count = _csr_entries(W, tail)
+            g, tail, head = np.repeat(group[g], count), np.repeat(tail, count), W.indices[nz]
+            keep = bottom[g, head] >= S[g, j[g]] - self.reach
+            g, tail, head = g[keep], tail[keep], head[keep]
+            cut = _cut_delta(S[g, tail], S[g, head], W.data[nz[keep]])
+            lead = np.lexsort((cut, g))  # stable: ties keep (plus, minus) order
+            lead = lead[np.diff(g[lead], prepend=-1) != 0]  # each design's first lowest edge
+            g, v, ei, ej = g[lead], cut[lead], tail[lead], head[lead]
             win = (v < dc[g]) | ((v == dc[g]) & ((ei < i[g]) | ((ei == i[g]) & (ej < j[g]))))
-            dc[g[win]], i[g[win]], j[g[win]] = v[win], ei[win], ej[win]
+            g = g[win]
+            dc[g], i[g], j[g] = v[win], ei[win], ej[win]
         ok = dc < -1e-12
         return rows[ok], i[ok], j[ok], dc[ok]
 
@@ -578,6 +595,8 @@ class _SwapState:
 
         P and M hold each design's plus and minus nodes, (G, k) and (G, l);
         A its a = H'v and S its s = x * Wx (None without W), both (G, n).
+        The methods that take arms also take them followed by their
+        gather_minus(), which a stack then gathers once for all its calls.
         """
         X = self.x[rows]
         G, n = X.shape
@@ -593,9 +612,11 @@ class _SwapState:
         h_j, (G, l, rows of H), holds the columns of H at each design's
         minus nodes.  pos, (G, n), maps each node to its column in each
         design's minus arm for the CSR gather of weights(), and is None for
-        designs whose pairs fit one block.  The row-bound search gathers
-        them once and scores every round against them.
+        designs whose pairs fit one block.  Returns arms[4:] when arms
+        already carries them.
         """
+        if len(arms) > 4:
+            return arms[4:]
         _, M, A, S = arms
         (G, l), n = M.shape, self.x.shape[1]
         at = np.arange(G)[:, None]
@@ -627,17 +648,17 @@ class _SwapState:
         w[row[keep], col[keep]] = self.W.data[nz[keep]]
         return w.reshape(P.shape + M.shape[1:])
 
-    def pairs(self, rows: np.ndarray, arms, capv: Optional[float], minus=None):
+    def pairs(self, rows: np.ndarray, arms, capv: Optional[float]):
         """(score, cut) blocks, (G, k, l), of the swaps P x M of the designs in rows.
 
         arms is (P, M, A, S) as focus returns it, for every plus row or a
-        subset, and minus its gather_minus(), gathered here when None.
-        The score is the objective delta, inf where the cut would take x'Wx
-        above capv; cut is None without W.  Every product is the per-design
-        one: a stacked matmul runs the same BLAS call for each design.
+        subset, followed by their gather_minus() or not.  The score is the
+        objective delta, inf where the cut would take x'Wx above capv; cut is
+        None without W.  Every product is the per-design one: a stacked
+        matmul runs the same BLAS call for each design.
         """
-        P, M, A, S = arms
-        s_j, a_j, psi_j, h_j, pos = self.gather_minus(arms) if minus is None else minus
+        P, M, A, S = arms[:4]
+        s_j, a_j, psi_j, h_j, pos = self.gather_minus(arms)
         at = np.arange(P.shape[0])[:, None]
         cut = None
         if self.W is not None:
@@ -656,8 +677,9 @@ class _SwapState:
     def window(self, A: np.ndarray) -> np.ndarray:
         """Rounding window 64 (k + 4) eps (max psi + max |a|) of designs whose a are A's rows.
 
-        Two roundings of a pair's score differ by 2 (8k + 44) u at most, a row bound and its
-        scores by (20k + 88) u, times that scale, for u = eps / 2 (Higham 2002, ch. 3).
+        Two float64 roundings of a pair's score differ by 2 (8k + 44) u at most, a row
+        bound and its scores by (20k + 88) u, times that scale, for u = eps / 2 (Higham
+        2002, ch. 3).  obj_row_bounds() widens its float32 bounds by a slack of their own.
         """
         scale = float(self.psi.max()) + np.abs(A).max(axis=1)
         return 64.0 * (self.H.shape[0] + 4) * np.finfo(float).eps * scale
@@ -672,25 +694,45 @@ class _SwapState:
     def obj_row_bounds(self, arms) -> np.ndarray:
         """Lower bounds, (G, k), on the descent scores of each plus row of each design in arms.
 
-        Row i's minimum is 4(psi_i - a_i) + min_j [4(psi_j + a_j) - 8 h_i.h_j],
-        one stacked matrix product per block of at least 16 rows, less the
-        window() that covers the rounding of this sum and of the scores.
+        Row i's minimum is 4(psi_i - a_i) + min_j t_ij, t_ij = c_j - 8 h_i.h_j with
+        c_j = 4(psi_j + a_j): one stacked float32 matrix product of [h_i 1] and
+        [-8 h_j; c_j], q = rows of H + 1 long, per block of twice the rows of a
+        block of pairs, at least 16, and its row minima in float32, less
+        window(), which covers the float64 rest, and less a slack E for float32.
+        With u = 2^-24, rounding each input to float32 costs a factor (1 + u) and
+        the q-term sum in any order, FMA or not, gamma_q (Higham 2002, ch. 3), so
+        |fl(t_ij) - t_ij| <= gamma_{q+2} (8 sum_r |h_ri h_rj| + |c_j|), where
+        sum_r |h_ri h_rj| <= sqrt(psi_i psi_j) <= max psi by Cauchy-Schwarz.
+        Hence E = 1.01 (q + 4) u (8 max psi + max_j |c_j|) for each design, plus
+        10 (q + 1) (1 + sqrt(max psi)) 2^-126 for terms that underflow, even
+        flushed to zero.  A minimum adds no rounding, so a bound lies at most
+        2 (E + window()) below its row's lowest float64 score.  H'H <= R in the
+        positive semidefinite order gives psi_i <= d_i and |a_j| <= n max d, far
+        inside float32 range on any graph.
         """
-        P, M, A, _ = arms
+        P, M, A = arms[:3]
+        _, a_j, psi_j, h_j, _ = self.gather_minus(arms)
         (G, k), l = P.shape, M.shape[1]
-        at = np.arange(G)[:, None]
-        H, psi, left = self.H, self.psi, self.Ht1[P]
-        right = np.empty((G, H.shape[0] + 1, l))
-        right[:, :-1] = -8.0 * np.take(H, M, axis=1).transpose(1, 0, 2)
-        right[:, -1] = 4.0 * (psi[M] + A[at, M])
-        rows = max(16, _BLOCK_ENTRIES // l)
-        buf = np.empty((G, min(rows, k), l))
-        low = np.empty((G, k))
+        if self.Ht1 is None:
+            self.Ht1 = np.hstack([self.Ht, np.ones((self.Ht.shape[0], 1))]).astype(np.float32)
+        q = self.Ht1.shape[1]
+        c = 4.0 * (psi_j + a_j)[:, 0]
+        right = np.empty((G, q, l), dtype=np.float32)
+        np.multiply(h_j.transpose(0, 2, 1), -8.0, out=right[:, :-1], casting="same_kind")
+        right[:, -1] = c
+        left = self.Ht1[P]
+        rows = max(16, 2 * _BLOCK_ENTRIES // l)
+        buf = np.empty((G, min(rows, k), l), dtype=np.float32)
+        low = np.empty((G, k), dtype=np.float32)
         for lo in range(0, k, rows):
             block = buf[:, : min(rows, k - lo)]
             np.matmul(left[:, lo : lo + rows], right, out=block)
             block.min(axis=2, out=low[:, lo : lo + rows])
-        return low + 4.0 * (psi[P] - A[at, P]) - self.window(A)[:, None]
+        psi_max = float(self.psi.max())
+        slack = 1.01 * (q + 4) * 2.0**-24 * (8.0 * psi_max + np.abs(c).max(axis=1))
+        slack += 10.0 * (q + 1) * (1.0 + math.sqrt(psi_max)) * 2.0**-126
+        at = np.arange(G)[:, None]
+        return low + 4.0 * (self.psi[P] - A[at, P]) - (self.window(A) + slack)[:, None]
 
     def best(self, rows: np.ndarray, arms, capv: Optional[float], floors, low: np.ndarray):
         """Each design's lowest pair below its floor: arrays (value, i, j, cut delta).
@@ -705,9 +747,10 @@ class _SwapState:
         score so far are rescored by canonical(), less than w / 2 from a
         block score, so no block layout changes the result.
         """
+        arms = arms[:4] + self.gather_minus(arms)
         P, M, A = arms[:3]
         (G, k), l, n = P.shape, M.shape[1], self.x.shape[1]
-        minus, w = self.gather_minus(arms), self.window(A)
+        w = self.window(A)
         at, order = np.arange(G), np.argsort(low, axis=1, kind="stable")
         most = max(1, _BLOCK_ENTRIES // l)  # rows a block may take
         low = np.hstack([low[at[:, None], order], np.full((G, most), np.nan)])
@@ -717,8 +760,7 @@ class _SwapState:
             span = lo[live, None] + np.arange(size)
             span = span[:, : (low[live[:, None], span] <= (val + w)[live, None]).sum(1).max()]
             b = P[live[:, None], order[live[:, None], np.minimum(span, k - 1)]]
-            block, cut = self.pairs(rows[live], (b,) + _pick(arms[1:], live), capv,
-                                    _pick(minus, live))
+            block, cut = self.pairs(rows[live], (b,) + _pick(arms[1:], live), capv)
             lo[live], size = span[:, -1] + 1, min(2 * size, most)
             bar = np.minimum(val[live], block.min(axis=(1, 2))) + w[live]
             s, p, m = np.nonzero(block <= bar[:, None, None])
@@ -770,6 +812,7 @@ class _SwapState:
                 if fits:
                     val[at], i[at], j[at], dc[at] = self.best_stacked(rows[at], arms, capv)
                 else:
+                    arms += self.gather_minus(arms)  # once for the bounds and the search
                     low = self.obj_row_bounds(arms)
                     val[at], i[at], j[at], dc[at] = self.best(rows[at], arms, capv, floors[at], low)
         ok = val < floors
@@ -1003,7 +1046,9 @@ def solve(
     At n = 22-30 exact search took 0.005-0.65 s, where a 32-restart local
     search returned 1.6-7.1 times the optimum (0.026 against 6e-31 at 30).
     Local search beat annealing in objective and time at every size
-    measured, up to n = 12,000 (mean degree 10, p = 10).
+    measured up to n = 10,000 (mean degree 10, p = 10).  At n = 12,000 it
+    took 32-35 s against 49-50 s on two graphs, and its objective was 0.99
+    and 1.53 times annealing's.
     """
     if method == "auto":
         method = "exact" if problem.n <= 30 else "local"

@@ -670,6 +670,54 @@ def scan_repairs(W, X, rows):
                  for k in range(4))
 
 
+def dense_repairs(W, X, rows):
+    """What best_repairs(rows) returns, from the cut change of every plus x minus pair, W dense.
+
+    Swapping plus i and minus j is y = x - 2 e_i + 2 e_j, so y'Wy - x'Wx is
+    4 ((Wx)_j - (Wx)_i) + 4 (W_ii + W_jj) - 8 W_ij, with Wx recomputed.
+    """
+    found = []
+    for r in rows:
+        x = X[r]
+        P, M, wx = np.flatnonzero(x > 0), np.flatnonzero(x < 0), W @ x
+        delta = (4.0 * (wx[M][None, :] - wx[P][:, None])
+                 + 4.0 * (np.diag(W)[P][:, None] + np.diag(W)[M][None, :]) - 8.0 * W[np.ix_(P, M)])
+        a, b = np.unravel_index(int(np.argmin(delta)), delta.shape)  # first in (plus, minus) order
+        if delta[a, b] < -1e-12:
+            found.append((r, P[a], M[b], delta[a, b]))
+    return tuple(np.array([f[k] for f in found], dtype=float if k == 3 else np.int64)
+                 for k in range(4))
+
+
+def tie_heavy_graph(kind, n, weighted, seed):
+    """Sparse W of a cycle, a complete bipartite graph or a near-regular circulant, sorted CSR."""
+    rng = np.random.default_rng(seed)
+    if kind == "cycle":
+        i = np.arange(n)
+        j = (i + 1) % n
+    elif kind == "bipartite":
+        i, j = (a.ravel() for a in np.meshgrid(np.arange(n // 2), np.arange(n // 2, n)))
+    else:  # circulant with offsets 1, 2 and 5, less about 5% of its edges
+        i = np.repeat(np.arange(n), 3)
+        j = (i + np.tile([1, 2, 5], n)) % n
+        keep = rng.random(i.size) > 0.05
+        i, j = i[keep], j[keep]
+    edges = np.unique(np.sort(np.c_[i, j][i != j], axis=1), axis=0)
+    w = rng.integers(1, 4, size=len(edges)).astype(float) if weighted else np.ones(len(edges))
+    W = sparse.csr_array((np.r_[w, w], (np.r_[edges[:, 0], edges[:, 1]],
+                                         np.r_[edges[:, 1], edges[:, 0]])), shape=(n, n))
+    W.sum_duplicates()
+    W.sort_indices()
+    return W
+
+
+def repair_state(W, X):
+    """A swap state over the stack X on W; repair reads nothing of the objective."""
+    n = W.shape[0]
+    prob = dataclasses.replace(no_network_problem(generate_pm1_covariates(n, 1, seed=n)), W=W)
+    return _SwapState(prob, X, resync=64)
+
+
 class TestBestRepairs:
     @settings(max_examples=60)
     @given(
@@ -700,6 +748,68 @@ class TestBestRepairs:
                 r, i, j, dc = got
                 state.apply(i, j, None, dc, r=r)
 
+    @settings(max_examples=60)
+    @given(
+        kind=st.sampled_from(["cycle", "bipartite", "near_regular"]),
+        n=st.integers(4, 300),
+        weighted=st.booleans(),
+        designs=st.integers(1, 6),
+        one_design_chunks=st.booleans(),
+        seed=st.integers(0, 2**31 - 1),
+    )
+    def test_tie_heavy_graphs_match_scan_of_every_pair(self, kind, n, weighted, designs,
+                                                       one_design_chunks, seed):
+        # Equal s on many nodes: the top pair and the near-top edges tie often.
+        W = tie_heavy_graph(kind, n, weighted, seed)
+        assume(W.nnz > 0)
+        X = np.stack([random_balanced_design(n, seed + 1 + d).x for d in range(designs)])
+        state = repair_state(W, X)
+        rows = np.arange(designs)
+        with pytest.MonkeyPatch.context() as mp:
+            if one_design_chunks:
+                mp.setattr(optimizer, "_BLOCK_ENTRIES", 1)
+            for _ in range(6):
+                got = state.best_repairs(rows)
+                want = dense_repairs(W.toarray(), state.x, rows)
+                for a, b in zip(got, want):
+                    assert a.shape == b.shape and np.array_equal(a, b)
+                r, i, j, dc = got
+                state.apply(i, j, None, dc, r=r)
+
+    def test_tied_tops_keep_memory_linear(self):
+        # On K_{500,500} all plus nodes of a side share their s, so a design
+        # reads about half of W's entries.  In one pass the 32 designs peaked
+        # at 233 MB; in passes of about one block, at 15 MB.
+        W = tie_heavy_graph("bipartite", 1000, False, 0)
+        X = np.stack([random_balanced_design(1000, 1 + d).x for d in range(32)])
+        state = repair_state(W, X)
+        tracemalloc.start()
+        try:
+            state.best_repairs(np.arange(32))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 8 * W.nnz  # eight float64 or int64 arrays the size of W
+
+    @pytest.mark.parametrize("w", [1.0, 3.0])
+    @pytest.mark.parametrize("edges, swap", [
+        # Plus 0 has s_0 = s_1* - 2w, minus 4 is the top minus node: edge 0-4 ties (1, 4).
+        ([(1, 2), (4, 5), (4, 6), (0, 4), (3, 7)], (0, 4)),
+        # Minus 4 has s_4 = s_5* - 2w, plus 0 is the top plus node: edge 0-4 ties (0, 5).
+        ([(0, 1), (0, 2), (0, 4), (5, 6), (3, 7)], (0, 4)),
+    ])
+    def test_edge_at_the_reach_ties_the_top_pair(self, edges, swap, w):
+        # The tying edge lies exactly 2 w below the top s of its arm and comes
+        # first in (plus, minus) order, so it must be taken.
+        i, j = np.array(edges).T
+        W = sparse.csr_array((np.full(2 * i.size, w), (np.r_[i, j], np.r_[j, i])), shape=(8, 8))
+        W.sort_indices()
+        X = np.array([[1.0] * 4 + [-1.0] * 4])
+        got = repair_state(W, X).best_repairs(np.arange(1))
+        assert [int(got[1][0]), int(got[2][0]), float(got[3][0])] == [*swap, -8.0 * w]
+        for a, b in zip(got, dense_repairs(W.toarray(), X, np.arange(1))):
+            assert np.array_equal(a, b)
+
 
 def scan_every_pair(state, rows, arms, capv, floor):
     """What best() returns, from canonical() on every pair of the stack of one, within the cap."""
@@ -728,11 +838,13 @@ def scan_each_design(state, rows, arms, capv, floors, low):
             np.array([j for _, j in pairs]), np.array([dc for _, _, dc in found]))
 
 
-def pruning_instance(n, density, p, rho0, alpha, weighted, seed):
+def pruning_instance(n, density, p, rho0, alpha, weighted, seed, cov=None):
+    """A hybrid problem on a connected Bernoulli graph, with p +/-1 covariates unless cov is given."""
     net = repair_isolated(
         generate_bernoulli_network(n, density, seed=seed), "connect", seed=seed
     ).network
-    prob = hybrid_problem(net, generate_pm1_covariates(n, p, seed=seed + 1), rho0, alpha)
+    cov = generate_pm1_covariates(n, p, seed=seed + 1) if cov is None else cov
+    prob = hybrid_problem(net, cov, rho0, alpha)
     if weighted:
         # Small integer weights keep cut ties common.
         W = sparse.triu(net.adjacency, k=1).tocoo()
@@ -741,6 +853,18 @@ def pruning_instance(n, density, p, rho0, alpha, weighted, seed):
                              shape=(n, n))
         prob = dataclasses.replace(prob, W=W)
     return prob
+
+
+def float32_slack(state, arms):
+    """E = 1.01 (q + 4) 2^-24 (8 max psi + max_j |c_j|) + 10 (q + 1) (1 + sqrt(max psi)) 2^-126.
+
+    q = rows of H + 1 and c_j = 4 (psi_j + a_j) over each design's minus arm.
+    """
+    M, A = arms[1:3]
+    q, psi_max = state.H.shape[0] + 1, float(state.psi.max())
+    c = 4.0 * (state.psi[M] + np.take_along_axis(A, M, axis=1))
+    return (1.01 * (q + 4) * 2.0**-24 * (8.0 * psi_max + np.abs(c).max(axis=1))
+            + 10.0 * (q + 1) * (1.0 + math.sqrt(psi_max)) * 2.0**-126)
 
 
 class TestPrunedSearch:
@@ -839,7 +963,50 @@ class TestPrunedSearch:
             low = state.obj_row_bounds(arms)
             rows = state.pairs(np.arange(1), arms, math.inf)[0][0].min(axis=1)
             assert np.all(low <= rows)
-            assert np.allclose(low, rows, rtol=0.0, atol=1e-9)
+            # The bound is the float32 row minimum less E + w, and that
+            # minimum may itself round up to E + w below the float64 one.
+            slack = float32_slack(state, arms)[0] + state.window(arms[2])[0]
+            assert np.all(rows - low <= 2.0 * slack)
+
+    @settings(max_examples=40)
+    @given(
+        n=st.integers(6, 1200),
+        density=st.floats(0.02, 0.5),
+        p=st.integers(1, 4),
+        continuous=st.booleans(),
+        scale=st.sampled_from([1e-6, 1.0, 1e6]),
+        weighted=st.booleans(),
+        designs=st.integers(1, 6),
+        block=st.sampled_from([1, 16, 64, 512]),
+        seed=st.integers(0, 2**31 - 1),
+    )
+    @example(n=1200, density=0.01, p=4, continuous=True, scale=1e-6, weighted=True, designs=6,
+             block=64, seed=5)
+    @example(n=1199, density=0.01, p=3, continuous=False, scale=1e6, weighted=False, designs=3,
+             block=1, seed=6)
+    def test_float32_bounds_are_valid(
+        self, n, density, p, continuous, scale, weighted, designs, block, seed
+    ):
+        # Every row bound lies at or below the lowest block score of its row,
+        # and within twice the slack of it, along several descent steps.
+        rng = np.random.default_rng(seed)
+        z = rng.standard_normal((n, p)) if continuous else rng.choice([-1.0, 1.0], (n, p))
+        assume(np.linalg.matrix_rank(np.c_[np.ones(n), z]) == p + 1)
+        prob = pruning_instance(n, min(density, 40 / n), p, 0.5, 0.5, weighted, seed,
+                                CovariateMatrix.from_raw(scale * z))
+        state = _SwapState(prob, balanced_stack(n, designs, seed + 2), resync=64)
+        rows = np.arange(designs)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(optimizer, "_BLOCK_ENTRIES", block)
+            for _ in range(4):
+                arms = state.focus(rows)
+                low = state.obj_row_bounds(arms)
+                lowest = state.pairs(rows, arms, math.inf)[0].min(axis=2)
+                assert np.all(low <= lowest)
+                slack = float32_slack(state, arms) + state.window(arms[2])
+                assert np.all(lowest - low <= 2.0 * slack[:, None])
+                r, i, j, val, dc = state.best_swaps(rows, prob.cap + 1e-9)
+                state.apply(i, j, val, dc, r=r)
 
     @pytest.mark.parametrize("bound", [lambda plus, minus: np.full(plus.size, -1.0)])
     def test_decodes_pairs_across_blocks(self, bound):
