@@ -189,11 +189,13 @@ def cmd_diagnose(args) -> int:
 
 
 def cmd_study(args) -> int:
+    if args.threads < 1:
+        raise DataError(f"--threads must be at least 1, got {args.threads}")
     path = Path(args.spec)
     if not path.exists():
         path = bundled_study_path(args.spec)
     spec = load_study_spec(path, full=args.full)
-    result = run_study(spec)
+    result = run_study(spec, threads=args.threads)
     out = Path(args.output) if args.output else Path(f"{spec.name}.csv")
     if args.format == "json":
         out = out.with_suffix(".json") if out.suffix == ".csv" else out
@@ -269,9 +271,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("spec", help="spec file path or bundled study name")
     p.add_argument("--full", action="store_true",
                    help="restore the large-scale study defaults")
-    p.add_argument("--threads", type=int, default=1,
-                   help="accepted and ignored: study cells hold the interpreter "
-                        "lock, so they run on one thread")
+    p.add_argument("--threads", type=int, default=1, metavar="N",
+                   help="run study cells in up to N forked worker processes "
+                        "(no more than the usable CPUs); output is byte-identical "
+                        "for any N (default 1)")
     p.set_defaults(func=cmd_study)
 
     return parser

@@ -8,6 +8,11 @@ CSV with a fixed header plus a JSON metadata sidecar echoing the resolved
 spec; nothing in the output depends on the clock, so identical specs give
 byte-identical files.
 
+Every cell of a study (a replicate, or a replicate at one network size)
+draws from its own derived seeds, so cells can run in any order or in
+parallel: `run_study(spec, threads=N)` runs them on up to N forked worker
+processes and gives rows, CSV and metadata byte-identical to N = 1.
+
 Two scales exist per kind: the default desk scale finishes in minutes,
 while full=True restores the larger sizes the desk numbers were shrunk
 from.  An explicit key in the spec file always wins over either scale.
@@ -19,6 +24,7 @@ import csv
 import functools
 import io
 import json
+import os
 import sys
 from dataclasses import dataclass
 from importlib import metadata, resources
@@ -426,10 +432,61 @@ def _meta(spec: StudySpec, columns, rows) -> dict:
     }
 
 
-def _tabulate(spec: StudySpec, columns, cell, cells) -> StudyResult:
-    """Rows of `cell` over `cells`, in cell order."""
-    rows = [row for c in cells for row in cell(c)]
+def _tabulate(spec: StudySpec, columns, cell, cells, threads: int) -> StudyResult:
+    """Rows of `cell` over `cells`, in cell order, on as many workers as
+    run_study describes."""
+    cells = list(cells)
+    workers = min(threads, len(cells), _usable_cpus())
+    if workers > 1 and hasattr(os, "fork"):
+        rows = _pooled_rows(cell, cells, workers)
+    else:
+        rows = [row for c in cells for row in cell(c)]
     return StudyResult(spec.kind, columns, rows, _meta(spec, columns, rows))
+
+
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+# The cell function of the study a forked worker serves.  It is set once, in
+# the worker, by the pool's initializer; the parent never sets it.
+_worker_cell = None
+
+
+def _set_worker_cell(cell) -> None:
+    global _worker_cell
+    _worker_cell = cell
+
+
+def _worker_rows(c) -> list:
+    return _worker_cell(c)
+
+
+def _pooled_rows(cell, cells, workers: int) -> list:
+    """Rows of `cell` over `cells`, in cell order, from `workers` forked
+    processes.  Under fork the initializer's arguments are inherited, not
+    pickled, so `cell` may be a closure; tasks carry only cell keys and rows
+    come back pickled.  Keys go in contiguous chunks of about an eighth of a
+    worker's share: one key per task costs more than a sub-millisecond cell,
+    and eight chunks a worker still balance cells of uneven cost.  A cell's
+    exception is raised here as its own type; the pool is shut down, its
+    queued chunks dropped, before this returns."""
+    # Imported here: a serial study and the other subcommands need neither.
+    import multiprocessing
+    from concurrent.futures.process import ProcessPoolExecutor
+
+    pool = ProcessPoolExecutor(
+        max_workers=workers, mp_context=multiprocessing.get_context("fork"),
+        initializer=_set_worker_cell, initargs=(cell,),
+    )
+    try:
+        chunk = max(1, len(cells) // (8 * workers))
+        return [row for rows in pool.map(_worker_rows, cells, chunksize=chunk) for row in rows]
+    finally:
+        pool.shutdown(wait=True, cancel_futures=True)
 
 
 def _rho_heads(base: dict, rho_ts) -> list:
@@ -471,8 +528,11 @@ def _breakdown_row(ev: CriterionEvaluator, x) -> dict:
     }
 
 
-def run_study(spec: StudySpec) -> StudyResult:
-    """Run the study `spec` describes, one cell after another."""
+def run_study(spec: StudySpec, threads: int = 1) -> StudyResult:
+    """Run the study `spec` describes.  Its cells run on up to `threads`
+    forked worker processes, never more than there are cells or usable
+    CPUs; one worker, or a platform without fork, runs them one after
+    another in this process.  The result is byte-identical for any count."""
     runner = {
         "alpha_sweep": run_alpha_sweep,
         "rho_robustness": run_rho_robustness,
@@ -481,7 +541,7 @@ def run_study(spec: StudySpec) -> StudyResult:
         "pseudo_experiment": run_pseudo_experiment,
         "gap_histogram": run_gap_histogram,
     }[spec.kind]
-    return runner(spec)
+    return runner(spec, threads)
 
 
 # ---------------------------------------------------------------------------
@@ -495,7 +555,7 @@ ALPHA_SWEEP_COLUMNS = (
 )
 
 
-def run_alpha_sweep(spec: StudySpec) -> StudyResult:
+def run_alpha_sweep(spec: StudySpec, threads: int = 1) -> StudyResult:
     """Design at rho0 under each cap level; record criterion and precision
     improvement at every evaluation correlation."""
     P = spec.params
@@ -534,7 +594,7 @@ def run_alpha_sweep(spec: StudySpec) -> StudyResult:
             out += rows
         return out
 
-    return _tabulate(spec, ALPHA_SWEEP_COLUMNS, cell, range(P["replicates"]))
+    return _tabulate(spec, ALPHA_SWEEP_COLUMNS, cell, range(P["replicates"]), threads)
 
 
 # ---------------------------------------------------------------------------
@@ -547,7 +607,7 @@ RHO_ROBUSTNESS_COLUMNS = (
 )
 
 
-def run_rho_robustness(spec: StudySpec) -> StudyResult:
+def run_rho_robustness(spec: StudySpec, threads: int = 1) -> StudyResult:
     """Compare the design solved at rho0 with one solved at each true
     correlation, both scored at the true correlation.  The same solver
     seed is used across the grid, so the design solved at rho0 is also the
@@ -586,7 +646,7 @@ def run_rho_robustness(spec: StudySpec) -> StudyResult:
             out += rows
         return out
 
-    return _tabulate(spec, RHO_ROBUSTNESS_COLUMNS, cell, range(P["replicates"]))
+    return _tabulate(spec, RHO_ROBUSTNESS_COLUMNS, cell, range(P["replicates"]), threads)
 
 
 # ---------------------------------------------------------------------------
@@ -601,7 +661,7 @@ NETWORK_COMPARISON_COLUMNS = (
 )
 
 
-def run_network_comparison(spec: StudySpec) -> StudyResult:
+def run_network_comparison(spec: StudySpec, threads: int = 1) -> StudyResult:
     """Hybrid design versus the covariate-only design on shared datasets.
 
     Improvements are measured against the exact random-balanced-design
@@ -657,7 +717,7 @@ def run_network_comparison(spec: StudySpec) -> StudyResult:
             out += rows
         return out
 
-    return _tabulate(spec, NETWORK_COMPARISON_COLUMNS, cell, cells)
+    return _tabulate(spec, NETWORK_COMPARISON_COLUMNS, cell, cells, threads)
 
 
 # ---------------------------------------------------------------------------
@@ -676,7 +736,7 @@ def _mse_percentile(opt_mse: float, random_mses) -> float:
     return (below + 0.5 * ties) / len(random_mses)
 
 
-def run_pseudo_experiment(spec: StudySpec) -> StudyResult:
+def run_pseudo_experiment(spec: StudySpec, threads: int = 1) -> StudyResult:
     """Outcome-level comparison on subsampled networks.
 
     Per replicate: subsample the base network, drop isolated nodes, solve
@@ -793,7 +853,7 @@ def run_pseudo_experiment(spec: StudySpec) -> StudyResult:
             out.append(row)
         return out
 
-    return _tabulate(spec, PSEUDO_EXPERIMENT_COLUMNS, cell, range(P["replicates"]))
+    return _tabulate(spec, PSEUDO_EXPERIMENT_COLUMNS, cell, range(P["replicates"]), threads)
 
 
 # ---------------------------------------------------------------------------
@@ -814,7 +874,7 @@ def _gap_design(seed: int, idx: int, n: int, prior_draws: int):
     return design_seed, rho_seed, random_iid_design(n, design_seed).x, rhos
 
 
-def run_gap_histogram(spec: StudySpec) -> StudyResult:
+def run_gap_histogram(spec: StudySpec, threads: int = 1) -> StudyResult:
     """Sample completely randomized designs on one dense network and record
     the surrogate criterion, the prior-averaging gap, and its bounds.
 
@@ -851,4 +911,4 @@ def run_gap_histogram(spec: StudySpec) -> StudyResult:
 
         return _scored([base], score)
 
-    return _tabulate(spec, GAP_HISTOGRAM_COLUMNS, cell, range(P["designs"]))
+    return _tabulate(spec, GAP_HISTOGRAM_COLUMNS, cell, range(P["designs"]), threads)

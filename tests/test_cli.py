@@ -1,14 +1,17 @@
 """Command-line behavior: exit codes, round trips, and the thin-adapter
 rule.  Everything runs in-process through main(argv) so exit codes and
 output bytes are observable without spawning subprocesses; only the
-check of what a command imports needs a fresh interpreter.  The oracle
+check of what a command imports needs a fresh interpreter, and
+`study --threads N` forks its workers from the test process.  The oracle
 for numerical values is always a direct library call on the same files.
 """
 
 import contextlib
 import csv
+import dataclasses
 import io
 import json
+import multiprocessing
 import os
 import string
 import subprocess
@@ -16,6 +19,7 @@ import sys
 import tempfile
 import tracemalloc
 import warnings
+from concurrent.futures import process
 from pathlib import Path
 
 import numpy as np
@@ -23,9 +27,11 @@ import pytest
 from hypothesis import given, strategies as st
 
 import netdesign
+from netdesign import experiments
 from netdesign.cli import main
 from netdesign.criterion import evaluate, k_matrix, pip, quadform_correlation
 from netdesign.designs import Design
+from netdesign.errors import DataError
 from netdesign.experiments import derive_seed
 from netdesign.graph import (
     generate_bernoulli_network,
@@ -455,6 +461,24 @@ class TestImports:
                               text=True, timeout=120, check=True)
         assert done.stdout.splitlines()[-1] == "[]"
 
+    def test_serial_commands_load_no_process_pool(self, tmp_path):
+        # The pool's modules cost several milliseconds of start-up; only a
+        # study with more than one worker imports them.
+        edges, covs = make_dataset(tmp_path)
+        spec = tmp_path / "mini.yaml"
+        spec.write_text("kind: gap_histogram\nn: 16\ndensity: 0.3\ndesigns: 3\nrho_draws: 20\n")
+        code = (
+            "import sys\nfrom netdesign.cli import main\n"
+            f"assert main(['design', {edges!r}, {covs!r}, '--output', {str(tmp_path / 'd.csv')!r}]) == 0\n"
+            f"assert main(['study', {str(spec)!r}, '--output', {str(tmp_path / 's.csv')!r}]) == 0\n"
+            "print([m for m in ('multiprocessing', 'concurrent.futures.process') if m in sys.modules])\n"
+        )
+        src = str(Path(netdesign.__file__).parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                              text=True, timeout=120, check=True)
+        assert done.stdout.splitlines()[-1] == "[]"
+
 
 class TestStudy:
     def test_bundled_name_resolves(self, tmp_path):
@@ -506,6 +530,148 @@ class TestStudy:
         doc = json.loads(out.read_text())
         assert len(doc["rows"]) == 3
         assert doc["meta"]["kind"] == "gap_histogram"
+
+
+# One tiny spec per study kind, with at least three cells each.
+_TINY_STUDIES = {
+    "alpha_sweep": "n: 20\np: 2\nreplicates: 3\nalphas: [0.1, 0.01]\nrho_ts: [0.5]\nrestarts: 2\n",
+    "rho_robustness": "n: 20\np: 2\nreplicates: 3\nrho_ts: [0.3, 0.5]\nrestarts: 2\n",
+    "network_vs_no_network": "n: 20\np: 2\nreplicates: 3\nrho_ts: [0.5]\nrestarts: 2\n",
+    "size_sweep": "n_grid: [20, 24]\np: 2\nreplicates: 2\nrho_ts: [0.5]\nrestarts: 2\n",
+    "pseudo_experiment": ("n_base: 80\ndensity: 0.06\np: 3\nsubsample: 56\nreplicates: 3\n"
+                          "draws: 3\nrestarts: 2\n"),
+    "gap_histogram": "n: 20\ndensity: 0.3\ndesigns: 7\nrho_draws: 20\n",
+}
+
+
+class _Refused(Exception):
+    pass
+
+
+class TestStudyWorkers:
+    """`study --threads N` runs cells on forked workers, byte-identical to N = 1."""
+
+    @pytest.fixture(autouse=True)
+    def four_cpus(self, monkeypatch):
+        # Every worker count asked for below runs, whatever this machine has.
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(4)), raising=False)
+
+    @pytest.fixture
+    def pool_spy(self, monkeypatch):
+        """Stands in for the process pool: records the worker count each
+        construction asks for, then raises before any process starts."""
+        asked = []
+
+        def refuse(max_workers, **kwargs):
+            asked.append(max_workers)
+            raise _Refused
+
+        monkeypatch.setattr(process, "ProcessPoolExecutor", refuse)
+        return asked
+
+    def study_bytes(self, tmp_path, spec, threads, fmt):
+        out = tmp_path / f"t{threads}.{fmt}"
+        assert run("study", spec, "--threads", threads, "--format", fmt, "--output", out) == 0
+        assert multiprocessing.active_children() == []
+        meta = tmp_path / f"t{threads}.csv.meta.json"
+        return out.read_bytes() + (meta.read_bytes() if fmt == "csv" else b"")
+
+    @pytest.mark.parametrize("kind", sorted(_TINY_STUDIES))
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_every_kind_byte_identical_for_any_thread_count(self, tmp_path, kind, fmt):
+        spec = tmp_path / "mini.yaml"
+        spec.write_text(f"kind: {kind}\nseed: 9\n" + _TINY_STUDIES[kind])
+        one = self.study_bytes(tmp_path, spec, 1, fmt)
+        for threads in (2, 3):
+            assert self.study_bytes(tmp_path, spec, threads, fmt) == one, threads
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_failure_statuses_from_workers_byte_identical(self, tmp_path, monkeypatch, fmt):
+        # Replicate 1's dataset fails and replicate 2's design misses the cap;
+        # both statuses are set inside a worker.
+        real_synth, real_solve = experiments.synth_dataset, experiments.solve
+
+        def synth(n, p, density, seed):
+            if seed == derive_seed(9, 0, 1):
+                raise DataError("no usable draw")
+            return real_synth(n, p, density, seed)
+
+        def solve(*args, seed, **kwargs):
+            report = real_solve(*args, seed=seed, **kwargs)
+            return report if seed != derive_seed(9, 1, 2) else dataclasses.replace(
+                report, feasible=False)
+
+        monkeypatch.setattr(experiments, "synth_dataset", synth)
+        monkeypatch.setattr(experiments, "solve", solve)
+        spec = tmp_path / "mini.yaml"
+        spec.write_text("kind: rho_robustness\nseed: 9\n" + _TINY_STUDIES["rho_robustness"])
+        one = self.study_bytes(tmp_path, spec, 1, fmt)
+        for status in (b"DataError", b"infeasible", b"ok"):
+            assert status in one
+        for threads in (2, 3):
+            assert self.study_bytes(tmp_path, spec, threads, fmt) == one, threads
+
+    def test_worker_error_reaches_main_as_its_own_type(self, tmp_path, monkeypatch, capsys):
+        real = experiments.synth_dataset
+
+        def synth(n, p, density, seed):
+            if seed == derive_seed(9, 0, 1):
+                raise np.linalg.LinAlgError("Singular matrix")
+            return real(n, p, density, seed)
+
+        monkeypatch.setattr(experiments, "synth_dataset", synth)
+        shutdowns, real_shutdown = [], process.ProcessPoolExecutor.shutdown
+
+        def shutdown(pool, *args, **kwargs):
+            shutdowns.append(kwargs)
+            return real_shutdown(pool, *args, **kwargs)
+
+        monkeypatch.setattr(process.ProcessPoolExecutor, "shutdown", shutdown)
+        spec = tmp_path / "mini.yaml"
+        spec.write_text("kind: alpha_sweep\nseed: 9\n" + _TINY_STUDIES["alpha_sweep"])
+        errs = []
+        for threads in (1, 2):
+            capsys.readouterr()
+            assert run("study", spec, "--threads", threads, "--output", tmp_path / "s.csv") == 4
+            errs.append(capsys.readouterr().err)
+            assert multiprocessing.active_children() == []
+        assert errs[0] == errs[1] == "numerical failure: Singular matrix\n"
+        assert shutdowns == [{"wait": True, "cancel_futures": True}]
+        # The library raises the worker's exception with its remote traceback.
+        with pytest.raises(np.linalg.LinAlgError) as raised:
+            experiments.run_study(experiments.load_study_spec(spec), threads=2)
+        assert type(raised.value.__cause__).__name__ == "_RemoteTraceback"
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("threads", [0, -3])
+    def test_threads_below_one_fails_before_the_spec_is_read(self, capsys, threads):
+        assert run("study", "no_such_study", "--threads", threads) == 2
+        assert capsys.readouterr().err == f"error: --threads must be at least 1, got {threads}\n"
+
+    @pytest.mark.parametrize("cpus", [3, None])
+    def test_worker_count_never_exceeds_usable_cpus(self, tmp_path, monkeypatch, pool_spy, cpus):
+        # cpus None: no affinity call on the platform, so the CPU count rules.
+        if cpus is None:
+            monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+            monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        else:
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+        spec = tmp_path / "mini.yaml"
+        spec.write_text("kind: gap_histogram\n" + _TINY_STUDIES["gap_histogram"])
+        with pytest.raises(_Refused):
+            run("study", spec, "--threads", 10 ** 12, "--output", tmp_path / "s.csv")
+        assert pool_spy == [cpus or 2]
+
+    def test_one_worker_or_no_fork_runs_in_this_process(self, tmp_path, monkeypatch, pool_spy):
+        spec = tmp_path / "mini.yaml"
+        spec.write_text("kind: gap_histogram\n" + _TINY_STUDIES["gap_histogram"])
+        one_cell = tmp_path / "one.yaml"
+        one_cell.write_text("kind: gap_histogram\nn: 20\ndensity: 0.3\ndesigns: 1\nrho_draws: 20\n")
+        assert run("study", one_cell, "--threads", 4, "--output", tmp_path / "a.csv") == 0
+        monkeypatch.delattr(os, "fork")
+        assert run("study", spec, "--threads", 4, "--output", tmp_path / "b.csv") == 0
+        assert pool_spy == []
+        assert len(read_rows(tmp_path / "b.csv")) == 7
 
 
 class TestDeterminism:
