@@ -228,6 +228,7 @@ def balanced_moment_c(n: int) -> float:
 def expected_precision_matrix(n: int) -> np.ndarray:
     """Dense E[x x'] over uniform balanced designs: unit diagonal, constant c off it."""
     c = balanced_moment_c(n)
+    _check_dense(n, "expected_precision_matrix")
     C = np.full((n, n), c)
     np.fill_diagonal(C, 1.0)
     return C
@@ -256,9 +257,11 @@ def pip(net: Network, cov: CovariateMatrix, x0, rho_t: float) -> float:
 
 
 def _as_dense_symmetric(mat, name: str) -> np.ndarray:
-    arr = mat.toarray() if sparse.issparse(mat) else np.asarray(mat, dtype=np.float64)
-    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
+    shape = mat.shape if sparse.issparse(mat) else np.shape(mat)
+    if len(shape) != 2 or shape[0] != shape[1]:
         raise DataError(f"{name} must be a square matrix")
+    _check_dense(shape[0], "quadform_correlation")
+    arr = mat.toarray() if sparse.issparse(mat) else np.asarray(mat, dtype=np.float64)
     scale = max(1.0, float(np.max(np.abs(arr))))
     if np.max(np.abs(arr - arr.T)) > 1e-8 * scale:
         raise DataError(f"{name} must be symmetric")
@@ -271,6 +274,9 @@ def quadform_correlation(a, b) -> float:
     Only off-diagonal entries matter: the correlation is the cosine of the
     strict upper triangles,
         sum_{i<j} a_ij b_ij / sqrt(sum a_ij^2) / sqrt(sum b_ij^2).
+
+    Sparse input is densified, so matrices above the dense-size limit are
+    refused before any n-by-n array is built.
     """
     A = _as_dense_symmetric(a, "a")
     B = _as_dense_symmetric(b, "b")

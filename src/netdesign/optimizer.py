@@ -23,16 +23,18 @@ on each arm and the cross-arm edges of the nodes whose s lies within
 twice the largest weight of that top, for every repairing design in one
 pass.  The restarts of a multistart solve advance in lockstep, one swap
 each per step, scored in stacks with the per-restart arithmetic, so each
-takes the swaps it would take alone.  Below one block of pairs per
-restart (n up to about 256) descent scores every pair of a stack.  Above
-that a lower bound on each plus row's best delta orders the rows, and
-rows are scored only until the next bound exceeds the best delta found
-by a rounding window, pairs near the best rescored in one fixed order,
-six restarts sharing each product and scoring call, in O(n) memory a
-restart.  The bounds are computed in float32, less a slack E that bounds
-their rounding error in advance, so they stay valid and the swaps stay
-those of a float64 scan.  Reported objectives are recomputed by a fresh
-pass over the returned design, never copied from solver bookkeeping.
+takes the swaps it would take alone.  Descent takes the first pair in
+(plus, minus) order of lowest score summed in one fixed order.  Below
+one block of pairs per restart (n up to about 256) it scores every pair
+of a stack, from a table of each node pair's terms.  Above that a lower
+bound on each plus row's best delta orders the rows, and rows are scored
+only until the next bound exceeds the best delta found by a rounding
+window, pairs near the best rescored in the fixed order, six restarts
+sharing each product and scoring call, in O(n) memory a restart.  The
+bounds are computed in float32, less a slack E that bounds their
+rounding error in advance, so they stay valid and the swaps stay those
+of a float64 scan.  Reported objectives are recomputed by a fresh pass
+over the returned design, never copied from solver bookkeeping.
 """
 
 from __future__ import annotations
@@ -416,18 +418,17 @@ def _cut_delta(s_i, s_j, w_ij):
     return -4.0 * (s_i + s_j + 2.0 * w_ij)
 
 
-def _obj_delta(a_i, a_j, psi_i, psi_j, g_ij):
-    """Change in ||Hx||^2 for the same swap; a = H'Hx and g_ij = h_i . h_j.
+def _pair_terms(psi_i, psi_j, g_ij):
+    """The part of the change in ||Hx||^2 for the same swap that only its nodes fix.
 
-    Computes -4 (a_i - a_j) + 4 (psi_i - 2 g_ij + psi_j) in place of the
-    array g_ij, which it returns: a block needs no temporaries of its own
-    size beyond the one for a_i - a_j.
+    Computes 4 (psi_i - 2 g_ij + psi_j), g_ij = h_i . h_j, in place of the
+    array g_ij, which it returns.  The change is this less 4 (a_i - a_j),
+    a = H'Hx.
     """
     g_ij *= 2.0
     np.subtract(psi_i, g_ij, out=g_ij)
     g_ij += psi_j
     g_ij *= 4.0
-    g_ij += -4.0 * (a_i - a_j)
     return g_ij
 
 
@@ -441,7 +442,8 @@ def _csr_entries(W, rows):
 # in one block with one set of array ops; a design whose pairs alone
 # overflow it (n above about 256) takes the row-bound search, which keeps
 # memory at O(n) whatever the arm sizes.  Up to one block of pairs,
-# scoring them all took less time than the row bounds save.  The float32
+# scoring them all took less time than the row bounds save.  Both searches
+# take the same swap, so these constants set the speed alone.  The float32
 # row bounds fill twice as many rows, at least 16, as one block of pairs:
 # at n = 5000 (a 6-design stack of 2500-entry rows) 16 rows, 0.96 MB, timed
 # 8.8 ms against 10.4 ms for 32 on one core of a 2-vCPU Xeon VM.
@@ -467,14 +469,15 @@ class _SwapState:
     best_swaps() descent swaps, through pairs(), the scorer of a stack of
     designs that share their arm sizes: best_stacked() scores every pair,
     best() only the plus rows whose obj_row_bounds() comes within window()
-    of the best value found so far, and takes the canonical() minimum.
+    of the best value found so far.  Both take the first canonical()
+    minimum, so the search taken never changes the swap.
     """
 
     def __init__(self, problem: HybridProblem, x: np.ndarray, resync: int):
         self.H, self.psi, self.W = problem.H, problem.psi, problem.W
         self.Ht = np.ascontiguousarray(problem.H.T)  # row i = column i of H
         self.Ht1 = None  # float32 [Ht 1], built by the first obj_row_bounds()
-        self.Wd = None  # dense W, flattened, built by the first weights() of a small design
+        self.table = self.Wd = None  # terms() of each node pair and W, flat, for pairs()
         # Twice the largest weight: how far below the top s of its arm an
         # endpoint of a repair edge that can beat the top pair may lie.
         self.reach = None if self.W is None else 2.0 * float(self.W.data.max(initial=0.0))
@@ -606,40 +609,33 @@ class _SwapState:
         return P, np.flatnonzero(X < 0).reshape(G, -1) % n, A, S
 
     def gather_minus(self, arms):
-        """What pairs() reads of the minus arms of arms: (s_j, a_j, psi_j, h_j, pos).
+        """What the row-bound search reads of the minus arms of arms: (s_j, a_j, psi_j, h_j, pos).
 
         s_j, a_j and psi_j are (G, 1, l), s_j None without W;
         h_j, (G, l, rows of H), holds the columns of H at each design's
         minus nodes.  pos, (G, n), maps each node to its column in each
-        design's minus arm for the CSR gather of weights(), and is None for
-        designs whose pairs fit one block.  Returns arms[4:] when arms
-        already carries them.
+        design's minus arm for weights(), None without W.  Returns
+        arms[4:] when arms already carries them.
         """
         if len(arms) > 4:
             return arms[4:]
         _, M, A, S = arms
         (G, l), n = M.shape, self.x.shape[1]
         at = np.arange(G)[:, None]
-        pos = None
-        if S is not None and (n - l) * l > _BLOCK_ENTRIES:
+        s_j = pos = None
+        if S is not None:
             pos = np.full((G, n), -1)
             pos[at, M] = np.arange(l)
-        s_j = None if S is None else S[at, M][:, None, :]
+            s_j = S[at, M][:, None, :]
         return s_j, A[at, M][:, None, :], self.psi[M][:, None, :], self.Ht[M], pos
 
-    def weights(self, P: np.ndarray, M: np.ndarray, pos: Optional[np.ndarray]) -> np.ndarray:
-        """w_ij of the pairs P x M, (G, k, l), gathered by size.
+    def weights(self, P: np.ndarray, M: np.ndarray, pos: np.ndarray) -> np.ndarray:
+        """w_ij of the pairs P x M, (G, k, l), from W's CSR rows.
 
-        Designs whose pairs fit one block (n up to about 256, pos None)
-        take them from dense W, flattened: at most 0.5 MB, and faster per
-        call.  Larger designs take them from W's CSR rows (sorted, without
-        duplicates, as Network.adjacency builds them) through pos, their
-        node-to-minus-column maps, which keeps memory at O(n) a design.
+        W's rows are sorted, without duplicates, as Network.adjacency builds
+        them; pos holds each design's node-to-minus-column map, so memory
+        stays O(n) a design.
         """
-        if pos is None:
-            if self.Wd is None:
-                self.Wd = self.W.toarray().ravel()
-            return self.Wd.take(P[:, :, None] * self.x.shape[1] + M[:, None, :])
         nz, count = _csr_entries(self.W, P.ravel())
         row = np.repeat(np.arange(P.size), count)
         col = pos[row // P.shape[1], self.W.indices[nz]]
@@ -654,23 +650,31 @@ class _SwapState:
         arms is (P, M, A, S) as focus returns it, for every plus row or a
         subset, followed by their gather_minus() or not.  The score is the
         objective delta, inf where the cut would take x'Wx above capv; cut is
-        None without W.  Every product is the per-design one: a stacked
-        matmul runs the same BLAS call for each design.
+        None without W.  Designs whose pairs fit one block (n up to about
+        256) read terms() and w_ij from n * n tables, 0.5 MB each, so their
+        scores are canonical() bit for bit; larger ones take h_i . h_j from
+        a stacked matmul, the same BLAS call for each design, and w_ij from
+        weights().
         """
         P, M, A, S = arms[:4]
-        s_j, a_j, psi_j, h_j, pos = self.gather_minus(arms)
-        at = np.arange(P.shape[0])[:, None]
+        (G, l), n = M.shape, self.x.shape[1]
+        at = np.arange(G)[:, None]
+        if (n - l) * l <= _BLOCK_ENTRIES:
+            if self.table is None:
+                self.table = self.terms(np.arange(n)[:, None], np.arange(n)).ravel()
+                self.Wd = None if self.W is None else self.W.toarray().ravel()
+            flat = P[:, :, None] * n + M[:, None, :]
+            score, a_j = self.table.take(flat), A[at, M][:, None, :]
+            s_j, w = (None, None) if S is None else (S[at, M][:, None, :], self.Wd.take(flat))
+        else:
+            s_j, a_j, psi_j, h_j, pos = self.gather_minus(arms)
+            dot = np.matmul(self.Ht[P], h_j.transpose(0, 2, 1))
+            score = _pair_terms(self.psi[P][:, :, None], psi_j, dot)
+            w = None if S is None else self.weights(P, M, pos)
+        score -= 4.0 * (A[at, P][:, :, None] - a_j)
         cut = None
-        if self.W is not None:
-            cut = _cut_delta(S[at, P][:, :, None], s_j, self.weights(P, M, pos))
-        score = _obj_delta(
-            A[at, P][:, :, None],
-            a_j,
-            self.psi[P][:, :, None],
-            psi_j,
-            np.matmul(self.Ht[P], h_j.transpose(0, 2, 1)),
-        )
-        if cut is not None:
+        if S is not None:
+            cut = _cut_delta(S[at, P][:, :, None], s_j, w)
             score = np.where(self.cuts[rows][:, None, None] + cut <= capv, score, np.inf)
         return score, cut
 
@@ -684,12 +688,18 @@ class _SwapState:
         scale = float(self.psi.max()) + np.abs(A).max(axis=1)
         return 64.0 * (self.H.shape[0] + 4) * np.finfo(float).eps * scale
 
-    def canonical(self, A: np.ndarray, g: np.ndarray, i: np.ndarray, j: np.ndarray) -> np.ndarray:
-        """Objective deltas of swaps (i, j) of designs g, a = A[g]: h_i.h_j summed left to right."""
+    def terms(self, i: np.ndarray, j: np.ndarray) -> np.ndarray:
+        """_pair_terms() of node pairs (i, j), broadcast, with h_i.h_j summed left to right."""
         dot = self.H[0].take(i) * self.H[0].take(j)
         for h in self.H[1:]:
             dot += h.take(i) * h.take(j)
-        return _obj_delta(A[g, i], A[g, j], self.psi[i], self.psi[j], dot)
+        return _pair_terms(self.psi.take(i), self.psi.take(j), dot)
+
+    def canonical(self, A: np.ndarray, g: np.ndarray, i: np.ndarray, j: np.ndarray) -> np.ndarray:
+        """Objective deltas of swaps (i, j) of designs g, a = A[g], from terms() in one fixed order."""
+        score = self.terms(i, j)
+        score -= 4.0 * (A[g, i] - A[g, j])
+        return score
 
     def obj_row_bounds(self, arms) -> np.ndarray:
         """Lower bounds, (G, k), on the descent scores of each plus row of each design in arms.
@@ -779,8 +789,8 @@ class _SwapState:
     def best_stacked(self, rows: np.ndarray, arms, capv: Optional[float]):
         """The lowest-scoring pair of each design in rows, every plus node scored as one stack.
 
-        Returns (value, i, j, cut delta) arrays, the first pair in
-        (plus, minus) order for each design; arms is focus(rows).
+        Returns (value, i, j, cut delta) arrays, the first lowest canonical()
+        score in (plus, minus) order for each design; arms is focus(rows).
         """
         block, cut = self.pairs(rows, arms, capv)
         at = np.arange(rows.size)
@@ -792,10 +802,10 @@ class _SwapState:
         """The best descent swap of each design in rows: arrays (r, i, j, value, dc).
 
         A swap must lower the objective by more than 1e-10 max(1, obj) within
-        capv.  The designs of each arm size are scored together: those whose
-        pairs fit in one block in stacks of as many as fit, by block score,
-        the others in stacks of _STACK_DESIGNS, each one row-bound search,
-        by canonical() score.  Designs without such a swap are left out.
+        capv; the first lowest canonical() score is taken.  The designs of
+        each arm size are scored together: those whose pairs fit in one block
+        in stacks of as many as fit, the others in stacks of _STACK_DESIGNS,
+        each one row-bound search.  Designs without such a swap are left out.
         """
         floors = -1e-10 * np.maximum(1.0, self.objs[rows])
         n = self.x.shape[1]

@@ -15,7 +15,7 @@ from netdesign.car import (
     sample_noise,
     sample_outcomes,
 )
-from netdesign.criterion import k_matrix
+from netdesign.criterion import expected_precision_matrix, k_matrix, quadform_correlation
 from netdesign.errors import DataError, NotPositiveDefiniteError, RankError
 from netdesign.graph import CovariateMatrix, Network, generate_bernoulli_network, generate_pm1_covariates
 
@@ -678,7 +678,8 @@ class TestDiagonalizedScore:
 class TestDenseSizeGuard:
     # The limit is lowered for the test, so a guard that fails to fire costs
     # a small allocation, not 1.8 GB; a path graph of limit+1 nodes trips it.
-    @pytest.mark.parametrize("what", ["factor_precision", "network_spectrum", "k_matrix"])
+    @pytest.mark.parametrize("what", ["factor_precision", "network_spectrum", "k_matrix",
+                                      "expected_precision_matrix", "quadform_correlation"])
     def test_refuses_above_limit(self, monkeypatch, what):
         monkeypatch.setattr(car, "_DENSE_LIMIT", 64)
         n = 65
@@ -688,6 +689,8 @@ class TestDenseSizeGuard:
             "factor_precision": lambda: factor_precision(net, 0.5),
             "network_spectrum": lambda: network_spectrum(net),
             "k_matrix": lambda: k_matrix(net, cov, 0.5),
+            "expected_precision_matrix": lambda: expected_precision_matrix(n),
+            "quadform_correlation": lambda: quadform_correlation(net.adjacency, net.adjacency),
         }
         with pytest.raises(DataError, match=rf"{what}: n={n} exceeds the limit of 64"):
             calls[what]()

@@ -613,6 +613,11 @@ class TestSwapDeltas:
         assert obj.shape == cut.shape == (designs, P.shape[1], M.shape[1])
         for r in rows:
             x = X[r].copy()
+            # Alone, the design scores through the matmul and the CSR gather.
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(optimizer, "_BLOCK_ENTRIES", 0)
+                alone = rows[r : r + 1]
+                csr_obj, csr_cut = state.pairs(alone, state.focus(alone), math.inf)
             for a, i in enumerate(P[r]):
                 for b, j in enumerate(M[r]):
                     y = x.copy()
@@ -620,15 +625,14 @@ class TestSwapDeltas:
                     dense_obj = y @ Q @ y - x @ Q @ x
                     dense_cut = y @ W @ y - x @ W @ x
                     assert obj[r, a, b] == pytest.approx(dense_obj, abs=1e-9)
+                    assert csr_obj[0, a, b] == pytest.approx(dense_obj, abs=1e-9)
                     assert cut[r, a, b] == pytest.approx(dense_cut, abs=1e-9)
                     assert state.obj_delta(i, j, r=r) == pytest.approx(dense_obj, abs=1e-9)
                     assert state.cut_delta(i, j, r=r) == pytest.approx(dense_cut, abs=1e-9)
-            # Alone, through the CSR gather, the design scores bit for bit the same.
-            with pytest.MonkeyPatch.context() as mp:
-                mp.setattr(optimizer, "_BLOCK_ENTRIES", 0)
-                alone = rows[r : r + 1]
-                got_obj, got_cut = state.pairs(alone, state.focus(alone), math.inf)
-                assert np.array_equal(got_obj[0], obj[r]) and np.array_equal(got_cut[0], cut[r])
+            # The table scores are canonical() bit for bit, and both cuts agree bit for bit.
+            i, j = np.repeat(P[r], M.shape[1]), np.tile(M[r], P.shape[1])
+            assert np.array_equal(obj[r].ravel(), state.canonical(arms[2], np.full(i.size, r), i, j))
+            assert np.array_equal(csr_cut[0], cut[r])
         # The maintained products follow the swap.
         a, b = np.unravel_index(int(np.argmin(obj[0])), obj[0].shape)
         i, j = int(P[0, a]), int(M[0, b])
@@ -1023,16 +1027,28 @@ class TestPrunedSearch:
 
     @staticmethod
     def traced_peak(prob, restarts):
-        """The traced peak bytes of a solve_local whose designs take the row-bound search."""
+        """The traced peak bytes of a solve_local whose designs take the row-bound search.
+
+        Such a solve never builds the n x n table of small designs.
+        """
         n = prob.n
         assert optimizer._BLOCK_ENTRIES // (n - n // 2) < n // 2
-        tracemalloc.start()
-        try:
-            report = solve_local(prob, restarts=restarts, seed=3)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        states, init = [], _SwapState.__init__
+
+        def kept(state, *args, **kwargs):
+            init(state, *args, **kwargs)
+            states.append(state)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(_SwapState, "__init__", kept)
+            tracemalloc.start()
+            try:
+                report = solve_local(prob, restarts=restarts, seed=3)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
         assert report.feasible and report.iterations > 0
+        assert states and all(state.table is None and state.Wd is None for state in states)
         return peak
 
     @staticmethod
@@ -1106,6 +1122,74 @@ class TestPrunedSearch:
         pruned = solve_all()
         monkeypatch.setattr(_SwapState, "best", scan_each_design)
         assert pruned == solve_all()
+
+
+class TestOneTieRule:
+    """Every search takes the first lowest canonical() score, so the block constants set speed alone."""
+
+    @settings(max_examples=40)
+    @given(
+        half=st.integers(2, 128),
+        odd=st.booleans(),
+        designs=st.integers(1, 6),
+        p=st.integers(1, 4),
+        kind=st.sampled_from(["weighted", "pm1", "gaussian"]),
+        seed=st.integers(0, 2**31 - 1),
+    )
+    @example(half=128, odd=False, designs=6, p=4, kind="weighted", seed=1)
+    @example(half=127, odd=True, designs=2, p=3, kind="gaussian", seed=2)
+    def test_table_scores_are_canonical(self, half, odd, designs, p, kind, seed):
+        # Hybrid with weighted W, or covariate-only with +/-1 or Gaussian covariates.
+        n = min(2 * half + odd, 256)
+        p = min(p, n - 2)
+        if kind == "weighted":
+            prob = pruning_instance(n, min(0.3, 20 / n), p, 0.5, 0.5, True, seed)
+        else:
+            rng = np.random.default_rng(seed)
+            z = rng.standard_normal((n, p)) if kind == "gaussian" else rng.choice([-1.0, 1.0], (n, p))
+            assume(np.linalg.matrix_rank(np.c_[np.ones(n), z]) == p + 1)
+            prob = no_network_problem(CovariateMatrix.from_raw(z))
+        state = _SwapState(prob, balanced_stack(n, designs, seed + 2), resync=64)
+        rows = np.arange(designs)
+        P, M, A, _ = arms = state.focus(rows)
+        score, cut = state.pairs(rows, arms, math.inf)
+        assert state.table is not None
+        g = np.repeat(rows, P.shape[1] * M.shape[1])
+        i = np.repeat(P, M.shape[1], axis=1).ravel()
+        j = np.tile(M, P.shape[1]).ravel()
+        assert np.array_equal(score.ravel(), state.canonical(A, g, i, j))
+        if cut is not None:
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(optimizer, "_BLOCK_ENTRIES", 0)
+                assert np.array_equal(state.pairs(rows, state.focus(rows), math.inf)[1], cut)
+
+    @staticmethod
+    def instances():
+        """40 seeded problems, n 5-400: hybrid with 0/1 or weighted W, and +/-1 covariate-only."""
+        rng = np.random.default_rng(2323)
+        for k in range(40):
+            n = int(rng.integers(5, 401))
+            p = min(int(rng.integers(1, 5)), n - 2)
+            seed = int(rng.integers(2**31))
+            if k % 3 == 2:
+                prob = no_network_problem(generate_pm1_covariates(n, p, seed=seed))
+            else:
+                prob = pruning_instance(n, min(0.3, 10 / n), p, float(rng.uniform(0.0, 0.9)),
+                                        float(rng.choice([0.05, 0.5])), k % 3 == 1, seed)
+            yield prob, seed + 1
+
+    def test_search_path_changes_no_design(self):
+        # The search a design takes follows _BLOCK_ENTRIES and _STACK_DESIGNS;
+        # the swaps, and so the records, must not.
+        knobs = [("_BLOCK_ENTRIES", v) for v in (1, 64, 1 << 14, 1 << 17)]
+        knobs += [("_STACK_DESIGNS", v) for v in (1, 6, 32)]
+        for prob, seed in self.instances():
+            records = set()
+            for name, value in knobs:
+                with pytest.MonkeyPatch.context() as mp:
+                    mp.setattr(optimizer, name, value)
+                    records.add(repr(solve_local(prob, restarts=4, seed=seed).to_record()))
+            assert len(records) == 1, (prob.n, prob.kind)
 
 
 def one_restart_at_a_time(problem, cap, restarts, seed, deadline=None):
