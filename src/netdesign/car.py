@@ -106,32 +106,28 @@ def precision_matrix(net: Network, params: Union[CarParams, HeteroCarParams, flo
 
 
 class _AffineGram:
-    """Grams of the kernel family R(rho) = D - rho W against fixed Z and u.
+    """Grams of the kernel family R(rho) = D - rho W against fixed Z and outcome columns U.
 
-    DZ, WZ, Z'DZ, Z'WZ and, given u, Z'Du, Z'Wu, u'Du, u'Wu are formed
-    once; every Gram is then affine in rho, so no rho needs a sparse
-    rebuild.  u is one vector, or an (n, s) matrix whose s columns share Z
-    and so every Z'R(rho)Z; Z'Du and Z'Wu are then (q, s), u'Du and u'Wu
-    (s,).  _pencil diagonalizes Z'DZ and Z'WZ together once; every Schur
-    complement (schur) and GLS estimate at any rho is then elementwise.
+    DZ, WZ, Z'DZ, Z'WZ and, given the (n, s) block U, Z'DU and Z'WU, (q, s),
+    and u'Du and u'Wu of each column u, (s,), are formed once; every Gram is
+    then affine in rho, so no rho needs a sparse rebuild, and the s columns
+    share every Z'R(rho)Z.  _pencil diagonalizes Z'DZ and Z'WZ together
+    once; every Schur complement (schur) and GLS estimate at any rho is
+    then elementwise.
     """
 
-    def __init__(self, net: Network, Z: np.ndarray, u: Optional[np.ndarray] = None):
+    def __init__(self, net: Network, Z: np.ndarray, U: Optional[np.ndarray] = None):
         d = net.degrees.astype(np.float64)
         W = net.adjacency
         self.DZ = Z * d[:, None]
         self.WZ = W @ Z
         self.ZDZ = Z.T @ self.DZ
         self.ZWZ = Z.T @ self.WZ
-        if u is not None:
-            self.ZDu = self.DZ.T @ u
-            self.ZWu = self.WZ.T @ u
-            if u.ndim == 1:
-                self.uDu = float(u @ (d * u))
-                self.uWu = float(u @ (W @ u))
-            else:
-                self.uDu = np.einsum("ij,ij->j", u, d[:, None] * u)
-                self.uWu = np.einsum("ij,ij->j", u, W @ u)
+        if U is not None:
+            self.ZDu = self.DZ.T @ U
+            self.ZWu = self.WZ.T @ U
+            self.uDu = np.einsum("ij,ij->j", U, d[:, None] * U)
+            self.uWu = np.einsum("ij,ij->j", U, W @ U)
 
     @cached_property
     def _pencil(self) -> Optional[tuple]:
@@ -160,28 +156,21 @@ class _AffineGram:
         return mu, B, cD, cW
 
     def schur(self, rho):
-        """u'Ru - (Z'Ru)'(Z'RZ)^{-1} Z'Ru at each rho, without a solve; nan
-        where Z'RZ is not positive definite.
+        """u'Ru - (Z'Ru)'(Z'RZ)^{-1} Z'Ru of each outcome column u at each rho,
+        without a solve; nan where Z'RZ is not positive definite.
 
         In the basis of _pencil the quadratic form splits into q terms
         (cD_j - rho cW_j)^2 / (1 - rho mu_j), so one diagonalization per
-        Gram scores every rho elementwise.  For one vector u, rho is a
-        scalar or an array, whose shape the result takes.  For s columns,
-        rho is a scalar or a (k,) grid shared by every column, or an (s, k)
-        array of each column's own values; the result is then (s, k),
-        without the k axis for a scalar.
+        Gram scores every rho elementwise.  rho is a (k,) grid shared by
+        every column, or an (s, k) array of each column's own values; the
+        result is (s, k).
         """
         rho = np.asarray(rho, dtype=np.float64)
-        uDu, uWu = self.uDu, self.uWu
-        columns = np.ndim(uDu) and rho.ndim  # s columns, each with k values
-        if columns:
-            uDu, uWu = uDu[:, None], uWu[:, None]
+        uDu, uWu = self.uDu[:, None], self.uWu[:, None]
         if self._pencil is None:
             return np.full(np.shape(uDu - rho * uWu), np.nan)
         mu, _, cD, cW = self._pencil
-        if columns:
-            cD, cW = cD[..., None], cW[..., None]
-        return _schur(uDu, uWu, mu, cD, cW, rho)
+        return _schur(uDu, uWu, mu, cD[..., None], cW[..., None], rho)
 
 
 def _schur(uDu, uWu, mu, cD, cW, rho):

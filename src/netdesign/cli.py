@@ -4,9 +4,10 @@ Thin adapters only: every subcommand parses arguments, calls the library,
 and serializes the result.  No numerical logic lives here, which is what
 lets the test suite assert that CLI output equals direct library calls.
 
-Exit codes: 0 success, 1 usage error, 2 data error, 3 infeasible,
-4 numerical failure.  The default seed is a fixed constant rather than
-wall-clock entropy, so bare invocations are reproducible.
+Exit codes: 0 success, 1 usage error, 2 data error or out of memory,
+3 infeasible, 4 numerical failure.  The default seed is a fixed
+constant rather than wall-clock entropy, so bare invocations are
+reproducible.
 """
 
 from __future__ import annotations
@@ -302,6 +303,9 @@ def main(argv=None) -> int:
         return 2
     except OSError as e:
         print(f"error: {e}", file=sys.stderr)
+        return 2
+    except MemoryError as e:  # an input too large for this machine, not a usage error
+        print(f"error: out of memory: {e}", file=sys.stderr)
         return 2
 
 

@@ -191,8 +191,8 @@ def _precision_curve(net: Network, cov: CovariateMatrix, x, rhos) -> tuple:
     check_covariate_rows(net, cov)
     _check_degrees(net, "criterion undefined")
     xv = check_design_length(net, x)
-    gram = _AffineGram(net, cov.values, xv)
-    t = gram.schur(rhos)
+    gram = _AffineGram(net, cov.values, xv[:, None])
+    t = gram.schur(rhos)[0]
     if np.any(np.isnan(t)):
         raise RankError("F' R F is not positive definite; check covariate rank")
     return gram, t
@@ -524,7 +524,7 @@ def surrogate_gap_diagnostics(
     # The imbalance term is sum_j (cD_j - rho cW_j)^2 / (1 - rho mu_j) in
     # the pencil basis; half its second derivative is elementwise too.
     mu, _, cD, cW = gram._pencil
-    second = var_rho * float(np.sum((cW - mu * cD) ** 2 / (1.0 - rho0 * mu) ** 3))
+    second = var_rho * float(np.sum((cW[:, 0] - mu * cD[:, 0]) ** 2 / (1.0 - rho0 * mu) ** 3))
 
     lam_max, lam_min, lam_w = _eig_extremes(net, rho0)
     m = float(net.m)

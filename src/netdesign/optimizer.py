@@ -31,10 +31,11 @@ bound on each plus row's best delta orders the rows, and rows are scored
 only until the next bound exceeds the best delta found by a rounding
 window, pairs near the best rescored in the fixed order, six restarts
 sharing each product and scoring call, in O(n) memory a restart.  The
-bounds are computed in float32, less a slack E that bounds their
-rounding error in advance, so they stay valid and the swaps stay those
-of a float64 scan.  Reported objectives are recomputed by a fresh pass
-over the returned design, never copied from solver bookkeeping.
+bounds are the product that scores the rows rounded to float32, less a
+slack E that bounds their rounding error in advance, so they stay valid
+and the swaps stay those of a float64 scan.  Reported objectives are
+recomputed by a fresh pass over the returned design, never copied from
+solver bookkeeping.
 """
 
 from __future__ import annotations
@@ -418,20 +419,6 @@ def _cut_delta(s_i, s_j, w_ij):
     return -4.0 * (s_i + s_j + 2.0 * w_ij)
 
 
-def _pair_terms(psi_i, psi_j, g_ij):
-    """The part of the change in ||Hx||^2 for the same swap that only its nodes fix.
-
-    Computes 4 (psi_i - 2 g_ij + psi_j), g_ij = h_i . h_j, in place of the
-    array g_ij, which it returns.  The change is this less 4 (a_i - a_j),
-    a = H'Hx.
-    """
-    g_ij *= 2.0
-    np.subtract(psi_i, g_ij, out=g_ij)
-    g_ij += psi_j
-    g_ij *= 4.0
-    return g_ij
-
-
 def _csr_entries(W, rows):
     """Positions in W.data of the entries of the given rows, row after row, and their counts."""
     start, count = W.indptr[rows], W.indptr[rows + 1] - W.indptr[rows]
@@ -468,9 +455,10 @@ class _SwapState:
     rounding drift stays bounded.  best_repairs() finds repair swaps and
     best_swaps() descent swaps, through pairs(), the scorer of a stack of
     designs that share their arm sizes: best_stacked() scores every pair,
-    best() only the plus rows whose obj_row_bounds() comes within window()
-    of the best value found so far.  Both take the first canonical()
-    minimum, so the search taken never changes the swap.
+    best() only the plus rows whose obj_row_bounds(), the float32 rounding
+    of the product that scores them, comes within window() of the best
+    value found so far.  Both take the first canonical() minimum, so the
+    search taken never changes the swap.
     """
 
     def __init__(self, problem: HybridProblem, x: np.ndarray, resync: int):
@@ -609,13 +597,13 @@ class _SwapState:
         return P, np.flatnonzero(X < 0).reshape(G, -1) % n, A, S
 
     def gather_minus(self, arms):
-        """What the row-bound search reads of the minus arms of arms: (s_j, a_j, psi_j, h_j, pos).
+        """What the row-bound search reads of the minus arms of arms: (s_j, right, pos).
 
-        s_j, a_j and psi_j are (G, 1, l), s_j None without W;
-        h_j, (G, l, rows of H), holds the columns of H at each design's
-        minus nodes.  pos, (G, n), maps each node to its column in each
-        design's minus arm for weights(), None without W.  Returns
-        arms[4:] when arms already carries them.
+        right, (G, q, l), is [-8 h_j; c_j], c_j = 4 (psi_j + a_j), q = rows of H + 1:
+        the float64 operand that pairs() scores and obj_row_bounds() rounds to
+        float32.  s_j, (G, 1, l), and pos, (G, n), each node's column in each
+        design's minus arm for weights(), are None without W.  Returns arms[4:]
+        when arms already carries them.
         """
         if len(arms) > 4:
             return arms[4:]
@@ -627,7 +615,10 @@ class _SwapState:
             pos = np.full((G, n), -1)
             pos[at, M] = np.arange(l)
             s_j = S[at, M][:, None, :]
-        return s_j, A[at, M][:, None, :], self.psi[M][:, None, :], self.Ht[M], pos
+        right = np.empty((G, self.H.shape[0] + 1, l))
+        np.multiply(self.Ht[M].transpose(0, 2, 1), -8.0, out=right[:, :-1])
+        right[:, -1] = 4.0 * (self.psi[M] + A[at, M])
+        return s_j, right, pos
 
     def weights(self, P: np.ndarray, M: np.ndarray, pos: np.ndarray) -> np.ndarray:
         """w_ij of the pairs P x M, (G, k, l), from W's CSR rows.
@@ -652,9 +643,9 @@ class _SwapState:
         objective delta, inf where the cut would take x'Wx above capv; cut is
         None without W.  Designs whose pairs fit one block (n up to about
         256) read terms() and w_ij from n * n tables, 0.5 MB each, so their
-        scores are canonical() bit for bit; larger ones take h_i . h_j from
-        a stacked matmul, the same BLAS call for each design, and w_ij from
-        weights().
+        scores are canonical() bit for bit; larger ones score h_i . [-8 h_j]
+        + c_j + 4 (psi_i - a_i) from gather_minus() in a stacked matmul, the
+        same BLAS call for each design, and w_ij from weights().
         """
         P, M, A, S = arms[:4]
         (G, l), n = M.shape, self.x.shape[1]
@@ -664,14 +655,15 @@ class _SwapState:
                 self.table = self.terms(np.arange(n)[:, None], np.arange(n)).ravel()
                 self.Wd = None if self.W is None else self.W.toarray().ravel()
             flat = P[:, :, None] * n + M[:, None, :]
-            score, a_j = self.table.take(flat), A[at, M][:, None, :]
+            score = self.table.take(flat)
+            score -= 4.0 * (A[at, P][:, :, None] - A[at, M][:, None, :])
             s_j, w = (None, None) if S is None else (S[at, M][:, None, :], self.Wd.take(flat))
         else:
-            s_j, a_j, psi_j, h_j, pos = self.gather_minus(arms)
-            dot = np.matmul(self.Ht[P], h_j.transpose(0, 2, 1))
-            score = _pair_terms(self.psi[P][:, :, None], psi_j, dot)
+            s_j, right, pos = self.gather_minus(arms)
+            score = np.matmul(self.Ht[P], right[:, :-1])
+            score += right[:, -1:]
+            score += 4.0 * (self.psi[P] - A[at, P])[:, :, None]
             w = None if S is None else self.weights(P, M, pos)
-        score -= 4.0 * (A[at, P][:, :, None] - a_j)
         cut = None
         if S is not None:
             cut = _cut_delta(S[at, P][:, :, None], s_j, w)
@@ -679,21 +671,27 @@ class _SwapState:
         return score, cut
 
     def window(self, A: np.ndarray) -> np.ndarray:
-        """Rounding window 64 (k + 4) eps (max psi + max |a|) of designs whose a are A's rows.
+        """Rounding window w = 64 (k + 4) eps S of designs whose a are A's rows, S = max psi + max |a|.
 
-        Two float64 roundings of a pair's score differ by 2 (8k + 44) u at most, a row
-        bound and its scores by (20k + 88) u, times that scale, for u = eps / 2 (Higham
-        2002, ch. 3).  obj_row_bounds() widens its float32 bounds by a slack of their own.
+        To first order in u = eps / 2 (Higham 2002, ch. 3), canonical() lies within
+        (8k + 44) u S of a pair's exact delta and a pairs() block score, its k-term product
+        summed in any order, within (8k + 36) u S: they differ by (16k + 80) u S < w / 2 at
+        most.  A row bound's float64 rest adds 20 u S, so before its window and the float32
+        slack of obj_row_bounds() it lies within (8k + 56) u S < w of its row's scores.
         """
         scale = float(self.psi.max()) + np.abs(A).max(axis=1)
         return 64.0 * (self.H.shape[0] + 4) * np.finfo(float).eps * scale
 
     def terms(self, i: np.ndarray, j: np.ndarray) -> np.ndarray:
-        """_pair_terms() of node pairs (i, j), broadcast, with h_i.h_j summed left to right."""
+        """4 (psi_i - 2 h_i.h_j + psi_j) of pairs (i, j), broadcast, with h_i.h_j summed left to right."""
         dot = self.H[0].take(i) * self.H[0].take(j)
         for h in self.H[1:]:
             dot += h.take(i) * h.take(j)
-        return _pair_terms(self.psi.take(i), self.psi.take(j), dot)
+        dot *= 2.0
+        np.subtract(self.psi.take(i), dot, out=dot)
+        dot += self.psi.take(j)
+        dot *= 4.0
+        return dot
 
     def canonical(self, A: np.ndarray, g: np.ndarray, i: np.ndarray, j: np.ndarray) -> np.ndarray:
         """Objective deltas of swaps (i, j) of designs g, a = A[g], from terms() in one fixed order."""
@@ -705,10 +703,11 @@ class _SwapState:
         """Lower bounds, (G, k), on the descent scores of each plus row of each design in arms.
 
         Row i's minimum is 4(psi_i - a_i) + min_j t_ij, t_ij = c_j - 8 h_i.h_j with
-        c_j = 4(psi_j + a_j): one stacked float32 matrix product of [h_i 1] and
-        [-8 h_j; c_j], q = rows of H + 1 long, per block of twice the rows of a
-        block of pairs, at least 16, and its row minima in float32, less
-        window(), which covers the float64 rest, and less a slack E for float32.
+        c_j = 4(psi_j + a_j), the product pairs() scores in float64: here gather_minus()'s
+        operand [-8 h_j; c_j], q = rows of H + 1 long, rounded to float32, in one stacked
+        float32 matrix product with [h_i 1] per block of twice the rows of a block of
+        pairs, at least 16, and its row minima in float32, less window(), which
+        covers the float64 rest, and less a slack E for float32.
         With u = 2^-24, rounding each input to float32 costs a factor (1 + u) and
         the q-term sum in any order, FMA or not, gamma_q (Higham 2002, ch. 3), so
         |fl(t_ij) - t_ij| <= gamma_{q+2} (8 sum_r |h_ri h_rj| + |c_j|), where
@@ -720,16 +719,12 @@ class _SwapState:
         positive semidefinite order gives psi_i <= d_i and |a_j| <= n max d, far
         inside float32 range on any graph.
         """
-        P, M, A = arms[:3]
-        _, a_j, psi_j, h_j, _ = self.gather_minus(arms)
-        (G, k), l = P.shape, M.shape[1]
+        P, A = arms[0], arms[2]
+        right = self.gather_minus(arms)[1]
+        (G, k), (q, l) = P.shape, right.shape[1:]
         if self.Ht1 is None:
             self.Ht1 = np.hstack([self.Ht, np.ones((self.Ht.shape[0], 1))]).astype(np.float32)
-        q = self.Ht1.shape[1]
-        c = 4.0 * (psi_j + a_j)[:, 0]
-        right = np.empty((G, q, l), dtype=np.float32)
-        np.multiply(h_j.transpose(0, 2, 1), -8.0, out=right[:, :-1], casting="same_kind")
-        right[:, -1] = c
+        c, right = right[:, -1], right.astype(np.float32)
         left = self.Ht1[P]
         rows = max(16, 2 * _BLOCK_ENTRIES // l)
         buf = np.empty((G, min(rows, k), l), dtype=np.float32)

@@ -15,7 +15,12 @@ from netdesign.car import (
     sample_noise,
     sample_outcomes,
 )
-from netdesign.criterion import expected_precision_matrix, k_matrix, quadform_correlation
+from netdesign.criterion import (
+    _precision_curve,
+    expected_precision_matrix,
+    k_matrix,
+    quadform_correlation,
+)
 from netdesign.errors import DataError, NotPositiveDefiniteError, RankError
 from netdesign.graph import CovariateMatrix, Network, generate_bernoulli_network, generate_pm1_covariates
 
@@ -275,8 +280,8 @@ class TestProfileML:
         at_hat = self.loglik_oracle(net, cov, x, y, res.rho_hat)
         grid = np.arange(0.0, 0.991, 0.01)
         # The batched grid scan scores every point as the dense oracle does.
-        gram = _AffineGram(net, np.column_stack([x, cov.values]), y)
-        scan = _profile_loglik(gram.schur, network_spectrum(net), grid)
+        gram = _AffineGram(net, np.column_stack([x, cov.values]), y[:, None])
+        scan = _profile_loglik(gram.schur, network_spectrum(net), grid)[0]
         for rho, score in zip(grid, scan):
             oracle = self.loglik_oracle(net, cov, x, y, rho)
             assert abs(score - oracle) <= 1e-10 * max(1.0, abs(oracle))
@@ -636,15 +641,18 @@ class TestDiagonalizedScore:
         assert per_column.shape == own.shape
         for j in range(s):
             self.assert_close(per_column[j], [want(r, j) for r in own[j]])
-        for rho in (0.0, 0.5, 0.99):
-            one = gram.schur(rho)
-            assert one.shape == (s,)
-            self.assert_close(one, [want(rho, j) for j in range(s)])
-        vector = _AffineGram(net, X, Y[:, 0])
-        assert vector.schur(grid).shape == grid.shape
-        self.assert_close(vector.schur(grid), [want(r, 0) for r in grid])
-        assert np.ndim(vector.schur(0.99)) == 0
-        self.assert_close(vector.schur(0.99), want(0.99, 0))
+
+    @pytest.mark.parametrize("case", ["random-60", "boundary-0"])
+    def test_one_design_is_a_column_of_a_block(self, case):
+        # The precision curve passes its design as a block of one column; it
+        # keeps its bits as column 0 of a wider block.
+        net, cov, _, _ = TestProfileMLColumns().outcomes(case)
+        grid = np.linspace(0.0, 0.99, 12)
+        rng = np.random.default_rng(net.n)
+        for _ in range(5):
+            x = rng.choice([-1.0, 1.0], net.n)
+            block = _AffineGram(net, cov.values, np.column_stack([x, -x])).schur(grid)
+            assert np.array_equal(_precision_curve(net, cov, x, grid)[1], block[0])
 
     def test_matrix_not_positive_definite_scores_minus_inf(self):
         net, cov, x, Y = TestProfileMLColumns().outcomes("random-60")

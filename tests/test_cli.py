@@ -220,6 +220,23 @@ class TestDesign:
         assert run("design", edges, covs) == 4
         assert "numerical failure: SVD did not converge" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("sub", ["generate", "design"])
+    def test_out_of_memory_is_data_error(self, tmp_path, monkeypatch, capsys, sub):
+        # Raised, not allocated: under overcommit a huge allocation can
+        # succeed and the process be killed later.
+        edges, covs = make_dataset(tmp_path)
+
+        def fail(*args, **kwargs):
+            raise MemoryError("Unable to allocate 745. GiB for an array")
+
+        monkeypatch.setattr("netdesign.cli.generate_bernoulli_network", fail)
+        monkeypatch.setattr("netdesign.cli.hybrid_problem", fail)
+        argv = (["generate", "--n", 100, "--p", 3, "--density", 0, "--out-prefix", tmp_path / "g"]
+                if sub == "generate" else ["design", edges, covs])
+        assert run(*argv) == 2
+        err = capsys.readouterr().err
+        assert err == "error: out of memory: Unable to allocate 745. GiB for an array\n"
+
 
 class TestBadInput:
     @pytest.mark.parametrize("sub", ["design", "evaluate", "diagnose"])

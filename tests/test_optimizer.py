@@ -1012,6 +1012,49 @@ class TestPrunedSearch:
                 r, i, j, val, dc = state.best_swaps(rows, prob.cap + 1e-9)
                 state.apply(i, j, val, dc, r=r)
 
+    @settings(max_examples=40)
+    @given(
+        n=st.integers(257, 600),
+        designs=st.integers(1, 6),
+        p=st.integers(1, 6),
+        kind=st.sampled_from(["binary", "weighted", "pm1", "gaussian"]),
+        scale=st.sampled_from([1e-3, 1.0, 1e6]),
+        skewed=st.booleans(),
+        seed=st.integers(0, 2**31 - 1),
+    )
+    @example(n=257, designs=6, p=1, kind="pm1", scale=1e6, skewed=True, seed=1)
+    @example(n=600, designs=6, p=6, kind="weighted", scale=1e6, skewed=True, seed=2)
+    def test_block_scores_lie_within_half_the_window(
+        self, n, designs, p, kind, scale, skewed, seed
+    ):
+        # best() rescores by canonical() the pairs within w of the lowest
+        # block score, which takes every pair canonical() can pick only if
+        # each block score c_j - 8 h_i.h_j + 4 (psi_i - a_i) lies within w / 2
+        # of canonical().  A scaled H, and a design that splits the nodes by
+        # their first row of H, make c_j = 4 (psi_j + a_j) large.
+        rng = np.random.default_rng(seed)
+        z = rng.standard_normal((n, p)) if kind == "gaussian" else rng.choice([-1.0, 1.0], (n, p))
+        assume(np.linalg.matrix_rank(np.c_[np.ones(n), z]) == p + 1)
+        cov = CovariateMatrix.from_raw(z)
+        prob = (no_network_problem(cov) if kind in ("pm1", "gaussian")
+                else pruning_instance(n, min(0.3, 20 / n), p, 0.5, 0.5, kind == "weighted", seed, cov))
+        H = scale * prob.H
+        prob = dataclasses.replace(prob, H=H, psi=np.einsum("ij,ij->j", H, H))
+        X = balanced_stack(n, designs, seed + 2)
+        if skewed:
+            ranks = np.argsort(np.argsort(H[0], kind="stable"))
+            X[0] = np.where(ranks >= n - (X[0] > 0).sum(), 1.0, -1.0)
+        state = _SwapState(prob, X, resync=64)
+        rows = np.arange(designs)
+        P, M, A, _ = arms = state.focus(rows)
+        score = state.pairs(rows, arms, math.inf)[0]
+        assert state.table is None  # the block took the matmul branch
+        g = np.repeat(rows, P.shape[1] * M.shape[1])
+        i = np.repeat(P, M.shape[1], axis=1).ravel()
+        j = np.tile(M, P.shape[1]).ravel()
+        gap = np.abs(score.ravel() - state.canonical(A, g, i, j)).reshape(score.shape)
+        assert np.all(gap <= state.window(A)[:, None, None] / 2)
+
     @pytest.mark.parametrize("bound", [lambda plus, minus: np.full(plus.size, -1.0)])
     def test_decodes_pairs_across_blocks(self, bound):
         n = 800  # 400 x 400 pairs: several blocks
