@@ -390,18 +390,23 @@ class NetworkSpectrum:
         """log|D - rho W| at one rho, or at each entry of an array of rho."""
         rho = np.asarray(rho, dtype=np.float64)
         flat = rho.ravel()
+        # Rounding is monotone, so each rho's lowest term 1 - rho lam_i, computed
+        # as below, is at the largest eigenvalue for rho >= 0, the smallest below.
+        lam = self.eigenvalues
+        lowest = np.multiply(flat, -np.where(flat >= 0.0, lam.max(), lam.min()))
+        lowest += 1.0
+        lost = lowest <= 0.0
+        if lost.any():
+            raise NotPositiveDefiniteError(
+                f"kernel loses positive definiteness at rho={flat[np.argmax(lost)]!r}"
+                f" (largest eigenvalue {lam[-1]!r})")
         terms = np.empty(flat.size)
         # The terms log(1 - rho lam_i) in blocks of about 2^15 (256 KB), so
         # that many rho values at once cost neither memory nor cache misses.
-        block = max(1, 2**15 // self.eigenvalues.size)
+        block = max(1, 2**15 // lam.size)
         for i in range(0, flat.size, block):
-            vals = np.multiply.outer(flat[i:i + block], -self.eigenvalues)
+            vals = np.multiply.outer(flat[i:i + block], -lam)
             vals += 1.0
-            lost = np.any(vals <= 0.0, axis=-1)
-            if lost.any():
-                raise NotPositiveDefiniteError(
-                    f"kernel loses positive definiteness at rho={flat[i + np.argmax(lost)]!r}"
-                    f" (largest eigenvalue {self.eigenvalues[-1]!r})")
             terms[i:i + block] = np.sum(np.log(vals, out=vals), axis=-1)
         out = self.logdet_degrees + terms.reshape(rho.shape)
         return float(out) if out.ndim == 0 else out

@@ -154,12 +154,6 @@ DIAGNOSE_COLUMNS = ("check", "index", "rho", "value", "exact", "bound_a", "bound
 
 
 def cmd_diagnose(args) -> int:
-    if args.prior_draws < 1:
-        raise DataError(f"--prior-draws must be at least 1, got {args.prior_draws}")
-    if args.designs < 0:
-        raise DataError(f"--designs must be at least 0, got {args.designs}")
-    if args.scatter_designs < 2:
-        raise DataError(f"--scatter-designs must be at least 2, got {args.scatter_designs}")
     net, cov = _load_pair(args)
     rows = []
     scatter_rhos = [rho for rho in args.rho_grid if rho != args.rho0]
@@ -190,8 +184,6 @@ def cmd_diagnose(args) -> int:
 
 
 def cmd_study(args) -> int:
-    if args.threads < 1:
-        raise DataError(f"--threads must be at least 1, got {args.threads}")
     path = Path(args.spec)
     if not path.exists():
         path = bundled_study_path(args.spec)
@@ -205,6 +197,15 @@ def cmd_study(args) -> int:
         result.write(out)
     print(f"wrote {len(result.rows)} rows to {out}")
     return 0
+
+
+def _check_counts(args) -> None:
+    """DataError naming the first flag whose value no command accepts, before any file is read."""
+    for flag, least in (("seed", 0), ("restarts", 1), ("threads", 1), ("prior_draws", 1),
+                        ("designs", 0), ("scatter_designs", 2)):
+        value = getattr(args, flag, None)
+        if value is not None and value < least:
+            raise DataError(f"--{flag.replace('_', '-')} must be at least {least}, got {value}")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -291,6 +292,7 @@ def main(argv=None) -> int:
     except SystemExit as e:  # --help
         return 0 if not e.code else 1
     try:
+        _check_counts(args)
         return args.func(args)
     except InfeasibleError as e:
         print(f"infeasible: {e}", file=sys.stderr)

@@ -47,8 +47,8 @@ class Network:
     edges: tuple = field(default=())
 
     @staticmethod
-    def from_edges(n: int, pairs: Iterable[tuple]) -> "Network":
-        """Build a network from an iterable of node pairs.
+    def from_edges(n: int, pairs: Iterable[tuple] | np.ndarray) -> "Network":
+        """Build a network from an iterable of node pairs or an (m, 2) integer array.
 
         Duplicate pairs (in either orientation) collapse to one edge.
         Raises GraphFormatError on self loops or out-of-range ids.
@@ -56,7 +56,7 @@ class Network:
         if n < 1:
             raise DataError(f"need at least one node, got n={n}")
         try:
-            ij = np.asarray(list(pairs), dtype=np.int64)
+            ij = np.asarray(pairs if isinstance(pairs, np.ndarray) else list(pairs), dtype=np.int64)
         except OverflowError:
             raise GraphFormatError("node ids must lie below 2^63") from None
         if ij.size == 0:
@@ -246,8 +246,7 @@ def load_edge_list(path, index_base: int = 0) -> Network:
     """
     if index_base not in (0, 1):
         raise DataError(f"index_base must be 0 or 1, got {index_base}")
-    pairs = []
-    max_id = -1
+    ids = []  # both ends of each edge, in file order
     for lineno, raw in enumerate(read_text(path).split("\n"), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -270,11 +269,14 @@ def load_edge_list(path, index_base: int = 0) -> Network:
             )
         if a == b:
             raise GraphFormatError(f"{path}:{lineno}: self loop at node {a + index_base}")
-        pairs.append((a, b))
-        max_id = max(max_id, a, b)
-    if max_id < 0:
+        ids += (a, b)
+    if not ids:
         raise GraphFormatError(f"{path}: no edges found")
-    return Network.from_edges(max_id + 1, pairs)
+    try:
+        ij = np.array(ids, dtype=np.int64).reshape(-1, 2)
+    except OverflowError:
+        raise GraphFormatError("node ids must lie below 2^63") from None
+    return Network.from_edges(int(ij.max()) + 1, ij)
 
 
 def write_edge_list(net: Network, path) -> None:
@@ -293,8 +295,17 @@ def load_covariates(path, keep_first: int | None = None, header: bool = False) -
     discarded, then constant columns are dropped with a warning naming
     their indices, then the intercept is prepended and full rank checked.
     """
-    rows = []
+    rows, linenos = [], []
     ncol = None
+
+    def finite(rows):
+        """rows as an array, else the error of the first one with a non-finite value."""
+        z = np.asarray(rows, dtype=np.float64)
+        ok = np.isfinite(z).all(axis=-1)
+        if not ok.all():
+            raise GraphFormatError(f"{path}:{linenos[np.argmin(ok)]}: non-finite covariate value")
+        return z
+
     for lineno, raw in enumerate(read_text(path).split("\n"), start=1):
         if header and lineno == 1:
             continue
@@ -305,17 +316,18 @@ def load_covariates(path, keep_first: int | None = None, header: bool = False) -
         if ncol is None:
             ncol = len(parts)
         elif len(parts) != ncol:
+            finite(rows)  # an earlier line's error comes first
             raise GraphFormatError(f"{path}:{lineno}: expected {ncol} fields, got {len(parts)}")
         try:
-            values = [float(v) for v in parts]
+            values = list(map(float, parts))
         except ValueError:
+            finite(rows)
             raise GraphFormatError(f"{path}:{lineno}: non-numeric covariate value") from None
-        if not np.all(np.isfinite(values)):
-            raise GraphFormatError(f"{path}:{lineno}: non-finite covariate value")
         rows.append(values)
+        linenos.append(lineno)
     if not rows:
         raise GraphFormatError(f"{path}: no covariate rows found")
-    z = np.asarray(rows, dtype=np.float64)
+    z = finite(rows)
     if keep_first is not None:
         if keep_first < 0:
             raise DataError(f"keep_first must be non-negative, got {keep_first}")

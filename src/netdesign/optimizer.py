@@ -33,9 +33,13 @@ window, pairs near the best rescored in the fixed order, six restarts
 sharing each product and scoring call, in O(n) memory a restart.  The
 bounds are the product that scores the rows rounded to float32, less a
 slack E that bounds their rounding error in advance, so they stay valid
-and the swaps stay those of a float64 scan.  Reported objectives are
-recomputed by a fresh pass over the returned design, never copied from
-solver bookkeeping.
+and the swaps stay those of a float64 scan.  A covariate-only problem
+whose H has few distinct columns (p +/-1 covariates give at most 2^p)
+reads a = H'v once per class of identical columns, so a swap's score
+depends on its two classes alone, and descent searches the class pairs,
+each from the first plus and first minus node of its classes, in
+O(C^2 + n) a step.  Reported objectives are recomputed by a fresh pass
+over the returned design, never copied from solver bookkeeping.
 """
 
 from __future__ import annotations
@@ -43,7 +47,8 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
-from typing import Optional
+from functools import cached_property
+from typing import NamedTuple, Optional
 
 import numpy as np
 from scipy import linalg
@@ -98,6 +103,15 @@ def quantile_cap(net: Network, alpha: float) -> float:
     return _cap_value(float(net.m), alpha)
 
 
+class NodeClasses(NamedTuple):
+    """Nodes grouped by bit-identical columns of [H; psi]."""
+
+    label: np.ndarray  # each node's class
+    order: np.ndarray  # the nodes sorted by class, then index
+    starts: np.ndarray  # where each class starts in order
+    first: np.ndarray  # each class's first node
+
+
 @dataclass(frozen=True, eq=False)
 class HybridProblem:
     """Factored minimization instance shared by every solver.
@@ -125,6 +139,26 @@ class HybridProblem:
             return None
         xv = as_sign_vector(x)
         return float(xv @ (self.W @ xv))
+
+    @cached_property
+    def classes(self) -> Optional[NodeClasses]:
+        """The nodes of a covariate-only problem grouped by bit-identical columns of [H; psi].
+
+        None with W, where a swap's score depends on the nodes' edges too,
+        and for C classes with more class pairs than a balanced design has
+        node pairs, C^2 > floor(n/2) ceil(n/2), where a class search cannot
+        pay (continuous covariates, or many +/-1 ones).
+        """
+        if self.W is not None:
+            return None
+        cols = np.vstack([self.H, self.psi]).view(np.uint64)
+        _, first, label, count = np.unique(
+            cols, axis=1, return_index=True, return_inverse=True, return_counts=True
+        )
+        if first.size**2 > (self.n // 2) * (self.n - self.n // 2):
+            return None
+        label = label.ravel()
+        return NodeClasses(label, np.argsort(label, kind="stable"), np.cumsum(count) - count, first)
 
 
 def hybrid_problem(
@@ -436,6 +470,14 @@ def _csr_entries(W, rows):
 # 8.8 ms against 10.4 ms for 32 on one core of a 2-vCPU Xeon VM.
 _BLOCK_ENTRIES = 1 << 14
 
+# Class pairs per node pair up to which a covariate-only design's swaps are
+# searched per class pair (best_classes) rather than per node pair.  Both take
+# the same swap, so it sets the speed alone.  16-restart solves on +/-1
+# covariates, one core of a 2-vCPU Xeon VM: at C^2 / kl 0.25-0.38 the class
+# search took 0.5-0.9 of the time from n = 200 to 4000; at 0.76-0.8 (n 1000
+# and 2000) it took 1.4-2.7 times as long.
+_CLASS_SHARE = 0.25
+
 # Large designs per row-bound search: at n = 1000, stacks of 6 and 8 timed fastest
 # of 4 to 32, and 6 peaked at 1.6 MB of transient arrays against 2.2 MB for 8.
 _STACK_DESIGNS = 6
@@ -457,8 +499,10 @@ class _SwapState:
     designs that share their arm sizes: best_stacked() scores every pair,
     best() only the plus rows whose obj_row_bounds(), the float32 rounding
     of the product that scores them, comes within window() of the best
-    value found so far.  Both take the first canonical() minimum, so the
-    search taken never changes the swap.
+    value found so far; covariate-only problems with few classes of
+    identical columns of H take best_classes() instead, over class pairs.
+    All take the first canonical() minimum, so the search taken never
+    changes the swap.
     """
 
     def __init__(self, problem: HybridProblem, x: np.ndarray, resync: int):
@@ -466,6 +510,9 @@ class _SwapState:
         self.Ht = np.ascontiguousarray(problem.H.T)  # row i = column i of H
         self.Ht1 = None  # float32 [Ht 1], built by the first obj_row_bounds()
         self.table = self.Wd = None  # terms() of each node pair and W, flat, for pairs()
+        # Covariate-only with few classes: the classes, H's column of each and terms() of each pair.
+        self.classes, self.ctable = problem.classes, None
+        self.Hc = None if self.classes is None else self.H[:, self.classes.first]
         # Twice the largest weight: how far below the top s of its arm an
         # endpoint of a repair edge that can beat the top pair may lie.
         self.reach = None if self.W is None else 2.0 * float(self.W.data.max(initial=0.0))
@@ -586,15 +633,29 @@ class _SwapState:
 
         P and M hold each design's plus and minus nodes, (G, k) and (G, l);
         A its a = H'v and S its s = x * Wx (None without W), both (G, n).
+        Covariate-only problems with node classes read a from class_a(), so
+        nodes of one class get the same bits of a and pairs of the same two
+        classes tie exactly.
         The methods that take arms also take them followed by their
         gather_minus(), which a stack then gathers once for all its calls.
         """
         X = self.x[rows]
         G, n = X.shape
-        A = np.matmul(self.v[rows][:, None, :], self.H)[:, 0]
+        if self.classes is None:
+            A = np.matmul(self.v[rows][:, None, :], self.H)[:, 0]
+        else:
+            A = self.class_a(rows)[:, self.classes.label]
         S = X * self.wx[rows] if self.W is not None else None
         P = np.flatnonzero(X > 0).reshape(G, -1) % n
         return P, np.flatnonzero(X < 0).reshape(G, -1) % n, A, S
+
+    def class_a(self, rows: np.ndarray) -> np.ndarray:
+        """a = H'v of the designs in rows at each class, (G, C), summed left to right over H's rows.
+
+        The products are reduced over a middle axis, one row after another for
+        every class alike, so a class's bits depend on its column alone.
+        """
+        return np.multiply(self.v[rows][:, :, None], self.Hc).sum(axis=1)
 
     def gather_minus(self, arms):
         """What the row-bound search reads of the minus arms of arms: (s_j, right, pos).
@@ -793,22 +854,68 @@ class _SwapState:
         dc = cut[at, p_at, m_at] if cut is not None else np.zeros(rows.size)
         return block[at, p_at, m_at], arms[0][at, p_at], arms[1][at, m_at], dc
 
+    def best_classes(self, rows: np.ndarray):
+        """The first lowest canonical() score of each design in rows, read per class pair.
+
+        Returns (value, i, j) arrays, for a problem with classes: every plus
+        node of class c with every minus node of class d scores terms() of
+        the class pair, from a C x C table built once, less 4 (a_c - a_d)
+        from class_a(), canonical() bit for bit.  So the first such pair in
+        (plus, minus) order is the first plus node of c with the first minus
+        node of d, and ties between class pairs go to the smallest (i, j):
+        O(C^2 + n) a design, the class pairs scored in blocks of _BLOCK_ENTRIES.
+        """
+        _, order, starts, first = self.classes
+        n = self.x.shape[1]
+        if self.ctable is None:
+            self.ctable = self.terms(first[:, None], first)
+        plus = self.x[rows][:, order] > 0
+        # Each class's first plus and first minus node in each design, n if it has none.
+        fp = np.minimum.reduceat(np.where(plus, order, n), starts, axis=1)
+        fm = np.minimum.reduceat(np.where(plus, n, order), starts, axis=1)
+        # A class with no plus node scores +inf as c, one with no minus node as d.
+        a = self.class_a(rows)
+        ap, am = np.where(fp < n, a, -np.inf)[:, :, None], np.where(fm < n, a, np.inf)[:, None, :]
+        G, C = a.shape
+        val, key = np.full(G, np.inf), np.full(G, n * n)  # key = i n + j of the best pair
+        step = max(1, _BLOCK_ENTRIES // (G * C))  # classes c a block of class pairs takes
+        for lo in range(0, C, step):
+            score = np.subtract(ap[:, lo : lo + step], am)
+            score *= 4.0
+            np.subtract(self.ctable[lo : lo + step], score, out=score)
+            low = score.min(axis=(1, 2))
+            key[low < val] = n * n
+            np.minimum(val, low, out=val)
+            g, c, d = np.nonzero(score == val[:, None, None])
+            np.minimum.at(key, g, fp[g, lo + c] * n + fm[g, d])
+        i, j = np.divmod(key, n)
+        return val, i, j
+
     def best_swaps(self, rows: np.ndarray, capv: Optional[float]):
         """The best descent swap of each design in rows: arrays (r, i, j, value, dc).
 
         A swap must lower the objective by more than 1e-10 max(1, obj) within
-        capv; the first lowest canonical() score is taken.  The designs of
-        each arm size are scored together: those whose pairs fit in one block
-        in stacks of as many as fit, the others in stacks of _STACK_DESIGNS,
-        each one row-bound search.  Designs without such a swap are left out.
+        capv; the first lowest canonical() score is taken.  Covariate-only
+        designs with few node classes against their pairs (C^2 <= _CLASS_SHARE
+        k l) go to best_classes(), in stacks of as many as fit in one block of
+        class pairs.  The others of each arm size are scored together: those
+        whose pairs fit in one block in stacks of as many as fit, the rest in
+        stacks of _STACK_DESIGNS, each one row-bound search.  Designs without
+        such a swap are left out.
         """
         floors = -1e-10 * np.maximum(1.0, self.objs[rows])
         n = self.x.shape[1]
         plus = np.count_nonzero(self.x[rows] > 0, axis=1)
-        val, dc = np.empty(rows.size), np.empty(rows.size)
+        val, dc = np.empty(rows.size), np.zeros(rows.size)
         i, j = np.empty(rows.size, dtype=np.int64), np.empty(rows.size, dtype=np.int64)
-        for size in np.unique(plus).tolist():
-            same = np.flatnonzero(plus == size)
+        C = 0 if self.classes is None else self.classes.first.size
+        by_class = (C > 0) & (C * C <= _CLASS_SHARE * plus * (n - plus))
+        same, per = np.flatnonzero(by_class), max(1, _BLOCK_ENTRIES // max(1, C * C))
+        for lo in range(0, same.size, per):
+            at = same[lo : lo + per]
+            val[at], i[at], j[at] = self.best_classes(rows[at])
+        for size in np.unique(plus[~by_class]).tolist():
+            same = np.flatnonzero((plus == size) & ~by_class)
             fits = size * (n - size) <= _BLOCK_ENTRIES
             per = max(1, _BLOCK_ENTRIES // (size * (n - size))) if fits else _STACK_DESIGNS
             for lo in range(0, same.size, per):

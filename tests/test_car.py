@@ -271,6 +271,29 @@ class TestProfileML:
         assert str(info.value) == (f"kernel loses positive definiteness at rho={first!r}"
                                    f" (largest eigenvalue {spec.eigenvalues.max()!r})")
 
+    def test_spectrum_logdet_checks_what_every_term_checks(self):
+        # The check reads one term per rho; a scan of every term 1 - rho lam_i,
+        # computed the same way, must reject the same rho, near both ends of
+        # the spectrum, for rho of either sign.
+        spec = network_spectrum(connected_net(35, 0.12, 18))
+        lam = spec.eigenvalues
+        rho = np.array([1.0 / lam.max(), 1.0 / lam.min(), 0.0, -0.0, 1.0, -1.0])
+        for _ in range(2):  # each value, and 1 and 2 ulps either side
+            rho = np.unique(np.concatenate([rho, np.nextafter(rho, np.inf),
+                                            np.nextafter(rho, -np.inf)]))
+        rho = np.random.default_rng(3).permutation(rho)
+        lost = [bool(np.any(np.multiply.outer(r, -lam) + 1.0 <= 0.0)) for r in rho]
+        assert 0 < sum(lost) < rho.size
+        for r, bad in zip(rho, lost):
+            if bad:
+                with pytest.raises(NotPositiveDefiniteError):
+                    spec.logdet(r)
+            else:
+                assert np.isfinite(spec.logdet(r))
+        with pytest.raises(NotPositiveDefiniteError) as info:
+            spec.logdet(rho)
+        assert f"at rho={rho[lost.index(True)]!r} " in str(info.value)
+
     def test_grid_dominance(self):
         net = connected_net(50, 0.1, 19)
         cov = generate_pm1_covariates(50, 2, seed=19)

@@ -238,6 +238,46 @@ class TestDesign:
         assert err == "error: out of memory: Unable to allocate 745. GiB for an array\n"
 
 
+class TestBadCounts:
+    """A --seed below 0 or --restarts below 1 exits 2 naming the flag, before any file is read."""
+
+    MISSING = ("no_such_edges.txt", "no_such_covariates.csv")
+
+    @pytest.mark.parametrize("argv", [
+        ("generate", "--n", 10, "--p", 2, "--density", 0.3),
+        ("design", *MISSING, "--method", "local"),
+        ("design", *MISSING, "--method", "annealing"),
+        ("design", *MISSING),
+        ("evaluate", *MISSING, "no_such.design"),
+        ("diagnose", *MISSING),
+        ("study", "no_such_study"),
+    ])
+    @pytest.mark.parametrize("seed", [-1, -5])
+    def test_negative_seed(self, tmp_path, capsys, argv, seed):
+        assert run(*argv, "--seed", seed, "--output", tmp_path / "out.csv") == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: --seed must be at least 0, got {seed}\n"
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("method", ["auto", "exact", "local", "annealing"])
+    @pytest.mark.parametrize("restarts", [0, -2])
+    def test_restarts_below_one(self, tmp_path, capsys, method, restarts):
+        # auto picks the exact solver, which takes no restarts, at n <= 30.
+        assert run("design", *self.MISSING, "--method", method, "--restarts", restarts) == 2
+        assert capsys.readouterr().err == f"error: --restarts must be at least 1, got {restarts}\n"
+
+    def test_generate_writes_nothing(self, tmp_path):
+        prefix = tmp_path / "data"
+        assert run("generate", "--n", 10, "--p", 2, "--density", 0.3, "--seed", -1,
+                   "--out-prefix", prefix) == 2
+        assert list(tmp_path.iterdir()) == []
+
+    def test_zero_seed_and_one_restart_are_accepted(self, tmp_path):
+        edges, covs = make_dataset(tmp_path, seed=0)
+        assert run("design", edges, covs, "--seed", 0, "--restarts", 1, "--method", "local",
+                   "--output", tmp_path / "out.csv") == 0
+
+
 class TestBadInput:
     @pytest.mark.parametrize("sub", ["design", "evaluate", "diagnose"])
     def test_isolated_nodes_are_data_error(self, tmp_path, capsys, sub):

@@ -85,15 +85,17 @@ class TestNetwork:
         pairs=st.lists(st.tuples(st.integers(-2, 13), st.integers(-2, 13)), max_size=30),
     )
     def test_from_edges_matches_scan(self, n, pairs):
+        # Pairs given as tuples or as one (m, 2) integer array, as load_edge_list passes them.
         expect = from_edges_by_scan(n, pairs)
-        if isinstance(expect, str):
-            with pytest.raises(GraphFormatError) as err:
-                Network.from_edges(n, pairs)
-            assert str(err.value) == expect
-        else:
-            edges = Network.from_edges(n, pairs).edges
-            assert edges == expect
-            assert all(type(i) is int for edge in edges for i in edge)
+        for given_pairs in (pairs, np.array(pairs, dtype=np.int64).reshape(-1, 2)):
+            if isinstance(expect, str):
+                with pytest.raises(GraphFormatError) as err:
+                    Network.from_edges(n, given_pairs)
+                assert str(err.value) == expect
+            else:
+                edges = Network.from_edges(n, given_pairs).edges
+                assert edges == expect
+                assert all(type(i) is int for edge in edges for i in edge)
 
     def test_isolated_nodes(self):
         net = Network.from_edges(4, [(0, 1)])
@@ -249,6 +251,20 @@ class TestCovariateIO:
         path.write_text("1.0,2.0\n1.0\n")
         with pytest.raises(GraphFormatError, match=r"cov\.csv:2"):
             load_covariates(path)
+
+    @pytest.mark.parametrize("text, line, what", [
+        ("1,2\n3,nan\n\n4\n", 2, "non-finite"),  # before a later ragged row
+        ("1,2\n-inf,3\n4,x\n", 2, "non-finite"),  # before a later non-numeric value
+        ("1,2\n4,x\n5,inf\n", 2, "non-numeric"),
+        ("1,2\n3,4\n5,6,7\n8,nan\n", 3, "expected 2 fields"),
+        ("# h\n1,inf\n", 2, "non-finite"),
+    ])
+    def test_first_bad_line_is_named(self, tmp_path, text, line, what):
+        # Finiteness is checked once after parsing; the first bad line still wins.
+        path = tmp_path / "cov.csv"
+        path.write_text(text)
+        with pytest.raises(GraphFormatError, match=rf"cov\.csv:{line}: {what}"):
+            load_covariates(path, header=text.startswith("#"))
 
 
 class TestRepair:

@@ -20,7 +20,7 @@ from scipy import sparse, stats
 
 from netdesign import optimizer
 from netdesign.designs import Design
-from netdesign.errors import DataError
+from netdesign.errors import DataError, RankError
 from netdesign.graph import (
     CovariateMatrix,
     Network,
@@ -1120,8 +1120,9 @@ class TestPrunedSearch:
     def test_tied_memory_stays_linear(self, monkeypatch):
         # One +/-1 covariate and no network: every swap of a plus and a minus
         # node with the other's covariate sign scores the same, so thousands
-        # of pairs tie exactly.  A round rescores at most one block of them:
-        # the peak measured 1.4 MB.
+        # of pairs tie exactly.  With the class search off, a round of the
+        # row-bound search rescores at most one block of them: the peak
+        # measured 1.4 MB.
         n, tied = 2000, []
         canonical = _SwapState.canonical
 
@@ -1130,9 +1131,21 @@ class TestPrunedSearch:
             return canonical(state, A, g, i, j)
 
         monkeypatch.setattr(_SwapState, "canonical", counted)
+        monkeypatch.setattr(optimizer, "_CLASS_SHARE", 0.0)
         prob = no_network_problem(generate_pm1_covariates(n, 1, seed=4))
         assert self.traced_peak(prob, restarts=1) < 8 * n * n / 8
         assert max(tied) > 1000
+
+    @pytest.mark.parametrize("p", [5, 8])
+    def test_class_search_memory_stays_linear(self, p, monkeypatch):
+        # The full-size covariate-only solve: 8 restarts at n = 2000 search
+        # their swaps per class pair, C^2 up to 256^2 in blocks of
+        # _BLOCK_ENTRIES, and never score a node pair: the peak measured 0.6
+        # MB at p = 5 and 1.5 MB at p = 8.
+        n = 2000
+        monkeypatch.setattr(_SwapState, "pairs", None)
+        prob = no_network_problem(generate_pm1_covariates(n, p, seed=5))
+        assert self.traced_peak(prob, restarts=8) < 8 * 2**20
 
     def test_local_search_matches_full_scan(self, monkeypatch):
         # 24 small instances pruned in blocks of 64 pair scores, and 6 above
@@ -1165,6 +1178,68 @@ class TestPrunedSearch:
         pruned = solve_all()
         monkeypatch.setattr(_SwapState, "best", scan_each_design)
         assert pruned == solve_all()
+
+
+def class_skewed_stack(prob, designs, skew, seed):
+    """Balanced designs, each of some with one or two whole classes moved onto one arm."""
+    rng = np.random.default_rng(seed)
+    labels = prob.classes.label
+    X = np.stack([random_balanced_design(prob.n, seed + k).x for k in range(designs)])
+    for x in X[: designs if skew else 0]:
+        moved = np.isin(labels, rng.choice(labels.max() + 1, size=rng.integers(1, 3)))
+        plus, sign = np.count_nonzero(x > 0), rng.choice([-1.0, 1.0])
+        y = x.copy()
+        y[moved] = sign
+        need = plus - np.count_nonzero(y > 0)  # flips outside the moved classes restore the arms
+        pool = np.flatnonzero(~moved & ((y < 0) if need > 0 else (y > 0)))
+        if pool.size >= abs(need):
+            y[rng.choice(pool, abs(need), replace=False)] *= -1.0
+            x[:] = y
+    return X
+
+
+class TestClassSearch:
+    """best_classes() returns what a canonical() scan of every pair of each design returns."""
+
+    @settings(max_examples=30)
+    @given(
+        n=st.integers(4, 1200),
+        p=st.integers(1, 6),
+        designs=st.integers(1, 4),
+        skew=st.booleans(),
+        block=st.sampled_from([1, 16, 64, 512, optimizer._BLOCK_ENTRIES]),
+        seed=st.integers(0, 2**31 - 1),
+    )
+    @example(n=1200, p=6, designs=4, skew=True, block=optimizer._BLOCK_ENTRIES, seed=1)
+    @example(n=1199, p=1, designs=3, skew=True, block=1, seed=2)
+    def test_matches_dense_canonical_scan(self, n, p, designs, skew, block, seed):
+        assume(p <= n - 2)
+        try:
+            prob = no_network_problem(generate_pm1_covariates(n, p, seed=seed))
+        except RankError:
+            assume(False)
+        # Classes hold nodes with bit-identical columns of [H; psi], and no two
+        # classes share one; a problem with more class pairs than node pairs has none.
+        cols = np.vstack([prob.H, prob.psi]).T.view(np.uint64)
+        count = np.unique(cols, axis=0).shape[0]
+        assert (prob.classes is None) == (count**2 > (n // 2) * (n - n // 2))
+        assume(prob.classes is not None)
+        labels, order, starts, first = prob.classes
+        assert np.array_equal(cols[first][labels], cols)
+        assert first.size == count <= 2**p
+        assert np.array_equal(first, [order[s] for s in starts])
+        assert np.array_equal(labels[order], np.sort(labels))
+        state = _SwapState(prob, class_skewed_stack(prob, designs, skew, seed + 1), resync=64)
+        rows = np.arange(designs)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(optimizer, "_BLOCK_ENTRIES", block)
+            val, i, j = state.best_classes(rows)
+        for g in rows:
+            (plus,), (minus,), A, _ = state.focus(rows[g : g + 1])
+            pi, mj = np.repeat(plus, minus.size), np.tile(minus, plus.size)
+            score = state.canonical(A, np.zeros(pi.size, dtype=np.int64), pi, mj)
+            k = int(np.argmin(score))  # the first of equal minima, in (plus, minus) order
+            assert (val[g], i[g], j[g]) == (score[k], pi[k], mj[k])
 
 
 class TestOneTieRule:
@@ -1208,7 +1283,8 @@ class TestOneTieRule:
 
     @staticmethod
     def instances():
-        """40 seeded problems, n 5-400: hybrid with 0/1 or weighted W, and +/-1 covariate-only."""
+        """48 seeded problems: 40 at n 5-400, hybrid with 0/1 or weighted W and +/-1
+        covariate-only, then 8 covariate-only at n 5-300 with 1-6 +/-1 covariates."""
         rng = np.random.default_rng(2323)
         for k in range(40):
             n = int(rng.integers(5, 401))
@@ -1220,17 +1296,26 @@ class TestOneTieRule:
                 prob = pruning_instance(n, min(0.3, 10 / n), p, float(rng.uniform(0.0, 0.9)),
                                         float(rng.choice([0.05, 0.5])), k % 3 == 1, seed)
             yield prob, seed + 1
+        for _ in range(8):
+            n = int(rng.integers(5, 301))
+            p, seed = min(int(rng.integers(1, 7)), n - 2), int(rng.integers(2**31))
+            yield no_network_problem(generate_pm1_covariates(n, p, seed=seed)), seed + 1
 
     def test_search_path_changes_no_design(self):
-        # The search a design takes follows _BLOCK_ENTRIES and _STACK_DESIGNS;
-        # the swaps, and so the records, must not.
-        knobs = [("_BLOCK_ENTRIES", v) for v in (1, 64, 1 << 14, 1 << 17)]
-        knobs += [("_STACK_DESIGNS", v) for v in (1, 6, 32)]
+        # The search a design takes follows _BLOCK_ENTRIES, _STACK_DESIGNS and,
+        # without the network, _CLASS_SHARE; the swaps, and so the records,
+        # must not.  The class search is turned on and off at each block size
+        # of TestPrunedSearch.
+        knobs = [{"_BLOCK_ENTRIES": v} for v in (1, 64, 1 << 14, 1 << 17)]
+        knobs += [{"_STACK_DESIGNS": v} for v in (1, 6, 32)]
+        classes = [{"_BLOCK_ENTRIES": block, "_CLASS_SHARE": share}
+                   for block in (1, 16, 64, 512, 1 << 14) for share in (0.0, math.inf)]
         for prob, seed in self.instances():
             records = set()
-            for name, value in knobs:
+            for knob in knobs + (classes if prob.W is None else []):
                 with pytest.MonkeyPatch.context() as mp:
-                    mp.setattr(optimizer, name, value)
+                    for name, value in knob.items():
+                        mp.setattr(optimizer, name, value)
                     records.add(repr(solve_local(prob, restarts=4, seed=seed).to_record()))
             assert len(records) == 1, (prob.n, prob.kind)
 
