@@ -397,9 +397,11 @@ class NetworkSpectrum:
         lowest += 1.0
         lost = lowest <= 0.0
         if lost.any():
+            bad = flat[np.argmax(lost)]
+            which, value = ("largest", lam[-1]) if bad >= 0.0 else ("smallest", lam[0])
             raise NotPositiveDefiniteError(
-                f"kernel loses positive definiteness at rho={flat[np.argmax(lost)]!r}"
-                f" (largest eigenvalue {lam[-1]!r})")
+                f"kernel loses positive definiteness at rho={bad!r}"
+                f" ({which} eigenvalue {value!r})")
         terms = np.empty(flat.size)
         # The terms log(1 - rho lam_i) in blocks of about 2^15 (256 KB), so
         # that many rho values at once cost neither memory nor cache misses.

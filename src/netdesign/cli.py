@@ -77,6 +77,13 @@ def _float_list(text: str) -> list:
         raise argparse.ArgumentTypeError(f"not a comma-separated float list: {text!r}")
 
 
+def _nonempty_float_list(text: str) -> list:
+    values = _float_list(text)
+    if not values:
+        raise argparse.ArgumentTypeError(f"expected at least one value, got {text!r}")
+    return values
+
+
 def _emit(columns, rows, args) -> None:
     """Rows to --output or stdout, as CSV (canonical) or a JSON document."""
     text = _table_text(columns, rows, args.format)
@@ -201,8 +208,8 @@ def cmd_study(args) -> int:
 
 def _check_counts(args) -> None:
     """DataError naming the first flag whose value no command accepts, before any file is read."""
-    for flag, least in (("seed", 0), ("restarts", 1), ("threads", 1), ("prior_draws", 1),
-                        ("designs", 0), ("scatter_designs", 2)):
+    for flag, least in (("seed", 0), ("p", 1), ("restarts", 1), ("threads", 1),
+                        ("prior_draws", 1), ("designs", 0), ("scatter_designs", 2)):
         value = getattr(args, flag, None)
         if value is not None and value < least:
             raise DataError(f"--{flag.replace('_', '-')} must be at least {least}, got {value}")
@@ -253,7 +260,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("evaluate", parents=[common, files],
                        help="criterion breakdown and improvement of a design")
     p.add_argument("design", help="design file, one +1/-1 per line")
-    p.add_argument("--rho-t", type=_float_list, default=[0.5],
+    p.add_argument("--rho-t", type=_nonempty_float_list, default=[0.5],
                    help="comma-separated evaluation correlations")
     p.set_defaults(func=cmd_evaluate)
 
@@ -261,7 +268,9 @@ def build_parser() -> argparse.ArgumentParser:
                        help="robustness, prior-gap and concavity checks")
     p.add_argument("--rho0", type=float, default=0.5)
     p.add_argument("--rho-grid", type=_float_list,
-                   default=[0.1, 0.3, 0.5, 0.7, 0.9])
+                   default=[0.1, 0.3, 0.5, 0.7, 0.9],
+                   help="comma-separated correlations for the robustness check; "
+                        "may be empty, which leaves only the gap and concavity rows")
     p.add_argument("--designs", type=int, default=20,
                    help="random designs for the gap check")
     p.add_argument("--scatter-designs", type=int, default=200)

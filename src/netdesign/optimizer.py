@@ -52,9 +52,8 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 from scipy import linalg
-from scipy.special import ndtri
 
-from .criterion import CriterionEvaluator
+from .criterion import CriterionEvaluator, _ndtri
 from .designs import Design, as_sign_vector
 from .errors import DataError, RankError
 from .graph import CovariateMatrix, Network
@@ -89,7 +88,7 @@ def _cap_value(m: float, alpha: float) -> float:
         raise DataError(f"alpha must lie in (0, 1), got {alpha}")
     if m <= 0:
         raise DataError("connection cap undefined on an edgeless network")
-    return math.sqrt(m) * float(ndtri(alpha))
+    return math.sqrt(m) * _ndtri(alpha)
 
 
 def quantile_cap(net: Network, alpha: float) -> float:

@@ -271,6 +271,15 @@ class TestProfileML:
         assert str(info.value) == (f"kernel loses positive definiteness at rho={first!r}"
                                    f" (largest eigenvalue {spec.eigenvalues.max()!r})")
 
+    def test_spectrum_logdet_names_the_smallest_eigenvalue_below_zero(self):
+        # On the 4-cycle (eigenvalues -1..1) the failing term at rho = -1.5
+        # is 1 - rho lam_min, so the message names lam_min.
+        spec = network_spectrum(Network.from_edges(4, [(0, 1), (1, 2), (2, 3), (3, 0)]))
+        with pytest.raises(NotPositiveDefiniteError) as info:
+            spec.logdet(-1.5)
+        assert str(info.value) == ("kernel loses positive definiteness at rho=np.float64(-1.5)"
+                                   f" (smallest eigenvalue {spec.eigenvalues.min()!r})")
+
     def test_spectrum_logdet_checks_what_every_term_checks(self):
         # The check reads one term per rho; a scan of every term 1 - rho lam_i,
         # computed the same way, must reject the same rho, near both ends of

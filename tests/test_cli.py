@@ -81,6 +81,15 @@ class TestGenerate:
     def test_unknown_flag_is_usage_error(self):
         assert run("generate", "--n", 10, "--frobnicate", 1) == 1
 
+    def test_zero_covariates_fail_before_any_file(self, tmp_path, capsys):
+        # n blank covariate lines would be rejected by every other command;
+        # an intercept-only model is --keep-first 0 on a real file.
+        capsys.readouterr()
+        assert run("generate", "--n", 10, "--p", 0, "--density", 0.3,
+                   "--out-prefix", tmp_path / "x") == 2
+        assert capsys.readouterr().err == "error: --p must be at least 1, got 0\n"
+        assert list(tmp_path.iterdir()) == []
+
     def test_help_exits_zero(self, capsys):
         assert run("--help") == 0
         assert "generate" in capsys.readouterr().out
@@ -426,17 +435,29 @@ class TestEvaluate:
         assert run("evaluate", edges, covs, dfile) == 2
 
     def test_length_mismatch(self, tmp_path, capsys):
-        # One check and one wording, made before any rho_t is scored, so an
-        # empty --rho-t list does not let a short design through either.
+        # One check and one wording, made before any rho_t is scored; an
+        # empty --rho-t list never gets that far (see the next test).
         edges, covs = make_dataset(tmp_path)
         dfile = tmp_path / "short.design"
         dfile.write_text("+1\n-1\n")
         capsys.readouterr()
-        for rho_t in ([], ["--rho-t", "0.3,0.7"], ["--rho-t", ","]):
+        for rho_t in ([], ["--rho-t", "0.3,0.7"]):
             assert run("evaluate", edges, covs, dfile, *rho_t) == 2
             out, err = capsys.readouterr()
             assert out == ""
             assert err == "error: design length 2 does not match n=30\n"
+
+    @pytest.mark.parametrize("rho_t", [",", ""])
+    def test_empty_rho_t_is_usage_error(self, tmp_path, capsys, rho_t):
+        # A header-only table answers nothing; an empty list is a bad flag.
+        edges, covs = make_dataset(tmp_path)
+        dfile = tmp_path / "x.design"
+        dfile.write_text("+1\n-1\n" * 15)
+        capsys.readouterr()
+        assert run("evaluate", edges, covs, dfile, "--rho-t", rho_t) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"error: argument --rho-t: expected at least one value, got {rho_t!r}\n"
 
 
 class TestDiagnose:
@@ -502,39 +523,50 @@ class TestDiagnose:
 
 
 class TestImports:
-    def test_design_loads_no_yaml_or_arpack(self, tmp_path):
-        # Only a study spec needs YAML and only the Lanczos route of the
-        # diagnostics needs scipy.sparse.linalg; a fresh interpreter shows
-        # what `netdesign design` loads.
-        edges, covs = make_dataset(tmp_path)
-        code = (
-            "import sys\nfrom netdesign.cli import main\n"
-            f"assert main(['design', {edges!r}, {covs!r}, '--output', {str(tmp_path / 'd.csv')!r}]) == 0\n"
-            "print([m for m in ('yaml', 'scipy.sparse.linalg') if m in sys.modules])\n"
-        )
-        src = str(Path(netdesign.__file__).parents[1])
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-        done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                              text=True, timeout=120, check=True)
-        assert done.stdout.splitlines()[-1] == "[]"
+    """What a command imports, seen from a fresh interpreter."""
 
-    def test_serial_commands_load_no_process_pool(self, tmp_path):
-        # The pool's modules cost several milliseconds of start-up; only a
-        # study with more than one worker imports them.
-        edges, covs = make_dataset(tmp_path)
-        spec = tmp_path / "mini.yaml"
-        spec.write_text("kind: gap_histogram\nn: 16\ndensity: 0.3\ndesigns: 3\nrho_draws: 20\n")
+    # Each module named here costs start-up time on every call that loads it.
+    # Only a study spec needs YAML, only the Lanczos route of the diagnostics
+    # (above 200 nodes) needs scipy.sparse.linalg, only a study with more
+    # than one worker needs the process pool, and no command needs
+    # scipy.special: the normal quantile is criterion._ndtri.
+    POOL_AND_SPECIAL = ("multiprocessing", "concurrent.futures.process", "scipy.special")
+
+    def loaded(self, argvs, modules):
+        """The modules of `modules` loaded after main() ran on each argv in turn."""
         code = (
             "import sys\nfrom netdesign.cli import main\n"
-            f"assert main(['design', {edges!r}, {covs!r}, '--output', {str(tmp_path / 'd.csv')!r}]) == 0\n"
-            f"assert main(['study', {str(spec)!r}, '--output', {str(tmp_path / 's.csv')!r}]) == 0\n"
-            "print([m for m in ('multiprocessing', 'concurrent.futures.process') if m in sys.modules])\n"
+            f"for argv in {[[str(a) for a in argv] for argv in argvs]!r}:\n"
+            "    assert main(argv) == 0, argv\n"
+            f"print([m for m in {tuple(modules)!r} if m in sys.modules])\n"
         )
         src = str(Path(netdesign.__file__).parents[1])
         env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
         done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                               text=True, timeout=120, check=True)
-        assert done.stdout.splitlines()[-1] == "[]"
+        return done.stdout.splitlines()[-1]
+
+    def test_commands_load_no_yaml_arpack_pool_or_special(self, tmp_path):
+        prefix = tmp_path / "data"
+        edges, covs = f"{prefix}_edges.txt", f"{prefix}_covariates.csv"
+        argvs = [
+            ["generate", "--n", 60, "--p", 3, "--density", 0.1, "--out-prefix", prefix],
+            ["design", edges, covs, "--output", tmp_path / "d.csv",
+             "--design-out", tmp_path / "x.design"],
+            ["evaluate", edges, covs, tmp_path / "x.design", "--rho-t", "0.3,0.7",
+             "--output", tmp_path / "e.csv"],
+            ["diagnose", edges, covs, "--designs", 2, "--scatter-designs", 20,
+             "--prior-draws", 20, "--output", tmp_path / "g.csv"],
+        ]
+        assert self.loaded(argvs, ("yaml", "scipy.sparse.linalg") + self.POOL_AND_SPECIAL) == "[]"
+
+    def test_serial_studies_load_no_arpack_pool_or_special(self, tmp_path):
+        argvs = []
+        for kind, body in sorted(_TINY_STUDIES.items()):
+            spec = tmp_path / f"{kind}.yaml"
+            spec.write_text(f"kind: {kind}\nseed: 9\n" + body)
+            argvs.append(["study", spec, "--output", tmp_path / f"{kind}.csv"])
+        assert self.loaded(argvs, ("scipy.sparse.linalg",) + self.POOL_AND_SPECIAL) == "[]"
 
 
 class TestStudy:

@@ -2,14 +2,17 @@ import itertools
 
 import numpy as np
 import pytest
+from scipy.special import ndtri
 
 from netdesign import criterion
 from netdesign.car import CarParams, fit_gls, sample_outcomes
 from netdesign.criterion import (
     _DENSE_EIGEN,
+    _EXP_M2,
     CriterionEvaluator,
     _adjacency_spectrum,
     _eig_extremes,
+    _ndtri,
     _precision_curve,
     balanced_moment_c,
     concavity_probe,
@@ -357,6 +360,33 @@ class TestRobustnessScatter:
         cov = generate_pm1_covariates(10, 1, seed=26)
         with pytest.raises(DataError):
             robustness_scatter(net, cov, 0.3, 0.6, 1, seed=0)
+
+
+class TestNdtri:
+    """criterion._ndtri against scipy.special.ndtri, bit for bit.  A single
+    differing point means a wrong coefficient or a changed operation order."""
+
+    def test_bit_identical_to_scipy(self):
+        rng = np.random.default_rng(20260)
+        cut = _EXP_M2
+        edges = [cut, 1.0 - cut, np.exp(-32.0), 1e-16, 5e-324, np.nextafter(1.0, 0.0), 0.5]
+        edges += [np.nextafter(e, d) for e in edges[:3] for d in (0.0, 1.0)]
+        alphas = [0.001, 0.005, 0.01, 0.05, 0.1, 0.5]
+        y = np.concatenate([
+            rng.random(40_000),                              # central and both near tails
+            10.0 ** rng.uniform(-300.0, 0.0, 30_000),        # far lower tail, both x < 8 and x >= 8
+            1.0 - 10.0 ** rng.uniform(-16.0, -1.0, 30_000),  # upper tail
+            edges, alphas, [1.0 - a for a in alphas],
+        ])
+        mine = np.array([_ndtri(v) for v in y.tolist()])
+        np.testing.assert_array_equal(mine.view(np.int64), ndtri(y).view(np.int64))
+
+    def test_ends_and_outside(self):
+        assert _ndtri(0.0) == -np.inf and _ndtri(1.0) == np.inf
+        for y in (-0.1, 1.1, -np.inf, np.inf, np.nan):
+            assert np.isnan(_ndtri(y)) and np.isnan(ndtri(y))
+        value = _ndtri(np.float64(0.025))
+        assert type(value) is float and value == ndtri(0.025)
 
 
 class TestGapDiagnostics:
