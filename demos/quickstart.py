@@ -25,7 +25,7 @@ rho0, alpha = 0.5, 0.001
 net = generate_bernoulli_network(n, density, seed=11)
 net = repair_isolated(net, "connect", seed=12).network
 cov = generate_pm1_covariates(n, p, seed=13)
-print(f"instance: {net.n} units, {net.m} edges, {cov.p} covariates")
+print(f"instance: {net.n} units, {len(net.edges)} edges, {cov.p} covariates")
 
 # Three ways to split the same units into two arms.
 report = solve(hybrid_problem(net, cov, rho0, alpha), seed=0)

@@ -56,9 +56,12 @@ class Design:
             if not line or line.startswith("#"):
                 continue
             try:
-                vals.append(int(line))
+                v = int(line)
             except ValueError:
-                raise DataError(f"line {lineno}: design entries must be +1 or -1") from None
+                v = None
+            if v not in (1, -1):
+                raise DataError(f"line {lineno}: design entries must be +1 or -1")
+            vals.append(v)
         if not vals:
             raise DataError("no design entries found")
         return Design(np.asarray(vals, dtype=np.float64))

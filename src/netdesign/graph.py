@@ -1,15 +1,15 @@
 """Network and covariate containers, generators, loaders and repairs.
 
-Adjacency is kept sparse (edge tuples plus a CSR matrix built on demand);
-dense n-by-n arrays are only materialized by downstream numerics that
-need them.  Node ids are always 0-based and dense internally; the loaders
-accept 1-based files through a flag.
+Adjacency is kept sparse (one read-only (m, 2) edge array plus a CSR
+matrix built on demand); dense n-by-n arrays are only materialized by
+downstream numerics that need them.  Node ids are always 0-based and
+dense internally; the loaders accept 1-based files through a flag.
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable
 
@@ -34,17 +34,24 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Network:
     """Simple undirected graph on nodes 0..n-1 with no self loops.
 
+    Networks compare and hash by identity.
+
     Attributes:
         n: number of nodes.
-        edges: canonical edge tuple, each entry (i, j) with i < j, sorted.
+        edges: read-only (m, 2) int64 array; rows (i, j) have i < j, sorted, unique.
     """
 
     n: int
-    edges: tuple = field(default=())
+    edges: np.ndarray = ()
+
+    def __post_init__(self):
+        ij = np.array(self.edges, dtype=np.int64, order="C").reshape(-1, 2)
+        ij.flags.writeable = False
+        object.__setattr__(self, "edges", ij)
 
     @staticmethod
     def from_edges(n: int, pairs: Iterable[tuple] | np.ndarray) -> "Network":
@@ -64,22 +71,21 @@ class Network:
         if ij.ndim != 2 or ij.shape[1] != 2:
             raise GraphFormatError("edges must be pairs of node ids")
         a, b = ij[:, 0], ij[:, 1]
-        bad = np.flatnonzero((a == b) | (np.minimum(a, b) < 0) | (np.maximum(a, b) >= n))
+        lo, hi = np.minimum(a, b), np.maximum(a, b)
+        bad = np.flatnonzero((a == b) | (lo < 0) | (hi >= n))
         if bad.size:  # report the first bad pair, as a scan in input order would
             a, b = int(a[bad[0]]), int(b[bad[0]])
             if a == b:
                 raise GraphFormatError(f"self loop at node {a} is not allowed")
             raise GraphFormatError(f"edge ({a}, {b}) outside node range 0..{n - 1}")
-        lo, hi = np.minimum(a, b), np.maximum(a, b)
-        order = np.lexsort((hi, lo))
-        lo, hi = lo[order], hi[order]
-        first = np.ones(lo.size, dtype=bool)
-        first[1:] = (lo[1:] != lo[:-1]) | (hi[1:] != hi[:-1])
-        return Network(n=n, edges=tuple(zip(lo[first].tolist(), hi[first].tolist())))
+        ij = np.column_stack((lo, hi))[np.lexsort((hi, lo))]
+        first = np.ones(len(ij), dtype=bool)
+        first[1:] = (ij[1:] != ij[:-1]).any(axis=1)
+        return Network(n=n, edges=ij[first])
 
     @cached_property
     def degrees(self) -> np.ndarray:
-        return np.bincount(np.asarray(self.edges, dtype=np.int64).ravel(), minlength=self.n)
+        return np.bincount(self.edges.ravel(), minlength=self.n)
 
     @property
     def m(self) -> int:
@@ -89,13 +95,9 @@ class Network:
     @cached_property
     def adjacency(self) -> sparse.csr_array:
         """Symmetric 0/1 adjacency matrix in CSR form."""
-        if not self.edges:
-            return sparse.csr_array((self.n, self.n), dtype=np.float64)
-        ij = np.asarray(self.edges, dtype=np.int64)
-        rows = np.concatenate([ij[:, 0], ij[:, 1]])
-        cols = np.concatenate([ij[:, 1], ij[:, 0]])
-        data = np.ones(rows.size, dtype=np.float64)
-        return sparse.csr_array((data, (rows, cols)), shape=(self.n, self.n))
+        a, b = self.edges.T
+        rows, cols = np.concatenate([a, b]), np.concatenate([b, a])
+        return sparse.csr_array((np.ones(rows.size), (rows, cols)), shape=(self.n, self.n))
 
     @property
     def isolated_nodes(self) -> np.ndarray:
@@ -192,18 +194,16 @@ def generate_bernoulli_network(n: int, density: float, seed: int) -> Network:
     # row-by-row draw makes, so memory stays O(n).
     starts = np.zeros(n, dtype=np.int64)
     np.cumsum(np.arange(n - 1, 0, -1), out=starts[1:])
-    rows, cols = [], []
+    blocks = []
     lo = 0
     while lo < n - 1:
         hi = int(np.searchsorted(starts, starts[lo] + max(n, 1 << 16)))
         hi = min(max(hi, lo + 1), n - 1)
         hits = np.flatnonzero(rng.random(int(starts[hi] - starts[lo])) < density) + starts[lo]
         row = np.searchsorted(starts, hits, side="right") - 1
-        rows.append(row)
-        cols.append(hits - starts[row] + row + 1)
+        blocks.append(np.column_stack((row, hits - starts[row] + row + 1)))
         lo = hi
-    rows, cols = np.concatenate(rows).tolist(), np.concatenate(cols).tolist()
-    return Network(n=n, edges=tuple(zip(rows, cols)))
+    return Network(n=n, edges=np.concatenate(blocks))
 
 
 def generate_pm1_covariates(n: int, p: int, seed: int) -> CovariateMatrix:
@@ -282,9 +282,7 @@ def load_edge_list(path, index_base: int = 0) -> Network:
 def write_edge_list(net: Network, path) -> None:
     """Write the canonical (sorted, 0-based) edge list."""
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"# nodes: {net.n}\n")
-        for a, b in net.edges:
-            fh.write(f"{a} {b}\n")
+        fh.write(f"# nodes: {net.n}\n" + "".join(f"{a} {b}\n" for a, b in net.edges.tolist()))
 
 
 def load_covariates(path, keep_first: int | None = None, header: bool = False) -> CovariateMatrix:
@@ -359,8 +357,10 @@ def repair_isolated(net: Network, strategy: str, seed: int | None = None) -> Rep
     the old id of each new node.
     """
     if strategy == "connect":
+        if net.n < 2:
+            raise DataError("cannot connect: a one-node network has no other node to connect to")
         rng = np.random.default_rng(seed)
-        pairs = list(net.edges)
+        added = []
         deg = net.degrees.copy()
         for node in range(net.n):
             if deg[node] > 0:
@@ -368,9 +368,9 @@ def repair_isolated(net: Network, strategy: str, seed: int | None = None) -> Rep
             other = int(rng.integers(0, net.n - 1))
             if other >= node:
                 other += 1
-            pairs.append((node, other))
-            deg[node] += 1
-            deg[other] += 1
+            added.append((node, other))
+            deg[other] += 1  # node itself is never scanned again
+        pairs = np.concatenate([net.edges, np.array(added, dtype=np.int64).reshape(-1, 2)])
         return RepairResult(Network.from_edges(net.n, pairs), np.arange(net.n))
     if strategy == "remove":
         kept = np.flatnonzero(net.degrees > 0)
@@ -402,9 +402,8 @@ def _induced(net: Network, keep: np.ndarray) -> Network:
     edges of `net` stay canonical and sorted."""
     new_id = np.full(net.n, -1, dtype=np.int64)
     new_id[keep] = np.arange(keep.size)
-    ij = new_id[np.asarray(net.edges, dtype=np.int64).reshape(-1, 2)]
-    ij = ij[(ij >= 0).all(axis=1)]
-    return Network(n=int(keep.size), edges=tuple(map(tuple, ij.tolist())))
+    ij = new_id[net.edges]
+    return Network(n=int(keep.size), edges=ij[(ij >= 0).all(axis=1)])
 
 
 def paired_bipartite_instance(n_pairs: int = 10) -> tuple[Network, CovariateMatrix]:

@@ -447,6 +447,17 @@ class TestEvaluate:
             assert out == ""
             assert err == "error: design length 2 does not match n=30\n"
 
+    @pytest.mark.parametrize("bad", ["0", "2"])
+    def test_bad_design_entry_names_its_line(self, tmp_path, capsys, bad):
+        edges, covs = make_dataset(tmp_path)
+        dfile = tmp_path / "bad.design"
+        dfile.write_text(f"+1\n{bad}\n" + "-1\n" * 28)
+        capsys.readouterr()
+        assert run("evaluate", edges, covs, dfile) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "error: line 2: design entries must be +1 or -1\n"
+
     @pytest.mark.parametrize("rho_t", [",", ""])
     def test_empty_rho_t_is_usage_error(self, tmp_path, capsys, rho_t):
         # A header-only table answers nothing; an empty list is a bad flag.

@@ -13,6 +13,7 @@ from pathlib import Path
 import pytest
 
 from netdesign.cli import main
+from netdesign.graph import generate_bernoulli_network, repair_isolated
 
 DEMOS = Path(__file__).resolve().parent.parent / "demos"
 
@@ -29,6 +30,15 @@ def test_demo_runs(name, expect, tmp_path, monkeypatch, capsys):
     runpy.run_path(str(DEMOS / name), run_name="__main__")
     assert expect in capsys.readouterr().out
     assert out.exists() == (name == "run_study.py")
+
+
+def test_quickstart_prints_the_edge_count(monkeypatch, capsys):
+    # The demo's network, rebuilt from its seeds: edges, not edge ends.
+    net = repair_isolated(generate_bernoulli_network(60, 0.08, seed=11), "connect", seed=12).network
+    monkeypatch.setattr(sys, "argv", [str(DEMOS / "quickstart.py")])
+    runpy.run_path(str(DEMOS / "quickstart.py"), run_name="__main__")
+    first = capsys.readouterr().out.splitlines()[0]
+    assert first == f"instance: 60 units, {len(net.edges)} edges, 4 covariates"
 
 
 def test_cli_walkthrough_steps(tmp_path, capsys):

@@ -223,7 +223,7 @@ class TestSeedsAndData:
     def test_synth_dataset_reproducible_and_repaired(self):
         net, cov = synth_dataset(40, 4, 0.05, 123)
         net2, cov2 = synth_dataset(40, 4, 0.05, 123)
-        assert net.edges == net2.edges
+        assert np.array_equal(net.edges, net2.edges)
         assert np.array_equal(cov.values, cov2.values)
         assert net.isolated_nodes.size == 0
         assert cov.values.shape == (40, 5)

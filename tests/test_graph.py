@@ -1,8 +1,11 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import netdesign
 from netdesign.criterion import CriterionEvaluator, concavity_probe, surrogate_gap_diagnostics
 from netdesign.errors import DataError, GraphFormatError, RankError
 from netdesign.graph import (
@@ -30,7 +33,7 @@ def degrees_by_counting(n, edges):
 
 
 def from_edges_by_scan(n, pairs):
-    """Edge tuple of Network.from_edges by a scan in input order, or the error it raises first."""
+    """Edge rows of Network.from_edges by a scan in input order, or the error it raises first."""
     canon = set()
     for a, b in pairs:
         if a == b:
@@ -38,7 +41,7 @@ def from_edges_by_scan(n, pairs):
         if not (0 <= a < n and 0 <= b < n):
             return f"edge ({a}, {b}) outside node range 0..{n - 1}"
         canon.add((a, b) if a < b else (b, a))
-    return tuple(sorted(canon))
+    return [list(pair) for pair in sorted(canon)]
 
 
 def bernoulli_row_by_row(n, density, seed):
@@ -47,17 +50,31 @@ def bernoulli_row_by_row(n, density, seed):
     pairs = []
     for i in range(n - 1):
         hits = np.flatnonzero(rng.random(n - 1 - i) < density)
-        pairs.extend((i, i + 1 + int(j)) for j in hits)
-    return tuple(pairs)
+        pairs.extend([i, i + 1 + int(j)] for j in hits)
+    return pairs
+
+
+def assert_canonical(net):
+    """net.edges is the one edge form: a read-only, C-contiguous (m, 2) int64
+    array whose rows (i, j) have i < j and are sorted and unique."""
+    ij = net.edges
+    assert ij.dtype == np.int64 and ij.ndim == 2 and ij.shape[1] == 2
+    assert ij.flags.c_contiguous and not ij.flags.writeable
+    assert np.all(ij[:, 0] < ij[:, 1])
+    assert len(set(map(tuple, ij.tolist()))) == len(ij)
+    assert ij.tolist() == sorted(ij.tolist())
+    if len(ij):
+        with pytest.raises(ValueError, match="read-only"):
+            ij[0, 0] = ij[0, 1]
 
 
 class TestNetwork:
     def test_canonical_edges_and_degrees(self):
         net = Network.from_edges(4, [(2, 0), (0, 2), (1, 3), (3, 2)])
-        assert net.edges == ((0, 2), (1, 3), (2, 3))
+        assert net.edges.tolist() == [[0, 2], [1, 3], [2, 3]]
         assert net.m == 6
         edgeless = Network.from_edges(3, [])
-        assert edgeless.edges == () and edgeless.m == 0
+        assert edgeless.edges.shape == (0, 2) and edgeless.m == 0
         for g in (net, edgeless):
             assert g.degrees.dtype == np.int64
             assert np.array_equal(g.degrees, degrees_by_counting(g.n, g.edges))
@@ -93,9 +110,27 @@ class TestNetwork:
                     Network.from_edges(n, given_pairs)
                 assert str(err.value) == expect
             else:
-                edges = Network.from_edges(n, given_pairs).edges
-                assert edges == expect
-                assert all(type(i) is int for edge in edges for i in edge)
+                net = Network.from_edges(n, given_pairs)
+                assert net.edges.tolist() == expect
+                assert_canonical(net)
+
+    def test_constructor_coerces_and_freezes_edges(self):
+        # Network(n) and Network(n, ()) are edgeless; a caller's array is
+        # copied, so writing to it later cannot stale degrees or adjacency.
+        for net in (Network(4), Network(4, ()), Network(4, [])):
+            assert net.edges.shape == (0, 2) and net.adjacency.nnz == 0
+            assert_canonical(net)
+        given = np.array([[0, 1], [1, 2]], dtype=np.int32)
+        net = Network(3, given)
+        given[0, 1] = 2
+        assert net.edges.tolist() == [[0, 1], [1, 2]] and net.degrees.tolist() == [1, 2, 1]
+        assert_canonical(net)
+
+    def test_networks_compare_by_identity(self):
+        a = Network.from_edges(3, [(0, 1)])
+        b = Network.from_edges(3, [(0, 1)])
+        assert a == a and a != b
+        assert len({a, b}) == 2
 
     def test_isolated_nodes(self):
         net = Network.from_edges(4, [(0, 1)])
@@ -106,9 +141,9 @@ class TestGenerators:
     def test_bernoulli_deterministic(self):
         a = generate_bernoulli_network(60, 0.1, seed=7)
         b = generate_bernoulli_network(60, 0.1, seed=7)
-        assert a.edges == b.edges
+        assert np.array_equal(a.edges, b.edges)
         c = generate_bernoulli_network(60, 0.1, seed=8)
-        assert c.edges != a.edges
+        assert not np.array_equal(c.edges, a.edges)
 
     def test_bernoulli_matches_row_by_row_draw(self):
         # Sizes below, at and above one draw block (2^16 pairs from n = 363).
@@ -117,9 +152,9 @@ class TestGenerators:
                 for seed in (0, 9):
                     if density >= 0.3 and n > 400:
                         continue
-                    edges = generate_bernoulli_network(n, density, seed=seed).edges
-                    assert edges == bernoulli_row_by_row(n, density, seed)
-                    assert all(type(i) is int for edge in edges[:5] for i in edge)
+                    net = generate_bernoulli_network(n, density, seed=seed)
+                    assert net.edges.tolist() == bernoulli_row_by_row(n, density, seed)
+                    assert_canonical(net)
 
     def test_bernoulli_edge_count_binomial(self):
         # Oracle: edge count ~ Binomial(C(n,2), q); stay within 5 sd.
@@ -175,14 +210,14 @@ class TestEdgeListIO:
         write_edge_list(net, path)
         back = load_edge_list(path)
         assert back.n == net.n
-        assert back.edges == net.edges
+        assert np.array_equal(back.edges, net.edges)
 
     def test_comments_blanks_and_one_based(self, tmp_path):
         path = tmp_path / "e.txt"
         path.write_text("# a comment\n\n1 2\n2 3\n")
         net = load_edge_list(path, index_base=1)
         assert net.n == 3
-        assert net.edges == ((0, 1), (1, 2))
+        assert net.edges.tolist() == [[0, 1], [1, 2]]
 
     def test_parse_error_names_line(self, tmp_path):
         path = tmp_path / "bad.txt"
@@ -274,7 +309,8 @@ class TestRepair:
         res = repair_isolated(net, "connect", seed=9)
         assert np.all(res.network.degrees >= 1)
         assert np.array_equal(res.kept, np.arange(8))
-        added = set(res.network.edges) - set(net.edges)
+        assert_canonical(res.network)
+        added = set(map(tuple, res.network.edges.tolist())) - set(map(tuple, net.edges.tolist()))
         # One new edge per node still isolated when scanned; never more
         # edges than there were isolated nodes.
         assert 1 <= len(added) <= len(before)
@@ -287,20 +323,26 @@ class TestRepair:
         net = Network.from_edges(10, [(0, 1)])
         a = repair_isolated(net, "connect", seed=2).network
         b = repair_isolated(net, "connect", seed=2).network
-        assert a.edges == b.edges
+        assert np.array_equal(a.edges, b.edges)
 
     def test_remove_reindexes_densely(self):
         net = Network.from_edges(6, [(1, 3), (3, 5)])
         res = repair_isolated(net, "remove")
         assert res.kept.tolist() == [1, 3, 5]
         assert res.network.n == 3
-        assert res.network.edges == ((0, 1), (1, 2))
+        assert res.network.edges.tolist() == [[0, 1], [1, 2]]
         assert res.network.isolated_nodes.size == 0
+        assert_canonical(res.network)
 
     def test_remove_everything_fails(self):
         net = Network.from_edges(3, [])
         with pytest.raises(DataError, match="no edges"):
             repair_isolated(net, "remove")
+
+    def test_connect_one_node_fails(self):
+        net = Network.from_edges(1, [])
+        with pytest.raises(DataError, match="one-node network has no other node to connect"):
+            repair_isolated(net, "connect", seed=0)
 
     def test_unknown_strategy(self):
         net = Network.from_edges(3, [(0, 1)])
@@ -313,8 +355,9 @@ class TestSubsample:
         net = generate_bernoulli_network(30, 0.2, seed=1)
         cov = generate_pm1_covariates(30, 2, seed=1)
         sub, subcov = subsample_network(net, cov, 30, seed=4)
-        assert sub.edges == net.edges
+        assert np.array_equal(sub.edges, net.edges)
         assert np.array_equal(subcov.values, cov.values)
+        assert_canonical(sub)
 
     def test_induced_edges_small_case(self):
         net = Network.from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4)])
@@ -324,7 +367,8 @@ class TestSubsample:
         for seed in range(200):
             sub, subcov = subsample_network(net, cov, 3, seed=seed)
             if np.array_equal(subcov.values[:, 1], [1.0, 2.0, 3.0]):
-                assert sub.edges == ((0, 1), (1, 2))
+                assert sub.edges.tolist() == [[0, 1], [1, 2]]
+                assert_canonical(sub)
                 return
         pytest.fail("sample {1,2,3} never drawn in 200 seeds")
 
@@ -374,3 +418,17 @@ class TestPairedBipartite:
         z = cov.values[:, 1]
         assert np.all(z[:10] == z[10:])  # partners share the covariate
         assert z.sum() == 0.0
+
+
+def test_no_second_edge_form_in_source():
+    # Network.edges is the one edge form, and every reader uses it as is:
+    # no code may rebuild it as a tuple of pairs or turn such a tuple back
+    # into an array.
+    banned = ("tuple(zip(", "np.asarray(self.edges", "np.asarray(net.edges")
+    hits = [
+        f"{path.name}:{lineno}: {line.strip()}"
+        for path in sorted(Path(netdesign.__file__).parent.rglob("*.py"))
+        for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1)
+        if any(b in line for b in banned)
+    ]
+    assert hits == []

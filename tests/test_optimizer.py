@@ -211,9 +211,21 @@ class TestRandomDesigns:
     def test_design_holds_a_read_only_sign_vector(self):
         d = Design([1, -1, 1])
         assert d.x.dtype == np.float64 and not d.x.flags.writeable
+        assert Design.from_lines("# x\n+1\n\n-1\n1\n") == d
         for bad in ([], [1, 0, -1], [0.5, -1.0]):
             with pytest.raises(DataError, match=r"must all be \+1 or -1"):
                 Design(bad)
+
+    @pytest.mark.parametrize("text, line", [
+        ("+1\n1.0\n", 2),
+        ("+1\n0\n-1\n", 2),
+        ("# x\n\n2\n", 3),
+        ("-1\n+1\n-2\n0\n", 3),
+    ])
+    def test_from_lines_names_the_first_bad_line(self, text, line):
+        with pytest.raises(DataError) as err:
+            Design.from_lines(text)
+        assert str(err.value) == f"line {line}: design entries must be +1 or -1"
 
 
 class TestExactSmall:
