@@ -537,7 +537,6 @@ class GapDiagnostics:
     gap_estimate: float
     second_derivative_term: float
     bound_a: float
-    bound_b: float
     alpha: float
     rho0: float
     var_rho: float
@@ -545,8 +544,12 @@ class GapDiagnostics:
     _prefactor: float = 0.0
     _total_degree: float = 0.0
 
+    @property
+    def bound_b(self) -> float:
+        return self.bound_b_at(self.alpha)
+
     def bound_b_at(self, alpha: float) -> float:
-        """Recompute bound_b for another tail level without refactoring."""
+        """bound_b at tail level alpha: (m + z_{1-alpha} sqrt(m)) * prefactor, no refactoring."""
         if not 0.0 < alpha < 1.0:
             raise DataError(f"alpha must lie in (0, 1), got {alpha}")
         m = self._total_degree
@@ -594,13 +597,10 @@ def surrogate_gap_diagnostics(
     lam_max, lam_min, lam_w = _eig_extremes(net, rho0)
     m = float(net.m)
     pref = (lam_w**2) * var_rho / (lam_min**2)
-    bound_a = min(net.n * lam_max, (1.0 + rho0) * m) * pref
-    bound_b = (m + _ndtri(1.0 - alpha) * math.sqrt(m)) * pref
     return GapDiagnostics(
         gap_estimate=float(t[0] - np.mean(t[1:])),
         second_derivative_term=second,
-        bound_a=bound_a,
-        bound_b=bound_b,
+        bound_a=min(net.n * lam_max, (1.0 + rho0) * m) * pref,
         alpha=alpha,
         rho0=rho0,
         var_rho=var_rho,

@@ -7,6 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError
+from .graph import read_only_copy
 
 __all__ = ["Design", "as_sign_vector"]
 
@@ -23,14 +24,15 @@ def as_sign_vector(x) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class Design:
-    """An assignment of each node to the +1 or -1 arm."""
+    """An assignment of each node to the +1 or -1 arm.
+
+    x is a read-only copy of the given signs.
+    """
 
     x: np.ndarray
 
     def __post_init__(self):
-        arr = as_sign_vector(self.x)
-        arr.flags.writeable = False
-        object.__setattr__(self, "x", arr)
+        object.__setattr__(self, "x", read_only_copy(as_sign_vector(self.x), np.float64))
 
     @property
     def n(self) -> int:

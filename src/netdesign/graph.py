@@ -34,6 +34,25 @@ __all__ = [
 ]
 
 
+def read_only_copy(a, dtype, order: str = "K") -> np.ndarray:
+    """A read-only copy of a as dtype, owned by no caller.
+
+    The default order keeps an array's memory layout: BLAS rounds products
+    of a C- and an F-ordered matrix differently, so covariates keep the
+    layout they were built in and every result keeps its bits.
+    """
+    arr = np.array(a, dtype=dtype, order=order)
+    arr.flags.writeable = False
+    return arr
+
+
+def _is_whole(v) -> bool:
+    """v is an integer or an integer-valued float."""
+    return isinstance(v, (int, np.integer)) or (
+        isinstance(v, (float, np.floating)) and float(v).is_integer()
+    )
+
+
 @dataclass(frozen=True, eq=False)
 class Network:
     """Simple undirected graph on nodes 0..n-1 with no self loops.
@@ -42,15 +61,25 @@ class Network:
 
     Attributes:
         n: number of nodes.
-        edges: read-only (m, 2) int64 array; rows (i, j) have i < j, sorted, unique.
+        edges: read-only (m, 2) int64 copy of the given rows; each row (i, j)
+            has 0 <= i < j < n and the rows strictly increase (sorted, unique),
+            else GraphFormatError.
     """
 
     n: int
     edges: np.ndarray = ()
 
     def __post_init__(self):
-        ij = np.array(self.edges, dtype=np.int64, order="C").reshape(-1, 2)
-        ij.flags.writeable = False
+        ij = read_only_copy(self.edges, np.int64, "C").reshape(-1, 2)
+        i, j = ij.T
+        bad = (i < 0) | (i >= j) | (j >= self.n)
+        bad[1:] |= (i[1:] < i[:-1]) | ((i[1:] == i[:-1]) & (j[1:] <= j[:-1]))
+        if bad.any():
+            k = int(np.argmax(bad))
+            raise GraphFormatError(
+                f"edge row {k} {tuple(ij[k].tolist())}: rows must be unique sorted "
+                f"pairs i < j of nodes 0..{self.n - 1}"
+            )
         object.__setattr__(self, "edges", ij)
 
     @staticmethod
@@ -58,18 +87,30 @@ class Network:
         """Build a network from an iterable of node pairs or an (m, 2) integer array.
 
         Duplicate pairs (in either orientation) collapse to one edge.
-        Raises GraphFormatError on self loops or out-of-range ids.
+        Raises GraphFormatError on ids that are not integers, self loops
+        or out-of-range ids.
         """
         if n < 1:
             raise DataError(f"need at least one node, got n={n}")
+        given = pairs if isinstance(pairs, np.ndarray) else list(pairs)
         try:
-            ij = np.asarray(pairs if isinstance(pairs, np.ndarray) else list(pairs), dtype=np.int64)
+            raw = np.asarray(given)
+        except ValueError:  # pairs of unequal lengths
+            raise GraphFormatError("edges must be pairs of node ids") from None
+        if raw.size == 0:
+            raw = raw.reshape(0, 2)
+        if raw.ndim != 2 or raw.shape[1] != 2:
+            raise GraphFormatError("edges must be pairs of node ids")
+        if raw.dtype.kind not in "iu":  # floats, strings, objects: each id must be a whole number
+            rows = given.tolist() if isinstance(given, np.ndarray) else given
+            for a, b in rows:
+                if not (_is_whole(a) and _is_whole(b)):
+                    raise GraphFormatError(f"edge ({a!r}, {b!r}): node ids must be integers")
+            raw = [[int(a), int(b)] for a, b in rows]
+        try:
+            ij = np.asarray(raw, dtype=np.int64).reshape(-1, 2)
         except OverflowError:
             raise GraphFormatError("node ids must lie below 2^63") from None
-        if ij.size == 0:
-            ij = ij.reshape(0, 2)
-        if ij.ndim != 2 or ij.shape[1] != 2:
-            raise GraphFormatError("edges must be pairs of node ids")
         a, b = ij[:, 0], ij[:, 1]
         lo, hi = np.minimum(a, b), np.maximum(a, b)
         bad = np.flatnonzero((a == b) | (lo < 0) | (hi >= n))
@@ -112,14 +153,15 @@ class CovariateMatrix:
     """Covariates with a leading intercept column.
 
     Attributes:
-        values: n-by-(p+1) float array; column 0 is all ones; full column
-            rank is checked at construction.
+        values: read-only n-by-(p+1) float copy of the given array, in its
+            memory layout; column 0 is all ones; full column rank is
+            checked at construction.
     """
 
     values: np.ndarray
 
     def __post_init__(self):
-        vals = np.asarray(self.values, dtype=np.float64)
+        vals = read_only_copy(self.values, np.float64)
         if vals.ndim != 2 or vals.shape[0] < 1:
             raise DataError("covariate matrix must be 2-dimensional and non-empty")
         if not np.all(vals[:, 0] == 1.0):

@@ -83,8 +83,8 @@ _FEAS_TOL = 1e-9
 _TIE_REL = 1e-10
 
 
-def _cap_value(m: float, alpha: float) -> float:
-    if not 0.0 < alpha < 1.0:
+def _cap_value(m: float, alpha: Optional[float]) -> float:
+    if alpha is None or not 0.0 < alpha < 1.0:
         raise DataError(f"alpha must lie in (0, 1), got {alpha}")
     if m <= 0:
         raise DataError("connection cap undefined on an edgeless network")
@@ -116,18 +116,28 @@ class HybridProblem:
     """Factored minimization instance shared by every solver.
 
     objective(x) = ||H x||^2; the cap applies to x' W x when W is present.
-    psi holds the squared column norms of H, used by incremental moves.
+    Built from H, W, rho0 and alpha alone; the rest is derived from them
+    once, here: n is the column count of H, psi the squared column norms
+    of H (used by incremental moves), m the total degree W.nnz (0 without
+    W) and cap = sqrt(m) z_alpha with W, None without.  dataclasses.replace
+    derives them again, so they always follow H, W and alpha.
     """
 
-    n: int
     H: np.ndarray
-    psi: np.ndarray
-    W: Optional[object]
-    cap: Optional[float]
-    m: float
-    rho0: Optional[float]
-    alpha: Optional[float]
-    kind: str
+    W: Optional[object] = None
+    rho0: Optional[float] = None
+    alpha: Optional[float] = None
+    n: int = field(init=False)
+    psi: np.ndarray = field(init=False)
+    m: float = field(init=False)
+    cap: Optional[float] = field(init=False)
+
+    def __post_init__(self):
+        m = 0.0 if self.W is None else float(self.W.nnz)
+        object.__setattr__(self, "n", self.H.shape[1])
+        object.__setattr__(self, "psi", np.einsum("ij,ij->j", self.H, self.H))
+        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "cap", None if self.W is None else _cap_value(m, self.alpha))
 
     def objective(self, x) -> float:
         v = self.H @ as_sign_vector(x)
@@ -165,19 +175,7 @@ def hybrid_problem(
 ) -> HybridProblem:
     """Kernel-weighted imbalance objective with the level-alpha connection cap."""
     ev = CriterionEvaluator(net, cov, rho0)
-    cap = quantile_cap(net, alpha)
-    H = np.ascontiguousarray(ev.H)
-    return HybridProblem(
-        n=net.n,
-        H=H,
-        psi=np.einsum("ij,ij->j", H, H),
-        W=net.adjacency,
-        cap=cap,
-        m=float(net.m),
-        rho0=float(rho0),
-        alpha=float(alpha),
-        kind="network",
-    )
+    return HybridProblem(np.ascontiguousarray(ev.H), net.adjacency, float(rho0), float(alpha))
 
 
 def no_network_problem(cov: CovariateMatrix) -> HybridProblem:
@@ -188,18 +186,7 @@ def no_network_problem(cov: CovariateMatrix) -> HybridProblem:
         La = linalg.cholesky(A, lower=True)
     except linalg.LinAlgError:
         raise RankError("F'F is not positive definite; check covariate rank") from None
-    H = np.ascontiguousarray(linalg.solve_triangular(La, F.T, lower=True))
-    return HybridProblem(
-        n=cov.n,
-        H=H,
-        psi=np.einsum("ij,ij->j", H, H),
-        W=None,
-        cap=None,
-        m=0.0,
-        rho0=None,
-        alpha=None,
-        kind="covariate_only",
-    )
+    return HybridProblem(np.ascontiguousarray(linalg.solve_triangular(La, F.T, lower=True)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -296,7 +283,7 @@ def _ladder_schedule(problem: HybridProblem, relax: bool):
     levels = [(problem.alpha, problem.cap)]
     if relax:
         for a in RELAXATION_LADDER:
-            if a > (problem.alpha or 0.0) + 1e-15:
+            if a > problem.alpha + 1e-15:
                 levels.append((a, _cap_value(problem.m, a)))
     return levels
 

@@ -97,6 +97,23 @@ class TestNetwork:
         with pytest.raises(GraphFormatError, match="outside node range"):
             Network.from_edges(3, [(0, 3)])
 
+    @pytest.mark.parametrize("pairs, message", [
+        ([(0.7, 2.2)], "edge (0.7, 2.2): node ids must be integers"),
+        ([(0, 1), ("a", "b")], "edge ('a', 'b'): node ids must be integers"),
+        ([(0, 1), (1, None)], "edge (1, None): node ids must be integers"),
+        (np.array([[0.0, 1.0], [1.0, 2.5], [0.5, 2.0]]), "edge (1.0, 2.5): node ids must be integers"),
+        ([(0, 1), (2,)], "edges must be pairs of node ids"),
+        ([(0, 2**63)], "node ids must lie below 2^63"),
+    ])
+    def test_non_integer_ids_rejected(self, pairs, message):
+        # Ids are never truncated: the first pair with a non-integer id is named.
+        with pytest.raises(GraphFormatError) as err:
+            Network.from_edges(3, pairs)
+        assert str(err.value) == message
+
+    def test_integer_valued_floats_accepted(self):
+        assert Network.from_edges(3, [(2.0, 0.0), (1.0, 2.0)]).edges.tolist() == [[0, 2], [1, 2]]
+
     @given(
         n=st.integers(1, 12),
         pairs=st.lists(st.tuples(st.integers(-2, 13), st.integers(-2, 13)), max_size=30),
@@ -125,6 +142,34 @@ class TestNetwork:
         given[0, 1] = 2
         assert net.edges.tolist() == [[0, 1], [1, 2]] and net.degrees.tolist() == [1, 2, 1]
         assert_canonical(net)
+
+    @pytest.mark.parametrize("rows", [
+        [(2, 1), (2, 1), (0, 5)],  # reversed, repeated and out of range
+        [(1, 2), (0, 1)],  # unsorted
+        [(0, 1), (0, 1)],  # repeated
+        [(0, 2), (0, 1)],  # unsorted within a first node
+        [(1, 1)],  # self loop
+        [(-1, 2)],
+        [(0, 3)],
+    ])
+    def test_constructor_rejects_non_canonical_rows(self, rows):
+        with pytest.raises(GraphFormatError, match="rows must be unique sorted pairs"):
+            Network(3, rows)
+
+    def test_producers_give_canonical_rows(self):
+        # What from_edges, the generator, _induced (subsample and remove) and
+        # the connect repair build passes the constructor's check again.
+        sparse_net = generate_bernoulli_network(40, 0.03, seed=5)
+        cov = generate_pm1_covariates(40, 1, seed=5)
+        for net in (
+            Network.from_edges(5, [(4, 0), (2, 1), (0, 4), (3, 2)]),
+            sparse_net,
+            subsample_network(sparse_net, cov, 25, seed=6)[0],
+            repair_isolated(sparse_net, "remove").network,
+            repair_isolated(sparse_net, "connect", seed=7).network,
+        ):
+            assert_canonical(net)
+            assert Network(net.n, net.edges).edges.tolist() == net.edges.tolist()
 
     def test_networks_compare_by_identity(self):
         a = Network.from_edges(3, [(0, 1)])
@@ -196,6 +241,18 @@ class TestCovariateMatrix:
         z = np.ones((10, 1))  # duplicates the intercept
         with pytest.raises(RankError):
             CovariateMatrix.from_raw(z)
+
+    def test_values_are_a_read_only_copy(self):
+        F = np.array([[1.0, -1.0], [1.0, 2.0], [1.0, 0.5]])
+        cov = CovariateMatrix(F)
+        F[0, 0] = 5.0  # would break the checked intercept if cov shared F
+        assert cov.values[:, 0].tolist() == [1.0, 1.0, 1.0]
+        assert cov.values.flags.c_contiguous and not cov.values.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            cov.values[0, 0] = 5.0
+        # The copy keeps an F-ordered input's layout, so BLAS rounds as it would on the input.
+        fortran = CovariateMatrix(np.asfortranarray(cov.values)).values
+        assert fortran.flags.f_contiguous and not fortran.flags.writeable
 
     def test_from_raw_1d(self):
         cov = CovariateMatrix.from_raw(np.array([1.0, -1.0, 2.0]))

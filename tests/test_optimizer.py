@@ -32,6 +32,7 @@ from netdesign.graph import (
 from netdesign.optimizer import (
     RELAXATION_LADDER,
     AnnealingSchedule,
+    HybridProblem,
     _SwapState,
     hybrid_problem,
     no_network_problem,
@@ -169,6 +170,32 @@ class TestQuantileCap:
                 quantile_cap(net, bad)
 
 
+class TestHybridProblem:
+    def test_only_the_inputs_are_settable(self):
+        # n, psi, m and cap follow from H, W and alpha; none may be set apart from them.
+        init = [f.name for f in dataclasses.fields(HybridProblem) if f.init]
+        assert init == ["H", "W", "rho0", "alpha"]
+
+    def test_replace_derives_cap_and_psi_again(self):
+        net = repair_isolated(generate_bernoulli_network(30, 0.2, seed=3), "connect", seed=3).network
+        prob = hybrid_problem(net, generate_pm1_covariates(30, 2, seed=4), 0.5, 0.001)
+        assert (prob.n, prob.m, prob.cap) == (30, float(net.m), quantile_cap(net, 0.001))
+        for a in (0.1, 0.5):
+            assert dataclasses.replace(prob, alpha=a).cap == quantile_cap(net, a)
+        doubled = dataclasses.replace(prob, H=2.0 * prob.H)
+        assert np.array_equal(doubled.psi, 4.0 * prob.psi)
+        plain = no_network_problem(generate_pm1_covariates(30, 2, seed=4))
+        assert (plain.n, plain.m, plain.cap) == (30, 0.0, None)
+
+    def test_network_without_alpha_fails(self):
+        net = Network.from_edges(3, [(0, 1), (1, 2)])
+        prob = no_network_problem(CovariateMatrix.from_raw(np.array([1.0, -1.0, 1.0])))
+        with pytest.raises(DataError, match="alpha must lie in"):
+            HybridProblem(prob.H, net.adjacency)
+        with pytest.raises(DataError, match="edgeless"):
+            HybridProblem(prob.H, Network.from_edges(3, []).adjacency, alpha=0.1)
+
+
 class TestRandomDesigns:
     def test_balanced_even_split(self):
         for seed in range(50):
@@ -211,6 +238,10 @@ class TestRandomDesigns:
     def test_design_holds_a_read_only_sign_vector(self):
         d = Design([1, -1, 1])
         assert d.x.dtype == np.float64 and not d.x.flags.writeable
+        given = np.array([1.0, -1.0, 1.0])
+        owned = Design(given)
+        given[0] = 5.0  # a copy: the caller's later writes cannot reach the design
+        assert owned.x.tolist() == [1.0, -1.0, 1.0] and not owned.x.flags.writeable
         assert Design.from_lines("# x\n+1\n\n-1\n1\n") == d
         for bad in ([], [1, 0, -1], [0.5, -1.0]):
             with pytest.raises(DataError, match=r"must all be \+1 or -1"):
@@ -730,7 +761,8 @@ def tie_heavy_graph(kind, n, weighted, seed):
 def repair_state(W, X):
     """A swap state over the stack X on W; repair reads nothing of the objective."""
     n = W.shape[0]
-    prob = dataclasses.replace(no_network_problem(generate_pm1_covariates(n, 1, seed=n)), W=W)
+    prob = dataclasses.replace(no_network_problem(generate_pm1_covariates(n, 1, seed=n)), W=W,
+                               alpha=0.5)
     return _SwapState(prob, X, resync=64)
 
 
@@ -1051,7 +1083,7 @@ class TestPrunedSearch:
         prob = (no_network_problem(cov) if kind in ("pm1", "gaussian")
                 else pruning_instance(n, min(0.3, 20 / n), p, 0.5, 0.5, kind == "weighted", seed, cov))
         H = scale * prob.H
-        prob = dataclasses.replace(prob, H=H, psi=np.einsum("ij,ij->j", H, H))
+        prob = dataclasses.replace(prob, H=H)
         X = balanced_stack(n, designs, seed + 2)
         if skewed:
             ranks = np.argsort(np.argsort(H[0], kind="stable"))
@@ -1329,7 +1361,7 @@ class TestOneTieRule:
                     for name, value in knob.items():
                         mp.setattr(optimizer, name, value)
                     records.add(repr(solve_local(prob, restarts=4, seed=seed).to_record()))
-            assert len(records) == 1, (prob.n, prob.kind)
+            assert len(records) == 1, (prob.n, prob.W is None)
 
 
 def one_restart_at_a_time(problem, cap, restarts, seed, deadline=None):
