@@ -11,7 +11,10 @@ byte-identical files.
 Every cell of a study (a replicate, or a replicate at one network size)
 draws from its own derived seeds, so cells can run in any order or in
 parallel: `run_study(spec, threads=N)` runs them on up to N forked worker
-processes and gives rows, CSV and metadata byte-identical to N = 1.
+processes and gives rows, CSV and metadata byte-identical to N = 1.  Each
+worker runs on its own usable CPU (where the platform has affinity
+calls), because forked workers left to the scheduler were measured
+sharing one CPU of two for a whole study.
 
 Two scales exist per kind: the default desk scale finishes in minutes,
 while full=True restores the larger sizes the desk numbers were shrunk
@@ -20,6 +23,7 @@ from.  An explicit key in the spec file always wins over either scale.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import functools
 import io
@@ -39,7 +43,7 @@ from .car import (
     sample_noise,
 )
 from .criterion import CriterionEvaluator, surrogate_gap_diagnostics
-from .errors import NetdesignError, StudySpecError
+from .errors import DataError, NetdesignError, StudySpecError
 from .graph import (
     CovariateMatrix,
     check_covariate_rows,
@@ -436,19 +440,20 @@ def _tabulate(spec: StudySpec, columns, cell, cells, threads: int) -> StudyResul
     """Rows of `cell` over `cells`, in cell order, on as many workers as
     run_study describes."""
     cells = list(cells)
-    workers = min(threads, len(cells), _usable_cpus())
-    if workers > 1 and hasattr(os, "fork"):
-        rows = _pooled_rows(cell, cells, workers)
+    cpus = _usable_cpus()[:min(threads, len(cells))]
+    if len(cpus) > 1 and hasattr(os, "fork"):
+        rows = _pooled_rows(cell, cells, cpus)
     else:
         rows = [row for c in cells for row in cell(c)]
     return StudyResult(spec.kind, columns, rows, _meta(spec, columns, rows))
 
 
-def _usable_cpus() -> int:
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        return os.cpu_count() or 1
+def _usable_cpus() -> list:
+    """The CPUs this process may use, in order; where the platform has no
+    affinity calls, one None for each CPU, and no worker is placed."""
+    if hasattr(os, "sched_getaffinity") and hasattr(os, "sched_setaffinity"):
+        return sorted(os.sched_getaffinity(0))
+    return [None] * (os.cpu_count() or 1)
 
 
 # The cell function of the study a forked worker serves.  It is set once, in
@@ -456,37 +461,57 @@ def _usable_cpus() -> int:
 _worker_cell = None
 
 
-def _set_worker_cell(cell) -> None:
+def _start_worker(cell, queue) -> None:
+    """Pool initializer: serve `cell`, on the CPU taken from `queue`.
+
+    Left to the scheduler, the forked workers of a 2-worker study were
+    measured sharing one vCPU of two for the whole study, and a worker
+    that only starts on its CPU and then gives the full set back was seen
+    moved next to the other one on its next wake-up; so each worker stays
+    on its CPU for the pool's life.  Placement is best-effort: a CPU of
+    None (no affinity calls) or an OSError leaves the worker where it is,
+    computing the same rows."""
     global _worker_cell
     _worker_cell = cell
+    cpu = queue.get()
+    if cpu is not None:
+        with contextlib.suppress(OSError):
+            os.sched_setaffinity(0, {cpu})
 
 
 def _worker_rows(c) -> list:
     return _worker_cell(c)
 
 
-def _pooled_rows(cell, cells, workers: int) -> list:
-    """Rows of `cell` over `cells`, in cell order, from `workers` forked
-    processes.  Under fork the initializer's arguments are inherited, not
-    pickled, so `cell` may be a closure; tasks carry only cell keys and rows
-    come back pickled.  Keys go in contiguous chunks of about an eighth of a
-    worker's share: one key per task costs more than a sub-millisecond cell,
-    and eight chunks a worker still balance cells of uneven cost.  A cell's
-    exception is raised here as its own type; the pool is shut down, its
-    queued chunks dropped, before this returns."""
+def _pooled_rows(cell, cells, cpus: list) -> list:
+    """Rows of `cell` over `cells`, in cell order, from one forked process
+    on each of `cpus`: the parent queues them, one for each worker's
+    initializer to take (None: stay unplaced).  Under fork the
+    initializer's arguments are inherited, not pickled, so `cell` may be a
+    closure; tasks carry only cell keys and rows come back pickled.  Keys
+    go in contiguous chunks of about an eighth of a worker's share: one
+    key per task costs more than a sub-millisecond cell, and eight chunks
+    a worker still balance cells of uneven cost.  A cell's exception is
+    raised here as its own type; the pool is shut down, its queued chunks
+    dropped, before this returns."""
     # Imported here: a serial study and the other subcommands need neither.
     import multiprocessing
     from concurrent.futures.process import ProcessPoolExecutor
 
-    pool = ProcessPoolExecutor(
-        max_workers=workers, mp_context=multiprocessing.get_context("fork"),
-        initializer=_set_worker_cell, initargs=(cell,),
-    )
-    try:
-        chunk = max(1, len(cells) // (8 * workers))
-        return [row for rows in pool.map(_worker_rows, cells, chunksize=chunk) for row in rows]
-    finally:
-        pool.shutdown(wait=True, cancel_futures=True)
+    workers = len(cpus)
+    context = multiprocessing.get_context("fork")
+    with contextlib.closing(context.SimpleQueue()) as queue:
+        for cpu in cpus:
+            queue.put(cpu)
+        pool = ProcessPoolExecutor(
+            max_workers=workers, mp_context=context,
+            initializer=_start_worker, initargs=(cell, queue),
+        )
+        try:
+            chunk = max(1, len(cells) // (8 * workers))
+            return [row for rows in pool.map(_worker_rows, cells, chunksize=chunk) for row in rows]
+        finally:
+            pool.shutdown(wait=True, cancel_futures=True)
 
 
 def _rho_heads(base: dict, rho_ts) -> list:
@@ -531,8 +556,12 @@ def _breakdown_row(ev: CriterionEvaluator, x) -> dict:
 def run_study(spec: StudySpec, threads: int = 1) -> StudyResult:
     """Run the study `spec` describes.  Its cells run on up to `threads`
     forked worker processes, never more than there are cells or usable
-    CPUs; one worker, or a platform without fork, runs them one after
-    another in this process.  The result is byte-identical for any count."""
+    CPUs, each worker kept on its own usable CPU where the platform has
+    affinity calls; one worker, or a platform without fork, runs them
+    one after another in this process.  The result is byte-identical for
+    any count.  DataError unless `threads` is an integer of at least 1."""
+    if isinstance(threads, bool) or not isinstance(threads, (int, np.integer)) or threads < 1:
+        raise DataError(f"threads must be an integer of at least 1, got {threads!r}")
     runner = {
         "alpha_sweep": run_alpha_sweep,
         "rho_robustness": run_rho_robustness,

@@ -47,10 +47,31 @@ def read_only_copy(a, dtype, order: str = "K") -> np.ndarray:
 
 
 def _is_whole(v) -> bool:
-    """v is an integer or an integer-valued float."""
-    return isinstance(v, (int, np.integer)) or (
+    """v is an integer or an integer-valued float; a bool is neither."""
+    return (isinstance(v, (int, np.integer)) and not isinstance(v, bool)) or (
         isinstance(v, (float, np.floating)) and float(v).is_integer()
     )
+
+
+def _int64_pairs(given, raw: np.ndarray | None = None) -> np.ndarray:
+    """The node pairs `given` (pairs or an array) as an (m, 2) int64 array;
+    raw is np.asarray(given) where the caller has built it already.
+
+    Ids are never truncated: GraphFormatError names the first pair holding
+    an id that is not an integer or an integer-valued float, or says that
+    an id reaches 2^63.
+    """
+    raw = np.asarray(given) if raw is None else raw
+    if raw.dtype.kind not in "iu":  # floats, strings, bools, objects: check each id
+        rows = raw.reshape(-1, 2).tolist() if isinstance(given, np.ndarray) else given
+        for a, b in rows:
+            if not (_is_whole(a) and _is_whole(b)):
+                raise GraphFormatError(f"edge ({a!r}, {b!r}): node ids must be integers")
+        raw = [[int(a), int(b)] for a, b in rows]
+    try:
+        return np.asarray(raw, dtype=np.int64).reshape(-1, 2)
+    except OverflowError:
+        raise GraphFormatError("node ids must lie below 2^63") from None
 
 
 @dataclass(frozen=True, eq=False)
@@ -62,15 +83,16 @@ class Network:
     Attributes:
         n: number of nodes.
         edges: read-only (m, 2) int64 copy of the given rows; each row (i, j)
-            has 0 <= i < j < n and the rows strictly increase (sorted, unique),
-            else GraphFormatError.
+            holds integer ids (integer-valued floats pass) with 0 <= i < j < n
+            and the rows strictly increase (sorted, unique), else
+            GraphFormatError.
     """
 
     n: int
     edges: np.ndarray = ()
 
     def __post_init__(self):
-        ij = read_only_copy(self.edges, np.int64, "C").reshape(-1, 2)
+        ij = read_only_copy(_int64_pairs(self.edges), np.int64, "C")
         i, j = ij.T
         bad = (i < 0) | (i >= j) | (j >= self.n)
         bad[1:] |= (i[1:] < i[:-1]) | ((i[1:] == i[:-1]) & (j[1:] <= j[:-1]))
@@ -101,16 +123,7 @@ class Network:
             raw = raw.reshape(0, 2)
         if raw.ndim != 2 or raw.shape[1] != 2:
             raise GraphFormatError("edges must be pairs of node ids")
-        if raw.dtype.kind not in "iu":  # floats, strings, objects: each id must be a whole number
-            rows = given.tolist() if isinstance(given, np.ndarray) else given
-            for a, b in rows:
-                if not (_is_whole(a) and _is_whole(b)):
-                    raise GraphFormatError(f"edge ({a!r}, {b!r}): node ids must be integers")
-            raw = [[int(a), int(b)] for a, b in rows]
-        try:
-            ij = np.asarray(raw, dtype=np.int64).reshape(-1, 2)
-        except OverflowError:
-            raise GraphFormatError("node ids must lie below 2^63") from None
+        ij = _int64_pairs(given, raw)
         a, b = ij[:, 0], ij[:, 1]
         lo, hi = np.minimum(a, b), np.maximum(a, b)
         bad = np.flatnonzero((a == b) | (lo < 0) | (hi >= n))

@@ -175,7 +175,8 @@ def hybrid_problem(
 ) -> HybridProblem:
     """Kernel-weighted imbalance objective with the level-alpha connection cap."""
     ev = CriterionEvaluator(net, cov, rho0)
-    return HybridProblem(np.ascontiguousarray(ev.H), net.adjacency, float(rho0), float(alpha))
+    alpha = None if alpha is None else float(alpha)  # None: HybridProblem's DataError
+    return HybridProblem(np.ascontiguousarray(ev.H), net.adjacency, float(rho0), alpha)
 
 
 def no_network_problem(cov: CovariateMatrix) -> HybridProblem:

@@ -17,6 +17,7 @@ import string
 import subprocess
 import sys
 import tempfile
+import time
 import tracemalloc
 import warnings
 from concurrent.futures import process
@@ -748,6 +749,17 @@ class TestStudyWorkers:
         assert run("study", "no_such_study", "--threads", threads) == 2
         assert capsys.readouterr().err == f"error: --threads must be at least 1, got {threads}\n"
 
+    @pytest.mark.parametrize("threads", [0, -2, 2.5, None, True])
+    def test_library_refuses_a_count_that_is_not_an_integer_of_at_least_one(
+            self, tmp_path, pool_spy, threads):
+        # Refused before any cell runs: no serial run, no truncated count, no TypeError.
+        spec = tmp_path / "mini.yaml"
+        spec.write_text("kind: gap_histogram\n" + _TINY_STUDIES["gap_histogram"])
+        with pytest.raises(DataError) as err:
+            experiments.run_study(experiments.load_study_spec(spec), threads=threads)
+        assert str(err.value) == f"threads must be an integer of at least 1, got {threads!r}"
+        assert pool_spy == []
+
     @pytest.mark.parametrize("cpus", [3, None])
     def test_worker_count_never_exceeds_usable_cpus(self, tmp_path, monkeypatch, pool_spy, cpus):
         # cpus None: no affinity call on the platform, so the CPU count rules.
@@ -772,6 +784,60 @@ class TestStudyWorkers:
         assert run("study", spec, "--threads", 4, "--output", tmp_path / "b.csv") == 0
         assert pool_spy == []
         assert len(read_rows(tmp_path / "b.csv")) == 7
+
+
+def _cpu_now() -> int:
+    """The CPU this process last ran on: field 39 of /proc/self/stat."""
+    with open("/proc/self/stat") as fh:
+        return int(fh.read().rsplit(")", 1)[1].split()[36])
+
+
+class TestWorkerPlacement:
+    """Each forked study worker runs on its own usable CPU; the parent's
+    affinity is left as it was."""
+
+    def test_two_workers_start_on_two_cpus(self, tmp_path, monkeypatch):
+        usable = os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else set()
+        if not (hasattr(os, "fork") and hasattr(os, "sched_setaffinity")
+                and len(usable) >= 2 and os.path.exists("/proc/self/stat")):
+            pytest.skip("needs fork, the affinity calls, /proc/self/stat and 2 usable CPUs")
+        real = experiments.synth_dataset
+
+        def synth(*args, **kwargs):
+            # Each cell logs its worker and CPU, then keeps that CPU busy for
+            # 30 ms, so that both workers take cells.
+            with open(tmp_path / f"{os.getpid()}.cpus", "a") as fh:
+                fh.write(f"{_cpu_now()}\n")
+            until = time.perf_counter() + 0.03
+            while time.perf_counter() < until:
+                pass
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(experiments, "synth_dataset", synth)
+        spec = tmp_path / "mini.yaml"
+        spec.write_text("kind: alpha_sweep\nseed: 9\n" + _TINY_STUDIES["alpha_sweep"])
+        # Unplaced workers were seen sharing one CPU for whole studies, so
+        # three studies in a row rarely pass without placement.
+        for attempt in range(3):
+            for log in tmp_path.glob("*.cpus"):
+                log.unlink()
+            experiments.run_study(experiments.load_study_spec(spec), threads=2)
+            logs = list(tmp_path.glob("*.cpus"))
+            assert len(logs) == 2, attempt
+            first = {int(log.read_text().split()[0]) for log in logs}
+            assert len(first) == 2 and first <= usable, (attempt, first)
+
+    def test_parent_affinity_unchanged(self, tmp_path, monkeypatch):
+        if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
+            pytest.skip("needs fork and the affinity calls")
+        # Two placed workers start whatever this machine has.
+        before = os.sched_getaffinity(0)
+        monkeypatch.setattr(experiments, "_usable_cpus", lambda: sorted(before) * 2)
+        spec = tmp_path / "mini.yaml"
+        spec.write_text("kind: gap_histogram\n" + _TINY_STUDIES["gap_histogram"])
+        experiments.run_study(experiments.load_study_spec(spec), threads=2)
+        assert os.sched_getaffinity(0) == before
+        assert multiprocessing.active_children() == []
 
 
 class TestDeterminism:

@@ -104,6 +104,7 @@ class TestNetwork:
         (np.array([[0.0, 1.0], [1.0, 2.5], [0.5, 2.0]]), "edge (1.0, 2.5): node ids must be integers"),
         ([(0, 1), (2,)], "edges must be pairs of node ids"),
         ([(0, 2**63)], "node ids must lie below 2^63"),
+        (np.array([[False, True]]), "edge (False, True): node ids must be integers"),
     ])
     def test_non_integer_ids_rejected(self, pairs, message):
         # Ids are never truncated: the first pair with a non-integer id is named.
@@ -143,18 +144,25 @@ class TestNetwork:
         assert net.edges.tolist() == [[0, 1], [1, 2]] and net.degrees.tolist() == [1, 2, 1]
         assert_canonical(net)
 
-    @pytest.mark.parametrize("rows", [
-        [(2, 1), (2, 1), (0, 5)],  # reversed, repeated and out of range
-        [(1, 2), (0, 1)],  # unsorted
-        [(0, 1), (0, 1)],  # repeated
-        [(0, 2), (0, 1)],  # unsorted within a first node
-        [(1, 1)],  # self loop
-        [(-1, 2)],
-        [(0, 3)],
-    ])
-    def test_constructor_rejects_non_canonical_rows(self, rows):
-        with pytest.raises(GraphFormatError, match="rows must be unique sorted pairs"):
+    _NOT_CANONICAL = "rows must be unique sorted pairs"
+
+    @pytest.mark.parametrize("rows, message", [
+        ([(2, 1), (2, 1), (0, 5)], _NOT_CANONICAL),  # reversed, repeated and out of range
+        ([(1, 2), (0, 1)], _NOT_CANONICAL),  # unsorted
+        ([(0, 1), (0, 1)], _NOT_CANONICAL),  # repeated
+        ([(0, 2), (0, 1)], _NOT_CANONICAL),  # unsorted within a first node
+        ([(1, 1)], _NOT_CANONICAL),  # self loop
+        ([(-1, 2)], _NOT_CANONICAL),
+        ([(0, 3)], _NOT_CANONICAL),
+        # Ids that are not integers are named, never truncated to (0, 2) or (0, 1).
+        ([(0.7, 2.2)], "edge (0.7, 2.2): node ids must be integers"),
+        ([("0", "2")], "edge ('0', '2'): node ids must be integers"),
+        (np.array([[False, True]]), "edge (False, True): node ids must be integers"),
+    ], ids=[f"rows{k}" for k in range(10)])
+    def test_constructor_rejects_non_canonical_rows(self, rows, message):
+        with pytest.raises(GraphFormatError) as err:
             Network(3, rows)
+        assert message in str(err.value)
 
     def test_producers_give_canonical_rows(self):
         # What from_edges, the generator, _induced (subsample and remove) and

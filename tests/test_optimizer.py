@@ -195,6 +195,14 @@ class TestHybridProblem:
         with pytest.raises(DataError, match="edgeless"):
             HybridProblem(prob.H, Network.from_edges(3, []).adjacency, alpha=0.1)
 
+    def test_hybrid_problem_without_alpha_fails(self):
+        # The missing alpha reaches HybridProblem's check, not float(None).
+        net = Network.from_edges(3, [(0, 1), (1, 2)])
+        cov = CovariateMatrix.from_raw(np.array([1.0, -1.0, 1.0]))
+        with pytest.raises(DataError) as err:
+            hybrid_problem(net, cov, 0.5, None)
+        assert str(err.value) == "alpha must lie in (0, 1), got None"
+
 
 class TestRandomDesigns:
     def test_balanced_even_split(self):
