@@ -284,8 +284,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="restore the large-scale study defaults")
     p.add_argument("--threads", type=int, default=1, metavar="N",
                    help="run study cells in up to N forked worker processes "
-                        "(no more than the usable CPUs), each kept on its own "
-                        "CPU; output is byte-identical for any N (default 1)")
+                        "(no more than the usable CPUs; with BLAS on one thread, "
+                        "no two on one CPU); output is byte-identical for any N "
+                        "(default 1)")
     p.set_defaults(func=cmd_study)
 
     return parser

@@ -11,10 +11,9 @@ byte-identical files.
 Every cell of a study (a replicate, or a replicate at one network size)
 draws from its own derived seeds, so cells can run in any order or in
 parallel: `run_study(spec, threads=N)` runs them on up to N forked worker
-processes and gives rows, CSV and metadata byte-identical to N = 1.  Each
-worker runs on its own usable CPU (where the platform has affinity
-calls), because forked workers left to the scheduler were measured
-sharing one CPU of two for a whole study.
+processes and gives rows, CSV and metadata byte-identical to N = 1.
+With BLAS on one thread no two workers share a CPU; placement is skipped
+where the platform has no affinity calls.
 
 Two scales exist per kind: the default desk scale finishes in minutes,
 while full=True restores the larger sizes the desk numbers were shrunk
@@ -440,20 +439,33 @@ def _tabulate(spec: StudySpec, columns, cell, cells, threads: int) -> StudyResul
     """Rows of `cell` over `cells`, in cell order, on as many workers as
     run_study describes."""
     cells = list(cells)
-    cpus = _usable_cpus()[:min(threads, len(cells))]
-    if len(cpus) > 1 and hasattr(os, "fork"):
-        rows = _pooled_rows(cell, cells, cpus)
+    workers = min(threads, len(cells), _usable_cpus())
+    if workers > 1 and hasattr(os, "fork"):
+        rows = _pooled_rows(cell, cells, workers)
     else:
         rows = [row for c in cells for row in cell(c)]
     return StudyResult(spec.kind, columns, rows, _meta(spec, columns, rows))
 
 
-def _usable_cpus() -> list:
-    """The CPUs this process may use, in order; where the platform has no
-    affinity calls, one None for each CPU, and no worker is placed."""
-    if hasattr(os, "sched_getaffinity") and hasattr(os, "sched_setaffinity"):
-        return sorted(os.sched_getaffinity(0))
-    return [None] * (os.cpu_count() or 1)
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _worker_cpus(workers: int) -> list:
+    """The CPUs each of `workers` workers is kept on: worker k takes every
+    workers-th usable CPU from the k-th, so no two share one.  None for
+    each (no placement) without the affinity calls, or unless BLAS is held
+    to one thread (OPENBLAS_NUM_THREADS or, unset, OMP_NUM_THREADS is 1,
+    as numpy's OpenBLAS reads them): a worker's BLAS threads would share
+    its CPUs."""
+    blas = os.environ.get("OPENBLAS_NUM_THREADS", os.environ.get("OMP_NUM_THREADS"))
+    if blas != "1" or not (hasattr(os, "sched_getaffinity") and hasattr(os, "sched_setaffinity")):
+        return [None] * workers
+    usable = sorted(os.sched_getaffinity(0))
+    return [set(usable[k::workers]) for k in range(workers)]
 
 
 # The cell function of the study a forked worker serves.  It is set once, in
@@ -462,31 +474,30 @@ _worker_cell = None
 
 
 def _start_worker(cell, queue) -> None:
-    """Pool initializer: serve `cell`, on the CPU taken from `queue`.
+    """Pool initializer: serve `cell`, kept on the CPUs taken from `queue`.
 
-    Left to the scheduler, the forked workers of a 2-worker study were
-    measured sharing one vCPU of two for the whole study, and a worker
-    that only starts on its CPU and then gives the full set back was seen
-    moved next to the other one on its next wake-up; so each worker stays
-    on its CPU for the pool's life.  Placement is best-effort: a CPU of
-    None (no affinity calls) or an OSError leaves the worker where it is,
+    Left to the scheduler, both workers of a 2-worker study were measured
+    sharing one vCPU of two for whole studies, slower than one process; a
+    worker placed and then given every CPU back was seen moved next to
+    the other one again, so the placement holds for the pool's life.  It
+    is best-effort: None or an OSError leaves the worker where it is,
     computing the same rows."""
     global _worker_cell
     _worker_cell = cell
-    cpu = queue.get()
-    if cpu is not None:
+    cpus = queue.get()
+    if cpus is not None:
         with contextlib.suppress(OSError):
-            os.sched_setaffinity(0, {cpu})
+            os.sched_setaffinity(0, cpus)
 
 
 def _worker_rows(c) -> list:
     return _worker_cell(c)
 
 
-def _pooled_rows(cell, cells, cpus: list) -> list:
-    """Rows of `cell` over `cells`, in cell order, from one forked process
-    on each of `cpus`: the parent queues them, one for each worker's
-    initializer to take (None: stay unplaced).  Under fork the
+def _pooled_rows(cell, cells, workers: int) -> list:
+    """Rows of `cell` over `cells`, in cell order, from `workers` forked
+    processes, each kept on its CPUs from _worker_cpus: the parent queues
+    them for the workers' initializers to take.  Under fork the
     initializer's arguments are inherited, not pickled, so `cell` may be a
     closure; tasks carry only cell keys and rows come back pickled.  Keys
     go in contiguous chunks of about an eighth of a worker's share: one
@@ -498,11 +509,10 @@ def _pooled_rows(cell, cells, cpus: list) -> list:
     import multiprocessing
     from concurrent.futures.process import ProcessPoolExecutor
 
-    workers = len(cpus)
     context = multiprocessing.get_context("fork")
     with contextlib.closing(context.SimpleQueue()) as queue:
-        for cpu in cpus:
-            queue.put(cpu)
+        for cpus in _worker_cpus(workers):
+            queue.put(cpus)
         pool = ProcessPoolExecutor(
             max_workers=workers, mp_context=context,
             initializer=_start_worker, initargs=(cell, queue),
@@ -556,10 +566,10 @@ def _breakdown_row(ev: CriterionEvaluator, x) -> dict:
 def run_study(spec: StudySpec, threads: int = 1) -> StudyResult:
     """Run the study `spec` describes.  Its cells run on up to `threads`
     forked worker processes, never more than there are cells or usable
-    CPUs, each worker kept on its own usable CPU where the platform has
-    affinity calls; one worker, or a platform without fork, runs them
-    one after another in this process.  The result is byte-identical for
-    any count.  DataError unless `threads` is an integer of at least 1."""
+    CPUs, and with BLAS held to one thread no two on one CPU; one worker,
+    or a platform without fork, runs them one after another in this
+    process.  The result is byte-identical for any count.  DataError
+    unless `threads` is an integer of at least 1."""
     if isinstance(threads, bool) or not isinstance(threads, (int, np.integer)) or threads < 1:
         raise DataError(f"threads must be an integer of at least 1, got {threads!r}")
     runner = {

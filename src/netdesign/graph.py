@@ -62,7 +62,10 @@ def _int64_pairs(given, raw: np.ndarray | None = None) -> np.ndarray:
     an id reaches 2^63.
     """
     raw = np.asarray(given) if raw is None else raw
-    if raw.dtype.kind not in "iu":  # floats, strings, bools, objects: check each id
+    # Floats, strings, bools, objects: check each id; numpy casts the bools
+    # of pairs that also hold ints to ints, so listed pairs are looked at.
+    if raw.dtype.kind not in "iu" or (not isinstance(given, np.ndarray) and any(
+            isinstance(v, (bool, np.bool_)) for pair in given for v in pair)):
         rows = raw.reshape(-1, 2).tolist() if isinstance(given, np.ndarray) else given
         for a, b in rows:
             if not (_is_whole(a) and _is_whole(b)):

@@ -17,7 +17,6 @@ import string
 import subprocess
 import sys
 import tempfile
-import time
 import tracemalloc
 import warnings
 from concurrent.futures import process
@@ -793,46 +792,106 @@ def _cpu_now() -> int:
 
 
 class TestWorkerPlacement:
-    """Each forked study worker runs on its own usable CPU; the parent's
-    affinity is left as it was."""
+    """With BLAS on one thread, each forked study worker is kept on its own
+    share of the usable CPUs; the parent's affinity is left as it was."""
 
-    def test_two_workers_start_on_two_cpus(self, tmp_path, monkeypatch):
+    @pytest.fixture
+    def one_blas_thread(self, monkeypatch):
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+
+    @pytest.fixture
+    def worker_log(self, tmp_path, monkeypatch):
+        """Each worker logs, to tmp_path/<pid>.log, its CPUs and the CPU it
+        is on once its initializer has run, then the CPU of each cell."""
+        real_start, real_synth = experiments._start_worker, experiments.synth_dataset
+
+        def log(line):
+            with open(tmp_path / f"{os.getpid()}.log", "a") as fh:
+                fh.write(line + "\n")
+
+        def start(cell, queue):
+            real_start(cell, queue)
+            log(" ".join(map(str, sorted(os.sched_getaffinity(0)))))
+            log(str(_cpu_now()))
+
+        def synth(*args, **kwargs):
+            log(str(_cpu_now()))
+            return real_synth(*args, **kwargs)
+
+        monkeypatch.setattr(experiments, "_start_worker", start)
+        monkeypatch.setattr(experiments, "synth_dataset", synth)
+
+        def read():
+            """{pid: (its CPUs, the CPUs it ran on)} of every worker."""
+            logs = {}
+            for path in tmp_path.glob("*.log"):
+                mask, *ran = path.read_text().splitlines()
+                logs[path.stem] = ({int(c) for c in mask.split()}, {int(c) for c in ran})
+            return logs
+        return read
+
+    @staticmethod
+    def alpha_sweep(tmp_path, threads=2):
+        spec = tmp_path / "mini.yaml"
+        spec.write_text("kind: alpha_sweep\nseed: 9\n" + _TINY_STUDIES["alpha_sweep"])
+        experiments.run_study(experiments.load_study_spec(spec), threads=threads)
+
+    @staticmethod
+    def needs_two_cpus():
         usable = os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else set()
         if not (hasattr(os, "fork") and hasattr(os, "sched_setaffinity")
                 and len(usable) >= 2 and os.path.exists("/proc/self/stat")):
             pytest.skip("needs fork, the affinity calls, /proc/self/stat and 2 usable CPUs")
-        real = experiments.synth_dataset
+        return usable
 
-        def synth(*args, **kwargs):
-            # Each cell logs its worker and CPU, then keeps that CPU busy for
-            # 30 ms, so that both workers take cells.
-            with open(tmp_path / f"{os.getpid()}.cpus", "a") as fh:
-                fh.write(f"{_cpu_now()}\n")
-            until = time.perf_counter() + 0.03
-            while time.perf_counter() < until:
-                pass
-            return real(*args, **kwargs)
+    def test_two_workers_run_on_two_cpus(self, tmp_path, one_blas_thread, worker_log):
+        usable = self.needs_two_cpus()
+        self.alpha_sweep(tmp_path)
+        logs = worker_log()
+        assert len(logs) == 2
+        (mask_a, ran_a), (mask_b, ran_b) = logs.values()
+        # Disjoint shares of the usable CPUs, every cell on its worker's share.
+        assert mask_a and mask_b and not mask_a & mask_b and mask_a | mask_b == usable
+        assert ran_a <= mask_a and ran_b <= mask_b
 
-        monkeypatch.setattr(experiments, "synth_dataset", synth)
-        spec = tmp_path / "mini.yaml"
-        spec.write_text("kind: alpha_sweep\nseed: 9\n" + _TINY_STUDIES["alpha_sweep"])
-        # Unplaced workers were seen sharing one CPU for whole studies, so
-        # three studies in a row rarely pass without placement.
-        for attempt in range(3):
-            for log in tmp_path.glob("*.cpus"):
-                log.unlink()
-            experiments.run_study(experiments.load_study_spec(spec), threads=2)
-            logs = list(tmp_path.glob("*.cpus"))
-            assert len(logs) == 2, attempt
-            first = {int(log.read_text().split()[0]) for log in logs}
-            assert len(first) == 2 and first <= usable, (attempt, first)
+    def test_workers_are_left_unplaced_unless_blas_has_one_thread(
+            self, tmp_path, monkeypatch, worker_log):
+        usable = self.needs_two_cpus()
+        monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+        monkeypatch.setenv("OMP_NUM_THREADS", "2")
+        self.alpha_sweep(tmp_path)
+        assert [mask for mask, _ in worker_log().values()] == [usable, usable]
 
-    def test_parent_affinity_unchanged(self, tmp_path, monkeypatch):
+    @pytest.mark.parametrize("env, placed", [
+        ({"OPENBLAS_NUM_THREADS": "1"}, True),
+        ({"OMP_NUM_THREADS": "1"}, True),
+        ({"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "4"}, True),
+        ({"OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": "1"}, False),
+        ({"MKL_NUM_THREADS": "1"}, False),
+        ({}, False),
+    ])
+    def test_shares_of_eight_cpus(self, monkeypatch, env, placed):
+        for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+            monkeypatch.delenv(name, raising=False)
+        for name, value in env.items():
+            monkeypatch.setenv(name, value)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {9, 2, 3, 5, 6, 7, 1, 0},
+                            raising=False)
+        monkeypatch.setattr(os, "sched_setaffinity", lambda pid, cpus: None, raising=False)
+        # Worker k takes every workers-th of the sorted usable CPUs from the kth.
+        shares = {2: [{0, 2, 5, 7}, {1, 3, 6, 9}], 3: [{0, 3, 7}, {1, 5, 9}, {2, 6}],
+                  8: [{c} for c in (0, 1, 2, 3, 5, 6, 7, 9)]}
+        for workers, expected in shares.items():
+            assert experiments._worker_cpus(workers) == (expected if placed else [None] * workers)
+        monkeypatch.delattr(os, "sched_setaffinity")
+        assert experiments._worker_cpus(3) == [None] * 3
+
+    def test_parent_affinity_unchanged(self, tmp_path, monkeypatch, one_blas_thread):
         if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
             pytest.skip("needs fork and the affinity calls")
         # Two placed workers start whatever this machine has.
         before = os.sched_getaffinity(0)
-        monkeypatch.setattr(experiments, "_usable_cpus", lambda: sorted(before) * 2)
+        monkeypatch.setattr(experiments, "_usable_cpus", lambda: 2)
         spec = tmp_path / "mini.yaml"
         spec.write_text("kind: gap_histogram\n" + _TINY_STUDIES["gap_histogram"])
         experiments.run_study(experiments.load_study_spec(spec), threads=2)

@@ -105,6 +105,8 @@ class TestNetwork:
         ([(0, 1), (2,)], "edges must be pairs of node ids"),
         ([(0, 2**63)], "node ids must lie below 2^63"),
         (np.array([[False, True]]), "edge (False, True): node ids must be integers"),
+        ([(0, 1), (True, 2)], "edge (True, 2): node ids must be integers"),
+        ([(0, np.True_)], f"edge (0, {np.True_!r}): node ids must be integers"),
     ])
     def test_non_integer_ids_rejected(self, pairs, message):
         # Ids are never truncated: the first pair with a non-integer id is named.
@@ -158,7 +160,8 @@ class TestNetwork:
         ([(0.7, 2.2)], "edge (0.7, 2.2): node ids must be integers"),
         ([("0", "2")], "edge ('0', '2'): node ids must be integers"),
         (np.array([[False, True]]), "edge (False, True): node ids must be integers"),
-    ], ids=[f"rows{k}" for k in range(10)])
+        ([(True, 2)], "edge (True, 2): node ids must be integers"),
+    ], ids=[f"rows{k}" for k in range(11)])
     def test_constructor_rejects_non_canonical_rows(self, rows, message):
         with pytest.raises(GraphFormatError) as err:
             Network(3, rows)
