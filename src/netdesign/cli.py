@@ -18,6 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import _pool
 from .criterion import (
     CriterionEvaluator,
     check_design_length,
@@ -128,7 +129,8 @@ def cmd_generate(args) -> int:
 def cmd_design(args) -> int:
     net, cov = _load_pair(args)
     problem = hybrid_problem(net, cov, args.rho0, args.alpha)
-    kwargs = {"method": args.method, "seed": args.seed, "relax": not args.no_relax}
+    kwargs = {"method": args.method, "seed": args.seed, "relax": not args.no_relax,
+              "workers": _pool.usable_cpus() if args.threads is None else args.threads}
     if args.restarts is not None:
         kwargs["restarts"] = args.restarts
     report = solve(problem, **kwargs)
@@ -255,6 +257,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--no-relax", action="store_true",
                    help="fail instead of walking the cap relaxation ladder")
     p.add_argument("--design-out", help="also write the assignment, one sign per line")
+    p.add_argument("--threads", type=int, default=None, metavar="N",
+                   help="run the restarts of a local solve in up to N forked worker "
+                        "processes, in contiguous chunks, where a design's pairs "
+                        "overflow one block (n above about 256); no more than the "
+                        "usable CPUs; with BLAS on one thread, no two on one CPU; "
+                        "output is byte-identical for any N (default: the usable CPUs)")
     p.set_defaults(func=cmd_design)
 
     p = sub.add_parser("evaluate", parents=[common, files],

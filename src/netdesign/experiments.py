@@ -22,12 +22,10 @@ from.  An explicit key in the spec file always wins over either scale.
 
 from __future__ import annotations
 
-import contextlib
 import csv
 import functools
 import io
 import json
-import os
 import sys
 from dataclasses import dataclass
 from importlib import metadata, resources
@@ -35,6 +33,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import _pool
 from .car import (
     HeteroCarParams,
     factor_precision,
@@ -439,89 +438,9 @@ def _tabulate(spec: StudySpec, columns, cell, cells, threads: int) -> StudyResul
     """Rows of `cell` over `cells`, in cell order, on as many workers as
     run_study describes."""
     cells = list(cells)
-    workers = min(threads, len(cells), _usable_cpus())
-    if workers > 1 and hasattr(os, "fork"):
-        rows = _pooled_rows(cell, cells, workers)
-    else:
-        rows = [row for c in cells for row in cell(c)]
+    workers = _pool.worker_count(threads, len(cells))
+    rows = [row for rows in _pool.fork_map(cell, cells, workers) for row in rows]
     return StudyResult(spec.kind, columns, rows, _meta(spec, columns, rows))
-
-
-def _usable_cpus() -> int:
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        return os.cpu_count() or 1
-
-
-def _worker_cpus(workers: int) -> list:
-    """The CPUs each of `workers` workers is kept on: worker k takes every
-    workers-th usable CPU from the k-th, so no two share one.  None for
-    each (no placement) without the affinity calls, or unless BLAS is held
-    to one thread (OPENBLAS_NUM_THREADS or, unset, OMP_NUM_THREADS is 1,
-    as numpy's OpenBLAS reads them): a worker's BLAS threads would share
-    its CPUs."""
-    blas = os.environ.get("OPENBLAS_NUM_THREADS", os.environ.get("OMP_NUM_THREADS"))
-    if blas != "1" or not (hasattr(os, "sched_getaffinity") and hasattr(os, "sched_setaffinity")):
-        return [None] * workers
-    usable = sorted(os.sched_getaffinity(0))
-    return [set(usable[k::workers]) for k in range(workers)]
-
-
-# The cell function of the study a forked worker serves.  It is set once, in
-# the worker, by the pool's initializer; the parent never sets it.
-_worker_cell = None
-
-
-def _start_worker(cell, queue) -> None:
-    """Pool initializer: serve `cell`, kept on the CPUs taken from `queue`.
-
-    Left to the scheduler, both workers of a 2-worker study were measured
-    sharing one vCPU of two for whole studies, slower than one process; a
-    worker placed and then given every CPU back was seen moved next to
-    the other one again, so the placement holds for the pool's life.  It
-    is best-effort: None or an OSError leaves the worker where it is,
-    computing the same rows."""
-    global _worker_cell
-    _worker_cell = cell
-    cpus = queue.get()
-    if cpus is not None:
-        with contextlib.suppress(OSError):
-            os.sched_setaffinity(0, cpus)
-
-
-def _worker_rows(c) -> list:
-    return _worker_cell(c)
-
-
-def _pooled_rows(cell, cells, workers: int) -> list:
-    """Rows of `cell` over `cells`, in cell order, from `workers` forked
-    processes, each kept on its CPUs from _worker_cpus: the parent queues
-    them for the workers' initializers to take.  Under fork the
-    initializer's arguments are inherited, not pickled, so `cell` may be a
-    closure; tasks carry only cell keys and rows come back pickled.  Keys
-    go in contiguous chunks of about an eighth of a worker's share: one
-    key per task costs more than a sub-millisecond cell, and eight chunks
-    a worker still balance cells of uneven cost.  A cell's exception is
-    raised here as its own type; the pool is shut down, its queued chunks
-    dropped, before this returns."""
-    # Imported here: a serial study and the other subcommands need neither.
-    import multiprocessing
-    from concurrent.futures.process import ProcessPoolExecutor
-
-    context = multiprocessing.get_context("fork")
-    with contextlib.closing(context.SimpleQueue()) as queue:
-        for cpus in _worker_cpus(workers):
-            queue.put(cpus)
-        pool = ProcessPoolExecutor(
-            max_workers=workers, mp_context=context,
-            initializer=_start_worker, initargs=(cell, queue),
-        )
-        try:
-            chunk = max(1, len(cells) // (8 * workers))
-            return [row for rows in pool.map(_worker_rows, cells, chunksize=chunk) for row in rows]
-        finally:
-            pool.shutdown(wait=True, cancel_futures=True)
 
 
 def _rho_heads(base: dict, rho_ts) -> list:
@@ -570,8 +489,7 @@ def run_study(spec: StudySpec, threads: int = 1) -> StudyResult:
     or a platform without fork, runs them one after another in this
     process.  The result is byte-identical for any count.  DataError
     unless `threads` is an integer of at least 1."""
-    if isinstance(threads, bool) or not isinstance(threads, (int, np.integer)) or threads < 1:
-        raise DataError(f"threads must be an integer of at least 1, got {threads!r}")
+    _pool.check_count(threads, "threads")
     runner = {
         "alpha_sweep": run_alpha_sweep,
         "rho_robustness": run_rho_robustness,

@@ -38,12 +38,15 @@ whose H has few distinct columns (p +/-1 covariates give at most 2^p)
 reads a = H'v once per class of identical columns, so a swap's score
 depends on its two classes alone, and descent searches the class pairs,
 each from the first plus and first minus node of its classes, in
-O(C^2 + n) a step.  Reported objectives are recomputed by a fresh pass
-over the returned design, never copied from solver bookkeeping.
+O(C^2 + n) a step.  Above one block of pairs a design, the restarts of
+a solve can also run in contiguous chunks on forked worker processes,
+with the same result.  Reported objectives are recomputed by a fresh
+pass over the returned design, never copied from solver bookkeeping.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import time
 from dataclasses import dataclass, field
@@ -53,6 +56,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 from scipy import linalg
 
+from . import _pool
 from .criterion import CriterionEvaluator, _ndtri
 from .designs import Design, as_sign_vector
 from .errors import DataError, RankError
@@ -252,13 +256,18 @@ def random_balanced_design(n: int, seed) -> Design:
     """
     if n < 2:
         raise DataError(f"need n >= 2, got {n}")
+    return Design(_balanced_signs(n, seed))
+
+
+def _balanced_signs(n: int, seed) -> np.ndarray:
+    """The signs of random_balanced_design(n, seed), as a plain writable array."""
     rng = np.random.default_rng(seed)
     k = n // 2
     if n % 2 == 1 and rng.random() < 0.5:
         k += 1
     x = -np.ones(n)
     x[rng.choice(n, size=k, replace=False)] = 1.0
-    return Design(x)
+    return x
 
 
 def random_iid_design(n: int, seed) -> Design:
@@ -464,6 +473,14 @@ _BLOCK_ENTRIES = 1 << 14
 # search took 0.5-0.9 of the time from n = 200 to 4000; at 0.76-0.8 (n 1000
 # and 2000) it took 1.4-2.7 times as long.
 _CLASS_SHARE = 0.25
+
+# Node pairs of a balanced design up to which a local solve runs in one
+# process whatever workers it is given: one block of pairs (n up to 256).
+# 32-restart solves, mean degree 10, p = 10, BLAS on one thread, on a 2-vCPU
+# Xeon VM, alone against on two forked workers: 24 against 42 ms at n = 100,
+# 71 against 70 ms at n = 200, 103 against 86 ms at n = 300 and 194 against
+# 138 ms at n = 600; starting the pool costs about 20 ms.
+_FORK_PAIRS = _BLOCK_ENTRIES
 
 # Large designs per row-bound search: at n = 1000, stacks of 6 and 8 timed fastest
 # of 4 to 32, and 6 peaked at 1.6 MB of transient arrays against 2.2 MB for 8.
@@ -922,20 +939,20 @@ class _SwapState:
 # Local search: balanced-pair swaps, best improvement, multistart in lockstep.
 
 
-def _polish(
+def _polish_rows(
     problem: HybridProblem,
     cap: Optional[float],
     x: np.ndarray,
     deadline: Optional[float] = None,
 ):
-    """Repair, then descend, every row of x together; returns (best_x or None, best_obj, swaps).
+    """Repair, then descend, every row of x together, in place; returns (x, feasible, swaps).
 
     Each design over the cap takes greedy swaps that lower x'Wx until it
-    meets the cap, or is dropped when none lowers it.  Then each feasible
-    design takes best-improvement swaps on the objective within the cap
-    until none improves, or the deadline passes.  Each moving design takes
-    one swap a step.  The best design is the first whose recomputed
-    objective is lowest, by more than 1e-15.
+    meets the cap, or is dropped (feasible False) when none lowers it.
+    Then each feasible design takes best-improvement swaps on the
+    objective within the cap until none improves, or the deadline, a
+    time.perf_counter() value, passes.  Each moving design takes one swap
+    a step; swaps counts them over every design.
     """
     st = _SwapState(problem, x, resync=64)
     capv = None if problem.W is None else _feas_cap(cap)
@@ -959,12 +976,18 @@ def _polish(
         total += r.size
         descending[:] = False  # no swap left below the floor
         descending[r] = True
+    return st.x, feasible, total
+
+
+def _first_best(problem: HybridProblem, x: np.ndarray, feasible: np.ndarray):
+    """(row or None, objective): the first feasible row of x whose recomputed
+    objective is lowest, by more than 1e-15."""
     best_x, best_obj = None, math.inf
-    for row in st.x[feasible]:
+    for row in x[feasible]:
         obj = problem.objective(row)
         if obj < best_obj - 1e-15:
             best_x, best_obj = row.copy(), obj
-    return best_x, best_obj, total
+    return best_x, best_obj
 
 
 def _local_core(
@@ -973,14 +996,34 @@ def _local_core(
     restarts: int,
     seed: int,
     deadline: Optional[float] = None,
+    workers: int = 1,
 ):
-    """Multistart repair-then-descend; returns (best_x or None, best_obj, iterations)."""
+    """Multistart repair-then-descend; returns (best_x or None, best_obj, iterations).
+
+    Every start is drawn here.  The restarts go, in contiguous chunks in
+    restart order, to up to `workers` forked processes (_pool.fork_map),
+    but only where the row-bound search runs: below one block of pairs a
+    design, and on the class search, a whole solve took less than
+    starting a pool.  A restart never reads another's state, so the
+    result, iterations included, is that of one process.
+    """
     rng = np.random.default_rng(seed)
     # One scalar draw per restart keeps the seed stream a prefix of any
     # longer run, so more restarts can only improve the result.
-    starts = [random_balanced_design(problem.n, int(rng.integers(0, 2**63 - 1))).x
-              for _ in range(restarts)]
-    return _polish(problem, cap, np.stack(starts), deadline)
+    starts = np.empty((restarts, problem.n))
+    for r in range(restarts):
+        starts[r] = _balanced_signs(problem.n, int(rng.integers(0, 2**63 - 1)))
+    k = problem.n // 2
+    if k * (problem.n - k) <= _FORK_PAIRS or problem.classes is not None:
+        workers = 1
+    workers = _pool.worker_count(workers, restarts)
+    parts = _pool.fork_map(
+        functools.partial(_polish_rows, problem, cap, deadline=deadline),
+        np.array_split(starts, workers), workers,
+    )
+    x, feasible, swaps = zip(*parts)
+    best_x, best_obj = _first_best(problem, np.concatenate(x), np.concatenate(feasible))
+    return best_x, best_obj, sum(swaps)
 
 
 def solve_local(
@@ -989,6 +1032,7 @@ def solve_local(
     seed: int = 0,
     time_budget: Optional[float] = None,
     relax: bool = True,
+    workers: int = 1,
 ) -> SolveReport:
     """Multistart best-improvement swap descent.
 
@@ -1001,15 +1045,26 @@ def solve_local(
     time_budget is spent every restart stops descending where it stands
     and the best feasible one is reported.  If every restart fails to
     reach feasibility the alpha ladder applies.
+
+    workers > 1 splits the restarts into contiguous chunks, one per forked
+    worker process (no more than the restarts or the usable CPUs; with
+    BLAS on one thread each on its own CPU), where a design's pairs
+    overflow one block (n above about 256, the row-bound search): smaller
+    solves, and covariate-only problems on the class search, stay in this
+    process, where they took less time than a pool start.  The report is
+    the same for any count, iterations included, unless a time_budget
+    stops descent, which each worker then does at its own step.
+    DataError unless workers is an integer of at least 1.
     """
     if restarts < 1:
         raise DataError(f"need at least 1 restart, got {restarts}")
+    _pool.check_count(workers, "workers")
 
     def attempt(level, cap, deadline):
         level_seed = seed if level == 0 else np.random.default_rng((seed, level)).integers(
             0, 2**63 - 1
         )
-        x, _, iters = _local_core(problem, cap, restarts, int(level_seed), deadline)
+        x, _, iters = _local_core(problem, cap, restarts, int(level_seed), deadline, workers)
         return x, iters, None
 
     return _ladder(
@@ -1048,7 +1103,7 @@ def _anneal_core(
 ):
     n = problem.n
     network = problem.W is not None
-    x = random_balanced_design(n, rng).x.copy()
+    x = _balanced_signs(n, rng)
     st = _SwapState(problem, x, resync=1024)
     if network:
         capv = _feas_cap(cap)
@@ -1123,8 +1178,8 @@ def solve_annealing(
     def attempt(level, cap, deadline):
         rng = np.random.default_rng(seed if level == 0 else (seed, level))
         x, iters = _anneal_core(problem, cap, schedule, rng, deadline)
-        x, _, polish_iters = _polish(problem, cap, x[None, :], deadline)
-        return x, iters + polish_iters, None
+        x, feasible, polish_iters = _polish_rows(problem, cap, x[None, :], deadline)
+        return _first_best(problem, x, feasible)[0], iters + polish_iters, None
 
     return _ladder(
         problem, relax, time_budget, attempt, method="annealing", restarts=1, seed=seed
@@ -1139,6 +1194,7 @@ def solve(
     schedule: Optional[AnnealingSchedule] = None,
     time_budget: Optional[float] = None,
     relax: bool = True,
+    workers: int = 1,
 ) -> SolveReport:
     """Dispatch: exact search to n = 30, local search above.
 
@@ -1147,15 +1203,20 @@ def solve(
     Local search beat annealing in objective and time at every size
     measured up to n = 10,000 (mean degree 10, p = 10).  At n = 12,000 it
     took 32-35 s against 49-50 s on two graphs, and its objective was 0.99
-    and 1.53 times annealing's.
+    and 1.53 times annealing's.  workers is passed to solve_local, which
+    runs its restarts on up to that many forked processes above n = 256
+    (same report for any count); the exact and annealing searches run in
+    this process.  DataError unless workers is an integer of at least 1.
     """
+    _pool.check_count(workers, "workers")
     if method == "auto":
         method = "exact" if problem.n <= 30 else "local"
     if method == "exact":
         return solve_exact(problem, time_budget=time_budget, relax=relax)
     if method == "local":
         return solve_local(
-            problem, restarts=restarts, seed=seed, time_budget=time_budget, relax=relax
+            problem, restarts=restarts, seed=seed, time_budget=time_budget, relax=relax,
+            workers=workers,
         )
     if method == "annealing":
         return solve_annealing(

@@ -27,7 +27,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import netdesign
-from netdesign import experiments
+from netdesign import _pool, experiments, optimizer
 from netdesign.cli import main
 from netdesign.criterion import evaluate, k_matrix, pip, quadform_correlation
 from netdesign.designs import Design
@@ -274,6 +274,11 @@ class TestBadCounts:
         # auto picks the exact solver, which takes no restarts, at n <= 30.
         assert run("design", *self.MISSING, "--method", method, "--restarts", restarts) == 2
         assert capsys.readouterr().err == f"error: --restarts must be at least 1, got {restarts}\n"
+
+    @pytest.mark.parametrize("threads", [0, -3])
+    def test_design_threads_below_one(self, capsys, threads):
+        assert run("design", *self.MISSING, "--threads", threads) == 2
+        assert capsys.readouterr().err == f"error: --threads must be at least 1, got {threads}\n"
 
     def test_generate_writes_nothing(self, tmp_path):
         prefix = tmp_path / "data"
@@ -592,10 +597,10 @@ class TestStudy:
         assert meta["kind"] == "alpha_sweep"
         assert meta["row_count"] == defaults
 
-    def test_threads_is_a_study_flag_only(self, capsys):
+    def test_threads_is_a_design_and_study_flag_only(self, capsys):
         for subcommand in ("generate", "design", "evaluate", "diagnose", "study"):
             assert run(subcommand, "--help") == 0
-            assert ("--threads" in capsys.readouterr().out) == (subcommand == "study")
+            assert ("--threads" in capsys.readouterr().out) == (subcommand in ("design", "study"))
 
     def test_spec_file_and_rerun_bytes(self, tmp_path):
         spec = tmp_path / "mini.yaml"
@@ -803,14 +808,14 @@ class TestWorkerPlacement:
     def worker_log(self, tmp_path, monkeypatch):
         """Each worker logs, to tmp_path/<pid>.log, its CPUs and the CPU it
         is on once its initializer has run, then the CPU of each cell."""
-        real_start, real_synth = experiments._start_worker, experiments.synth_dataset
+        real_start, real_synth = _pool._start_worker, experiments.synth_dataset
 
         def log(line):
             with open(tmp_path / f"{os.getpid()}.log", "a") as fh:
                 fh.write(line + "\n")
 
-        def start(cell, queue):
-            real_start(cell, queue)
+        def start(fn, queue):
+            real_start(fn, queue)
             log(" ".join(map(str, sorted(os.sched_getaffinity(0)))))
             log(str(_cpu_now()))
 
@@ -818,7 +823,7 @@ class TestWorkerPlacement:
             log(str(_cpu_now()))
             return real_synth(*args, **kwargs)
 
-        monkeypatch.setattr(experiments, "_start_worker", start)
+        monkeypatch.setattr(_pool, "_start_worker", start)
         monkeypatch.setattr(experiments, "synth_dataset", synth)
 
         def read():
@@ -882,21 +887,97 @@ class TestWorkerPlacement:
         shares = {2: [{0, 2, 5, 7}, {1, 3, 6, 9}], 3: [{0, 3, 7}, {1, 5, 9}, {2, 6}],
                   8: [{c} for c in (0, 1, 2, 3, 5, 6, 7, 9)]}
         for workers, expected in shares.items():
-            assert experiments._worker_cpus(workers) == (expected if placed else [None] * workers)
+            assert _pool.worker_cpus(workers) == (expected if placed else [None] * workers)
         monkeypatch.delattr(os, "sched_setaffinity")
-        assert experiments._worker_cpus(3) == [None] * 3
+        assert _pool.worker_cpus(3) == [None] * 3
 
     def test_parent_affinity_unchanged(self, tmp_path, monkeypatch, one_blas_thread):
         if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
             pytest.skip("needs fork and the affinity calls")
         # Two placed workers start whatever this machine has.
         before = os.sched_getaffinity(0)
-        monkeypatch.setattr(experiments, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(_pool, "usable_cpus", lambda: 2)
         spec = tmp_path / "mini.yaml"
         spec.write_text("kind: gap_histogram\n" + _TINY_STUDIES["gap_histogram"])
         experiments.run_study(experiments.load_study_spec(spec), threads=2)
         assert os.sched_getaffinity(0) == before
         assert multiprocessing.active_children() == []
+
+
+class TestDesignWorkers:
+    """`design --threads N` runs a large solve's restarts on forked workers,
+    byte-identical to N = 1; by default on every usable CPU."""
+
+    @pytest.fixture(autouse=True)
+    def four_cpus(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(4)), raising=False)
+
+    def test_default_and_one_thread_byte_identical(self, tmp_path, monkeypatch):
+        edges, covs = make_dataset(tmp_path, n=300, p=4, density=0.03)
+        pools, real = [], _pool.fork_map
+
+        def spy(fn, items, workers):
+            pools.append(workers)
+            return real(fn, items, workers)
+
+        monkeypatch.setattr(_pool, "fork_map", spy)
+        outputs = []
+        for threads in ([], ["--threads", 1], ["--threads", 3]):
+            out, design = tmp_path / "d.csv", tmp_path / "x.design"
+            assert run("design", edges, covs, *threads, "--output", out,
+                       "--design-out", design) == 0
+            assert multiprocessing.active_children() == []
+            outputs.append(out.read_bytes() + design.read_bytes())
+        assert outputs[0] == outputs[1] == outputs[2]
+        assert pools == [4, 1, 3]
+
+
+class TestWorkerDeath:
+    """A worker that dies is a data error naming it, not a traceback."""
+
+    MESSAGE = "error: a worker process stopped unexpectedly"
+
+    @pytest.fixture
+    def parent(self):
+        if not hasattr(os, "fork"):
+            pytest.skip("needs fork")
+        return os.getpid()
+
+    def check(self, capsys, argv):
+        assert run(*argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(self.MESSAGE) and err.count("\n") == 1, err
+        assert "Traceback" not in err
+        assert multiprocessing.active_children() == []
+
+    def test_study(self, tmp_path, monkeypatch, capsys, parent):
+        real = experiments.synth_dataset
+
+        def synth(*args, **kwargs):
+            if os.getpid() != parent:
+                os._exit(9)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(experiments, "synth_dataset", synth)
+        monkeypatch.setattr(_pool, "usable_cpus", lambda: 2)
+        spec = tmp_path / "mini.yaml"
+        spec.write_text("kind: alpha_sweep\nseed: 9\n" + _TINY_STUDIES["alpha_sweep"])
+        self.check(capsys, ["study", spec, "--threads", 2, "--output", tmp_path / "s.csv"])
+        assert not (tmp_path / "s.csv").exists()
+
+    def test_design(self, tmp_path, monkeypatch, capsys, parent):
+        real = optimizer._polish_rows
+
+        def polish(*args, **kwargs):
+            if os.getpid() != parent:
+                os._exit(9)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(optimizer, "_polish_rows", polish)
+        monkeypatch.setattr(_pool, "usable_cpus", lambda: 2)
+        edges, covs = make_dataset(tmp_path, n=300, p=4, density=0.03)
+        self.check(capsys, ["design", edges, covs, "--output", tmp_path / "d.csv"])
+        assert not (tmp_path / "d.csv").exists()
 
 
 class TestDeterminism:

@@ -10,6 +10,8 @@ cross-checked by bisection on math.erf.
 import dataclasses
 import itertools
 import math
+import multiprocessing
+import os
 import tracemalloc
 
 import numpy as np
@@ -18,9 +20,9 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy import sparse, stats
 
-from netdesign import optimizer
+from netdesign import _pool, optimizer
 from netdesign.designs import Design
-from netdesign.errors import DataError, RankError
+from netdesign.errors import DataError, NetdesignError, RankError
 from netdesign.graph import (
     CovariateMatrix,
     Network,
@@ -242,6 +244,15 @@ class TestRandomDesigns:
     def test_too_small(self):
         with pytest.raises(DataError):
             random_balanced_design(1, 0)
+
+    @pytest.mark.parametrize("n", [2, 3, 10, 11, 300, 301])
+    def test_local_starts_are_random_balanced_designs(self, n):
+        # _local_core draws its starts without building a Design each; the
+        # bits must be those of random_balanced_design, for odd and even n.
+        for seed in (0, 1, 7, 2**62 + 3):
+            x = optimizer._balanced_signs(n, seed)
+            assert x.flags.writeable
+            assert np.array_equal(x, random_balanced_design(n, seed).x)
 
     def test_design_holds_a_read_only_sign_vector(self):
         d = Design([1, -1, 1])
@@ -1372,13 +1383,19 @@ class TestOneTieRule:
             assert len(records) == 1, (prob.n, prob.W is None)
 
 
-def one_restart_at_a_time(problem, cap, restarts, seed, deadline=None):
+def polish_one(problem, cap, x, deadline=None):
+    """One start repaired and descended alone: (design or None, objective, swaps)."""
+    rows, feasible, swaps = optimizer._polish_rows(problem, cap, x[None, :], deadline)
+    return (*optimizer._first_best(problem, rows, feasible), swaps)
+
+
+def one_restart_at_a_time(problem, cap, restarts, seed, deadline=None, workers=1):
     """Multistart reference: each child seed's start polished alone, the first strict best kept."""
     rng = np.random.default_rng(seed)
     best_x, best_obj, total = None, math.inf, 0
     for _ in range(restarts):
         x = random_balanced_design(problem.n, int(rng.integers(0, 2**63 - 1))).x.copy()
-        got, obj, iters = optimizer._polish(problem, cap, x[None, :], deadline)
+        got, obj, iters = polish_one(problem, cap, x, deadline)
         total += iters
         if got is not None and obj < best_obj - 1e-15:
             best_x, best_obj = got, obj
@@ -1434,9 +1451,129 @@ class TestLockstep:
         rng = np.random.default_rng(19)
         starts = [random_balanced_design(20, int(rng.integers(0, 2**63 - 1))).x.copy()
                   for _ in range(8)]
-        repaired = [optimizer._polish(prob, prob.cap, x[None, :])[0] is not None for x in starts]
+        repaired = [polish_one(prob, prob.cap, x)[0] is not None for x in starts]
         assert any(repaired) and not all(repaired)
         self.check(prob, 8, 19, mode)
+
+
+def clique_instance(n=300, size=30, p=4, seed=5):
+    """n / size disjoint cliques.  A balanced design's x'Wx is at least -n,
+    so the cap at alpha 1e-4 cannot be met and the ladder climbs to 0.001."""
+    edges = [(c + i, c + j) for c in range(0, n, size)
+             for i, j in itertools.combinations(range(size), 2)]
+    return Network(n, edges), generate_pm1_covariates(n, p, seed=seed)
+
+
+class TestWorkers:
+    """Restarts split across forked workers give the report of one process."""
+
+    @pytest.fixture(autouse=True)
+    def four_cpus(self, monkeypatch):
+        # Every worker count asked for below forks, whatever this machine has.
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(4)), raising=False)
+
+    @pytest.fixture
+    def pools(self, monkeypatch):
+        """The worker count of each fork_map call the solves make."""
+        counts, real = [], _pool.fork_map
+
+        def spy(fn, items, workers):
+            counts.append(workers)
+            return real(fn, items, workers)
+
+        monkeypatch.setattr(_pool, "fork_map", spy)
+        return counts
+
+    @staticmethod
+    def records(prob, restarts=5, **kwargs):
+        """solve_local's record at 1, 2, 3 and more workers than restarts."""
+        out = [solve_local(prob, restarts=restarts, seed=3, workers=k, **kwargs).to_record()
+               for k in (1, 2, 3, restarts + 2)]
+        assert multiprocessing.active_children() == []
+        return out
+
+    def test_above_the_crossover(self, pools):
+        net = repair_isolated(generate_bernoulli_network(300, 0.03, seed=1), "connect",
+                              seed=2).network
+        cov = generate_pm1_covariates(300, 10, seed=3)
+        for prob in (hybrid_problem(net, cov, 0.5, 0.001), no_network_problem(cov)):
+            assert prob.classes is None  # the node-pair search: a pool pays
+            pools.clear()
+            one, *split = self.records(prob)
+            assert one["iterations"] > 0 and all(r == one for r in split)
+            assert pools == [1, 2, 3, 4]  # restarts + 2 workers: capped at the 4 CPUs
+
+    def test_below_the_crossover_when_forced(self, pools, monkeypatch):
+        # Small designs stay in this process; with the crossover at 0 they fork,
+        # and the stacked table search of each worker's chunk takes the same swaps.
+        rng = np.random.default_rng(4)
+        net = repair_isolated(generate_bernoulli_network(60, 0.1, seed=5), "connect",
+                              seed=6).network
+        cov = CovariateMatrix.from_raw(rng.normal(size=(60, 3)))
+        probs = (hybrid_problem(net, cov, 0.5, 0.01), no_network_problem(cov))
+        for prob in probs:
+            self.records(prob)
+        assert pools == [1] * 8
+        monkeypatch.setattr(optimizer, "_FORK_PAIRS", 0)
+        for prob in probs:
+            pools.clear()
+            one, *split = self.records(prob)
+            assert all(r == one for r in split)
+            assert pools == [1, 2, 3, 4]
+
+    def test_class_search_stays_in_this_process(self, pools):
+        prob = no_network_problem(generate_pm1_covariates(400, 3, seed=7))
+        assert prob.classes is not None
+        one, *split = self.records(prob)
+        assert all(r == one for r in split) and pools == [1] * 4
+
+    def test_ladder_climb(self, pools):
+        prob = hybrid_problem(*clique_instance(), 0.5, 1e-4)
+        one, *split = self.records(prob)
+        assert one["relaxations_applied"] == [0.001] and one["feasible"]
+        assert all(r == one for r in split)
+        assert pools == [1, 1, 2, 2, 3, 3, 4, 4]  # a pool for each level tried
+
+    def test_spent_time_budget(self):
+        # Descent never starts, in any worker; the repaired designs are compared.
+        net = repair_isolated(generate_bernoulli_network(300, 0.03, seed=8), "connect",
+                              seed=9).network
+        prob = hybrid_problem(net, generate_pm1_covariates(300, 4, seed=10), 0.5, 0.001)
+        one, *split = self.records(prob, time_budget=1e-9)
+        assert all(r == one for r in split)
+
+    def test_matches_one_restart_at_a_time(self, monkeypatch):
+        net = repair_isolated(generate_bernoulli_network(300, 0.03, seed=11), "connect",
+                              seed=12).network
+        prob = hybrid_problem(net, generate_pm1_covariates(300, 4, seed=13), 0.5, 0.001)
+        split = solve_local(prob, restarts=6, seed=14, workers=3).to_record()
+        monkeypatch.setattr(optimizer, "_local_core", one_restart_at_a_time)
+        assert split == solve_local(prob, restarts=6, seed=14).to_record()
+
+    @pytest.mark.parametrize("workers", [0, -1, 2.5, None, True])
+    def test_count_that_is_not_an_integer_of_at_least_one(self, pools, workers):
+        prob = no_network_problem(generate_pm1_covariates(40, 2, seed=15))
+        for call in (solve_local, solve):
+            with pytest.raises(DataError) as err:
+                call(prob, restarts=2, workers=workers)
+            assert str(err.value) == f"workers must be an integer of at least 1, got {workers!r}"
+        assert pools == []
+
+    def test_a_worker_that_dies(self, monkeypatch):
+        parent, real = os.getpid(), optimizer._polish_rows
+
+        def dies_in_a_worker(*args, **kwargs):
+            if os.getpid() != parent:
+                os._exit(9)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(optimizer, "_polish_rows", dies_in_a_worker)
+        net = repair_isolated(generate_bernoulli_network(300, 0.03, seed=16), "connect",
+                              seed=17).network
+        prob = hybrid_problem(net, generate_pm1_covariates(300, 4, seed=18), 0.5, 0.001)
+        with pytest.raises(NetdesignError, match="^a worker process stopped unexpectedly"):
+            solve_local(prob, restarts=4, workers=2)
+        assert multiprocessing.active_children() == []
 
 
 class TestNoNetwork:
