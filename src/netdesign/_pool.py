@@ -2,12 +2,13 @@
 study cells (`experiments`) and the restarts of a local solve (`optimizer`)
 run on.
 
-Under fork a worker inherits the function it serves, so that may be a
-closure; only the tasks' arguments and results are pickled.  With BLAS on
-one thread no two workers share a CPU; placement is skipped where the
-platform has no affinity calls, and never changes a result.
-`multiprocessing` and `concurrent.futures` are imported only when a pool
-starts, so a serial run loads neither.
+A pool is plain `os.fork` with one pipe per child, and this process
+computes one share of the items itself.  Under fork a child inherits the
+function it serves, so that may be a closure; only results and
+exceptions are pickled.  Starting a child took about 3 ms on a 2-vCPU
+VM (`concurrent.futures`' process pool took about 11 ms to start).  With
+BLAS on one thread no two workers share a CPU; placement is skipped
+where the platform has no affinity calls, and never changes a result.
 """
 
 from __future__ import annotations
@@ -15,6 +16,9 @@ from __future__ import annotations
 import contextlib
 import numbers
 import os
+import pickle
+import signal
+import traceback
 
 from .errors import DataError, NetdesignError
 
@@ -54,64 +58,132 @@ def worker_cpus(workers: int) -> list:
     return [set(usable[k::workers]) for k in range(workers)]
 
 
-# The function a forked worker serves.  It is set once, in the worker, by
-# the pool's initializer; the parent never sets it.
-_worker_fn = None
+class _RemoteTraceback(Exception):
+    """The cause of an exception raised in a worker: its traceback there."""
 
 
-def _start_worker(fn, queue) -> None:
-    """Pool initializer: serve `fn`, kept on the CPUs taken from `queue`.
+def _shares(items: list, workers: int) -> list:
+    """`items` cut into `workers` contiguous shares in item order, the
+    first len(items) % workers of them one item longer."""
+    size, extra = divmod(len(items), workers)
+    cuts = [k * size + min(k, extra) for k in range(workers + 1)]
+    return [items[a:b] for a, b in zip(cuts, cuts[1:])]
 
-    Left to the scheduler, both workers of a 2-worker study were measured
-    sharing one vCPU of two for whole studies, slower than one process; a
-    worker placed and then given every CPU back was seen moved next to
-    the other one again, so the placement holds for the pool's life.  It
-    is best-effort: None or an OSError leaves the worker where it is,
-    computing the same results."""
-    global _worker_fn
-    _worker_fn = fn
-    cpus = queue.get()
-    if cpus is not None:
+
+@contextlib.contextmanager
+def _placed(cpus):
+    """This thread kept on `cpus` (None: where it is), and given its
+    CPUs back on leaving.  Best-effort: an OSError leaves it where it is,
+    computing the same results.  Left to the scheduler, both workers of a
+    2-worker study were measured sharing one vCPU of two, slower than one
+    process."""
+    if cpus is None:
+        yield
+        return
+    before = os.sched_getaffinity(0)
+    try:
         with contextlib.suppress(OSError):
             os.sched_setaffinity(0, cpus)
+        yield
+    finally:
+        with contextlib.suppress(OSError):
+            os.sched_setaffinity(0, before)
 
 
-def _worker_call(item):
-    return _worker_fn(item)
+def _failure(error: BaseException) -> bytes:
+    """The pickled (error, its formatted traceback), or a NetdesignError
+    naming its type and message where the error does not survive a
+    pickle round trip."""
+    tb = "".join(traceback.format_exception(error))
+    try:
+        payload = pickle.dumps((False, (error, tb)), pickle.HIGHEST_PROTOCOL)
+        pickle.loads(payload)
+    except Exception:
+        stand_in = NetdesignError(f"{type(error).__name__}: {error}")
+        payload = pickle.dumps((False, (stand_in, tb)), pickle.HIGHEST_PROTOCOL)
+    return payload
+
+
+def _serve(fn, share: list, cpus, fd: int) -> None:
+    """In a forked child: kept on `cpus`, compute `share` and write the
+    pickled outcome to `fd`.  Never returns: os._exit skips the parent's
+    `finally` blocks, exit handlers and unflushed buffers."""
+    code = 1
+    try:
+        try:
+            with _placed(cpus):
+                results = [fn(item) for item in share]
+            payload = pickle.dumps((True, results), pickle.HIGHEST_PROTOCOL)
+        except Exception as e:
+            payload = _failure(e)
+        with open(fd, "wb") as pipe:
+            pipe.write(payload)
+        code = 0
+    finally:
+        os._exit(code)
+
+
+def _outcome(fd: int) -> list:
+    """The results a child wrote to `fd`, read to its end; the child's
+    exception raised here with its traceback as the cause, and
+    NetdesignError where the pipe holds no whole outcome."""
+    chunks = []
+    while chunk := os.read(fd, 1 << 20):
+        chunks.append(chunk)
+    try:
+        ok, value = pickle.loads(b"".join(chunks))
+    except Exception:  # empty or cut short: the child died before it wrote
+        raise NetdesignError(
+            "a worker process stopped unexpectedly (killed, or out of memory); "
+            "one worker (--threads 1) computes the same result in this process"
+        ) from None
+    if ok:
+        return value
+    error, tb = value
+    raise error from _RemoteTraceback(tb)
 
 
 def fork_map(fn, items: list, workers: int) -> list:
     """[fn(item) for item in items], in order, computed in this process when
-    `workers` is 1 and otherwise on `workers` forked processes, each kept on
-    its CPUs from worker_cpus: the parent queues them for the workers'
-    initializers to take.  Items go in contiguous chunks of about an eighth
-    of a worker's share: one item per task costs more than a
-    sub-millisecond study cell, and eight chunks a worker still balance
-    cells of uneven cost; with no more items than workers each worker
-    takes one.  An exception raised by `fn` is raised here as its own
-    type; a worker that dies raises NetdesignError.  The pool is shut
-    down, its queued chunks dropped, before this returns."""
+    `workers` is 1 and otherwise by `workers` processes: the items are cut
+    into contiguous shares in item order (_shares), this process computes
+    the first and one forked child each of the others.  So which process
+    computes an item is fixed by the item count alone.  Each process is
+    kept on its CPUs from worker_cpus while it computes (this one gets its
+    own CPUs back afterwards).  A child sends its share's results, or the
+    first exception `fn` raised in it, back through its own pipe, and the
+    shares are read in order, so the exception raised here, as its own
+    type, is that of the first failing item; a child that dies raises
+    NetdesignError.  Every child has exited, and been reaped, before this
+    returns or raises; on an exception the ones still running are killed."""
     if workers == 1:
         return [fn(item) for item in items]
-    # Imported here: a serial run and the commands without a pool need neither.
-    import multiprocessing
-    from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
-
-    context = multiprocessing.get_context("fork")
-    with contextlib.closing(context.SimpleQueue()) as queue:
-        for cpus in worker_cpus(workers):
-            queue.put(cpus)
-        pool = ProcessPoolExecutor(
-            max_workers=workers, mp_context=context,
-            initializer=_start_worker, initargs=(fn, queue),
-        )
-        try:
-            chunk = max(1, len(items) // (8 * workers))
-            return list(pool.map(_worker_call, items, chunksize=chunk))
-        except BrokenProcessPool:
-            raise NetdesignError(
-                "a worker process stopped unexpectedly (killed, or out of memory); "
-                "one worker (--threads 1) computes the same result in this process"
-            ) from None
-        finally:
-            pool.shutdown(wait=True, cancel_futures=True)
+    shares = _shares(list(items), workers)
+    cpus = worker_cpus(workers)
+    children, done = [], False  # (pid, read end of its pipe)
+    try:
+        for k in range(1, workers):
+            read_fd, write_fd = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:
+                os.close(read_fd)
+                os.close(write_fd)
+                raise
+            if pid == 0:
+                os.close(read_fd)
+                _serve(fn, shares[k], cpus[k], write_fd)
+            os.close(write_fd)
+            children.append((pid, read_fd))
+        with _placed(cpus[0]):
+            results = [fn(item) for item in shares[0]]
+        for _, fd in children:
+            results.extend(_outcome(fd))
+        done = True
+        return results
+    finally:
+        for pid, fd in children:
+            os.close(fd)
+            if not done:
+                os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)

@@ -37,6 +37,7 @@ from .errors import (
 )
 from .experiments import (
     DEFAULT_SEED,
+    LIGHT_CELL_KINDS,
     _breakdown_row,
     _gap_design,
     _table_text,
@@ -197,7 +198,10 @@ def cmd_study(args) -> int:
     if not path.exists():
         path = bundled_study_path(args.spec)
     spec = load_study_spec(path, full=args.full)
-    result = run_study(spec, threads=args.threads)
+    threads = args.threads
+    if threads is None:
+        threads = 1 if spec.kind in LIGHT_CELL_KINDS else _pool.usable_cpus()
+    result = run_study(spec, threads=threads)
     out = Path(args.output) if args.output else Path(f"{spec.name}.csv")
     if args.format == "json":
         out = out.with_suffix(".json") if out.suffix == ".csv" else out
@@ -258,11 +262,12 @@ def build_parser() -> argparse.ArgumentParser:
                    help="fail instead of walking the cap relaxation ladder")
     p.add_argument("--design-out", help="also write the assignment, one sign per line")
     p.add_argument("--threads", type=int, default=None, metavar="N",
-                   help="run the restarts of a local solve in up to N forked worker "
-                        "processes, in contiguous chunks, where a design's pairs "
-                        "overflow one block (n above about 256); no more than the "
-                        "usable CPUs; with BLAS on one thread, no two on one CPU; "
-                        "output is byte-identical for any N (default: the usable CPUs)")
+                   help="run the restarts of a local solve on up to N processes, "
+                        "this one and forked workers, in contiguous chunks, where a "
+                        "design's pairs overflow one block (n above about 256); no "
+                        "more than the usable CPUs; with BLAS on one thread, no two "
+                        "on one CPU; output is byte-identical for any N (default: "
+                        "the usable CPUs)")
     p.set_defaults(func=cmd_design)
 
     p = sub.add_parser("evaluate", parents=[common, files],
@@ -290,11 +295,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("spec", help="spec file path or bundled study name")
     p.add_argument("--full", action="store_true",
                    help="restore the large-scale study defaults")
-    p.add_argument("--threads", type=int, default=1, metavar="N",
-                   help="run study cells in up to N forked worker processes "
-                        "(no more than the usable CPUs; with BLAS on one thread, "
-                        "no two on one CPU); output is byte-identical for any N "
-                        "(default 1)")
+    p.add_argument("--threads", type=int, default=None, metavar="N",
+                   help="run study cells on up to N processes, this one and forked "
+                        "workers, in contiguous shares (no more than the cells or "
+                        "the usable CPUs; with BLAS on one thread, no two on one "
+                        "CPU); output is byte-identical for any N (default: the "
+                        "usable CPUs, and 1 for gap_histogram, whose cells cost "
+                        "less than a worker's start)")
     p.set_defaults(func=cmd_study)
 
     return parser

@@ -10,8 +10,9 @@ byte-identical files.
 
 Every cell of a study (a replicate, or a replicate at one network size)
 draws from its own derived seeds, so cells can run in any order or in
-parallel: `run_study(spec, threads=N)` runs them on up to N forked worker
-processes and gives rows, CSV and metadata byte-identical to N = 1.
+parallel: `run_study(spec, threads=N)` runs them on up to N processes,
+this one and forked children, and gives rows, CSV and metadata
+byte-identical to N = 1.
 With BLAS on one thread no two workers share a CPU; placement is skipped
 where the platform has no affinity calls.
 
@@ -482,12 +483,24 @@ def _breakdown_row(ev: CriterionEvaluator, x) -> dict:
     }
 
 
+# Kinds whose cells cost less than a forked worker takes to start.  A
+# gap_histogram cell scores one iid design, about 0.5 ms at desk size,
+# against several ms for a child counting its copy-on-write faults: the
+# 20-design study took 16.5-19.4 ms on two workers against 11.4-11.9 ms
+# in one process (2-vCPU VM, BLAS on one thread).  Every other kind's
+# cells solve designs or fit models.  `netdesign study` runs these in one
+# process unless --threads asks for workers.
+LIGHT_CELL_KINDS = frozenset({"gap_histogram"})
+
+
 def run_study(spec: StudySpec, threads: int = 1) -> StudyResult:
     """Run the study `spec` describes.  Its cells run on up to `threads`
-    forked worker processes, never more than there are cells or usable
-    CPUs, and with BLAS held to one thread no two on one CPU; one worker,
-    or a platform without fork, runs them one after another in this
-    process.  The result is byte-identical for any count.  DataError
+    processes, never more than there are cells or usable CPUs: this one
+    computes the first contiguous share of cells and a forked child each
+    other share, and with BLAS held to one thread no two share a CPU.
+    One worker, the default, or a platform without fork, runs them one
+    after another in this process, so a library call forks only when
+    asked.  The result is byte-identical for any count.  DataError
     unless `threads` is an integer of at least 1."""
     _pool.check_count(threads, "threads")
     runner = {

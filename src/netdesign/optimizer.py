@@ -479,7 +479,8 @@ _CLASS_SHARE = 0.25
 # 32-restart solves, mean degree 10, p = 10, BLAS on one thread, on a 2-vCPU
 # Xeon VM, alone against on two forked workers: 24 against 42 ms at n = 100,
 # 71 against 70 ms at n = 200, 103 against 86 ms at n = 300 and 194 against
-# 138 ms at n = 600; starting the pool costs about 20 ms.
+# 138 ms at n = 600, with a process pool that took about 20 ms to start.
+# The fork-and-pipe workers that replaced it start in about 3 ms.
 _FORK_PAIRS = _BLOCK_ENTRIES
 
 # Large designs per row-bound search: at n = 1000, stacks of 6 and 8 timed fastest
@@ -1001,11 +1002,12 @@ def _local_core(
     """Multistart repair-then-descend; returns (best_x or None, best_obj, iterations).
 
     Every start is drawn here.  The restarts go, in contiguous chunks in
-    restart order, to up to `workers` forked processes (_pool.fork_map),
-    but only where the row-bound search runs: below one block of pairs a
-    design, and on the class search, a whole solve took less than
-    starting a pool.  A restart never reads another's state, so the
-    result, iterations included, is that of one process.
+    restart order, to up to `workers` processes (_pool.fork_map: this one
+    polishes the first chunk, a forked child each other chunk), but only
+    where the row-bound search runs: below one block of pairs a design,
+    and on the class search, a whole solve took less than starting the
+    children.  A restart never reads another's state, so the result,
+    iterations included, is that of one process.
     """
     rng = np.random.default_rng(seed)
     # One scalar draw per restart keeps the seed stream a prefix of any
@@ -1046,12 +1048,12 @@ def solve_local(
     and the best feasible one is reported.  If every restart fails to
     reach feasibility the alpha ladder applies.
 
-    workers > 1 splits the restarts into contiguous chunks, one per forked
-    worker process (no more than the restarts or the usable CPUs; with
-    BLAS on one thread each on its own CPU), where a design's pairs
-    overflow one block (n above about 256, the row-bound search): smaller
-    solves, and covariate-only problems on the class search, stay in this
-    process, where they took less time than a pool start.  The report is
+    workers > 1 splits the restarts into contiguous chunks, one per worker
+    process, this one included (no more than the restarts or the usable
+    CPUs; with BLAS on one thread each on its own CPU), where a design's
+    pairs overflow one block (n above about 256, the row-bound search):
+    smaller solves, and covariate-only problems on the class search, stay
+    in this process, where they took less time than a pool start.  The report is
     the same for any count, iterations included, unless a time_budget
     stops descent, which each worker then does at its own step.
     DataError unless workers is an integer of at least 1.

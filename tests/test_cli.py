@@ -11,7 +11,6 @@ import csv
 import dataclasses
 import io
 import json
-import multiprocessing
 import os
 import string
 import subprocess
@@ -19,7 +18,6 @@ import sys
 import tempfile
 import tracemalloc
 import warnings
-from concurrent.futures import process
 from pathlib import Path
 
 import numpy as np
@@ -46,6 +44,21 @@ from netdesign.optimizer import hybrid_problem, solve
 
 def run(*argv):
     return main([str(a) for a in argv])
+
+
+_waitpid = os.waitpid  # unpatched, for no_children
+
+
+def no_children() -> bool:
+    """True when this process has no child left, reaped or not: a raw
+    os.fork child included, which multiprocessing.active_children cannot see."""
+    if not hasattr(os, "fork"):
+        return True
+    try:
+        _waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return True
+    return False
 
 
 def make_dataset(tmp, n=30, p=4, density=0.15, seed=5):
@@ -543,9 +556,9 @@ class TestImports:
 
     # Each module named here costs start-up time on every call that loads it.
     # Only a study spec needs YAML, only the Lanczos route of the diagnostics
-    # (above 200 nodes) needs scipy.sparse.linalg, only a study with more
-    # than one worker needs the process pool, and no command needs
-    # scipy.special: the normal quantile is criterion._ndtri.
+    # (above 200 nodes) needs scipy.sparse.linalg, and no command needs
+    # multiprocessing or concurrent.futures (the workers are os.fork and a
+    # pipe) or scipy.special: the normal quantile is criterion._ndtri.
     POOL_AND_SPECIAL = ("multiprocessing", "concurrent.futures.process", "scipy.special")
 
     def loaded(self, argvs, modules):
@@ -664,20 +677,20 @@ class TestStudyWorkers:
     @pytest.fixture
     def pool_spy(self, monkeypatch):
         """Stands in for the process pool: records the worker count each
-        construction asks for, then raises before any process starts."""
+        pool asks CPUs for, then raises before any process starts."""
         asked = []
 
-        def refuse(max_workers, **kwargs):
-            asked.append(max_workers)
+        def refuse(workers):
+            asked.append(workers)
             raise _Refused
 
-        monkeypatch.setattr(process, "ProcessPoolExecutor", refuse)
+        monkeypatch.setattr(_pool, "worker_cpus", refuse)
         return asked
 
     def study_bytes(self, tmp_path, spec, threads, fmt):
         out = tmp_path / f"t{threads}.{fmt}"
         assert run("study", spec, "--threads", threads, "--format", fmt, "--output", out) == 0
-        assert multiprocessing.active_children() == []
+        assert no_children()
         meta = tmp_path / f"t{threads}.csv.meta.json"
         return out.read_bytes() + (meta.read_bytes() if fmt == "csv" else b"")
 
@@ -719,19 +732,28 @@ class TestStudyWorkers:
     def test_worker_error_reaches_main_as_its_own_type(self, tmp_path, monkeypatch, capsys):
         real = experiments.synth_dataset
 
+        # Replicate 2 is the forked child's share at --threads 2 (this
+        # process computes replicates 0 and 1).
         def synth(n, p, density, seed):
-            if seed == derive_seed(9, 0, 1):
+            if seed == derive_seed(9, 0, 2):
                 raise np.linalg.LinAlgError("Singular matrix")
             return real(n, p, density, seed)
 
         monkeypatch.setattr(experiments, "synth_dataset", synth)
-        shutdowns, real_shutdown = [], process.ProcessPoolExecutor.shutdown
+        forked, reaped, real_fork, real_waitpid = [], [], os.fork, os.waitpid
 
-        def shutdown(pool, *args, **kwargs):
-            shutdowns.append(kwargs)
-            return real_shutdown(pool, *args, **kwargs)
+        def fork():
+            pid = real_fork()
+            if pid:
+                forked.append(pid)
+            return pid
 
-        monkeypatch.setattr(process.ProcessPoolExecutor, "shutdown", shutdown)
+        def waitpid(pid, options):
+            reaped.append(pid)
+            return real_waitpid(pid, options)
+
+        monkeypatch.setattr(os, "fork", fork)
+        monkeypatch.setattr(os, "waitpid", waitpid)
         spec = tmp_path / "mini.yaml"
         spec.write_text("kind: alpha_sweep\nseed: 9\n" + _TINY_STUDIES["alpha_sweep"])
         errs = []
@@ -739,14 +761,15 @@ class TestStudyWorkers:
             capsys.readouterr()
             assert run("study", spec, "--threads", threads, "--output", tmp_path / "s.csv") == 4
             errs.append(capsys.readouterr().err)
-            assert multiprocessing.active_children() == []
+            assert no_children()
         assert errs[0] == errs[1] == "numerical failure: Singular matrix\n"
-        assert shutdowns == [{"wait": True, "cancel_futures": True}]
+        # The one child was reaped once.
+        assert len(forked) == 1 and reaped == forked
         # The library raises the worker's exception with its remote traceback.
         with pytest.raises(np.linalg.LinAlgError) as raised:
             experiments.run_study(experiments.load_study_spec(spec), threads=2)
         assert type(raised.value.__cause__).__name__ == "_RemoteTraceback"
-        assert multiprocessing.active_children() == []
+        assert no_children()
 
     @pytest.mark.parametrize("threads", [0, -3])
     def test_threads_below_one_fails_before_the_spec_is_read(self, capsys, threads):
@@ -789,6 +812,89 @@ class TestStudyWorkers:
         assert pool_spy == []
         assert len(read_rows(tmp_path / "b.csv")) == 7
 
+    @pytest.fixture
+    def pools(self, monkeypatch):
+        """Each study's fork_map call (not those of the solves in its cells)
+        as [workers, the cells this process computed, the children forked]."""
+        calls, real_map, real_fork = [], _pool.fork_map, os.fork
+        parent, inner = os.getpid(), []
+
+        def fork():
+            pid = real_fork()
+            if pid:
+                calls[-1][2] += 1
+            return pid
+
+        def spy(fn, items, workers):
+            if inner:
+                return real_map(fn, items, workers)
+            calls.append([workers, [], 0])
+
+            def logged(item):
+                if os.getpid() == parent:
+                    calls[-1][1].append(item)
+                inner.append(item)
+                try:
+                    return fn(item)
+                finally:
+                    inner.pop()
+            return real_map(logged, items, workers)
+
+        monkeypatch.setattr(os, "fork", fork)
+        monkeypatch.setattr(_pool, "fork_map", spy)
+        return calls
+
+    @pytest.mark.parametrize("kind", sorted(_TINY_STUDIES))
+    def test_default_forks_unless_cells_are_light(self, tmp_path, pools, kind):
+        # Every kind whose cells solve or fit runs on the usable CPUs (4 here)
+        # by default; gap_histogram's sub-millisecond cells stay in this process.
+        spec = tmp_path / "mini.yaml"
+        spec.write_text(f"kind: {kind}\nseed: 9\n" + _TINY_STUDIES[kind])
+        one = self.study_bytes(tmp_path, spec, 1, "csv")
+        out = tmp_path / "default.csv"
+        assert run("study", spec, "--output", out) == 0
+        assert no_children()
+        default = out.read_bytes() + (tmp_path / "default.csv.meta.json").read_bytes()
+        assert default == one
+        (_, _, serial_forks), (workers, _, forks) = pools
+        assert serial_forks == 0
+        if kind == "gap_histogram":
+            assert (workers, forks) == (1, 0)
+        else:  # 3 or 4 cells
+            assert workers >= 3 and forks == workers - 1
+
+    @pytest.mark.parametrize("kind", ["alpha_sweep", "pseudo_experiment"])
+    def test_this_process_computes_the_first_share(self, tmp_path, pools, kind):
+        # Which cells this process computes is fixed by the cell count: the
+        # first contiguous share, the same on every run.
+        spec = tmp_path / "mini.yaml"
+        spec.write_text(f"kind: {kind}\nseed: 9\n" + _TINY_STUDIES[kind])
+        for threads in (1, 2, 3, 1, 2, 3):
+            self.study_bytes(tmp_path, spec, threads, "csv")
+        shares = [(workers, mine) for workers, mine, _ in pools]
+        assert shares == [(1, [0, 1, 2]), (2, [0, 1]), (3, [0])] * 2
+
+    def test_first_failing_cell_in_cell_order(self, tmp_path, monkeypatch, capsys):
+        # Replicates 1 and 2 fail, in the two children of --threads 3 and in
+        # this process's share and the child's of --threads 2: replicate 1's
+        # error is raised in every case.
+        real = experiments.synth_dataset
+
+        def synth(n, p, density, seed):
+            for rep in (1, 2):
+                if seed == derive_seed(9, 0, rep):
+                    raise np.linalg.LinAlgError(f"replicate {rep}")
+            return real(n, p, density, seed)
+
+        monkeypatch.setattr(experiments, "synth_dataset", synth)
+        spec = tmp_path / "mini.yaml"
+        spec.write_text("kind: alpha_sweep\nseed: 9\n" + _TINY_STUDIES["alpha_sweep"])
+        for threads in (1, 2, 3):
+            capsys.readouterr()
+            assert run("study", spec, "--threads", threads, "--output", tmp_path / "s.csv") == 4
+            assert capsys.readouterr().err == "numerical failure: replicate 1\n", threads
+            assert no_children()
+
 
 def _cpu_now() -> int:
     """The CPU this process last ran on: field 39 of /proc/self/stat."""
@@ -797,8 +903,9 @@ def _cpu_now() -> int:
 
 
 class TestWorkerPlacement:
-    """With BLAS on one thread, each forked study worker is kept on its own
-    share of the usable CPUs; the parent's affinity is left as it was."""
+    """With BLAS on one thread, each study worker, this process included, is
+    kept on its own share of the usable CPUs while it computes; this
+    process's affinity is given back afterwards."""
 
     @pytest.fixture
     def one_blas_thread(self, monkeypatch):
@@ -806,32 +913,27 @@ class TestWorkerPlacement:
 
     @pytest.fixture
     def worker_log(self, tmp_path, monkeypatch):
-        """Each worker logs, to tmp_path/<pid>.log, its CPUs and the CPU it
-        is on once its initializer has run, then the CPU of each cell."""
-        real_start, real_synth = _pool._start_worker, experiments.synth_dataset
-
-        def log(line):
-            with open(tmp_path / f"{os.getpid()}.log", "a") as fh:
-                fh.write(line + "\n")
-
-        def start(fn, queue):
-            real_start(fn, queue)
-            log(" ".join(map(str, sorted(os.sched_getaffinity(0)))))
-            log(str(_cpu_now()))
+        """Each cell logs, to tmp_path/<pid>.log, the CPUs its process is kept
+        on and the CPU it runs on, from inside the cell."""
+        real_synth = experiments.synth_dataset
 
         def synth(*args, **kwargs):
-            log(str(_cpu_now()))
+            mask = " ".join(map(str, sorted(os.sched_getaffinity(0))))
+            with open(tmp_path / f"{os.getpid()}.log", "a") as fh:
+                fh.write(f"{mask}:{_cpu_now()}\n")
             return real_synth(*args, **kwargs)
 
-        monkeypatch.setattr(_pool, "_start_worker", start)
         monkeypatch.setattr(experiments, "synth_dataset", synth)
 
         def read():
             """{pid: (its CPUs, the CPUs it ran on)} of every worker."""
             logs = {}
             for path in tmp_path.glob("*.log"):
-                mask, *ran = path.read_text().splitlines()
-                logs[path.stem] = ({int(c) for c in mask.split()}, {int(c) for c in ran})
+                lines = [line.split(":") for line in path.read_text().splitlines()]
+                masks = {mask for mask, _ in lines}
+                assert len(masks) == 1, masks  # one placement for all of a worker's cells
+                logs[path.stem] = ({int(c) for c in masks.pop().split()},
+                                   {int(cpu) for _, cpu in lines})
             return logs
         return read
 
@@ -851,9 +953,11 @@ class TestWorkerPlacement:
 
     def test_two_workers_run_on_two_cpus(self, tmp_path, one_blas_thread, worker_log):
         usable = self.needs_two_cpus()
+        before = os.sched_getaffinity(0)
         self.alpha_sweep(tmp_path)
+        assert os.sched_getaffinity(0) == before
         logs = worker_log()
-        assert len(logs) == 2
+        assert len(logs) == 2 and str(os.getpid()) in logs
         (mask_a, ran_a), (mask_b, ran_b) = logs.values()
         # Disjoint shares of the usable CPUs, every cell on its worker's share.
         assert mask_a and mask_b and not mask_a & mask_b and mask_a | mask_b == usable
@@ -901,7 +1005,7 @@ class TestWorkerPlacement:
         spec.write_text("kind: gap_histogram\n" + _TINY_STUDIES["gap_histogram"])
         experiments.run_study(experiments.load_study_spec(spec), threads=2)
         assert os.sched_getaffinity(0) == before
-        assert multiprocessing.active_children() == []
+        assert no_children()
 
 
 class TestDesignWorkers:
@@ -926,7 +1030,7 @@ class TestDesignWorkers:
             out, design = tmp_path / "d.csv", tmp_path / "x.design"
             assert run("design", edges, covs, *threads, "--output", out,
                        "--design-out", design) == 0
-            assert multiprocessing.active_children() == []
+            assert no_children()
             outputs.append(out.read_bytes() + design.read_bytes())
         assert outputs[0] == outputs[1] == outputs[2]
         assert pools == [4, 1, 3]
@@ -948,7 +1052,7 @@ class TestWorkerDeath:
         err = capsys.readouterr().err
         assert err.startswith(self.MESSAGE) and err.count("\n") == 1, err
         assert "Traceback" not in err
-        assert multiprocessing.active_children() == []
+        assert no_children()
 
     def test_study(self, tmp_path, monkeypatch, capsys, parent):
         real = experiments.synth_dataset
