@@ -1042,17 +1042,21 @@ class TestWorkerDeath:
     MESSAGE = "error: a worker process stopped unexpectedly"
 
     @pytest.fixture
-    def parent(self):
+    def parent(self, monkeypatch):
         if not hasattr(os, "fork"):
             pytest.skip("needs fork")
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")  # workers placed
         return os.getpid()
 
     def check(self, capsys, argv):
+        before = os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else None
         assert run(*argv) == 2
         err = capsys.readouterr().err
         assert err.startswith(self.MESSAGE) and err.count("\n") == 1, err
         assert "Traceback" not in err
         assert no_children()
+        if before is not None:
+            assert os.sched_getaffinity(0) == before
 
     def test_study(self, tmp_path, monkeypatch, capsys, parent):
         real = experiments.synth_dataset
