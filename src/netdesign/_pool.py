@@ -5,10 +5,11 @@ run on.
 A pool is plain `os.fork` with one pipe per child, and this process
 computes one share of the items itself.  Under fork a child inherits the
 function it serves, so that may be a closure; only results and
-exceptions are pickled.  Starting a child took about 3 ms on a 2-vCPU
-VM (`concurrent.futures`' process pool took about 11 ms to start).  With
-BLAS on one thread no two workers share a CPU; placement is skipped
-where the platform has no affinity calls, and never changes a result.
+exceptions are pickled.  A two-worker pool with a trivial function took
+3-4 ms to start and finish on a 2-vCPU VM, against about 10 ms for a
+`concurrent.futures` process pool.  With BLAS on one thread no two
+workers share a CPU; placement is skipped where the platform has no
+affinity calls, and never changes a result.
 """
 
 from __future__ import annotations
