@@ -45,15 +45,21 @@ def worker_count(asked: int, tasks: int) -> int:
     return max(1, min(asked, tasks, usable_cpus()))
 
 
+def places_workers() -> bool:
+    """True where worker_cpus places workers: the platform has the
+    affinity calls and BLAS is held to one thread (OPENBLAS_NUM_THREADS
+    or, unset, OMP_NUM_THREADS is 1, as numpy's OpenBLAS reads them).
+    Otherwise a worker's BLAS threads would share its CPUs, so it is
+    left to the scheduler."""
+    blas = os.environ.get("OPENBLAS_NUM_THREADS", os.environ.get("OMP_NUM_THREADS"))
+    return blas == "1" and hasattr(os, "sched_getaffinity") and hasattr(os, "sched_setaffinity")
+
+
 def worker_cpus(workers: int) -> list:
     """The CPUs each of `workers` workers is kept on: worker k takes every
     workers-th usable CPU from the k-th, so no two share one.  None for
-    each (no placement) without the affinity calls, or unless BLAS is held
-    to one thread (OPENBLAS_NUM_THREADS or, unset, OMP_NUM_THREADS is 1,
-    as numpy's OpenBLAS reads them): a worker's BLAS threads would share
-    its CPUs."""
-    blas = os.environ.get("OPENBLAS_NUM_THREADS", os.environ.get("OMP_NUM_THREADS"))
-    if blas != "1" or not (hasattr(os, "sched_getaffinity") and hasattr(os, "sched_setaffinity")):
+    each (no placement) unless places_workers()."""
+    if not places_workers():
         return [None] * workers
     usable = sorted(os.sched_getaffinity(0))
     return [set(usable[k::workers]) for k in range(workers)]
@@ -63,11 +69,13 @@ class _RemoteTraceback(Exception):
     """The cause of an exception raised in a worker: its traceback there."""
 
 
-def _shares(items: list, workers: int) -> list:
-    """`items` cut into `workers` contiguous shares in item order, the
-    first len(items) % workers of them one item longer."""
+def shares(items, workers: int) -> list:
+    """`items` (a list or an array) cut into `workers` contiguous shares in
+    item order, the last len(items) % workers of them one item longer:
+    the first share, this process's, starts only after every child is
+    forked."""
     size, extra = divmod(len(items), workers)
-    cuts = [k * size + min(k, extra) for k in range(workers + 1)]
+    cuts = [k * size + max(0, k - workers + extra) for k in range(workers + 1)]
     return [items[a:b] for a, b in zip(cuts, cuts[1:])]
 
 
@@ -147,7 +155,7 @@ def _outcome(fd: int) -> list:
 def fork_map(fn, items: list, workers: int) -> list:
     """[fn(item) for item in items], in order, computed in this process when
     `workers` is 1 and otherwise by `workers` processes: the items are cut
-    into contiguous shares in item order (_shares), this process computes
+    into contiguous shares in item order (shares), this process computes
     the first and one forked child each of the others.  So which process
     computes an item is fixed by the item count alone.  Each process is
     kept on its CPUs from worker_cpus while it computes (this one gets its
@@ -159,7 +167,7 @@ def fork_map(fn, items: list, workers: int) -> list:
     returns or raises; on an exception the ones still running are killed."""
     if workers == 1:
         return [fn(item) for item in items]
-    shares = _shares(list(items), workers)
+    parts = shares(list(items), workers)
     cpus = worker_cpus(workers)
     children, done = [], False  # (pid, read end of its pipe)
     try:
@@ -173,11 +181,11 @@ def fork_map(fn, items: list, workers: int) -> list:
                 raise
             if pid == 0:
                 os.close(read_fd)
-                _serve(fn, shares[k], cpus[k], write_fd)
+                _serve(fn, parts[k], cpus[k], write_fd)
             os.close(write_fd)
             children.append((pid, read_fd))
         with _placed(cpus[0]):
-            results = [fn(item) for item in shares[0]]
+            results = [fn(item) for item in parts[0]]
         for _, fd in children:
             results.extend(_outcome(fd))
         done = True

@@ -200,7 +200,10 @@ def cmd_study(args) -> int:
     spec = load_study_spec(path, full=args.full)
     threads = args.threads
     if threads is None:
-        threads = 1 if spec.kind in LIGHT_CELL_KINDS else _pool.usable_cpus()
+        # Unplaced workers each run the whole BLAS pool and were measured
+        # slower than one process, so only placed ones are the default.
+        heavy = spec.kind not in LIGHT_CELL_KINDS and _pool.places_workers()
+        threads = _pool.usable_cpus() if heavy else 1
     result = run_study(spec, threads=threads)
     out = Path(args.output) if args.output else Path(f"{spec.name}.csv")
     if args.format == "json":
@@ -300,8 +303,8 @@ def build_parser() -> argparse.ArgumentParser:
                         "workers, in contiguous shares (no more than the cells or "
                         "the usable CPUs; with BLAS on one thread, no two on one "
                         "CPU); output is byte-identical for any N (default: the "
-                        "usable CPUs, and 1 for gap_histogram, whose cells cost "
-                        "less than a worker's start)")
+                        "usable CPUs with BLAS on one thread, otherwise 1; 1 for "
+                        "gap_histogram, whose cells cost less than a worker's start)")
     p.set_defaults(func=cmd_study)
 
     return parser

@@ -479,8 +479,7 @@ _CLASS_SHARE = 0.25
 # 32-restart solves, mean degree 10, p = 10, BLAS on one thread, on a 2-vCPU
 # Xeon VM, alone against on two forked workers: 24 against 42 ms at n = 100,
 # 71 against 70 ms at n = 200, 103 against 86 ms at n = 300 and 194 against
-# 138 ms at n = 600, with a process pool that took about 20 ms to start.
-# The fork-and-pipe workers that replaced it start in about 3 ms.
+# 138 ms at n = 600, measured with a pool whose start cost 17-27 ms.
 _FORK_PAIRS = _BLOCK_ENTRIES
 
 # Large designs per row-bound search: at n = 1000, stacks of 6 and 8 timed fastest
@@ -1021,7 +1020,7 @@ def _local_core(
     workers = _pool.worker_count(workers, restarts)
     parts = _pool.fork_map(
         functools.partial(_polish_rows, problem, cap, deadline=deadline),
-        np.array_split(starts, workers), workers,
+        _pool.shares(starts, workers), workers,
     )
     x, feasible, swaps = zip(*parts)
     best_x, best_obj = _first_best(problem, np.concatenate(x), np.concatenate(feasible))

@@ -22,6 +22,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from forks import no_children
 from hypothesis import given, strategies as st
 
 import netdesign
@@ -44,21 +45,6 @@ from netdesign.optimizer import hybrid_problem, solve
 
 def run(*argv):
     return main([str(a) for a in argv])
-
-
-_waitpid = os.waitpid  # unpatched, for no_children
-
-
-def no_children() -> bool:
-    """True when this process has no child left, reaped or not: a raw
-    os.fork child included, which multiprocessing.active_children cannot see."""
-    if not hasattr(os, "fork"):
-        return True
-    try:
-        _waitpid(-1, os.WNOHANG)
-    except ChildProcessError:
-        return True
-    return False
 
 
 def make_dataset(tmp, n=30, p=4, density=0.15, seed=5):
@@ -844,8 +830,15 @@ class TestStudyWorkers:
         monkeypatch.setattr(_pool, "fork_map", spy)
         return calls
 
+    @pytest.fixture
+    def one_blas_thread(self, monkeypatch):
+        """BLAS on one thread, so workers would be placed; the placement
+        itself is skipped, as the four CPUs here may not exist."""
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+        monkeypatch.setattr(os, "sched_setaffinity", lambda pid, cpus: None, raising=False)
+
     @pytest.mark.parametrize("kind", sorted(_TINY_STUDIES))
-    def test_default_forks_unless_cells_are_light(self, tmp_path, pools, kind):
+    def test_default_forks_unless_cells_are_light(self, tmp_path, pools, one_blas_thread, kind):
         # Every kind whose cells solve or fit runs on the usable CPUs (4 here)
         # by default; gap_histogram's sub-millisecond cells stay in this process.
         spec = tmp_path / "mini.yaml"
@@ -863,6 +856,19 @@ class TestStudyWorkers:
         else:  # 3 or 4 cells
             assert workers >= 3 and forks == workers - 1
 
+    @pytest.mark.parametrize("blas", [None, "4"])
+    def test_default_is_one_process_unless_workers_are_placed(
+            self, tmp_path, monkeypatch, pools, blas):
+        # Unplaced workers would each run the whole BLAS pool.
+        for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
+            monkeypatch.delenv(name, raising=False)
+        if blas:
+            monkeypatch.setenv("OPENBLAS_NUM_THREADS", blas)
+        spec = tmp_path / "mini.yaml"
+        spec.write_text("kind: pseudo_experiment\nseed: 9\n" + _TINY_STUDIES["pseudo_experiment"])
+        assert run("study", spec, "--output", tmp_path / "s.csv") == 0
+        assert pools == [[1, [0, 1, 2], 0]]
+
     @pytest.mark.parametrize("kind", ["alpha_sweep", "pseudo_experiment"])
     def test_this_process_computes_the_first_share(self, tmp_path, pools, kind):
         # Which cells this process computes is fixed by the cell count: the
@@ -872,12 +878,12 @@ class TestStudyWorkers:
         for threads in (1, 2, 3, 1, 2, 3):
             self.study_bytes(tmp_path, spec, threads, "csv")
         shares = [(workers, mine) for workers, mine, _ in pools]
-        assert shares == [(1, [0, 1, 2]), (2, [0, 1]), (3, [0])] * 2
+        assert shares == [(1, [0, 1, 2]), (2, [0]), (3, [0])] * 2  # children get the extra
 
     def test_first_failing_cell_in_cell_order(self, tmp_path, monkeypatch, capsys):
         # Replicates 1 and 2 fail, in the two children of --threads 3 and in
-        # this process's share and the child's of --threads 2: replicate 1's
-        # error is raised in every case.
+        # the one child's share of --threads 2: replicate 1's error is
+        # raised in every case.
         real = experiments.synth_dataset
 
         def synth(n, p, density, seed):

@@ -17,6 +17,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
+from forks import no_children
 from scipy import sparse, stats
 
 from netdesign import _pool, optimizer
@@ -1453,18 +1454,6 @@ class TestLockstep:
         repaired = [polish_one(prob, prob.cap, x)[0] is not None for x in starts]
         assert any(repaired) and not all(repaired)
         self.check(prob, 8, 19, mode)
-
-
-def no_children() -> bool:
-    """True when this process has no child left, reaped or not: a raw
-    os.fork child included, which multiprocessing.active_children cannot see."""
-    if not hasattr(os, "fork"):
-        return True
-    try:
-        os.waitpid(-1, os.WNOHANG)
-    except ChildProcessError:
-        return True
-    return False
 
 
 def clique_instance(n=300, size=30, p=4, seed=5):

@@ -7,20 +7,12 @@ import os
 import time
 
 import pytest
+from forks import no_children
 
 from netdesign import _pool
 from netdesign.errors import NetdesignError
 
 pytestmark = pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
-
-
-def no_children() -> bool:
-    """True when this process has no child left, reaped or not."""
-    try:
-        os.waitpid(-1, os.WNOHANG)
-    except ChildProcessError:
-        return True
-    return False
 
 
 def affinity():
@@ -45,19 +37,19 @@ def test_results_in_order_and_first_share_here():
             out = _pool.fork_map(lambda x: (x * x, os.getpid() == parent), list(range(10)),
                                  workers)
             assert [y for y, _ in out] == [x * x for x in range(10)]
-            # Shares of 10 items: 10; 5 and 5; 4, 3 and 3.
+            # Shares of 10 items: 10; 5 and 5; 3, 3 and 4.
             mine = [x for x, (_, here) in enumerate(out) if here]
-            assert mine == list(range({1: 10, 2: 5, 3: 4}[workers]))
+            assert mine == list(range({1: 10, 2: 5, 3: 3}[workers]))
             assert no_children()
 
 
 def test_shares_are_contiguous_and_cover_the_items():
     for n in range(8):
         for workers in (1, 2, 3, 5):
-            shares = _pool._shares(list(range(n)), workers)
+            shares = _pool.shares(list(range(n)), workers)
             assert len(shares) == workers and sum(shares, []) == list(range(n))
             assert max(map(len, shares)) - min(map(len, shares)) <= 1
-            assert [len(s) for s in shares] == sorted(map(len, shares), reverse=True)
+            assert [len(s) for s in shares] == sorted(map(len, shares))  # children get the extra
 
 
 @pytest.mark.parametrize("failing, first", [
