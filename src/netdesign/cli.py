@@ -31,7 +31,6 @@ from .designs import Design
 from .errors import (
     DataError,
     EigenSolverError,
-    InfeasibleError,
     NetdesignError,
     NotPositiveDefiniteError,
 )
@@ -266,11 +265,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--design-out", help="also write the assignment, one sign per line")
     p.add_argument("--threads", type=int, default=None, metavar="N",
                    help="run the restarts of a local solve on up to N processes, "
-                        "this one and forked workers, in contiguous chunks, where a "
-                        "design's pairs overflow one block (n above about 256); no "
-                        "more than the usable CPUs; with BLAS on one thread, no two "
-                        "on one CPU; output is byte-identical for any N (default: "
-                        "the usable CPUs)")
+                        "this one and forked workers, in contiguous chunks, at any "
+                        "n (no more than the restarts or the usable CPUs; with BLAS "
+                        "on one thread, no two on one CPU); output is byte-identical "
+                        "for any N (default: the usable CPUs)")
     p.set_defaults(func=cmd_design)
 
     p = sub.add_parser("evaluate", parents=[common, files],
@@ -322,9 +320,6 @@ def main(argv=None) -> int:
     try:
         _check_counts(args)
         return args.func(args)
-    except InfeasibleError as e:
-        print(f"infeasible: {e}", file=sys.stderr)
-        return 3
     except _NUMERICAL_ERRORS as e:
         print(f"numerical failure: {e}", file=sys.stderr)
         return 4

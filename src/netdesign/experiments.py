@@ -8,13 +8,14 @@ CSV with a fixed header plus a JSON metadata sidecar echoing the resolved
 spec; nothing in the output depends on the clock, so identical specs give
 byte-identical files.
 
-Every cell of a study (a replicate, or a replicate at one network size)
-draws from its own derived seeds, so cells can run in any order or in
-parallel: `run_study(spec, threads=N)` runs them on up to N processes,
-this one and forked children, and gives rows, CSV and metadata
-byte-identical to N = 1.
-With BLAS on one thread no two workers share a CPU; placement is skipped
-where the platform has no affinity calls.
+Every cell of a study (a replicate, a replicate at one network size, or
+a gap design) draws from its own derived seeds, so cells can run in any
+order or in parallel.  Each kind has one private function that gives the
+table's columns, the function of one cell and the cells; run_study alone
+takes a process count and runs the cells on up to that many processes,
+this one and forked children, with rows, CSV and metadata byte-identical
+to one process.  With BLAS on one thread no two workers share a CPU;
+placement is skipped where the platform has no affinity calls.
 
 Two scales exist per kind: the default desk scale finishes in minutes,
 while full=True restores the larger sizes the desk numbers were shrunk
@@ -76,11 +77,6 @@ __all__ = [
     "derive_seed",
     "synth_dataset",
     "run_study",
-    "run_alpha_sweep",
-    "run_rho_robustness",
-    "run_network_comparison",
-    "run_pseudo_experiment",
-    "run_gap_histogram",
 ]
 
 DEFAULT_SEED = 1729
@@ -435,15 +431,6 @@ def _meta(spec: StudySpec, columns, rows) -> dict:
     }
 
 
-def _tabulate(spec: StudySpec, columns, cell, cells, threads: int) -> StudyResult:
-    """Rows of `cell` over `cells`, in cell order, on as many workers as
-    run_study describes."""
-    cells = list(cells)
-    workers = _pool.worker_count(threads, len(cells))
-    rows = [row for rows in _pool.fork_map(cell, cells, workers) for row in rows]
-    return StudyResult(spec.kind, columns, rows, _meta(spec, columns, rows))
-
-
 def _rho_heads(base: dict, rho_ts) -> list:
     """One row head per rho_t.  A head is a row without its status: the base
     fields plus what names the row in its cell (a rho_t, a design_kind or nothing)."""
@@ -494,24 +481,29 @@ LIGHT_CELL_KINDS = frozenset({"gap_histogram"})
 
 
 def run_study(spec: StudySpec, threads: int = 1) -> StudyResult:
-    """Run the study `spec` describes.  Its cells run on up to `threads`
-    processes, never more than there are cells or usable CPUs: this one
-    computes the first contiguous share of cells and a forked child each
-    other share, and with BLAS held to one thread no two share a CPU.
-    One worker, the default, or a platform without fork, runs them one
-    after another in this process, so a library call forks only when
-    asked.  The result is byte-identical for any count.  DataError
-    unless `threads` is an integer of at least 1."""
+    """Run the study `spec` describes.  The kind's function gives (columns,
+    cell, cells); the rows are each cell's, in cell order.  The cells run
+    on _pool.worker_count(threads, cells) processes, never more than
+    there are cells or usable CPUs: this one computes the first
+    contiguous share of cells and a forked child each other share, and
+    with BLAS held to one thread no two share a CPU.  One worker, the
+    default, or a platform without fork, runs them one after another in
+    this process, so a library call forks only when asked.  The result
+    is byte-identical for any count.  DataError unless `threads` is an
+    integer of at least 1."""
     _pool.check_count(threads, "threads")
-    runner = {
-        "alpha_sweep": run_alpha_sweep,
-        "rho_robustness": run_rho_robustness,
-        "network_vs_no_network": run_network_comparison,
-        "size_sweep": run_network_comparison,
-        "pseudo_experiment": run_pseudo_experiment,
-        "gap_histogram": run_gap_histogram,
-    }[spec.kind]
-    return runner(spec, threads)
+    columns, cell, cells = {
+        "alpha_sweep": _alpha_sweep,
+        "rho_robustness": _rho_robustness,
+        "network_vs_no_network": _network_comparison,
+        "size_sweep": _network_comparison,
+        "pseudo_experiment": _pseudo_experiment,
+        "gap_histogram": _gap_histogram,
+    }[spec.kind](spec)
+    cells = list(cells)
+    workers = _pool.worker_count(threads, len(cells))
+    rows = [row for rows in _pool.fork_map(cell, cells, workers) for row in rows]
+    return StudyResult(spec.kind, columns, rows, _meta(spec, columns, rows))
 
 
 # ---------------------------------------------------------------------------
@@ -525,7 +517,7 @@ ALPHA_SWEEP_COLUMNS = (
 )
 
 
-def run_alpha_sweep(spec: StudySpec, threads: int = 1) -> StudyResult:
+def _alpha_sweep(spec: StudySpec):
     """Design at rho0 under each cap level; record criterion and precision
     improvement at every evaluation correlation."""
     P = spec.params
@@ -564,7 +556,7 @@ def run_alpha_sweep(spec: StudySpec, threads: int = 1) -> StudyResult:
             out += rows
         return out
 
-    return _tabulate(spec, ALPHA_SWEEP_COLUMNS, cell, range(P["replicates"]), threads)
+    return ALPHA_SWEEP_COLUMNS, cell, range(P["replicates"])
 
 
 # ---------------------------------------------------------------------------
@@ -577,7 +569,7 @@ RHO_ROBUSTNESS_COLUMNS = (
 )
 
 
-def run_rho_robustness(spec: StudySpec, threads: int = 1) -> StudyResult:
+def _rho_robustness(spec: StudySpec):
     """Compare the design solved at rho0 with one solved at each true
     correlation, both scored at the true correlation.  The same solver
     seed is used across the grid, so the design solved at rho0 is also the
@@ -616,7 +608,7 @@ def run_rho_robustness(spec: StudySpec, threads: int = 1) -> StudyResult:
             out += rows
         return out
 
-    return _tabulate(spec, RHO_ROBUSTNESS_COLUMNS, cell, range(P["replicates"]), threads)
+    return RHO_ROBUSTNESS_COLUMNS, cell, range(P["replicates"])
 
 
 # ---------------------------------------------------------------------------
@@ -631,7 +623,7 @@ NETWORK_COMPARISON_COLUMNS = (
 )
 
 
-def run_network_comparison(spec: StudySpec, threads: int = 1) -> StudyResult:
+def _network_comparison(spec: StudySpec):
     """Hybrid design versus the covariate-only design on shared datasets.
 
     Improvements are measured against the exact random-balanced-design
@@ -687,7 +679,7 @@ def run_network_comparison(spec: StudySpec, threads: int = 1) -> StudyResult:
             out += rows
         return out
 
-    return _tabulate(spec, NETWORK_COMPARISON_COLUMNS, cell, cells, threads)
+    return NETWORK_COMPARISON_COLUMNS, cell, cells
 
 
 # ---------------------------------------------------------------------------
@@ -706,7 +698,7 @@ def _mse_percentile(opt_mse: float, random_mses) -> float:
     return (below + 0.5 * ties) / len(random_mses)
 
 
-def run_pseudo_experiment(spec: StudySpec, threads: int = 1) -> StudyResult:
+def _pseudo_experiment(spec: StudySpec):
     """Outcome-level comparison on subsampled networks.
 
     Per replicate: subsample the base network, drop isolated nodes, solve
@@ -823,7 +815,7 @@ def run_pseudo_experiment(spec: StudySpec, threads: int = 1) -> StudyResult:
             out.append(row)
         return out
 
-    return _tabulate(spec, PSEUDO_EXPERIMENT_COLUMNS, cell, range(P["replicates"]), threads)
+    return PSEUDO_EXPERIMENT_COLUMNS, cell, range(P["replicates"])
 
 
 # ---------------------------------------------------------------------------
@@ -844,7 +836,7 @@ def _gap_design(seed: int, idx: int, n: int, prior_draws: int):
     return design_seed, rho_seed, random_iid_design(n, design_seed).x, rhos
 
 
-def run_gap_histogram(spec: StudySpec, threads: int = 1) -> StudyResult:
+def _gap_histogram(spec: StudySpec):
     """Sample completely randomized designs on one dense network and record
     the surrogate criterion, the prior-averaging gap, and its bounds.
 
@@ -881,4 +873,4 @@ def run_gap_histogram(spec: StudySpec, threads: int = 1) -> StudyResult:
 
         return _scored([base], score)
 
-    return _tabulate(spec, GAP_HISTOGRAM_COLUMNS, cell, range(P["designs"]), threads)
+    return GAP_HISTOGRAM_COLUMNS, cell, range(P["designs"])

@@ -38,10 +38,10 @@ whose H has few distinct columns (p +/-1 covariates give at most 2^p)
 reads a = H'v once per class of identical columns, so a swap's score
 depends on its two classes alone, and descent searches the class pairs,
 each from the first plus and first minus node of its classes, in
-O(C^2 + n) a step.  Above one block of pairs a design, the restarts of
-a solve can also run in contiguous chunks on forked worker processes,
-with the same result.  Reported objectives are recomputed by a fresh
-pass over the returned design, never copied from solver bookkeeping.
+O(C^2 + n) a step.  The restarts of a solve can also run in contiguous
+chunks on forked worker processes, with the same result.  Reported
+objectives are recomputed by a fresh pass over the returned design,
+never copied from solver bookkeeping.
 """
 
 from __future__ import annotations
@@ -473,14 +473,6 @@ _BLOCK_ENTRIES = 1 << 14
 # search took 0.5-0.9 of the time from n = 200 to 4000; at 0.76-0.8 (n 1000
 # and 2000) it took 1.4-2.7 times as long.
 _CLASS_SHARE = 0.25
-
-# Node pairs of a balanced design up to which a local solve runs in one
-# process whatever workers it is given: one block of pairs (n up to 256).
-# 32-restart solves, mean degree 10, p = 10, BLAS on one thread, on a 2-vCPU
-# Xeon VM, alone against on two forked workers: 24 against 42 ms at n = 100,
-# 71 against 70 ms at n = 200, 103 against 86 ms at n = 300 and 194 against
-# 138 ms at n = 600, measured with a pool whose start cost 17-27 ms.
-_FORK_PAIRS = _BLOCK_ENTRIES
 
 # Large designs per row-bound search: at n = 1000, stacks of 6 and 8 timed fastest
 # of 4 to 32, and 6 peaked at 1.6 MB of transient arrays against 2.2 MB for 8.
@@ -1001,12 +993,10 @@ def _local_core(
     """Multistart repair-then-descend; returns (best_x or None, best_obj, iterations).
 
     Every start is drawn here.  The restarts go, in contiguous chunks in
-    restart order, to up to `workers` processes (_pool.fork_map: this one
-    polishes the first chunk, a forked child each other chunk), but only
-    where the row-bound search runs: below one block of pairs a design,
-    and on the class search, a whole solve took less than starting the
-    children.  A restart never reads another's state, so the result,
-    iterations included, is that of one process.
+    restart order, to _pool.worker_count(workers, restarts) processes
+    (_pool.fork_map: this one polishes the first chunk, a forked child
+    each other chunk).  A restart never reads another's state, so the
+    result, iterations included, is that of one process.
     """
     rng = np.random.default_rng(seed)
     # One scalar draw per restart keeps the seed stream a prefix of any
@@ -1014,9 +1004,6 @@ def _local_core(
     starts = np.empty((restarts, problem.n))
     for r in range(restarts):
         starts[r] = _balanced_signs(problem.n, int(rng.integers(0, 2**63 - 1)))
-    k = problem.n // 2
-    if k * (problem.n - k) <= _FORK_PAIRS or problem.classes is not None:
-        workers = 1
     workers = _pool.worker_count(workers, restarts)
     parts = _pool.fork_map(
         functools.partial(_polish_rows, problem, cap, deadline=deadline),
@@ -1049,12 +1036,11 @@ def solve_local(
 
     workers > 1 splits the restarts into contiguous chunks, one per worker
     process, this one included (no more than the restarts or the usable
-    CPUs; with BLAS on one thread each on its own CPU), where a design's
-    pairs overflow one block (n above about 256, the row-bound search):
-    smaller solves, and covariate-only problems on the class search, stay
-    in this process, where they took less time than a pool start.  The report is
-    the same for any count, iterations included, unless a time_budget
-    stops descent, which each worker then does at its own step.
+    CPUs; with BLAS on one thread each on its own CPU), at any n and on
+    any search: a child costs a few ms to start, so a solve shorter than
+    that is quicker with workers=1.  The report is the same for any
+    count, iterations included, unless a time_budget stops descent,
+    which each worker then does at its own step.
     DataError unless workers is an integer of at least 1.
     """
     if restarts < 1:
@@ -1205,9 +1191,10 @@ def solve(
     measured up to n = 10,000 (mean degree 10, p = 10).  At n = 12,000 it
     took 32-35 s against 49-50 s on two graphs, and its objective was 0.99
     and 1.53 times annealing's.  workers is passed to solve_local, which
-    runs its restarts on up to that many forked processes above n = 256
-    (same report for any count); the exact and annealing searches run in
-    this process.  DataError unless workers is an integer of at least 1.
+    runs its restarts on up to that many processes, this one and forked
+    children (same report for any count); the exact and annealing
+    searches run in this process.  DataError unless workers is an
+    integer of at least 1.
     """
     _pool.check_count(workers, "workers")
     if method == "auto":

@@ -201,6 +201,10 @@ class TestFitGls:
         assert abs(res.sigma2_hat - sigma2) <= 1e-10 * sigma2
         var00 = sigma2 * np.linalg.inv(X.T @ R @ X)[0, 0]
         assert abs(res.var_theta - var00) <= 1e-10 * var00
+        # The Gaussian log-likelihood at (gamma, sigma2), precision R / sigma2.
+        loglik = (-0.5 * net.n * np.log(2 * np.pi) + 0.5 * np.linalg.slogdet(R)[1]
+                  - 0.5 * net.n * np.log(sigma2) - 0.5 * net.n)
+        assert abs(res.loglik - loglik) <= 1e-10 * abs(loglik)
 
     def test_unbiased_for_theta(self):
         # Simulation oracle: GLS at the true rho is unbiased for theta.
@@ -414,6 +418,9 @@ class TestProfileML:
         x = np.where(np.arange(20) % 2 == 0, 1.0, -1.0)
         with pytest.raises(DataError, match="grid_step and tol must be positive"):
             fit_profile_ml(net, cov, x, np.arange(20.0), grid_step=grid_step, tol=tol)
+        for rho_max in (0.0, 1.0):  # the ends of (0, 1) are refused too
+            with pytest.raises(DataError, match=r"rho_max must lie in \(0, 1\)"):
+                fit_profile_ml(net, cov, x, np.arange(20.0), rho_max=rho_max)
 
     def test_refinement_is_batched(self, monkeypatch):
         # One grid call plus three passes of 21 points each at the defaults.

@@ -1015,31 +1015,46 @@ class TestWorkerPlacement:
 
 
 class TestDesignWorkers:
-    """`design --threads N` runs a large solve's restarts on forked workers,
-    byte-identical to N = 1; by default on every usable CPU."""
+    """`design --threads N` runs a solve's restarts on forked workers, at any
+    n, byte-identical to N = 1; by default on every usable CPU."""
 
     @pytest.fixture(autouse=True)
     def four_cpus(self, monkeypatch):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(4)), raising=False)
 
-    def test_default_and_one_thread_byte_identical(self, tmp_path, monkeypatch):
-        edges, covs = make_dataset(tmp_path, n=300, p=4, density=0.03)
-        pools, real = [], _pool.fork_map
+    @pytest.fixture
+    def pools(self, monkeypatch):
+        """The worker count of each fork_map call the solves make."""
+        counts, real = [], _pool.fork_map
 
         def spy(fn, items, workers):
-            pools.append(workers)
+            counts.append(workers)
             return real(fn, items, workers)
 
         monkeypatch.setattr(_pool, "fork_map", spy)
-        outputs = []
-        for threads in ([], ["--threads", 1], ["--threads", 3]):
-            out, design = tmp_path / "d.csv", tmp_path / "x.design"
-            assert run("design", edges, covs, *threads, "--output", out,
-                       "--design-out", design) == 0
-            assert no_children()
-            outputs.append(out.read_bytes() + design.read_bytes())
+        return counts
+
+    @staticmethod
+    def design_bytes(tmp_path, edges, covs, threads):
+        out, design = tmp_path / "d.csv", tmp_path / "x.design"
+        assert run("design", edges, covs, *threads, "--output", out,
+                   "--design-out", design) == 0
+        assert no_children()
+        return out.read_bytes() + design.read_bytes()
+
+    def test_default_and_one_thread_byte_identical(self, tmp_path, pools):
+        edges, covs = make_dataset(tmp_path, n=300, p=4, density=0.03)
+        outputs = [self.design_bytes(tmp_path, edges, covs, threads)
+                   for threads in ([], ["--threads", 1], ["--threads", 3])]
         assert outputs[0] == outputs[1] == outputs[2]
         assert pools == [4, 1, 3]
+
+    def test_small_design_forks_by_default(self, tmp_path, pools):
+        edges, covs = make_dataset(tmp_path, n=60, p=4, density=0.1)
+        outputs = [self.design_bytes(tmp_path, edges, covs, threads)
+                   for threads in ([], ["--threads", 1])]
+        assert outputs[0] == outputs[1]
+        assert pools == [4, 1]
 
 
 class TestWorkerDeath:

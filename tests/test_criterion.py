@@ -220,6 +220,7 @@ class TestBalancedMoments:
         # Balanced moments put the expected network term at rho*c*m.
         c = balanced_moment_c(24)
         assert eb.network_term == pytest.approx(0.7 * c * net.m, rel=1e-12)
+        assert eb.variance == 1.0 / eb.precision
 
 
 class TestPip:
@@ -428,6 +429,12 @@ class TestGapDiagnostics:
         u = F.T @ W @ s
         want = float(u @ np.linalg.solve(F.T @ R @ F, u)) * np.var(samples)
         assert abs(d.second_derivative_term - want) <= 1e-10 * want
+        # bound_a = min(n lam_max(R), (1 + rho0) m) lam_W^2 var(rho) / lam_min(R)^2.
+        lam = np.linalg.eigvalsh(R)
+        lam_w = np.max(np.abs(np.linalg.eigvalsh(W)))
+        want_a = (min(net.n * lam[-1], (1 + rho0) * net.m) * lam_w**2 * np.var(samples)
+                  / lam[0] ** 2)
+        assert d.bound_a == pytest.approx(want_a, rel=1e-10)
 
     def test_jensen_gap_nonnegative_and_bounded(self):
         net = connected_net(30, 0.2, 30)

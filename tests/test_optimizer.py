@@ -609,6 +609,7 @@ class TestAnnealing:
         a = solve_annealing(prob, seed=6)
         b = solve_annealing(prob, seed=6)
         assert a.to_record() == b.to_record()
+        assert solve(prob, method="annealing", seed=6).to_record() == a.to_record()
 
     def test_spent_budget_stops_the_ladder(self):
         # K18 meets no cap below alpha = 0.5; a spent budget must stop at
@@ -1455,6 +1456,35 @@ class TestLockstep:
         assert any(repaired) and not all(repaired)
         self.check(prob, 8, 19, mode)
 
+    def test_long_repair_resyncs_designs_of_the_stack(self, monkeypatch):
+        # On a 30 x 30 torus the cap at alpha 1e-300 takes each start more
+        # than 64 repair swaps, so apply() resyncs designs of a stack in place.
+        k = 30
+        edges = [(i * k + j, i * k + (j + 1) % k) for i in range(k) for j in range(k)]
+        edges += [(i * k + j, (i + 1) % k * k + j) for i in range(k) for j in range(k)]
+        prob = hybrid_problem(Network.from_edges(k * k, edges),
+                              generate_pm1_covariates(k * k, 2, seed=3), 0.5, 1e-300)
+        stacked, resynced = [], []
+        apply, sync = optimizer._SwapState.apply, optimizer._SwapState.sync
+
+        def spy_apply(self, *args, r=0, **kwargs):
+            stacked.append(isinstance(r, np.ndarray))
+            try:
+                apply(self, *args, r=r, **kwargs)
+            finally:
+                stacked.pop()
+
+        def spy_sync(self, r=0):
+            if stacked and stacked[-1]:
+                resynced.append((int(r), int(self.swaps[r])))
+            sync(self, r)
+
+        monkeypatch.setattr(optimizer._SwapState, "apply", spy_apply)
+        monkeypatch.setattr(optimizer._SwapState, "sync", spy_sync)
+        self.check(prob, 3, 5, "one")
+        assert resynced and all(swaps % 64 == 0 for _, swaps in resynced)
+        assert len({r for r, _ in resynced}) > 1  # more than one design of the stack
+
 
 def clique_instance(n=300, size=30, p=4, seed=5):
     """n / size disjoint cliques.  A balanced design's x'Wx is at least -n,
@@ -1497,35 +1527,30 @@ class TestWorkers:
                               seed=2).network
         cov = generate_pm1_covariates(300, 10, seed=3)
         for prob in (hybrid_problem(net, cov, 0.5, 0.001), no_network_problem(cov)):
-            assert prob.classes is None  # the node-pair search: a pool pays
+            assert prob.classes is None  # above one block of pairs: the row-bound search
             pools.clear()
             one, *split = self.records(prob)
             assert one["iterations"] > 0 and all(r == one for r in split)
             assert pools == [1, 2, 3, 4]  # restarts + 2 workers: capped at the 4 CPUs
 
-    def test_below_the_crossover_when_forced(self, pools, monkeypatch):
-        # Small designs stay in this process; with the crossover at 0 they fork,
-        # and the stacked table search of each worker's chunk takes the same swaps.
+    def test_below_the_crossover(self, pools):
+        # Small designs fork too, and the stacked table search of each
+        # worker's chunk takes the same swaps.
         rng = np.random.default_rng(4)
         net = repair_isolated(generate_bernoulli_network(60, 0.1, seed=5), "connect",
                               seed=6).network
         cov = CovariateMatrix.from_raw(rng.normal(size=(60, 3)))
-        probs = (hybrid_problem(net, cov, 0.5, 0.01), no_network_problem(cov))
-        for prob in probs:
-            self.records(prob)
-        assert pools == [1] * 8
-        monkeypatch.setattr(optimizer, "_FORK_PAIRS", 0)
-        for prob in probs:
+        for prob in (hybrid_problem(net, cov, 0.5, 0.01), no_network_problem(cov)):
             pools.clear()
             one, *split = self.records(prob)
             assert all(r == one for r in split)
             assert pools == [1, 2, 3, 4]
 
-    def test_class_search_stays_in_this_process(self, pools):
+    def test_class_search_forks_as_asked(self, pools):
         prob = no_network_problem(generate_pm1_covariates(400, 3, seed=7))
         assert prob.classes is not None
         one, *split = self.records(prob)
-        assert all(r == one for r in split) and pools == [1] * 4
+        assert all(r == one for r in split) and pools == [1, 2, 3, 4]
 
     def test_ladder_climb(self, pools):
         prob = hybrid_problem(*clique_instance(), 0.5, 1e-4)
