@@ -149,8 +149,12 @@ class CriterionEvaluator:
 
     # Moments over uniformly random balanced designs: E[x x'] has unit
     # diagonal and constant off-diagonal c, so E[x' M x] needs only tr(M)
-    # and 1' M 1.
+    # and 1' M 1.  H never changes, so they are computed once.
     def expected_terms(self) -> tuple:
+        return self._expected_terms
+
+    @functools.cached_property
+    def _expected_terms(self) -> tuple:
         c = balanced_moment_c(self.net.n)
         e_t1 = self.rho * c * self.m  # tr(W) = 0
         h_frob = float(np.sum(self.H * self.H))
@@ -173,7 +177,10 @@ class CriterionEvaluator:
 
     def pip(self, x0) -> float:
         """Percentage increase in precision of x0; see the module-level pip."""
-        t0 = self.precision(x0)
+        return self._pip_from_precision(self.precision(x0))
+
+    def _pip_from_precision(self, t0: float) -> float:
+        """pip of a design whose precision x0' K x0 is t0, as breakdown() gives it."""
         if t0 < 1e-10 * max(1.0, self.m):
             raise DegenerateDesignError(
                 f"design precision {t0:.3e} is degenerate; PIP undefined"

@@ -57,6 +57,7 @@ from .graph import (
 )
 from .optimizer import (
     SOLVER_METHODS,
+    _solve_levels,
     hybrid_problem,
     random_balanced_design,
     random_iid_design,
@@ -465,7 +466,7 @@ def _breakdown_row(ev: CriterionEvaluator, x) -> dict:
     """Precision improvement and criterion terms of design x under `ev`."""
     br = ev.breakdown(x)
     return {
-        "pip": ev.pip(x), "precision": br.precision,
+        "pip": ev._pip_from_precision(br.precision), "precision": br.precision,
         "network_term": br.network_term, "imbalance_term": br.imbalance_term,
     }
 
@@ -519,25 +520,37 @@ ALPHA_SWEEP_COLUMNS = (
 
 def _alpha_sweep(spec: StudySpec):
     """Design at rho0 under each cap level; record criterion and precision
-    improvement at every evaluation correlation."""
+    improvement at every evaluation correlation.
+
+    A replicate builds its problem once and solves every alpha in one
+    _solve_levels call, whose local search polishes the requested levels
+    of all the alphas as one stack; each report is that of the alpha's
+    own solve.  Where that call raises a NetdesignError, each alpha is
+    solved on its own, so each row keeps its own status."""
     P = spec.params
+    alphas = P["alphas"]
 
     def cell(rep: int):
         dataset_seed = derive_seed(spec.seed, 0, rep)
+        seeds = [derive_seed(spec.seed, 1, rep, ai) for ai in range(len(alphas))]
         # The dataset and one evaluator per rho_t are shared by the designs
         # of every alpha; a failed draw or build is not cached, so it fails
         # again for each of them.
         dataset = functools.cache(lambda: synth_dataset(P["n"], P["p"], P["density"], dataset_seed))
         evaluator = functools.cache(lambda rho_t: CriterionEvaluator(*dataset(), rho_t))
+        try:
+            reports = _solve_levels(hybrid_problem(*dataset(), P["rho0"], alphas[0]), alphas,
+                                    seeds, P["restarts"], P["method"])
+        except NetdesignError:
+            reports = [None] * len(alphas)
         out = []
-        for ai, alpha in enumerate(P["alphas"]):
-            solver_seed = derive_seed(spec.seed, 1, rep, ai)
+        for alpha, solver_seed, grouped in zip(alphas, seeds, reports):
             base = {
                 "replicate": rep, "n": P["n"], "p": P["p"], "density": P["density"],
                 "rho0": P["rho0"], "alpha_requested": alpha,
                 "dataset_seed": dataset_seed, "solver_seed": solver_seed,
             }
-            report, rows = _solved(_rho_heads(base, P["rho_ts"]), lambda: solve(
+            report, rows = _solved(_rho_heads(base, P["rho_ts"]), lambda: grouped or solve(
                 hybrid_problem(*dataset(), P["rho0"], alpha),
                 method=P["method"], seed=solver_seed, restarts=P["restarts"],
             ))

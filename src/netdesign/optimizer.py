@@ -23,7 +23,9 @@ on each arm and the cross-arm edges of the nodes whose s lies within
 twice the largest weight of that top, for every repairing design in one
 pass.  The restarts of a multistart solve advance in lockstep, one swap
 each per step, scored in stacks with the per-restart arithmetic, so each
-takes the swaps it would take alone.  Descent takes the first pair in
+takes the swaps it would take alone; solves of one problem at several
+caps (the alphas of a sweep) join one lockstep, each design held to its
+own cap.  Descent takes the first pair in
 (plus, minus) order of lowest score summed in one fixed order.  Below
 one block of pairs per restart (n up to about 256) it scores every pair
 of a stack, from a table of each node pair's terms.  Above that a lower
@@ -46,7 +48,7 @@ never copied from solver bookkeeping.
 
 from __future__ import annotations
 
-import functools
+import dataclasses
 import math
 import time
 from dataclasses import dataclass, field
@@ -692,17 +694,18 @@ class _SwapState:
         w[row[keep], col[keep]] = self.W.data[nz[keep]]
         return w.reshape(P.shape + M.shape[1:])
 
-    def pairs(self, rows: np.ndarray, arms, capv: Optional[float]):
+    def pairs(self, rows: np.ndarray, arms, capv):
         """(score, cut) blocks, (G, k, l), of the swaps P x M of the designs in rows.
 
         arms is (P, M, A, S) as focus returns it, for every plus row or a
         subset, followed by their gather_minus() or not.  The score is the
-        objective delta, inf where the cut would take x'Wx above capv; cut is
-        None without W.  Designs whose pairs fit one block (n up to about
-        256) read terms() and w_ij from n * n tables, 0.5 MB each, so their
-        scores are canonical() bit for bit; larger ones score h_i . [-8 h_j]
-        + c_j + 4 (psi_i - a_i) from gather_minus() in a stacked matmul, the
-        same BLAS call for each design, and w_ij from weights().
+        objective delta, inf where the cut would take x'Wx above capv, one
+        per design of the state (unread without W); cut is None without W.
+        Designs whose pairs fit one block (n up to about 256) read terms()
+        and w_ij from n * n tables, 0.5 MB each, so their scores are
+        canonical() bit for bit; larger ones score h_i . [-8 h_j] + c_j +
+        4 (psi_i - a_i) from gather_minus() in a stacked matmul, the same
+        BLAS call for each design, and w_ij from weights().
         """
         P, M, A, S = arms[:4]
         (G, l), n = M.shape, self.x.shape[1]
@@ -724,7 +727,9 @@ class _SwapState:
         cut = None
         if S is not None:
             cut = _cut_delta(S[at, P][:, :, None], s_j, w)
-            score = np.where(self.cuts[rows][:, None, None] + cut <= capv, score, np.inf)
+            score = np.where(
+                self.cuts[rows][:, None, None] + cut <= capv[rows][:, None, None], score, np.inf
+            )
         return score, cut
 
     def window(self, A: np.ndarray) -> np.ndarray:
@@ -796,7 +801,7 @@ class _SwapState:
         at = np.arange(G)[:, None]
         return low + 4.0 * (self.psi[P] - A[at, P]) - (self.window(A) + slack)[:, None]
 
-    def best(self, rows: np.ndarray, arms, capv: Optional[float], floors, low: np.ndarray):
+    def best(self, rows: np.ndarray, arms, capv, floors, low: np.ndarray):
         """Each design's lowest pair below its floor: arrays (value, i, j, cut delta).
 
         value is the canonical() score, ties going to the first pair in
@@ -838,7 +843,7 @@ class _SwapState:
         i, j = np.divmod(key, n)
         return val, i, np.where(key < 0, -1, j), dc
 
-    def best_stacked(self, rows: np.ndarray, arms, capv: Optional[float]):
+    def best_stacked(self, rows: np.ndarray, arms, capv):
         """The lowest-scoring pair of each design in rows, every plus node scored as one stack.
 
         Returns (value, i, j, cut delta) arrays, the first lowest canonical()
@@ -887,17 +892,17 @@ class _SwapState:
         i, j = np.divmod(key, n)
         return val, i, j
 
-    def best_swaps(self, rows: np.ndarray, capv: Optional[float]):
+    def best_swaps(self, rows: np.ndarray, capv):
         """The best descent swap of each design in rows: arrays (r, i, j, value, dc).
 
         A swap must lower the objective by more than 1e-10 max(1, obj) within
-        capv; the first lowest canonical() score is taken.  Covariate-only
-        designs with few node classes against their pairs (C^2 <= _CLASS_SHARE
-        k l) go to best_classes(), in stacks of as many as fit in one block of
-        class pairs.  The others of each arm size are scored together: those
-        whose pairs fit in one block in stacks of as many as fit, the rest in
-        stacks of _STACK_DESIGNS, each one row-bound search.  Designs without
-        such a swap are left out.
+        capv, as pairs() reads it; the first lowest canonical() score is
+        taken.  Covariate-only designs with few node classes against their
+        pairs (C^2 <= _CLASS_SHARE k l) go to best_classes(), in stacks of as
+        many as fit in one block of class pairs.  The others of each arm
+        size are scored together: those whose pairs fit in one block in
+        stacks of as many as fit, the rest in stacks of _STACK_DESIGNS, each
+        one row-bound search.  Designs without such a swap are left out.
         """
         floors = -1e-10 * np.maximum(1.0, self.objs[rows])
         n = self.x.shape[1]
@@ -933,42 +938,43 @@ class _SwapState:
 
 def _polish_rows(
     problem: HybridProblem,
-    cap: Optional[float],
+    caps,
     x: np.ndarray,
     deadline: Optional[float] = None,
 ):
     """Repair, then descend, every row of x together, in place; returns (x, feasible, swaps).
 
-    Each design over the cap takes greedy swaps that lower x'Wx until it
+    caps holds one cap per row (unread without W).
+    Each design over its cap takes greedy swaps that lower x'Wx until it
     meets the cap, or is dropped (feasible False) when none lowers it.
     Then each feasible design takes best-improvement swaps on the
-    objective within the cap until none improves, or the deadline, a
+    objective within its cap until none improves, or the deadline, a
     time.perf_counter() value, passes.  Each moving design takes one swap
-    a step; swaps counts them over every design.
+    a step; swaps counts each design's.
     """
     st = _SwapState(problem, x, resync=64)
-    capv = None if problem.W is None else _feas_cap(cap)
+    capv = None
+    if problem.W is not None:
+        capv = _feas_cap(np.asarray(caps, dtype=float))
     repairing = np.zeros(st.objs.size, dtype=bool) if capv is None else st.cuts > capv
-    feasible, total = ~repairing, 0
+    feasible = ~repairing
     while repairing.any():
         r, i, j, dc = st.best_repairs(np.flatnonzero(repairing))
         st.apply(i, j, None, dc, r=r)
-        total += r.size
         repairing[:] = False  # dropped unless it took a swap
-        repairing[r] = st.cuts[r] > capv
+        repairing[r] = st.cuts[r] > capv[r]
         feasible[r] = ~repairing[r]
     for r in np.flatnonzero(feasible):  # descent starts from fresh products
         st.sync(r)
-    st.swaps[:] = 0
+    repairs, st.swaps = st.swaps, np.zeros_like(st.swaps)
     descending = feasible.copy()
     while descending.any() and (deadline is None or time.perf_counter() <= deadline):
         rows = np.flatnonzero(descending)
         r, i, j, val, dc = st.best_swaps(rows, capv)
         st.apply(i, j, val, dc, r=r)
-        total += r.size
         descending[:] = False  # no swap left below the floor
         descending[r] = True
-    return st.x, feasible, total
+    return st.x, feasible, repairs + st.swaps
 
 
 def _first_best(problem: HybridProblem, x: np.ndarray, feasible: np.ndarray):
@@ -984,34 +990,48 @@ def _first_best(problem: HybridProblem, x: np.ndarray, feasible: np.ndarray):
 
 def _local_core(
     problem: HybridProblem,
-    cap: Optional[float],
+    groups,
     restarts: int,
-    seed: int,
     deadline: Optional[float] = None,
     workers: int = 1,
 ):
-    """Multistart repair-then-descend; returns (best_x or None, best_obj, iterations).
+    """Multistart repair-then-descend of each (cap, seed) of groups; returns
+    each group's (best_x or None, iterations).
 
-    Every start is drawn here.  The restarts go, in contiguous chunks in
-    restart order, to _pool.worker_count(workers, restarts) processes
-    (_pool.fork_map: this one polishes the first chunk, a forked child
-    each other chunk).  A restart never reads another's state, so the
-    result, iterations included, is that of one process.
+    Every start is drawn here, a group's from its own seed alone, so a
+    group's restarts are those of a solve with one group.  The rows of
+    every group are polished as one stack, each held to its group's cap,
+    and go, in contiguous chunks in row order, to
+    _pool.worker_count(workers, rows) processes (_pool.fork_map: this one
+    polishes the first chunk, a forked child each other chunk).  A row
+    never reads another's state, so each group's result, iterations
+    included, is that of its own solve in one process.
     """
-    rng = np.random.default_rng(seed)
-    # One scalar draw per restart keeps the seed stream a prefix of any
-    # longer run, so more restarts can only improve the result.
-    starts = np.empty((restarts, problem.n))
-    for r in range(restarts):
-        starts[r] = _balanced_signs(problem.n, int(rng.integers(0, 2**63 - 1)))
-    workers = _pool.worker_count(workers, restarts)
+    starts = np.empty((len(groups) * restarts, problem.n))
+    for g, (_, seed) in enumerate(groups):
+        rng = np.random.default_rng(seed)
+        # One scalar draw per restart keeps the seed stream a prefix of any
+        # longer run, so more restarts can only improve the result.
+        for r in range(g * restarts, (g + 1) * restarts):
+            starts[r] = _balanced_signs(problem.n, int(rng.integers(0, 2**63 - 1)))
+    caps = np.repeat(np.array([cap for cap, _ in groups], dtype=float), restarts)  # nan: no W
+    workers = _pool.worker_count(workers, len(starts))
     parts = _pool.fork_map(
-        functools.partial(_polish_rows, problem, cap, deadline=deadline),
-        _pool.shares(starts, workers), workers,
+        lambda at: _polish_rows(problem, caps[at], starts[at], deadline),
+        _pool.shares(np.arange(len(starts)), workers), workers,
     )
-    x, feasible, swaps = zip(*parts)
-    best_x, best_obj = _first_best(problem, np.concatenate(x), np.concatenate(feasible))
-    return best_x, best_obj, sum(swaps)
+    x, feasible, swaps = (np.concatenate(part) for part in zip(*parts))
+    out = []
+    for lo in range(0, len(starts), restarts):
+        at = slice(lo, lo + restarts)
+        out.append((_first_best(problem, x[at], feasible[at])[0], int(swaps[at].sum())))
+    return out
+
+
+def _check_local(restarts: int, workers: int) -> None:
+    if restarts < 1:
+        raise DataError(f"need at least 1 restart, got {restarts}")
+    _pool.check_count(workers, "workers")
 
 
 def solve_local(
@@ -1032,7 +1052,9 @@ def solve_local(
     lowest objective wins, as if they had run one by one.  Once
     time_budget is spent every restart stops descending where it stands
     and the best feasible one is reported.  If every restart fails to
-    reach feasibility the alpha ladder applies.
+    reach feasibility the alpha ladder applies.  Each ladder level is a
+    _local_core call with one group, so this is the one-group case of
+    the stack that _solve_levels polishes for several caps.
 
     workers > 1 splits the restarts into contiguous chunks, one per worker
     process, this one included (no more than the restarts or the usable
@@ -1043,20 +1065,55 @@ def solve_local(
     which each worker then does at its own step.
     DataError unless workers is an integer of at least 1.
     """
-    if restarts < 1:
-        raise DataError(f"need at least 1 restart, got {restarts}")
-    _pool.check_count(workers, "workers")
+    _check_local(restarts, workers)
+    return _local_ladder(problem, restarts, seed, time_budget, relax, workers)
+
+
+def _local_ladder(problem, restarts, seed, time_budget, relax, workers, level0=None):
+    """solve_local's report, once its arguments are checked; level0, if
+    given, is what _local_core found at the requested level, (x or None,
+    iterations), so only the levels above it are solved here."""
 
     def attempt(level, cap, deadline):
+        if level == 0 and level0 is not None:
+            return (*level0, None)
         level_seed = seed if level == 0 else np.random.default_rng((seed, level)).integers(
             0, 2**63 - 1
         )
-        x, _, iters = _local_core(problem, cap, restarts, int(level_seed), deadline, workers)
+        x, iters = _local_core(problem, [(cap, int(level_seed))], restarts, deadline, workers)[0]
         return x, iters, None
 
     return _ladder(
         problem, relax, time_budget, attempt, method="local", restarts=restarts, seed=seed
     )
+
+
+def _solve_levels(
+    problem: HybridProblem, alphas, seeds, restarts: int, method: str = "auto", workers: int = 1
+) -> list:
+    """[solve(dataclasses.replace(problem, alpha=a), method, seed=s, restarts=restarts,
+    workers=workers) for a, s in zip(alphas, seeds)], field for field.
+
+    Where method resolves to local search, the requested level of every
+    alpha is one group of a single _local_core stack: the rows of all the
+    alphas descend together, each held to its own alpha's cap, and a
+    larger stack costs less per design.  On the desk alpha_sweep problem
+    (n = 50, 16 restarts, alphas 0.1 to 1e-4) the four levels took 10.4 ms
+    as one stack against 15.5 ms one alpha at a time (medians of 30, one
+    BLAS thread, 2-vCPU VM).  An alpha with no feasible restart there
+    climbs the ladder on its own, from the level already solved.  Other
+    methods solve each alpha in turn.  wall_time counts each report's own
+    levels only.
+    """
+    problems = [dataclasses.replace(problem, alpha=float(a)) for a in alphas]
+    if _resolved(method, problem) != "local":
+        return [solve(p, method=method, seed=s, restarts=restarts, workers=workers)
+                for p, s in zip(problems, seeds)]
+    _check_local(restarts, workers)
+    found = _local_core(problem, [(p.cap, s) for p, s in zip(problems, seeds)], restarts,
+                        workers=workers)
+    return [_local_ladder(p, restarts, s, None, True, workers, level0)
+            for p, s, level0 in zip(problems, seeds, found)]
 
 
 # ---------------------------------------------------------------------------
@@ -1165,8 +1222,8 @@ def solve_annealing(
     def attempt(level, cap, deadline):
         rng = np.random.default_rng(seed if level == 0 else (seed, level))
         x, iters = _anneal_core(problem, cap, schedule, rng, deadline)
-        x, feasible, polish_iters = _polish_rows(problem, cap, x[None, :], deadline)
-        return _first_best(problem, x, feasible)[0], iters + polish_iters, None
+        x, feasible, polish_iters = _polish_rows(problem, [cap], x[None, :], deadline)
+        return _first_best(problem, x, feasible)[0], iters + int(polish_iters[0]), None
 
     return _ladder(
         problem, relax, time_budget, attempt, method="annealing", restarts=1, seed=seed
@@ -1197,8 +1254,7 @@ def solve(
     integer of at least 1.
     """
     _pool.check_count(workers, "workers")
-    if method == "auto":
-        method = "exact" if problem.n <= 30 else "local"
+    method = _resolved(method, problem)
     if method == "exact":
         return solve_exact(problem, time_budget=time_budget, relax=relax)
     if method == "local":
@@ -1211,6 +1267,13 @@ def solve(
             problem, schedule=schedule, seed=seed, time_budget=time_budget, relax=relax
         )
     raise DataError(f"unknown method {method!r}; use one of {', '.join(SOLVER_METHODS)}")
+
+
+def _resolved(method: str, problem: HybridProblem) -> str:
+    """The search solve runs for method: auto is exact search to n = 30, local above."""
+    if method == "auto":
+        return "exact" if problem.n <= 30 else "local"
+    return method
 
 
 def solve_no_network(cov: CovariateMatrix, method: str = "auto", **kwargs) -> SolveReport:

@@ -648,6 +648,12 @@ _TINY_STUDIES = {
 }
 
 
+# n > 30: solved by local search, every alpha of a replicate in one stack; no
+# start meets the cap at alpha 1e-4 on this dense graph, so it climbs the ladder.
+_LOCAL_ALPHA_SWEEP = ("n: 40\np: 2\ndensity: 0.9\nreplicates: 3\nalphas: [0.1, 0.001, 0.0001]\n"
+                      "rho_ts: [0.5]\nrestarts: 2\n")
+
+
 class _Refused(Exception):
     pass
 
@@ -686,6 +692,18 @@ class TestStudyWorkers:
         spec = tmp_path / "mini.yaml"
         spec.write_text(f"kind: {kind}\nseed: 9\n" + _TINY_STUDIES[kind])
         one = self.study_bytes(tmp_path, spec, 1, fmt)
+        for threads in (2, 3):
+            assert self.study_bytes(tmp_path, spec, threads, fmt) == one, threads
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_alpha_sweep_by_local_search_byte_identical(self, tmp_path, fmt):
+        spec = tmp_path / "mini.yaml"
+        spec.write_text("kind: alpha_sweep\nseed: 9\n" + _LOCAL_ALPHA_SWEEP)
+        one = self.study_bytes(tmp_path, spec, 1, fmt)
+        rows = read_rows(tmp_path / "t1.csv") if fmt == "csv" else json.loads(one)["rows"]
+        assert {r["solver_method"] for r in rows} == {"local"}
+        assert {(float(r["alpha_requested"]), str(r["relaxations"])) for r in rows} == {
+            (0.1, ""), (0.001, ""), (0.0001, "0.001")}
         for threads in (2, 3):
             assert self.study_bytes(tmp_path, spec, threads, fmt) == one, threads
 

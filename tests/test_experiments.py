@@ -16,10 +16,16 @@ import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
-from netdesign import car, experiments
-from netdesign.criterion import evaluate, pip
+from netdesign import car, criterion, experiments
+from netdesign.criterion import CriterionEvaluator, evaluate, pip
 from netdesign.designs import Design
-from netdesign.errors import DataError, EigenSolverError, RankError, StudySpecError
+from netdesign.errors import (
+    DataError,
+    DegenerateDesignError,
+    EigenSolverError,
+    RankError,
+    StudySpecError,
+)
 from netdesign.experiments import (
     DEFAULT_SEED,
     STUDY_KINDS,
@@ -39,7 +45,7 @@ from netdesign.graph import (
     write_covariates,
     write_edge_list,
 )
-from netdesign.optimizer import hybrid_problem, solve
+from netdesign.optimizer import hybrid_problem, random_balanced_design, solve
 
 
 def tiny(kind, **overrides):
@@ -252,6 +258,24 @@ class TestAlphaSweep:
         assert report.alpha == row["alpha_used"]
         assert pip(net, cov, report.design.x, row["rho_t"]) == row["pip"]
 
+    def test_local_search_rows_regenerate_from_recorded_seeds(self):
+        # n > 30: a replicate's alphas are polished in one stack, and the cap
+        # at 1e-4 is out of reach on this dense graph, so that alpha climbs
+        # the ladder; each row is still the one its own solve gives.
+        spec = tiny("alpha_sweep", n=40, p=2, density=0.9, replicates=2,
+                    alphas=[0.1, 0.0001], rho_ts=[0.5], restarts=2, seed=9)
+        rows = run_study(spec).rows
+        assert {r["relaxations"] for r in rows} == {"", "0.001"}
+        for row in rows:
+            net, cov = synth_dataset(40, 2, 0.9, row["dataset_seed"])
+            prob = hybrid_problem(net, cov, row["rho0"], row["alpha_requested"])
+            report = solve(prob, method="auto", seed=row["solver_seed"], restarts=2)
+            assert report.method == row["solver_method"] == "local"
+            assert report.objective == row["objective"]
+            assert report.alpha == row["alpha_used"]
+            assert report.iterations == row["solver_iterations"]
+            assert pip(net, cov, report.design.x, row["rho_t"]) == row["pip"]
+
     def test_identical_specs_identical_bytes(self, tmp_path):
         _, res1 = self.run_small()
         _, res2 = self.run_small()
@@ -311,6 +335,31 @@ class TestAlphaSweep:
         assert meta["params"]["alphas"] == [0.1, 0.001]
         assert meta["params"]["n"] == 24
         assert "timestamp" not in json.dumps(meta).lower()
+
+
+class TestBreakdownRow:
+    def test_scores_each_design_once(self, monkeypatch):
+        # The row's pip comes from its own breakdown, and the evaluator's
+        # expected terms are computed once, with the bits of pip().
+        net, cov = synth_dataset(40, 3, 0.1, 5)
+        designs = [random_balanced_design(40, k).x for k in range(4)]
+        want = [pip(net, cov, x, 0.6) for x in designs]
+        ev = CriterionEvaluator(net, cov, 0.6)
+        counts = {"imbalance": 0, "moments": 0}
+        imbalance, moments = CriterionEvaluator.imbalance_term, criterion.balanced_moment_c
+
+        def count(name, fn):
+            def spy(*args):
+                counts[name] += 1
+                return fn(*args)
+            return spy
+
+        monkeypatch.setattr(CriterionEvaluator, "imbalance_term", count("imbalance", imbalance))
+        monkeypatch.setattr(criterion, "balanced_moment_c", count("moments", moments))
+        assert [experiments._breakdown_row(ev, x)["pip"] for x in designs] == want
+        assert counts == {"imbalance": 4, "moments": 1}
+        with pytest.raises(DegenerateDesignError):
+            experiments._breakdown_row(ev, np.ones(40))
 
 
 class TestRhoRobustness:

@@ -645,6 +645,11 @@ def synthetic_pairs(state, targets):
     state.pairs, state.canonical = pairs, canonical
 
 
+def caps(state, cap):
+    """cap for every design of state, as pairs() and the searches take it."""
+    return np.full(state.objs.shape, cap)
+
+
 def search_one(state, rows, arms, capv, floor, low):
     """best() on a stack of one, as (value, (i, j) or None, cut delta)."""
     val, i, j, dc = state.best(rows, arms, capv, np.array([floor]), np.reshape(low, (1, -1)))
@@ -672,7 +677,7 @@ class TestSwapDeltas:
         state = _SwapState(prob, X, resync=64)
         rows = np.arange(designs)
         P, M, _, _ = arms = state.focus(rows)
-        obj, cut = state.pairs(rows, arms, math.inf)
+        obj, cut = state.pairs(rows, arms, caps(state, math.inf))
         assert obj.shape == cut.shape == (designs, P.shape[1], M.shape[1])
         for r in rows:
             x = X[r].copy()
@@ -680,7 +685,7 @@ class TestSwapDeltas:
             with pytest.MonkeyPatch.context() as mp:
                 mp.setattr(optimizer, "_BLOCK_ENTRIES", 0)
                 alone = rows[r : r + 1]
-                csr_obj, csr_cut = state.pairs(alone, state.focus(alone), math.inf)
+                csr_obj, csr_cut = state.pairs(alone, state.focus(alone), caps(state, math.inf))
             for a, i in enumerate(P[r]):
                 for b, j in enumerate(M[r]):
                     y = x.copy()
@@ -880,14 +885,16 @@ class TestBestRepairs:
 
 
 def scan_every_pair(state, rows, arms, capv, floor):
-    """What best() returns, from canonical() on every pair of the stack of one, within the cap."""
+    """What best() returns, from canonical() on every pair of the stack of one, within the cap.
+
+    capv holds one cap per design of the state, as pairs() takes it."""
     (plus,), (minus,) = arms[0], arms[1]
     i, j = np.repeat(plus, minus.size), np.tile(minus, plus.size)
     score = state.canonical(arms[2], np.zeros(i.size, dtype=np.int64), i, j)
     cut = None
     if state.W is not None:
         cut = optimizer._cut_delta(arms[3][0, i], arms[3][0, j], state.W.toarray()[i, j])
-        score[state.cuts[rows[0]] + cut > capv] = np.inf
+        score[state.cuts[rows[0]] + cut > capv[rows[0]]] = np.inf
     k = int(np.argmin(score))  # the first of equal minima, in (plus, minus) order
     if not score[k] < floor:
         return floor, None, 0.0
@@ -973,7 +980,8 @@ class TestPrunedSearch:
             mp.setattr(optimizer, "_BLOCK_ENTRIES", block)
             arms = state.focus(one)
             low = state.obj_row_bounds(arms)
-            for capv in (None,) if covariate_only else (prob.cap + 1e-9, math.inf):
+            for capv in ((None,) if covariate_only
+                         else (caps(state, prob.cap + 1e-9), caps(state, math.inf))):
                 for floor in (math.inf, 0.0, -1e-10 * max(1.0, state.obj)):
                     got = search_one(state, one, arms, capv, floor, low)
                     assert got == scan_every_pair(state, one, arms, capv, floor)
@@ -1005,7 +1013,7 @@ class TestPrunedSearch:
                 rows = np.flatnonzero(plus == size)
                 arms = state.focus(rows)
                 low = state.obj_row_bounds(arms)
-                for capv in (prob.cap + 1e-9, math.inf):
+                for capv in (caps(state, prob.cap + 1e-9), caps(state, math.inf)):
                     for floor in (math.inf, 0.0, None):
                         floors = (np.full(rows.size, floor) if floor is not None
                                   else -1e-10 * np.maximum(1.0, state.objs[rows]))
@@ -1014,9 +1022,9 @@ class TestPrunedSearch:
                         for a, b in zip(got, want):
                             assert np.array_equal(a, b)
             # best_swaps takes the stack by arm size, as local search calls it.
-            got = state.best_swaps(np.arange(designs), prob.cap + 1e-9)
+            got = state.best_swaps(np.arange(designs), caps(state, prob.cap + 1e-9))
             mp.setattr(_SwapState, "best", scan_each_design)
-            want = state.best_swaps(np.arange(designs), prob.cap + 1e-9)
+            want = state.best_swaps(np.arange(designs), caps(state, prob.cap + 1e-9))
             for a, b in zip(got, want):
                 assert np.array_equal(a, b)
 
@@ -1029,7 +1037,7 @@ class TestPrunedSearch:
             state = _SwapState(prob, x, resync=64)
             arms = state.focus(np.arange(1))
             low = state.obj_row_bounds(arms)
-            rows = state.pairs(np.arange(1), arms, math.inf)[0][0].min(axis=1)
+            rows = state.pairs(np.arange(1), arms, caps(state, math.inf))[0][0].min(axis=1)
             assert np.all(low <= rows)
             # The bound is the float32 row minimum less E + w, and that
             # minimum may itself round up to E + w below the float64 one.
@@ -1069,11 +1077,11 @@ class TestPrunedSearch:
             for _ in range(4):
                 arms = state.focus(rows)
                 low = state.obj_row_bounds(arms)
-                lowest = state.pairs(rows, arms, math.inf)[0].min(axis=2)
+                lowest = state.pairs(rows, arms, caps(state, math.inf))[0].min(axis=2)
                 assert np.all(low <= lowest)
                 slack = float32_slack(state, arms) + state.window(arms[2])
                 assert np.all(lowest - low <= 2.0 * slack[:, None])
-                r, i, j, val, dc = state.best_swaps(rows, prob.cap + 1e-9)
+                r, i, j, val, dc = state.best_swaps(rows, caps(state, prob.cap + 1e-9))
                 state.apply(i, j, val, dc, r=r)
 
     @settings(max_examples=40)
@@ -1111,7 +1119,7 @@ class TestPrunedSearch:
         state = _SwapState(prob, X, resync=64)
         rows = np.arange(designs)
         P, M, A, _ = arms = state.focus(rows)
-        score = state.pairs(rows, arms, math.inf)[0]
+        score = state.pairs(rows, arms, caps(state, math.inf))[0]
         assert state.table is None  # the block took the matmul branch
         g = np.repeat(rows, P.shape[1] * M.shape[1])
         i = np.repeat(P, M.shape[1], axis=1).ravel()
@@ -1334,7 +1342,7 @@ class TestOneTieRule:
         state = _SwapState(prob, balanced_stack(n, designs, seed + 2), resync=64)
         rows = np.arange(designs)
         P, M, A, _ = arms = state.focus(rows)
-        score, cut = state.pairs(rows, arms, math.inf)
+        score, cut = state.pairs(rows, arms, caps(state, math.inf))
         assert state.table is not None
         g = np.repeat(rows, P.shape[1] * M.shape[1])
         i = np.repeat(P, M.shape[1], axis=1).ravel()
@@ -1343,7 +1351,8 @@ class TestOneTieRule:
         if cut is not None:
             with pytest.MonkeyPatch.context() as mp:
                 mp.setattr(optimizer, "_BLOCK_ENTRIES", 0)
-                assert np.array_equal(state.pairs(rows, state.focus(rows), math.inf)[1], cut)
+                again = state.pairs(rows, state.focus(rows), caps(state, math.inf))
+                assert np.array_equal(again[1], cut)
 
     @staticmethod
     def instances():
@@ -1386,21 +1395,32 @@ class TestOneTieRule:
 
 def polish_one(problem, cap, x, deadline=None):
     """One start repaired and descended alone: (design or None, objective, swaps)."""
-    rows, feasible, swaps = optimizer._polish_rows(problem, cap, x[None, :], deadline)
-    return (*optimizer._first_best(problem, rows, feasible), swaps)
+    rows, feasible, swaps = optimizer._polish_rows(problem, [cap], x[None, :], deadline)
+    return (*optimizer._first_best(problem, rows, feasible), int(swaps[0]))
 
 
-def one_restart_at_a_time(problem, cap, restarts, seed, deadline=None, workers=1):
-    """Multistart reference: each child seed's start polished alone, the first strict best kept."""
-    rng = np.random.default_rng(seed)
-    best_x, best_obj, total = None, math.inf, 0
-    for _ in range(restarts):
-        x = random_balanced_design(problem.n, int(rng.integers(0, 2**63 - 1))).x.copy()
-        got, obj, iters = polish_one(problem, cap, x, deadline)
-        total += iters
-        if got is not None and obj < best_obj - 1e-15:
-            best_x, best_obj = got, obj
-    return best_x, best_obj, total
+def one_restart_at_a_time(problem, groups, restarts, deadline=None, workers=1):
+    """Multistart reference: for each (cap, seed) of groups, each child seed's
+    start polished alone, the first strict best kept; (design, swaps) a group."""
+    out = []
+    for cap, seed in groups:
+        rng = np.random.default_rng(seed)
+        best_x, best_obj, total = None, math.inf, 0
+        for _ in range(restarts):
+            x = random_balanced_design(problem.n, int(rng.integers(0, 2**63 - 1))).x.copy()
+            got, obj, iters = polish_one(problem, cap, x, deadline)
+            total += iters
+            if got is not None and obj < best_obj - 1e-15:
+                best_x, best_obj = got, obj
+        out.append((best_x, total))
+    return out
+
+
+def torus(k):
+    """The k x k torus grid, node i k + j joined to its four neighbours."""
+    edges = [(i * k + j, i * k + (j + 1) % k) for i in range(k) for j in range(k)]
+    edges += [(i * k + j, (i + 1) % k * k + j) for i in range(k) for j in range(k)]
+    return Network.from_edges(k * k, edges)
 
 
 def block_holding(problem, restarts, mode):
@@ -1459,11 +1479,7 @@ class TestLockstep:
     def test_long_repair_resyncs_designs_of_the_stack(self, monkeypatch):
         # On a 30 x 30 torus the cap at alpha 1e-300 takes each start more
         # than 64 repair swaps, so apply() resyncs designs of a stack in place.
-        k = 30
-        edges = [(i * k + j, i * k + (j + 1) % k) for i in range(k) for j in range(k)]
-        edges += [(i * k + j, (i + 1) % k * k + j) for i in range(k) for j in range(k)]
-        prob = hybrid_problem(Network.from_edges(k * k, edges),
-                              generate_pm1_covariates(k * k, 2, seed=3), 0.5, 1e-300)
+        prob = hybrid_problem(torus(30), generate_pm1_covariates(900, 2, seed=3), 0.5, 1e-300)
         stacked, resynced = [], []
         apply, sync = optimizer._SwapState.apply, optimizer._SwapState.sync
 
@@ -1599,6 +1615,144 @@ class TestWorkers:
         with pytest.raises(NetdesignError, match="^a worker process stopped unexpectedly"):
             solve_local(prob, restarts=4, workers=2)
         assert no_children()
+
+
+def same_report(got, want):
+    """Two SolveReports agree field by field, the design byte for byte; wall_time aside."""
+    assert (got.design is None) == (want.design is None)
+    if got.design is not None:
+        assert got.design.x.tobytes() == want.design.x.tobytes()
+    for name in ("objective", "constraint_value", "feasible", "optimal", "method", "iterations",
+                 "restarts", "seed", "alpha", "alpha_requested", "relaxations_applied",
+                 "rho0", "n"):
+        assert getattr(got, name) == getattr(want, name), name
+
+
+class TestSolveLevels:
+    """_solve_levels gives, alpha for alpha, the report of solve on that alpha alone."""
+
+    @pytest.fixture
+    def cores(self, monkeypatch):
+        """The groups of each _local_core call."""
+        calls, real = [], optimizer._local_core
+
+        def spy(problem, groups, *args, **kwargs):
+            calls.append(len(groups))
+            return real(problem, groups, *args, **kwargs)
+
+        monkeypatch.setattr(optimizer, "_local_core", spy)
+        return calls
+
+    @staticmethod
+    def check(prob, alphas, restarts, cores, method="auto"):
+        """The grouped reports, checked against solve on each alpha, and the
+        group count of each _local_core call they took."""
+        seeds = [41 + 7 * k for k in range(len(alphas))]
+        grouped = optimizer._solve_levels(prob, alphas, seeds, restarts, method)
+        stacks = list(cores)
+        assert len(grouped) == len(alphas)
+        for got, alpha, seed in zip(grouped, alphas, seeds):
+            want = solve(dataclasses.replace(prob, alpha=alpha), method=method, seed=seed,
+                         restarts=restarts)
+            same_report(got, want)
+        return grouped, stacks
+
+    def test_table_path(self, cores):
+        # n = 50: every design's pairs fit one block, scored from the tables.
+        net = repair_isolated(generate_bernoulli_network(50, 0.08, seed=1), "connect",
+                              seed=2).network
+        prob = hybrid_problem(net, generate_pm1_covariates(50, 10, seed=3), 0.5, 0.1)
+        assert 25 * 25 <= optimizer._BLOCK_ENTRIES
+        reports, stacks = self.check(prob, (0.1, 0.01, 0.001, 0.0001), 16, cores)
+        assert all(r.method == "local" and r.feasible for r in reports)
+        assert stacks == [4]  # the four alphas polished as one stack
+
+    def test_row_bound_path(self, cores):
+        net = repair_isolated(generate_bernoulli_network(300, 0.03, seed=4), "connect",
+                              seed=5).network
+        prob = hybrid_problem(net, generate_pm1_covariates(300, 4, seed=6), 0.5, 0.1)
+        assert 150 * 150 > optimizer._BLOCK_ENTRIES
+        assert self.check(prob, (0.1, 0.001, 0.5), 4, cores)[1] == [3]
+
+    def test_an_alpha_out_of_reach_climbs_alone(self, cores):
+        # On the disjoint cliques no start meets the cap at alpha 1e-4; the
+        # other alphas are met in the same stack.
+        prob = hybrid_problem(*clique_instance(), 0.5, 0.1)
+        reports, stacks = self.check(prob, (0.1, 1e-4, 0.01), 3, cores)
+        assert [r.relaxations_applied for r in reports] == [(), (0.001,), ()]
+        assert all(r.feasible for r in reports)
+        assert stacks == [3, 1]  # the stack, then the climb's one level
+
+    def test_long_repair_next_to_short(self, cores):
+        # On the 30 x 30 torus each start takes more than 64 repair swaps to
+        # meet the cap at alpha 1e-300, resyncing in a stack with a loose cap.
+        prob = hybrid_problem(torus(30), generate_pm1_covariates(900, 2, seed=3), 0.5, 0.1)
+        reports, stacks = self.check(prob, (0.1, 1e-300), 3, cores)
+        assert reports[1].iterations > 3 * 64 and stacks == [2]
+
+    @pytest.mark.parametrize("method,n", [("auto", 20), ("exact", 20), ("annealing", 40)])
+    def test_other_methods_solve_each_alpha(self, cores, method, n):
+        net = repair_isolated(generate_bernoulli_network(n, 0.2, seed=7), "connect",
+                              seed=8).network
+        prob = hybrid_problem(net, generate_pm1_covariates(n, 2, seed=9), 0.5, 0.1)
+        reports, stacks = self.check(prob, (0.1, 0.001), 4, cores, method)
+        assert {r.method for r in reports} == {"exact" if method == "auto" else method}
+        assert stacks == []
+
+    def test_workers(self, monkeypatch, cores):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(4)), raising=False)
+        pools, real = [], _pool.fork_map
+
+        def spy(fn, items, workers):
+            pools.append(workers)
+            return real(fn, items, workers)
+
+        monkeypatch.setattr(_pool, "fork_map", spy)
+        net = repair_isolated(generate_bernoulli_network(60, 0.1, seed=10), "connect",
+                              seed=11).network
+        prob = hybrid_problem(net, generate_pm1_covariates(60, 3, seed=12), 0.5, 0.1)
+        alphas, seeds = (0.1, 0.001), [5, 6]
+        one = optimizer._solve_levels(prob, alphas, seeds, 5)
+        two = optimizer._solve_levels(prob, alphas, seeds, 5, workers=2)
+        assert no_children()
+        assert pools == [1, 2]
+        for got, want in zip(two, one):
+            same_report(got, want)
+
+    def test_bad_arguments_raise_as_solve_does(self):
+        prob = hybrid_problem(torus(6), generate_pm1_covariates(36, 2, seed=13), 0.5, 0.1)
+        with pytest.raises(DataError, match="need at least 1 restart"):
+            optimizer._solve_levels(prob, (0.1,), [1], 0)
+        with pytest.raises(DataError, match="workers must be an integer"):
+            optimizer._solve_levels(prob, (0.1,), [1], 4, workers=0)
+        with pytest.raises(DataError, match="alpha must lie in"):
+            optimizer._solve_levels(prob, (0.1, 1.0), [1, 2], 4)
+
+
+class TestMixedCaps:
+    """_polish_rows on rows with different caps: each group as if polished alone."""
+
+    @pytest.mark.parametrize("n,density,alphas", [
+        (50, 0.08, (0.1, 0.01, 0.0001)),  # scored from the tables
+        (20, 0.87, (0.5, 0.001)),  # some starts cannot be repaired into the cap at 0.001
+        (300, 0.03, (0.5, 0.001)),  # the row-bound search
+    ])
+    def test_matches_each_group_alone(self, n, density, alphas):
+        net = repair_isolated(generate_bernoulli_network(n, density, seed=n), "connect",
+                              seed=n).network
+        prob = hybrid_problem(net, generate_pm1_covariates(n, 2, seed=n + 1), 0.5, alphas[0])
+        caps = [quantile_cap(net, a) for a in alphas]
+        per = 5
+        starts = np.stack([optimizer._balanced_signs(n, 100 + k) for k in range(per * len(caps))])
+        x, feasible, swaps = optimizer._polish_rows(prob, np.repeat(caps, per), starts.copy())
+        for g, cap in enumerate(caps):
+            at = slice(g * per, (g + 1) * per)
+            alone = optimizer._polish_rows(prob, np.full(per, cap), starts[at].copy())
+            assert x[at].tobytes() == alone[0].tobytes()
+            assert np.array_equal(feasible[at], alone[1])
+            assert np.array_equal(swaps[at], alone[2])
+        if density > 0.5:
+            assert feasible[:per].all() and not feasible[per:].all()
 
 
 class TestNoNetwork:
