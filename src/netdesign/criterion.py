@@ -30,7 +30,6 @@ from dataclasses import asdict, dataclass
 from typing import Iterator
 
 import numpy as np
-from scipy import linalg, sparse
 
 from .car import _AffineGram, _check_degrees, _check_dense, precision_matrix
 from .designs import as_sign_vector
@@ -96,9 +95,11 @@ class CriterionEvaluator:
 
     Attributes (read-only by convention):
         net, cov, rho: the instance.
-        W: sparse adjacency; m: total degree.
+        W: the network's adjacency as its numpy CSR (graph._Csr), whose
+            W @ x gives scipy's bits; m: total degree.
         B: R F (n-by-(p+1)); H: La^{-1} B' for the Cholesky factor La of
-            F' R F, so imbalance_term(x) = ||H x||^2.
+            F' R F, so imbalance_term(x) = ||H x||^2.  La is numpy's
+            Cholesky factor and H its forward substitution, row by row.
     """
 
     def __init__(self, net: Network, cov: CovariateMatrix, rho: float):
@@ -109,15 +110,15 @@ class CriterionEvaluator:
         self.net = net
         self.cov = cov
         self.rho = float(rho)
-        self.W = net.adjacency
+        self.W = net._csr
         self.m = float(net.m)
         gram = _AffineGram(net, cov.values)
         self.B = gram.DZ - self.rho * gram.WZ
         try:
-            La = linalg.cholesky(gram.ZDZ - self.rho * gram.ZWZ, lower=True)
-        except linalg.LinAlgError:
+            La = np.linalg.cholesky(gram.ZDZ - self.rho * gram.ZWZ)
+        except np.linalg.LinAlgError:
             raise RankError("F' R F is not positive definite; check covariate rank") from None
-        self.H = linalg.solve_triangular(La, self.B.T, lower=True)
+        self.H = _forward_solve(La, self.B.T)
 
     def network_term(self, x) -> float:
         xv = as_sign_vector(x)
@@ -186,6 +187,15 @@ class CriterionEvaluator:
                 f"design precision {t0:.3e} is degenerate; PIP undefined"
             )
         return 1.0 - self.expected_breakdown().precision / t0
+
+
+def _forward_solve(L: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """L^{-1} B for a lower-triangular L, by forward substitution, one row of
+    the result at a time: row k is (B_k - L[k, :k] X[:k]) / L_kk."""
+    X = np.empty(B.shape)
+    for k in range(L.shape[0]):
+        X[k] = (B[k] - L[k, :k] @ X[:k]) / L[k, k]
+    return X
 
 
 def _precision_curve(net: Network, cov: CovariateMatrix, x, rhos) -> tuple:
@@ -263,11 +273,13 @@ def pip(net: Network, cov: CovariateMatrix, x0, rho_t: float) -> float:
 
 
 def _as_dense_symmetric(mat, name: str) -> np.ndarray:
-    shape = mat.shape if sparse.issparse(mat) else np.shape(mat)
+    """mat, an array or a sparse matrix (anything with toarray()), as a dense symmetric array."""
+    sparse = hasattr(mat, "toarray")
+    shape = mat.shape if sparse else np.shape(mat)
     if len(shape) != 2 or shape[0] != shape[1]:
         raise DataError(f"{name} must be a square matrix")
     _check_dense(shape[0], "quadform_correlation")
-    arr = mat.toarray() if sparse.issparse(mat) else np.asarray(mat, dtype=np.float64)
+    arr = mat.toarray() if sparse else np.asarray(mat, dtype=np.float64)
     scale = max(1.0, float(np.max(np.abs(arr))))
     if np.max(np.abs(arr - arr.T)) > 1e-8 * scale:
         raise DataError(f"{name} must be symmetric")
@@ -310,7 +322,7 @@ def robustness_correlation(net: Network, cov: CovariateMatrix, rho0: float, rho:
     product or a thin O(n p^2) one, so no n-by-n array is built and no
     dense-size limit applies.
     """
-    W = net.adjacency
+    W = net._csr
     ww = float(W.data @ W.data)
     H = [CriterionEvaluator(net, cov, r).H for r in (rho0, rho)]
     g = [np.einsum("ki,ki->i", h, h) for h in H]
@@ -385,7 +397,7 @@ def robustness_scatters(
         seen.add(key)
         X[:, count] = x
         count += 1
-    xwx = np.einsum("ij,ij->j", X, net.adjacency @ X)
+    xwx = np.einsum("ij,ij->j", X, net._csr @ X)
 
     def precisions(r):
         return float(net.m) - r * xwx - np.sum((CriterionEvaluator(net, cov, r).H @ X) ** 2, axis=0)
@@ -442,7 +454,7 @@ def _adjacency_spectrum(net: Network) -> tuple:
     """
     if net.n > _DENSE_EIGEN:
         return None, abs(_lanczos_extreme(net.adjacency, "LM"))
-    W = net.adjacency.toarray()
+    W = net._csr.toarray()
     vals = np.linalg.eigvalsh(W)
     return W, float(max(-vals[0], vals[-1]))
 

@@ -57,6 +57,7 @@ from .graph import (
 )
 from .optimizer import (
     SOLVER_METHODS,
+    _evaluator_problem,
     _solve_levels,
     hybrid_problem,
     random_balanced_design,
@@ -522,24 +523,25 @@ def _alpha_sweep(spec: StudySpec):
     """Design at rho0 under each cap level; record criterion and precision
     improvement at every evaluation correlation.
 
-    A replicate builds its problem once and solves every alpha in one
-    _solve_levels call, whose local search polishes the requested levels
-    of all the alphas as one stack; each report is that of the alpha's
-    own solve.  Where that call raises a NetdesignError, each alpha is
-    solved on its own, so each row keeps its own status."""
+    A replicate builds its problem once, from the evaluator at rho0 that
+    also scores its designs where rho0 is one of rho_ts, and solves every
+    alpha in one _solve_levels call, whose local search polishes the
+    requested levels of all the alphas as one stack; each report is that
+    of the alpha's own solve.  Where that call raises a NetdesignError,
+    each alpha is solved on its own, so each row keeps its own status."""
     P = spec.params
     alphas = P["alphas"]
 
     def cell(rep: int):
         dataset_seed = derive_seed(spec.seed, 0, rep)
         seeds = [derive_seed(spec.seed, 1, rep, ai) for ai in range(len(alphas))]
-        # The dataset and one evaluator per rho_t are shared by the designs
+        # The dataset and one evaluator per rho are shared by the designs
         # of every alpha; a failed draw or build is not cached, so it fails
         # again for each of them.
         dataset = functools.cache(lambda: synth_dataset(P["n"], P["p"], P["density"], dataset_seed))
-        evaluator = functools.cache(lambda rho_t: CriterionEvaluator(*dataset(), rho_t))
+        evaluator = functools.cache(lambda rho: CriterionEvaluator(*dataset(), rho))
         try:
-            reports = _solve_levels(hybrid_problem(*dataset(), P["rho0"], alphas[0]), alphas,
+            reports = _solve_levels(_evaluator_problem(evaluator(P["rho0"]), alphas[0]), alphas,
                                     seeds, P["restarts"], P["method"])
         except NetdesignError:
             reports = [None] * len(alphas)
@@ -551,7 +553,7 @@ def _alpha_sweep(spec: StudySpec):
                 "dataset_seed": dataset_seed, "solver_seed": solver_seed,
             }
             report, rows = _solved(_rho_heads(base, P["rho_ts"]), lambda: grouped or solve(
-                hybrid_problem(*dataset(), P["rho0"], alpha),
+                _evaluator_problem(evaluator(P["rho0"]), alpha),
                 method=P["method"], seed=solver_seed, restarts=P["restarts"],
             ))
             if report is not None:
@@ -594,6 +596,8 @@ def _rho_robustness(spec: StudySpec):
         dataset_seed = derive_seed(spec.seed, 0, rep)
         solver_seed = derive_seed(spec.seed, 1, rep)
         dataset = functools.cache(lambda: synth_dataset(P["n"], P["p"], P["density"], dataset_seed))
+        # One evaluator per rho both solves and scores; a failed build is not cached.
+        evaluator = functools.cache(lambda rho: CriterionEvaluator(*dataset(), rho))
         base = {
             "replicate": rep, "n": P["n"], "p": P["p"], "density": P["density"],
             "alpha": P["alpha"], "rho0": P["rho0"],
@@ -601,11 +605,11 @@ def _rho_robustness(spec: StudySpec):
         }
 
         def design(rho):
-            prob = hybrid_problem(*dataset(), rho, P["alpha"])
+            prob = _evaluator_problem(evaluator(rho), P["alpha"])
             return solve(prob, method=P["method"], seed=solver_seed, restarts=P["restarts"])
 
         def score(true, head):
-            ev = CriterionEvaluator(*dataset(), head["rho_t"])
+            ev = evaluator(head["rho_t"])
             pip_local, pip_true = ev.pip(local.design.x), ev.pip(true.design.x)
             return {"pip_local": pip_local, "pip_true": pip_true,
                     "pip_difference": pip_true - pip_local}
@@ -653,10 +657,10 @@ def _network_comparison(spec: StudySpec):
         dataset_seed = derive_seed(spec.seed, 0, rep, ni)
         # A failed draw is not cached, so it fails again for the second kind.
         dataset = functools.cache(lambda: synth_dataset(n, P["p"], P["density"], dataset_seed))
-        evaluator = functools.cache(lambda rho_t: CriterionEvaluator(*dataset(), rho_t))
+        evaluator = functools.cache(lambda rho: CriterionEvaluator(*dataset(), rho))
         solvers = {
             "network": lambda seed: solve(
-                hybrid_problem(*dataset(), P["rho0"], P["alpha"]),
+                _evaluator_problem(evaluator(P["rho0"]), P["alpha"]),
                 method=P["method"], seed=seed, restarts=P["restarts"],
             ),
             "no_network": lambda seed: solve_no_network(

@@ -1,9 +1,11 @@
 """Network and covariate containers, generators, loaders and repairs.
 
 Adjacency is kept sparse (one read-only (m, 2) edge array plus a CSR
-matrix built on demand); dense n-by-n arrays are only materialized by
-downstream numerics that need them.  Node ids are always 0-based and
-dense internally; the loaders accept 1-based files through a flag.
+matrix built on demand, in numpy for the package's own products and as a
+scipy array for callers who want one); dense n-by-n arrays are only
+materialized by downstream numerics that need them.  Node ids are always
+0-based and dense internally; the loaders accept 1-based files through a
+flag.
 """
 
 from __future__ import annotations
@@ -11,12 +13,14 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable
+from typing import TYPE_CHECKING, Iterable
 
 import numpy as np
-from scipy import sparse
 
 from .errors import DataError, GraphFormatError, RankError
+
+if TYPE_CHECKING:
+    from scipy import sparse
 
 __all__ = [
     "Network",
@@ -150,11 +154,20 @@ class Network:
         return 2 * len(self.edges)
 
     @cached_property
-    def adjacency(self) -> sparse.csr_array:
-        """Symmetric 0/1 adjacency matrix in CSR form."""
-        a, b = self.edges.T
-        rows, cols = np.concatenate([a, b]), np.concatenate([b, a])
-        return sparse.csr_array((np.ones(rows.size), (rows, cols)), shape=(self.n, self.n))
+    def adjacency(self) -> "sparse.csr_array":
+        """Symmetric 0/1 adjacency matrix as a scipy.sparse csr_array.
+
+        The package itself multiplies by the numpy CSR of the same arrays
+        (_csr), which gives the same bits without importing scipy.
+        """
+        from scipy import sparse  # loaded here: the package's own products need none
+
+        W = self._csr
+        return sparse.csr_array((W.data.copy(), W.indices.copy(), W.indptr.copy()), shape=W.shape)
+
+    @cached_property
+    def _csr(self) -> "_Csr":
+        return _Csr(self.n, self.edges)
 
     @property
     def isolated_nodes(self) -> np.ndarray:
@@ -162,6 +175,58 @@ class Network:
 
     def __repr__(self) -> str:
         return f"Network(n={self.n}, edges={len(self.edges)})"
+
+
+class _Csr:
+    """The symmetric 0/1 adjacency of n nodes and their edges in CSR form, in numpy.
+
+    indptr, indices (ascending within each row), data (all ones), nnz and
+    shape read as scipy's csr_array does, and rows holds each entry's row.
+    W @ X sums each row's terms in index order, starting from zero, as
+    scipy's CSR product does, so it gives scipy's bits for any float
+    operand, a vector or an (n, k) matrix; toarray() is the dense W.  The
+    arrays are read-only: one network's _Csr is shared by all that use it.
+    """
+
+    def __init__(self, n: int, edges: np.ndarray):
+        a, b = edges.T
+        # Row i lists its neighbours below i (the edges (a, i), in edge order)
+        # before those above it (the edges (i, b)), so a stable sort by row
+        # leaves every row's indices ascending.
+        rows, cols = np.concatenate([b, a]), np.concatenate([a, b])
+        order = np.argsort(rows, kind="stable")
+        indptr = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
+        self.shape = (n, n)
+        self.rows = read_only_copy(rows[order], np.int64)
+        self.indices = read_only_copy(cols[order], np.int64)
+        self.indptr = read_only_copy(indptr, np.int64)
+        self.data = read_only_copy(np.ones(rows.size), np.float64)
+
+    @property
+    def nnz(self) -> int:
+        return self.indices.size
+
+    def __matmul__(self, X) -> np.ndarray:
+        X = np.asarray(X)
+        n = self.shape[0]
+        if X.ndim not in (1, 2) or X.shape[0] != n:
+            raise ValueError(f"cannot multiply an {self.shape} adjacency by shape {X.shape}")
+        if X.ndim == 2:  # column by column, in O(nnz) memory
+            out = np.empty(X.shape)
+            for j in range(X.shape[1]):
+                out[:, j] = self @ X[:, j]
+            return out
+        # Each product data * x is x itself (data is all ones), and bincount
+        # adds the terms of each bin in the order given: the index order.
+        # Without edges it counts in integers.
+        out = np.bincount(self.rows, weights=X[self.indices], minlength=n)
+        return out.astype(np.float64, copy=False)
+
+    def toarray(self) -> np.ndarray:
+        W = np.zeros(self.shape)
+        W[self.rows, self.indices] = self.data
+        return W
 
 
 @dataclass(frozen=True, eq=False)

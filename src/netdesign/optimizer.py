@@ -56,7 +56,6 @@ from functools import cached_property
 from typing import NamedTuple, Optional
 
 import numpy as np
-from scipy import linalg
 
 from . import _pool
 from .criterion import CriterionEvaluator, _ndtri
@@ -122,11 +121,15 @@ class HybridProblem:
     """Factored minimization instance shared by every solver.
 
     objective(x) = ||H x||^2; the cap applies to x' W x when W is present.
-    Built from H, W, rho0 and alpha alone; the rest is derived from them
-    once, here: n is the column count of H, psi the squared column norms
-    of H (used by incremental moves), m the total degree W.nnz (0 without
-    W) and cap = sqrt(m) z_alpha with W, None without.  dataclasses.replace
-    derives them again, so they always follow H, W and alpha.
+    W is read by duck typing: W @ x, nnz, toarray() and the CSR arrays
+    indptr, indices (sorted within each row) and data.  hybrid_problem
+    gives the network's numpy CSR (graph._Csr); a scipy csr_array works
+    too.  Built from H, W, rho0 and alpha alone; the rest is derived from
+    them once, here: n is the column count of H, psi the squared column
+    norms of H (used by incremental moves), m the total degree W.nnz (0
+    without W) and cap = sqrt(m) z_alpha with W, None without.
+    dataclasses.replace derives them again, so they always follow H, W
+    and alpha.
     """
 
     H: np.ndarray
@@ -180,18 +183,26 @@ def hybrid_problem(
     net: Network, cov: CovariateMatrix, rho0: float, alpha: float
 ) -> HybridProblem:
     """Kernel-weighted imbalance objective with the level-alpha connection cap."""
-    ev = CriterionEvaluator(net, cov, rho0)
+    return _evaluator_problem(CriterionEvaluator(net, cov, rho0), alpha)
+
+
+def _evaluator_problem(ev: CriterionEvaluator, alpha: float) -> HybridProblem:
+    """hybrid_problem at ev's network, covariates and rho, from ev's H and W."""
     alpha = None if alpha is None else float(alpha)  # None: HybridProblem's DataError
-    return HybridProblem(np.ascontiguousarray(ev.H), net.adjacency, float(rho0), alpha)
+    return HybridProblem(np.ascontiguousarray(ev.H), ev.W, ev.rho, alpha)
 
 
 def no_network_problem(cov: CovariateMatrix) -> HybridProblem:
     """Plain Mahalanobis imbalance x' F (F'F)^{-1} F' x, balance only."""
+    # scipy's solve, loaded here: numpy's moves the last bits of H and with
+    # them covariate-only designs.
+    from scipy import linalg
+
     F = cov.values
     A = F.T @ F
     try:
         La = linalg.cholesky(A, lower=True)
-    except linalg.LinAlgError:
+    except np.linalg.LinAlgError:
         raise RankError("F'F is not positive definite; check covariate rank") from None
     return HybridProblem(np.ascontiguousarray(linalg.solve_triangular(La, F.T, lower=True)))
 
@@ -481,6 +492,16 @@ _CLASS_SHARE = 0.25
 _STACK_DESIGNS = 6
 
 
+def _stacked_products(H, X: np.ndarray):
+    """(V, objs): v = Hx and ||v||^2 of each row x of X, (R, q) and (R,).
+
+    One stacked matmul each, which makes the same BLAS calls per row as H @ x
+    and v @ v, so every row keeps the bits of its own products.
+    """
+    V = np.matmul(H, X[:, :, None])[:, :, 0]
+    return V, np.matmul(V[:, None, :], V[:, :, None])[:, 0, 0]
+
+
 def _pick(arrays, at):
     """The entries at of each array in a tuple, None left as None."""
     return tuple(None if a is None else a[at] for a in arrays)
@@ -522,8 +543,7 @@ class _SwapState:
             self.wx = np.empty((R, problem.n))
             self.cuts = np.empty(R)
         self.resync, self.swaps = resync, np.zeros(R, dtype=np.int64)
-        for r in range(R):
-            self.sync(r)
+        self.sync(np.arange(R))
 
     @property
     def obj(self) -> float:
@@ -533,13 +553,19 @@ class _SwapState:
     def c(self) -> float:
         return float(self.cuts[0])
 
-    def sync(self, r: int = 0) -> None:
-        x = self.x[r]
-        self.v[r] = self.H @ x
-        self.objs[r] = self.v[r] @ self.v[r]
+    def sync(self, rows=0) -> None:
+        """Recompute v, obj, Wx and x'Wx of design rows (an index or an array) from x.
+
+        Each is one stacked product for all the rows, with the bits of the
+        row's own H @ x, v @ v, W @ x and x @ Wx.
+        """
+        rows = np.atleast_1d(rows)
+        X = self.x[rows]
+        self.v[rows], self.objs[rows] = _stacked_products(self.H, X)
         if self.W is not None:
-            self.wx[r] = self.W @ x
-            self.cuts[r] = x @ self.wx[r]
+            self.wx[rows] = (self.W @ X.T).T
+            wx = self.wx[rows]
+            self.cuts[rows] = np.matmul(X[:, None, :], wx[:, :, None])[:, 0, 0]
 
     def column_step(self, i, j) -> np.ndarray:
         """Change in v = Hx when plus node i and minus node j swap."""
@@ -571,8 +597,9 @@ class _SwapState:
                     wx[W.indices[lo:hi]] += step * W.data[lo:hi]
         self.swaps[r] += 1
         if isinstance(r, np.ndarray):
-            for q in r[self.swaps[r] % self.resync == 0]:
-                self.sync(q)
+            due = r[self.swaps[r] % self.resync == 0]
+            if due.size:
+                self.sync(due)
         elif self.swaps[r] % self.resync == 0:
             self.sync(r)
 
@@ -682,7 +709,7 @@ class _SwapState:
     def weights(self, P: np.ndarray, M: np.ndarray, pos: np.ndarray) -> np.ndarray:
         """w_ij of the pairs P x M, (G, k, l), from W's CSR rows.
 
-        W's rows are sorted, without duplicates, as Network.adjacency builds
+        W's rows are sorted, without duplicates, as a network's CSR holds
         them; pos holds each design's node-to-minus-column map, so memory
         stays O(n) a design.
         """
@@ -964,8 +991,7 @@ def _polish_rows(
         repairing[:] = False  # dropped unless it took a swap
         repairing[r] = st.cuts[r] > capv[r]
         feasible[r] = ~repairing[r]
-    for r in np.flatnonzero(feasible):  # descent starts from fresh products
-        st.sync(r)
+    st.sync(np.flatnonzero(feasible))  # descent starts from fresh products
     repairs, st.swaps = st.swaps, np.zeros_like(st.swaps)
     descending = feasible.copy()
     while descending.any() and (deadline is None or time.perf_counter() <= deadline):
@@ -979,10 +1005,11 @@ def _polish_rows(
 
 def _first_best(problem: HybridProblem, x: np.ndarray, feasible: np.ndarray):
     """(row or None, objective): the first feasible row of x whose recomputed
-    objective is lowest, by more than 1e-15."""
+    objective, with the bits of problem.objective(row), is lowest by more
+    than 1e-15."""
     best_x, best_obj = None, math.inf
-    for row in x[feasible]:
-        obj = problem.objective(row)
+    rows = x[feasible]
+    for row, obj in zip(rows, _stacked_products(problem.H, rows)[1].tolist()):
         if obj < best_obj - 1e-15:
             best_x, best_obj = row.copy(), obj
     return best_x, best_obj

@@ -575,6 +575,43 @@ class TestImports:
         ]
         assert self.loaded(argvs, ("yaml", "scipy.sparse.linalg") + self.POOL_AND_SPECIAL) == "[]"
 
+    def fresh(self, argv):
+        """(exit code, scipy modules loaded) of main(argv) in a fresh interpreter."""
+        code = (
+            "import sys\nfrom netdesign.cli import main\n"
+            f"code = main({[str(a) for a in argv]!r})\n"
+            "print(code, sorted(m for m in sys.modules if m.startswith('scipy')))\n"
+        )
+        src = str(Path(netdesign.__file__).parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                              text=True, timeout=300, check=True)
+        status, modules = done.stdout.splitlines()[-1].split(" ", 1)
+        return int(status), modules
+
+    # Each of these needs from scipy nothing that numpy lacks: W as the
+    # network's numpy CSR and the criterion's Cholesky solve in numpy.
+    @pytest.mark.parametrize("argv, status", [
+        (["--help"], 0),
+        (["design"], 1),  # a usage error
+        (["generate", "--n", 60, "--p", 3, "--density", 0.1, "--out-prefix", "{tmp}/again"], 0),
+        (["design", "{edges}", "{covs}", "--output", "{tmp}/d.csv"], 0),
+        (["evaluate", "{edges}", "{covs}", "{tmp}/x.design", "--output", "{tmp}/e.csv"], 0),
+        (["study", "alpha_sweep_small", "--output", "{tmp}/a.csv"], 0),
+        (["study", "gap_histogram_small", "--output", "{tmp}/g.csv"], 0),
+    ], ids=["help", "usage-error", "generate", "design", "evaluate", "alpha-sweep", "gap-histogram"])
+    def test_command_loads_no_scipy(self, tmp_path, argv, status):
+        edges, covs = make_dataset(tmp_path, n=60, p=3, density=0.1)
+        assert run("design", edges, covs, "--output", tmp_path / "first.csv",
+                   "--design-out", tmp_path / "x.design") == 0
+        argv = [str(a).format(tmp=tmp_path, edges=edges, covs=covs) for a in argv]
+        assert self.fresh(argv) == (status, "[]")
+
+    def test_pseudo_experiment_runs_with_scipy_loaded_where_used(self, tmp_path):
+        status, modules = self.fresh(
+            ["study", "pseudo_experiment_small", "--output", tmp_path / "p.csv"])
+        assert status == 0 and "'scipy.linalg'" in modules
+
     def test_serial_studies_load_no_arpack_pool_or_special(self, tmp_path):
         argvs = []
         for kind, body in sorted(_TINY_STUDIES.items()):

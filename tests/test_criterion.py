@@ -2,10 +2,11 @@ import itertools
 
 import numpy as np
 import pytest
+from scipy import linalg
 from scipy.special import ndtri
 
 from netdesign import criterion
-from netdesign.car import CarParams, fit_gls, sample_outcomes
+from netdesign.car import CarParams, _AffineGram, fit_gls, sample_outcomes
 from netdesign.criterion import (
     _DENSE_EIGEN,
     _EXP_M2,
@@ -170,6 +171,22 @@ class TestEvaluate:
         cov = generate_pm1_covariates(10, 1, seed=12)
         with pytest.raises(DataError, match="length"):
             evaluate(net, cov, alternating(9), 0.5)
+
+
+class TestFactor:
+    @pytest.mark.parametrize("n, p, rho, seed", [
+        (50, 3, 0.0, 1), (200, 10, 0.5, 2), (1000, 10, 0.9, 3), (400, 5, 0.99, 4),
+    ])
+    def test_h_is_scipys_triangular_solve_to_1e_12(self, n, p, rho, seed):
+        # The reference is how H was computed with scipy: its Cholesky
+        # factor of the same Gram and its triangular solve.
+        net = connected_net(n, 10 / n, seed)
+        cov = generate_pm1_covariates(n, p, seed)
+        ev = CriterionEvaluator(net, cov, rho)
+        gram = _AffineGram(net, cov.values)
+        La = linalg.cholesky(gram.ZDZ - rho * gram.ZWZ, lower=True)
+        ref = linalg.solve_triangular(La, ev.B.T, lower=True)
+        assert np.max(np.abs(ev.H - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
 class TestBalancedMoments:

@@ -304,6 +304,22 @@ class TestAlphaSweep:
         assert len(called_on) == 4
         assert all(t is threading.main_thread() for t in called_on)
 
+    def test_one_evaluator_per_rho_per_replicate(self, monkeypatch):
+        # The problem is built from the evaluator at rho0 (0.5, one of the
+        # desk rho_ts), which also scores the designs: 5 builds a replicate.
+        built = []
+        init = CriterionEvaluator.__init__
+
+        def spy(self, net, cov, rho):
+            built.append(rho)
+            init(self, net, cov, rho)
+
+        monkeypatch.setattr(CriterionEvaluator, "__init__", spy)
+        spec = tiny("alpha_sweep", replicates=2)
+        assert spec.params["rho0"] in spec.params["rho_ts"]
+        run_study(spec)
+        assert sorted(built) == sorted(2 * list(spec.params["rho_ts"]))
+
     def test_cap_below_floor_gets_relaxed(self):
         # alpha far below anything a 12-node graph can satisfy
         spec = tiny(

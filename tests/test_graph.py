@@ -3,6 +3,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 from hypothesis import given
+from scipy import sparse
 from hypothesis import strategies as st
 
 import netdesign
@@ -500,3 +501,65 @@ def test_no_second_edge_form_in_source():
         if any(b in line for b in banned)
     ]
     assert hits == []
+
+
+def star(n):
+    return Network.from_edges(n, [(0, j) for j in range(1, n)])
+
+
+def complete_bipartite(a, b):
+    return Network.from_edges(a + b, [(i, a + j) for i in range(a) for j in range(b)])
+
+
+class TestNumpyCsr:
+    """Network._csr, the numpy CSR the package multiplies by, against scipy's
+    CSR product built from coordinates, which sums each row in index order."""
+
+    NETWORKS = {
+        "bernoulli-2": lambda: generate_bernoulli_network(2, 1.0, seed=1),
+        "bernoulli-50": lambda: generate_bernoulli_network(50, 0.1, seed=2),
+        "bernoulli-1000": lambda: generate_bernoulli_network(1000, 0.01, seed=3),
+        "isolated-300": lambda: generate_bernoulli_network(300, 0.002, seed=4),
+        "edgeless-5": lambda: Network(5),
+        "star-2": lambda: star(2),
+        "star-2000": lambda: star(2000),
+        "bipartite-3x40": lambda: complete_bipartite(3, 40),
+        "bipartite-30x30": lambda: complete_bipartite(30, 30),
+        "repaired-2000": lambda: repair_isolated(
+            generate_bernoulli_network(2000, 0.0008, seed=5), "connect", seed=6).network,
+    }
+
+    @staticmethod
+    def reference(net):
+        a, b = net.edges.T
+        return sparse.csr_array((np.ones(net.m), (np.r_[a, b], np.r_[b, a])), shape=(net.n, net.n))
+
+    @pytest.mark.parametrize("name", sorted(NETWORKS))
+    def test_products_and_dense_form_are_scipys(self, name):
+        net = self.NETWORKS[name]()
+        W, ref = net._csr, self.reference(net)
+        assert isinstance(net.adjacency, sparse.csr_array)
+        for csr in (W, net.adjacency):
+            assert csr.shape == ref.shape and csr.nnz == ref.nnz
+            for attr in ("indptr", "indices", "data"):
+                assert np.array_equal(getattr(csr, attr), getattr(ref, attr))
+        assert np.array_equal(W.toarray(), ref.toarray())
+        rng = np.random.default_rng(net.n)
+        operands = [
+            rng.integers(0, 2, size=net.n) * 2.0 - 1.0,
+            rng.standard_normal(net.n),
+            rng.standard_normal(net.n) * np.exp(rng.uniform(-20.0, 20.0, net.n)),
+        ] + [rng.standard_normal((net.n, k)) for k in (1, 11, 50)]
+        operands.append(np.asfortranarray(operands[-2]))
+        for X in operands:
+            got, want = W @ X, ref @ X
+            assert got.shape == want.shape and got.dtype == want.dtype
+            assert np.array_equal(got, want)
+            assert np.array_equal(net.adjacency @ X, want)
+
+    def test_arrays_are_read_only_and_shape_is_checked(self):
+        W = generate_bernoulli_network(20, 0.3, seed=7)._csr
+        for attr in ("rows", "indptr", "indices", "data"):
+            assert not getattr(W, attr).flags.writeable
+        with pytest.raises(ValueError):
+            W @ np.ones(19)

@@ -1490,10 +1490,10 @@ class TestLockstep:
             finally:
                 stacked.pop()
 
-        def spy_sync(self, r=0):
+        def spy_sync(self, rows=0):
             if stacked and stacked[-1]:
-                resynced.append((int(r), int(self.swaps[r])))
-            sync(self, r)
+                resynced.extend((int(r), int(self.swaps[r])) for r in np.atleast_1d(rows))
+            sync(self, rows)
 
         monkeypatch.setattr(optimizer._SwapState, "apply", spy_apply)
         monkeypatch.setattr(optimizer._SwapState, "sync", spy_sync)
